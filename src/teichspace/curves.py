@@ -15,6 +15,10 @@ equivariance of geodesic length.
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
 are convex, so these lengths do not depend on the twists.
+
+:func:`length_table` gathers every length the metric estimators read at one
+point (the curve family and, on bordered points, the seed arcs) so that a
+point is assembled once however many estimators and partners use it.
 """
 
 from __future__ import annotations
@@ -25,16 +29,26 @@ from dataclasses import dataclass
 
 from . import pants_trig
 from .pants_trig import DomainError
-from .surface import ArcClass, FNPoint, Marking, curve_length, holonomy
+from .surface import (
+    ArcClass,
+    FNPoint,
+    HolonomyError,
+    Marking,
+    NotGeodesicError,
+    curve_length,
+    holonomy,
+)
 
 __all__ = [
     "CurveClass",
+    "LengthTable",
     "NeighborhoodCurve",
     "curve_length_at",
     "enumerate_arcs",
     "enumerate_curves",
     "family_lengths",
     "arc_length_formula",
+    "length_table",
     "pants_neighborhood_boundaries",
 ]
 
@@ -119,7 +133,11 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
     """Lengths of many curve classes at one point.
 
     Groups the classes by twist vector so each shifted holonomy is
-    assembled once.  Returns a list aligned with ``classes``.
+    assembled once.  Returns a list aligned with ``classes``.  Over the
+    family of :func:`enumerate_curves` at ``depth`` that is
+    ``1 + 2 * depth * ncurves`` assemblies (the zero twist plus two per
+    dual seed and radius); :func:`length_table` makes this call once per
+    point, so a comparison of two points costs twice that.
     """
     by_twist = {}
     for pos, c in enumerate(classes):
@@ -141,6 +159,52 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
 def curve_length_at(fn: FNPoint, m: Marking, c: CurveClass) -> float:
     """Length of one twisted class via the twist-shift rule."""
     return family_lengths(fn, m, [c])[0]
+
+
+@dataclass(frozen=True)
+class LengthTable:
+    """Every length the metric estimators read at one point.
+
+    ``classes`` is the family of :func:`enumerate_curves` at ``depth`` and
+    ``lengths`` their lengths, aligned.  When every boundary length is
+    positive, ``arcs`` holds the seed arcs and ``arc_lengths`` their
+    hexagon lengths; otherwise both are empty.
+    """
+
+    point: FNPoint
+    depth: int
+    classes: tuple
+    lengths: tuple
+    arcs: tuple = ()
+    arc_lengths: tuple = ()
+
+
+def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
+    """Evaluate the length table of ``fn`` at family depth ``depth``.
+
+    The curve lengths come from one :func:`family_lengths` call over the
+    whole family.  A :class:`HolonomyError` or :class:`NotGeodesicError`
+    of the assembly is re-raised as the same type with the replay witness
+    ``{"x": <point JSON>, "depth": depth}`` appended to its message and
+    kept in its ``witness`` attribute.
+    """
+    if (fn.g, fn.n) != (m.genus, m.nboundary):
+        raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
+                          f"of ({m.genus},{m.nboundary})")
+    classes = tuple(enumerate_curves(m, depth))
+    try:
+        lengths = tuple(family_lengths(fn, m, classes))
+    except (HolonomyError, NotGeodesicError) as err:
+        witness = {"x": json.loads(fn.to_json()), "depth": depth}
+        replay = type(err)(f"{err}\nwitness: {json.dumps(witness)}")
+        replay.witness = witness
+        raise replay from err
+    arcs = ()
+    if m.nboundary and all(fn.boundary):
+        arcs = tuple(enumerate_arcs(m, depth))
+    return LengthTable(point=fn, depth=depth, classes=classes, lengths=lengths,
+                       arcs=arcs,
+                       arc_lengths=tuple(arc_length_formula(fn, m, a) for a in arcs))
 
 
 def enumerate_arcs(m: Marking, depth: int = 0):
@@ -224,18 +288,3 @@ def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):
                                          word=m.boundary_word(idx), essential=False))
     return out
 
-
-def family_dump(fn: FNPoint, m: Marking, depth: int) -> str:
-    """Curve and arc family as JSON lines: one class per line with lengths."""
-    classes = enumerate_curves(m, depth)
-    lengths = family_lengths(fn, m, classes)
-    lines = []
-    for c, l in zip(classes, lengths):
-        lines.append(json.dumps({"kind": "curve", "seed": list(c.seed),
-                                 "twist": list(c.twist), "length": l}))
-    for arc in enumerate_arcs(m, depth):
-        lines.append(json.dumps({
-            "kind": "arc", "pants": arc.pants, "arc_kind": arc.kind,
-            "slots": list(arc.slots), "boundaries": list(arc.boundaries),
-            "length": arc_length_formula(fn, m, arc)}))
-    return "\n".join(lines)

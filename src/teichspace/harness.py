@@ -21,13 +21,10 @@ import numpy as np
 from .curves import (
     arc_length_formula,
     enumerate_arcs,
+    length_table,
     pants_neighborhood_boundaries,
 )
-from .metrics import (
-    arc_lower,
-    teich_interval_report,
-    thurston_lower,
-)
+from .metrics import arc_of, teich_of, thurston_of
 from .pants_trig import DomainError, gap_constants
 from .surface import FNPoint, Marking, build_marking, phi_gamma
 
@@ -217,12 +214,14 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     """One comparison row: curve-ratio and arc estimates, their gap, the
     certified gap constant, and the quasiconformal interval.
 
-    Raises :class:`HarnessCheckError` with a replay witness if the
-    ordering ``d_a >= d_th >= 0`` fails on the evaluated family.
+    The three estimators reduce over the same two length tables.  Raises
+    :class:`HarnessCheckError` with a replay witness if the ordering
+    ``d_a >= d_th >= 0`` fails on the evaluated family.
     """
-    d_th = thurston_lower(x1, x2, m, depth)
-    d_a = arc_lower(x1, x2, m, depth)
-    teich = teich_interval_report(x1, x2, m, depth)
+    t1, t2 = length_table(x1, m, depth), length_table(x2, m, depth)
+    d_th = thurston_of(t1, t2)
+    d_a = arc_of(t1, t2)
+    teich = teich_of(t1, t2)
     witness = {"x1": json.loads(x1.to_json()), "x2": json.loads(x2.to_json()),
                "depth": depth, "d_th": d_th.value, "d_a": d_a.value,
                "d_th_witness": d_th.witness, "d_a_witness": d_a.witness}
@@ -283,7 +282,8 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int = 0,
         raise DomainError(f"no cuff with index {curve_index}")
     if count < 1:
         raise DomainError("need at least one ray point")
-    px = phi_gamma(x)
+    base = length_table(x, m, depth)
+    base_image = length_table(phi_gamma(x), m, depth)
     bound = math.log(x.n + 3)
     rows = []
     max_diff = 0.0
@@ -292,11 +292,12 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int = 0,
         twists[curve_index] += s * step
         xs = FNPoint(g=x.g, n=x.n, lengths=x.lengths, twists=twists,
                      boundary=x.boundary)
-        pxs = phi_gamma(xs)
-        d_b = thurston_lower(x, xs, m, depth).value
-        d_p = thurston_lower(px, pxs, m, depth).value
-        t_b = teich_interval_report(x, xs, m, depth).interval
-        t_p = teich_interval_report(px, pxs, m, depth).interval
+        ray = length_table(xs, m, depth)
+        ray_image = length_table(phi_gamma(xs), m, depth)
+        d_b = thurston_of(base, ray).value
+        d_p = thurston_of(base_image, ray_image).value
+        t_b = teich_of(base, ray).interval
+        t_p = teich_of(base_image, ray_image).interval
         diff = abs(d_b - d_p)
         max_diff = max(max_diff, diff)
         rows.append({
@@ -362,24 +363,26 @@ def almost_isometry_report(samples, m: Marking, depth: int,
     ``d1`` is the arc estimate (or curve-ratio estimate, per ``metric``)
     between bordered samples; ``d2`` the curve-ratio estimate between
     their punctured images.  Targets are the images of the samples, so
-    the coarse-density bound is exactly zero for this sample set.
+    the coarse-density bound is exactly zero for this sample set.  Each
+    sample and each image is assembled once, into its length table.
     """
     samples = list(samples)
     if len(samples) < 2:
         raise DomainError("need at least two samples")
     if metric not in ("arc", "thurston"):
         raise DomainError(f"unknown metric selector {metric!r}")
-    d1_fn = arc_lower if metric == "arc" else thurston_lower
-    images = [phi_gamma(x) for x in samples]
+    d1_of = arc_of if metric == "arc" else thurston_of
+    tables = [length_table(x, m, depth) for x in samples]
+    images = [length_table(phi_gamma(x), m, depth) for x in samples]
     b_bound = 0.0
     worst = ()
     pairs = 0
-    for i, x in enumerate(samples):
-        for j, y in enumerate(samples):
+    for i in range(len(samples)):
+        for j in range(len(samples)):
             if i == j:
                 continue
-            d1 = d1_fn(x, y, m, depth).value
-            d2 = thurston_lower(images[i], images[j], m, depth).value
+            d1 = d1_of(tables[i], tables[j]).value
+            d2 = thurston_of(images[i], images[j]).value
             pairs += 1
             if abs(d2 - d1) > b_bound:
                 b_bound = abs(d2 - d1)

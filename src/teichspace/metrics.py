@@ -13,6 +13,14 @@ its hyperbolic length (Maskit's inequalities on cusped surfaces, doubled
 across the boundary for bordered ones) are combined conservatively over
 the curve family, and the upper end absorbs the additive defect
 ``log(n + 2)`` of restricting the supremum to simple closed curves.
+
+Every estimator is a pure reduction over the :class:`~teichspace.curves.LengthTable`
+of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`);
+:func:`thurston_lower`, :func:`arc_lower` and :func:`teich_interval_report`
+build the two tables and reduce.  Callers that compare one point with
+several others, or run several estimators on one pair, build each table
+once and call the reductions: one comparison row then costs
+``2 * (1 + 2 * depth * ncurves)`` holonomy assemblies.
 """
 
 from __future__ import annotations
@@ -21,12 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .curves import (
-    arc_length_formula,
-    enumerate_arcs,
-    enumerate_curves,
-    family_lengths,
-)
+from .curves import LengthTable, length_table
 from .pants_trig import DomainError, Interval
 from .surface import FNPoint, Marking
 
@@ -34,6 +37,7 @@ __all__ = [
     "MetricEstimate",
     "TeichIntervalReport",
     "arc_lower",
+    "arc_of",
     "bordered_ext_bracket",
     "ext_annulus",
     "ext_cylinder",
@@ -42,7 +46,9 @@ __all__ = [
     "symmetrize",
     "teich_interval",
     "teich_interval_report",
+    "teich_of",
     "thurston_lower",
+    "thurston_of",
 ]
 
 
@@ -70,52 +76,76 @@ def _require_same_space(x1: FNPoint, x2: FNPoint) -> None:
             f"boundary lengths differ: {x1.boundary} vs {x2.boundary}")
 
 
-def thurston_lower(x1: FNPoint, x2: FNPoint, m: Marking,
-                   depth: int) -> MetricEstimate:
-    """Best log length ratio over the essential curve family.
+def _require_comparable(t1: LengthTable, t2: LengthTable) -> None:
+    _require_same_space(t1.point, t2.point)
+    if t1.depth != t2.depth:
+        raise DomainError(f"tables have different depths: {t1.depth} vs {t2.depth}")
 
-    A lower bound for the curve-ratio metric from ``x1`` to ``x2``; both
-    points must have identical boundary lengths (all zero is allowed).
-    """
+
+def _tables(x1: FNPoint, x2: FNPoint, m: Marking, depth: int):
     _require_same_space(x1, x2)
-    classes = [c for c in enumerate_curves(m, depth) if c.essential]
-    l1 = family_lengths(x1, m, classes)
-    l2 = family_lengths(x2, m, classes)
+    return length_table(x1, m, depth), length_table(x2, m, depth)
+
+
+def _essential(t1: LengthTable, t2: LengthTable):
+    """``(class, length at t1, length at t2)`` over the essential classes."""
+    return [(c, a, b) for c, a, b in zip(t1.classes, t1.lengths, t2.lengths)
+            if c.essential]
+
+
+def _sup_log_ratio(triples):
+    """Largest ``log(b / a)`` over ``(member, a, b)`` and the member
+    attaining it; the first of equal values wins."""
     best, witness = None, None
-    for c, a, b in zip(classes, l1, l2):
+    for member, a, b in triples:
         val = math.log(b / a)
         if best is None or val > best:
-            best, witness = val, c
-    return MetricEstimate(value=best, depth=depth, witness=witness.label(),
-                          family_size=len(classes))
+            best, witness = val, member
+    return best, witness
+
+
+def thurston_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
+    """Best log length ratio over the essential curve family.
+
+    A lower bound for the curve-ratio metric from ``t1.point`` to
+    ``t2.point``; both points must have identical boundary lengths (all
+    zero is allowed).
+    """
+    _require_comparable(t1, t2)
+    triples = _essential(t1, t2)
+    best, witness = _sup_log_ratio(triples)
+    return MetricEstimate(value=best, depth=t1.depth, witness=witness.label(),
+                          family_size=len(triples))
+
+
+def arc_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
+    """Best log length ratio over the curve family, boundaries and arcs.
+
+    Defined only for positive boundary lengths (arcs degenerate at cusps).
+    Always at least :func:`thurston_of` on the same tables, since the
+    family is a superset.
+    """
+    _require_comparable(t1, t2)
+    if any(v == 0.0 for v in t1.point.boundary):
+        raise DomainError("arc metric needs strictly positive boundary lengths")
+    if not t1.arcs:
+        raise DomainError("arc families need at least one boundary component")
+    members = t1.classes + t1.arcs
+    best, witness = _sup_log_ratio(zip(members, t1.lengths + t1.arc_lengths,
+                                       t2.lengths + t2.arc_lengths))
+    return MetricEstimate(value=best, depth=t1.depth, witness=witness.label(),
+                          family_size=len(members))
+
+
+def thurston_lower(x1: FNPoint, x2: FNPoint, m: Marking,
+                   depth: int) -> MetricEstimate:
+    """:func:`thurston_of` on the length tables of ``x1`` and ``x2``."""
+    return thurston_of(*_tables(x1, x2, m, depth))
 
 
 def arc_lower(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> MetricEstimate:
-    """Best log length ratio over arcs, boundaries, and the curve family.
-
-    Defined only for positive boundary lengths (arcs degenerate at cusps).
-    Always at least :func:`thurston_lower` at equal depth, since the family
-    is a superset.
-    """
-    _require_same_space(x1, x2)
-    if any(v == 0.0 for v in x1.boundary):
-        raise DomainError("arc metric needs strictly positive boundary lengths")
-    classes = enumerate_curves(m, depth)
-    l1 = family_lengths(x1, m, classes)
-    l2 = family_lengths(x2, m, classes)
-    best, witness = None, None
-    for c, a, b in zip(classes, l1, l2):
-        val = math.log(b / a)
-        if best is None or val > best:
-            best, witness = val, c.label()
-    arcs = enumerate_arcs(m, depth)
-    for arc in arcs:
-        val = math.log(arc_length_formula(x2, m, arc)
-                       / arc_length_formula(x1, m, arc))
-        if val > best:
-            best, witness = val, arc.label()
-    return MetricEstimate(value=best, depth=depth, witness=witness,
-                          family_size=len(classes) + len(arcs))
+    """:func:`arc_of` on the length tables of ``x1`` and ``x2``."""
+    return arc_of(*_tables(x1, x2, m, depth))
 
 
 def symmetrize(d_xy: float, d_yx: float) -> float:
@@ -196,8 +226,7 @@ def _curve_ext_bracket(l: float, bordered: bool) -> Interval:
     return bordered_ext_bracket(l) if bordered else maskit_bracket(l)
 
 
-def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,
-                          depth: int) -> TeichIntervalReport:
+def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     """Interval bracketing the quasiconformal metric between two points.
 
     Both points must be punctured, or both bordered with equal boundary
@@ -207,16 +236,15 @@ def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,
     only grow, and the additive defect ``log(n+2)`` of the simple-curve
     restriction widens the top.
     """
-    _require_same_space(x1, x2)
+    _require_comparable(t1, t2)
+    x1 = t1.point
     punctured = x1.is_punctured()
     if not punctured and any(v == 0.0 for v in x1.boundary):
         raise DomainError("points must be fully punctured or fully bordered")
-    classes = [c for c in enumerate_curves(m, depth) if c.essential]
-    l1 = family_lengths(x1, m, classes)
-    l2 = family_lengths(x2, m, classes)
+    triples = _essential(t1, t2)
     s_lo = 0.0
     s_hi, witness, wit_width = None, None, 0.0
-    for c, a, b in zip(classes, l1, l2):
+    for c, a, b in triples:
         b1 = _curve_ext_bracket(a, not punctured)
         b2 = _curve_ext_bracket(b, not punctured)
         la1, lb1 = math.log(b1.lo), math.log(b1.hi)
@@ -229,9 +257,15 @@ def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,
             wit_width = max(lb1 - la1, lb2 - la2)
     defect = math.log(x1.n + 2)
     return TeichIntervalReport(interval=Interval(s_lo, s_hi + defect),
-                               depth=depth, witness=witness,
+                               depth=t1.depth, witness=witness,
                                witness_max_log_width=wit_width,
-                               family_size=len(classes))
+                               family_size=len(triples))
+
+
+def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,
+                          depth: int) -> TeichIntervalReport:
+    """:func:`teich_of` on the length tables of ``x1`` and ``x2``."""
+    return teich_of(*_tables(x1, x2, m, depth))
 
 
 def teich_interval(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> Interval:

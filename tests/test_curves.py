@@ -1,6 +1,5 @@
 """Tests for curve/arc family enumeration and twist-shift evaluation."""
 
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from teichspace.curves import (
     curve_length_at,
     enumerate_arcs,
     enumerate_curves,
-    family_dump,
     family_lengths,
     pants_neighborhood_boundaries,
 )
@@ -204,13 +202,3 @@ class TestNeighborhoodBoundaries:
                                   nbs[1].length_at(x))
         assert arc_length_formula(x, m, arc) == pytest.approx(want, abs=1e-8)
 
-
-class TestFamilyDump:
-    def test_json_lines_roundtrip(self):
-        m = build_marking(1, 1)
-        x = point(m, [2.0], [0.1], [1.0])
-        lines = family_dump(x, m, 1).splitlines()
-        rows = [json.loads(line) for line in lines]
-        assert all("length" in r for r in rows)
-        assert sum(r["kind"] == "arc" for r in rows) == 1
-        assert all(math.isfinite(r["length"]) for r in rows)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from teichspace import curves
 from teichspace.harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -20,7 +21,13 @@ from teichspace.harness import (
     verify_arc_construction,
 )
 from teichspace.pants_trig import DomainError
-from teichspace.surface import FNPoint, build_marking
+from teichspace.surface import (
+    FNPoint,
+    HolonomyError,
+    NotGeodesicError,
+    build_marking,
+    holonomy,
+)
 
 
 def cfg_12(**kw):
@@ -215,6 +222,69 @@ class TestAlmostIsometryReport:
         assert arc.metric == "arc" and thu.metric == "thurston"
         with pytest.raises(DomainError):
             almost_isometry_report(samples, m, 1, metric="extremal")
+
+
+class TestAssemblyCount:
+    """Every point is assembled once per twist vector of its family:
+    ``1 + 2 * depth * ncurves`` times."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        points = []
+
+        def counting(fn, m, **kw):
+            points.append(fn)
+            return holonomy(fn, m, **kw)
+
+        monkeypatch.setattr(curves, "holonomy", counting)
+        return points
+
+    def test_compare_row(self, assembled):
+        cfg = ExperimentConfig(g=2, n=2, boundary=(1.0, 1.5), seed=3, depth=2,
+                               samples=1)
+        m = cfg.marking()
+        compare_metrics(sample_point(cfg, 0), sample_point(cfg, 1), m, 2)
+        assert len(assembled) == 2 * (1 + 2 * 2 * m.ncurves) == 42
+
+    @pytest.mark.parametrize("metric", ["arc", "thurston"])
+    def test_report(self, assembled, metric):
+        cfg = cfg_12(samples=3)
+        m = cfg.marking()
+        samples = [sample_point(cfg, i) for i in range(cfg.samples)]
+        almost_isometry_report(samples, m, cfg.depth, metric=metric)
+        assert len(assembled) == 2 * cfg.samples * (1 + 2 * cfg.depth * m.ncurves)
+
+    def test_phi_experiment(self, assembled):
+        cfg = cfg_12()
+        m = cfg.marking()
+        phi_experiment(sample_point(cfg, 0), m, count=3, depth=1)
+        assert len(assembled) == (2 + 2 * 3) * (1 + 2 * 1 * m.ncurves)
+
+
+class TestReplayWitness:
+    def test_holonomy_failure_names_point_and_depth(self):
+        m = build_marking(2, 2)
+        x = FNPoint(g=2, n=2, lengths=[20.0] * 5, twists=[0.0] * 5,
+                    boundary=[1.0, 1.5])
+        y = sample_point(ExperimentConfig(g=2, n=2, boundary=(1.0, 1.5)), 0)
+        with pytest.raises(HolonomyError) as err:
+            compare_metrics(y, x, m, 1)
+        witness = {"x": json.loads(x.to_json()), "depth": 1}
+        assert err.value.witness == witness
+        assert str(err.value).endswith("\nwitness: " + json.dumps(witness))
+        assert isinstance(err.value.__cause__, HolonomyError)
+
+    def test_not_geodesic_keeps_its_type(self, monkeypatch):
+        def elliptic(h, word):
+            raise NotGeodesicError("elliptic word")
+
+        monkeypatch.setattr(curves, "curve_length", elliptic)
+        cfg = cfg_12()
+        x = sample_point(cfg, 0)
+        with pytest.raises(NotGeodesicError) as err:
+            almost_isometry_report([x, sample_point(cfg, 1)], cfg.marking(), 2)
+        assert err.value.witness == {"x": json.loads(x.to_json()), "depth": 2}
+        assert str(err.value).startswith("elliptic word\nwitness: ")
 
 
 class TestCli:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teichspace.curves import enumerate_curves, family_lengths, length_table
 from teichspace.metrics import (
     arc_lower,
+    arc_of,
     bordered_ext_bracket,
     ext_annulus,
     ext_cylinder,
@@ -17,7 +19,9 @@ from teichspace.metrics import (
     symmetrize,
     teich_interval,
     teich_interval_report,
+    teich_of,
     thurston_lower,
+    thurston_of,
 )
 from teichspace.pants_trig import DomainError, Interval
 from teichspace.surface import FNPoint, build_marking, phi_gamma
@@ -251,3 +255,58 @@ class TestTeichInterval:
             hi = v_hi if hi is None else max(hi, v_hi)
         assert rep.interval.lo == pytest.approx(lo, abs=1e-12)
         assert rep.interval.hi == pytest.approx(hi + math.log(3), abs=1e-12)
+
+
+class TestReductions:
+    """The estimators are reductions over the two points' length tables."""
+
+    def setup_method(self):
+        self.m = build_marking(2, 2)
+        rng = np.random.default_rng(17)
+        self.x1, self.x2 = (point(self.m, rng.uniform(0.5, 4.0, 5),
+                                  rng.uniform(-2, 2, 5), [1.0, 1.5])
+                            for _ in range(2))
+
+    def test_reductions_equal_estimators(self):
+        m, d = self.m, 2
+        for x1, x2 in ((self.x1, self.x2), (self.x2, self.x1)):
+            t1, t2 = length_table(x1, m, d), length_table(x2, m, d)
+            assert thurston_of(t1, t2) == thurston_lower(x1, x2, m, d)
+            assert arc_of(t1, t2) == arc_lower(x1, x2, m, d)
+            assert teich_of(t1, t2) == teich_interval_report(x1, x2, m, d)
+            p1, p2 = phi_gamma(x1), phi_gamma(x2)
+            s1, s2 = length_table(p1, m, d), length_table(p2, m, d)
+            assert thurston_of(s1, s2) == thurston_lower(p1, p2, m, d)
+            assert teich_of(s1, s2) == teich_interval_report(p1, p2, m, d)
+
+    def test_thurston_is_max_over_essential_family(self):
+        m = self.m
+        classes = [c for c in enumerate_curves(m, 2) if c.essential]
+        l1 = family_lengths(self.x1, m, classes)
+        l2 = family_lengths(self.x2, m, classes)
+        ratios = [math.log(b / a) for a, b in zip(l1, l2)]
+        est = thurston_of(length_table(self.x1, m, 2), length_table(self.x2, m, 2))
+        assert est.value == max(ratios)
+        assert est.witness == classes[ratios.index(max(ratios))].label()
+        assert est.family_size == len(classes)
+
+    def test_table_layout(self):
+        t = length_table(self.x1, self.m, 1)
+        assert t.classes == tuple(enumerate_curves(self.m, 1))
+        assert len(t.lengths) == len(t.classes)
+        assert t.arcs == tuple(self.m.arcs)
+        assert len(t.arc_lengths) == len(t.arcs)
+        image = length_table(phi_gamma(self.x1), self.m, 1)
+        assert image.arcs == () and image.arc_lengths == ()
+
+    def test_rejects_mismatched_tables(self):
+        t1 = length_table(self.x1, self.m, 1)
+        with pytest.raises(DomainError):
+            thurston_of(t1, length_table(self.x2, self.m, 2))
+        with pytest.raises(DomainError):
+            thurston_of(t1, length_table(phi_gamma(self.x2), self.m, 1))
+        with pytest.raises(DomainError):
+            arc_of(length_table(phi_gamma(self.x1), self.m, 1),
+                   length_table(phi_gamma(self.x2), self.m, 1))
+        with pytest.raises(DomainError):
+            length_table(self.x1, build_marking(1, 2), 1)
