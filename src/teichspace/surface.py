@@ -174,13 +174,14 @@ def _pants_generators(l0: float, l1: float, l2: float):
             raise DomainError(f"cuff lengths must be nonnegative, got {l!r}")
     x, y, z = (math.cosh(v / 2.0) for v in (l0, l1, l2))
     if l0 == 0.0:
-        a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        c_low = -2.0 * (z + y)
-        b = np.array([[y, -(y * y - 1.0) / c_low], [c_low, y]])
+        a = np.array([[1.0, -1.0], [0.0, 1.0]])
+        c_low = 2.0 * (z + y)
+        b = np.array([[y, (y * y - 1.0) / c_low], [c_low, y]])
     else:
         a = np.array([[x, 1.0], [x * x - 1.0, x]])
         if l1 == 0.0:
-            b = np.array([[1.0, 0.0], [-2.0 * (z + x), 1.0]])
+            # The l1 -> 0 limit of the generic root below.
+            b = np.array([[1.0, -2.0 * (z + x) / (x * x - 1.0)], [0.0, 1.0]])
         else:
             # (x^2-1) b^2 + 2(z+xy) b + (y^2-1) = 0; both roots negative.
             p = z + x * y

@@ -312,6 +312,19 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["d_th"]["value"] >= math.log(2.5 / 2.0) - 1e-12
 
+    def test_report_thurston_on_punctured_images(self, tmp_path):
+        # The images of these points glue cusp pants to bordered-slot pants.
+        cfg = ExperimentConfig(g=1, n=3, boundary=(0.7, 1.0, 1.5), depth=3,
+                               samples=6, seed=11)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out = tmp_path / "report.json"
+        self.run_cli("report", "--config", str(cfg_path), "--metric",
+                     "thurston", "--out", str(out))
+        rep = json.loads(out.read_text())["report"]
+        assert rep["pairs"] == 30
+        assert math.isfinite(rep["b_bound"]) and rep["b_bound"] >= 0.0
+
     def test_compare_csv_and_determinism(self, tmp_path):
         cfg = cfg_12(samples=2, format="csv")
         cfg_path = tmp_path / "cfg.json"

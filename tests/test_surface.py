@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from teichspace.curves import enumerate_curves, family_lengths
 from teichspace.pants_trig import (
     DomainError,
     orthogeodesic_between,
@@ -226,6 +227,55 @@ class TestHolonomy:
                                        boundary=[lam]), m)
             assert curve_length(h, twisted_word) == pytest.approx(
                 curve_length(shifted, m.mu_words[0]), abs=1e-10)
+
+
+def figure_eights(m):
+    """One non-simple closed geodesic per pants: slot 0 times slot 1 inverse."""
+    return [((("slot", p, 0), 1), (("slot", p, 1), -1)) for p in range(m.pants_count)]
+
+
+def limit_gap(m, fn, eps=1e-4):
+    """Largest length change of the essential depth-1 family and the
+    figure eights when every cusp of ``fn`` opens to a boundary of
+    length ``eps``."""
+    opened = FNPoint(g=fn.g, n=fn.n, lengths=fn.lengths, twists=fn.twists,
+                     boundary=[v if v else eps for v in fn.boundary])
+    classes = [c for c in enumerate_curves(m, 1) if c.essential]
+    gaps = [abs(a - b) for a, b in zip(family_lengths(fn, m, classes),
+                                       family_lengths(opened, m, classes))]
+    h, h_opened = holonomy(fn, m), holonomy(opened, m)
+    gaps += [abs(curve_length(h, w) - curve_length(h_opened, w))
+             for w in figure_eights(m)]
+    return max(gaps)
+
+
+class TestCuspLimit:
+    """A cusp is the zero-length limit of a boundary: lengths at boundary 0
+    and at boundary 1e-4 agree, whichever pants slots carry the cusps."""
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2),
+                                     (1, 3), (2, 1), (2, 2), (3, 2)])
+    def test_punctured_is_limit_of_bordered(self, g, n):
+        m = build_marking(g, n)
+        rng = np.random.default_rng(70 + 10 * g + n)
+        for _ in range(3):
+            fn = random_point(m, rng, boundary=[0.0] * n)
+            assert limit_gap(m, fn) < 1e-6
+
+    @pytest.mark.parametrize("boundary", [
+        [0.0, 1.0, 1.2], [1.0, 0.0, 1.2],
+        [0.0, 1.0, 1.2, 0.8], [1.0, 0.0, 1.2, 0.8],
+        [1.0, 1.2, 0.0, 0.8], [1.0, 1.2, 0.8, 0.0], [0.0, 1.0, 0.0, 0.8]])
+    def test_mixed_cusps_and_boundaries(self, boundary):
+        n = len(boundary)
+        m = build_marking(0, n)
+        rng = np.random.default_rng(n)
+        fn = random_point(m, rng, boundary=boundary)
+        h = holonomy(fn, m)
+        assert h.det_residual < 1e-12
+        for i, b in enumerate(boundary):
+            assert curve_length(h, m.boundary_word(i)) == pytest.approx(b, abs=1e-9)
+        assert limit_gap(m, fn) < 1e-6
 
 
 class TestDouble:
