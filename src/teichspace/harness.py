@@ -340,7 +340,8 @@ class AlmostIsometryReport:
     """Empirical additive distortion of the boundary-forgetting map.
 
     ``b_bound`` is the largest observed ``|d2(f x, f y) - d1(x, y)|`` over
-    sampled ordered pairs; ``a_bound`` the largest distance from a target
+    sampled ordered pairs and ``worst_pair`` the first pair attaining it,
+    also when it is zero; ``a_bound`` the largest distance from a target
     to the image (zero when the targets are the images themselves).
     """
 
@@ -374,8 +375,7 @@ def almost_isometry_report(samples, m: Marking, depth: int,
     d1_of = arc_of if metric == "arc" else thurston_of
     tables = [length_table(x, m, depth) for x in samples]
     images = [length_table(phi_gamma(x), m, depth) for x in samples]
-    b_bound = 0.0
-    worst = ()
+    b_bound, worst = None, ()
     pairs = 0
     for i in range(len(samples)):
         for j in range(len(samples)):
@@ -384,8 +384,7 @@ def almost_isometry_report(samples, m: Marking, depth: int,
             d1 = d1_of(tables[i], tables[j]).value
             d2 = thurston_of(images[i], images[j]).value
             pairs += 1
-            if abs(d2 - d1) > b_bound:
-                b_bound = abs(d2 - d1)
-                worst = (i, j)
+            if b_bound is None or abs(d2 - d1) > b_bound:
+                b_bound, worst = abs(d2 - d1), (i, j)
     return AlmostIsometryReport(a_bound=0.0, b_bound=b_bound, pairs=pairs,
                                 metric=metric, worst_pair=worst)

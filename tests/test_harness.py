@@ -204,6 +204,7 @@ class TestAlmostIsometryReport:
         rep = almost_isometry_report([x, x], m, 1)
         assert rep.b_bound == 0.0
         assert rep.a_bound == 0.0
+        assert rep.worst_pair == (0, 1)
 
     def test_finite_on_samples(self):
         cfg = cfg_12(samples=4)
