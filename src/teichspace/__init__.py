@@ -16,11 +16,13 @@ from .asymptotics import (
 )
 from .curves import (
     CurveClass,
+    LengthTable,
     arc_length_formula,
     curve_length_at,
     enumerate_arcs,
     enumerate_curves,
     family_lengths,
+    length_table,
     pants_neighborhood_boundaries,
 )
 from .harness import (
@@ -35,13 +37,16 @@ from .harness import (
 from .metrics import (
     MetricEstimate,
     arc_lower,
+    arc_of,
     ext_annulus,
     ext_cylinder,
     ext_sum_bracket,
     maskit_bracket,
     symmetrize,
     teich_interval,
+    teich_of,
     thurston_lower,
+    thurston_of,
 )
 from .pants_trig import (
     BetweenArcConstants,

@@ -175,8 +175,8 @@ class LengthTable:
     depth: int
     classes: tuple
     lengths: tuple
-    arcs: tuple = ()
-    arc_lengths: tuple = ()
+    arcs: tuple
+    arc_lengths: tuple
 
 
 def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
