@@ -89,9 +89,8 @@ def comparison_bounds(n: int) -> dict:
     }
 
 
-def _nielsen_factor(lam: float, i: int, alt_parsing: bool) -> float:
-    arg = (2.0 * math.sinh(lam)) / 2.0 ** i if alt_parsing else 2.0 * math.sinh(lam / 2.0 ** i)
-    return 1.0 - (2.0 / math.pi) * math.atan(arg)
+def _nielsen_factor(lam: float, i: int) -> float:
+    return 1.0 - (2.0 / math.pi) * math.atan(2.0 * math.sinh(lam / 2.0 ** i))
 
 
 def nielsen_truncation_index(lam: float, tol: float) -> int:
@@ -115,7 +114,6 @@ def nielsen_truncation_index(lam: float, tol: float) -> int:
 
 
 def nielsen_k_infinity(lam: float, tol: float = 1e-12, *,
-                       alt_parsing: bool = False,
                        terms: int | None = None) -> float:
     """Length-contraction factor of the infinite Nielsen extension.
 
@@ -125,18 +123,18 @@ def nielsen_k_infinity(lam: float, tol: float = 1e-12, *,
     because ``atan < pi/2``, so the product is well defined for all
     ``lam >= 0`` and equals 1 at ``lam = 0``.
 
-    ``alt_parsing`` switches the factor argument to ``(2 sinh lam) / 2^i``,
-    the other reading of the product; the default argument grouping is
-    ``2 sinh(lam / 2^i)``.  ``terms`` overrides the truncation index.
+    The factor argument is read as ``2 sinh(lam / 2^i)``, the halving
+    applied to the length before the sinh, not as ``(2 sinh lam) / 2^i``.
+    ``terms`` overrides the truncation index.
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise DomainError(f"boundary length must be nonnegative, got {lam!r}")
-    if lam == 0.0 and not alt_parsing:
+    if lam == 0.0:
         return 1.0
     m = terms if terms is not None else nielsen_truncation_index(lam, tol)
     product = 1.0
     for i in range(1, m + 1):
-        f = _nielsen_factor(lam, i, alt_parsing)
+        f = _nielsen_factor(lam, i)
         assert f > 0.0, "factors stay positive since atan < pi/2"
         product *= f
     return product

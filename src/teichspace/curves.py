@@ -1,17 +1,19 @@
 """Certified-simple curve families and arc families with length evaluation.
 
 Seeds are the pants curves, the dual multicurve, and the boundary curves of
-the canonical marking; richer families arise as images of these seeds under
-multi-powers of Dehn twists along the pants curves.  Every family member is
-therefore simple by construction (a mapping-class image of a simple seed),
-which is the certificate this module relies on; no general simplicity test
-is performed.
+the canonical marking; richer families arise as images of the dual seeds
+under powers of the Dehn twist along the one cuff each of them crosses.
+Every family member is therefore simple by construction (a mapping-class
+image of a simple seed), which is the certificate this module relies on; no
+general simplicity test is performed.
 
-Lengths of twisted classes are evaluated by the twist-shift rule: the image
-of a seed under the k-fold twist has, at the point with twists ``T``, the
-length of the seed at twists ``T - k * L`` (componentwise).  This avoids
-rewriting words under twist automorphisms and is exact by mapping-class
-equivariance of geodesic length.
+Lengths of twisted classes are evaluated frame-locally on the point's one
+holonomy: the image of ``mu_k`` under the ``p``-fold twist along cuff ``k``
+has the length of ``mu_k`` at twist ``t_k - p * L_k`` (mapping-class
+equivariance of geodesic length), and that is a 2x2 trace in the frame of
+cuff ``k`` (:meth:`~teichspace.surface.Holonomy.dual_length`).  Along the
+orbit the trace is ``a + b e^t + c e^-t`` in the twist ``t`` (``b e^(t/2) +
+c e^(-t/2)`` on a handle loop).
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
 are convex, so these lengths do not depend on the twists.
@@ -23,7 +25,6 @@ point is assembled once however many estimators and partners use it.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -35,7 +36,6 @@ from .surface import (
     HolonomyError,
     Marking,
     NotGeodesicError,
-    curve_length,
     holonomy,
 )
 
@@ -55,20 +55,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurveClass:
-    """A seed curve twisted by a multi-power of Dehn twists.
+    """A seed curve twisted by a power of the Dehn twist along its cuff.
 
-    ``seed`` is ``("gamma", k)``, ``("mu", k)`` or ``("beta", i)``; ``twist``
-    is the full twist vector (nonzero only on the seed's support, where the
-    class actually depends on it).
+    ``seed`` is ``("gamma", k)``, ``("mu", k)`` or ``("beta", i)``;
+    ``power`` is the number of twists along cuff ``k`` applied to a dual
+    seed ``("mu", k)`` and 0 for the others, which every twist fixes.
     """
 
     seed: tuple
-    twist: tuple
+    power: int
 
     def label(self) -> str:
         kind, idx = self.seed
-        if any(self.twist):
-            return f"{kind}{idx}@" + ":".join(str(t) for t in self.twist)
+        if self.power:
+            return f"{kind}{idx}@{self.power}"
         return f"{kind}{idx}"
 
     @property
@@ -76,88 +76,52 @@ class CurveClass:
         return self.seed[0] != "beta"
 
 
-def _seed_word(m: Marking, seed):
-    kind, idx = seed
-    if kind == "gamma":
-        return m.gamma_word(idx)
-    if kind == "mu":
-        return m.mu_words[idx]
-    if kind == "beta":
-        return m.boundary_word(idx)
-    raise DomainError(f"unknown seed {seed!r}")
-
-
 def enumerate_curves(m: Marking, depth: int):
-    """All seeds with twist multi-powers of sup norm at most ``depth``.
+    """All seeds, and each dual seed twisted ``-r`` and ``+r`` times along
+    its own cuff for every radius ``r`` up to ``depth``.
 
     Pants curves and boundary curves are fixed by every twist, so they
-    appear once; each dual seed is twisted only along its support (the
-    curves it actually crosses), which is the deduplication quotient.
-    Deterministic order, nested in ``depth``.
+    appear once; a dual seed crosses only its own cuff, so the other twists
+    fix it.  Deterministic order (radius, then cuff, then ``-r`` before
+    ``+r``), nested in ``depth``.
     """
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth!r}")
-    zero = (0,) * m.ncurves
-    out = []
-    for k in range(m.ncurves):
-        out.append(CurveClass(seed=("gamma", k), twist=zero))
-    for k in range(m.ncurves):
-        out.append(CurveClass(seed=("mu", k), twist=zero))
-    for i in range(m.nboundary):
-        out.append(CurveClass(seed=("beta", i), twist=zero))
-    supports = m.curve_supports()
+    out = [CurveClass(seed=("gamma", k), power=0) for k in range(m.ncurves)]
+    out += [CurveClass(seed=("mu", k), power=0) for k in range(m.ncurves)]
+    out += [CurveClass(seed=("beta", i), power=0) for i in range(m.nboundary)]
     for radius in range(1, depth + 1):
         for k in range(m.ncurves):
-            support = sorted(supports[k])
-            for combo in itertools.product(range(-radius, radius + 1),
-                                           repeat=len(support)):
-                if max(abs(c) for c in combo) != radius:
-                    continue
-                tw = [0] * m.ncurves
-                for pos, c in zip(support, combo):
-                    tw[pos] = c
-                out.append(CurveClass(seed=("mu", k), twist=tuple(tw)))
+            for power in (-radius, radius):
+                out.append(CurveClass(seed=("mu", k), power=power))
     return out
-
-
-def _shifted_point(fn: FNPoint, twist_vec) -> FNPoint:
-    if not any(twist_vec):
-        return fn
-    shifted = tuple(t - k * l for t, k, l in
-                    zip(fn.twists, twist_vec, fn.lengths))
-    return FNPoint(g=fn.g, n=fn.n, lengths=fn.lengths, twists=shifted,
-                   boundary=fn.boundary)
 
 
 def family_lengths(fn: FNPoint, m: Marking, classes):
     """Lengths of many curve classes at one point.
 
-    Groups the classes by twist vector so each shifted holonomy is
-    assembled once.  Returns a list aligned with ``classes``.  Over the
-    family of :func:`enumerate_curves` at ``depth`` that is
-    ``1 + 2 * depth * ncurves`` assemblies (the zero twist plus two per
-    dual seed and radius); :func:`length_table` makes this call once per
-    point, so a comparison of two points costs twice that.
+    Assembles the holonomy of ``fn`` once, whose relation check raises
+    :class:`HolonomyError` on a failed gluing.  Pants and boundary lengths
+    are read off the point; every dual class is a trace in the frame of
+    its cuff.  Returns a list aligned with ``classes``.  :func:`length_table`
+    makes this call once per point, so a comparison of two points costs two
+    assemblies.
     """
-    by_twist = {}
-    for pos, c in enumerate(classes):
-        by_twist.setdefault(c.twist, []).append(pos)
-    out = [0.0] * len(classes)
-    for twist_vec, positions in sorted(by_twist.items()):
-        h = holonomy(_shifted_point(fn, twist_vec), m)
-        for pos in positions:
-            seed = classes[pos].seed
-            if seed[0] == "gamma":
-                out[pos] = fn.lengths[seed[1]]
-            elif seed[0] == "beta":
-                out[pos] = fn.boundary[seed[1]]
-            else:
-                out[pos] = curve_length(h, _seed_word(m, seed))
+    h = holonomy(fn, m)
+    out = []
+    for c in classes:
+        kind, idx = c.seed
+        if kind == "gamma":
+            out.append(fn.lengths[idx])
+        elif kind == "beta":
+            out.append(fn.boundary[idx])
+        else:
+            out.append(h.dual_length(idx, c.power))
     return out
 
 
 def curve_length_at(fn: FNPoint, m: Marking, c: CurveClass) -> float:
-    """Length of one twisted class via the twist-shift rule."""
+    """Length of one twisted class at ``fn``."""
     return family_lengths(fn, m, [c])[0]
 
 

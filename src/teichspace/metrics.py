@@ -19,8 +19,8 @@ of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`);
 :func:`thurston_lower`, :func:`arc_lower` and :func:`teich_interval_report`
 build the two tables and reduce.  Callers that compare one point with
 several others, or run several estimators on one pair, build each table
-once and call the reductions: one comparison row then costs
-``2 * (1 + 2 * depth * ncurves)`` holonomy assemblies.
+once and call the reductions: one comparison row then costs two
+holonomy assemblies, whatever the depth.
 """
 
 from __future__ import annotations
@@ -89,8 +89,11 @@ def _tables(x1: FNPoint, x2: FNPoint, m: Marking, depth: int):
 
 def _essential(t1: LengthTable, t2: LengthTable):
     """``(class, length at t1, length at t2)`` over the essential classes."""
-    return [(c, a, b) for c, a, b in zip(t1.classes, t1.lengths, t2.lengths)
-            if c.essential]
+    triples = [(c, a, b) for c, a, b in zip(t1.classes, t1.lengths, t2.lengths)
+               if c.essential]
+    if not triples:
+        raise DomainError("a pair of pants has no essential curve to compare")
+    return triples
 
 
 def _sup_log_ratio(triples):

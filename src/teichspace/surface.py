@@ -71,6 +71,11 @@ _SWAP = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # doubling with negated mirror twists is an isometry.
 _TWIST_SIGN = -1.0
 
+# Accepted scale-relative deviation of a gluing relation from +-identity,
+# and the band of |trace| around 2 read as parabolic (length 0).
+_RESIDUAL_TOL = 1e-9
+_PARABOLIC_TOL = 1e-9
+
 
 class HolonomyError(RuntimeError):
     """Raised when the numerical gluing fails its own consistency checks."""
@@ -290,20 +295,6 @@ class Marking:
         p, s = self.boundary_slots[m]
         return ((("slot", p, s), 1),)
 
-    def curve_supports(self):
-        """For each seed word, the set of edge indices whose twists move it."""
-        supports = {}
-        for k, w in enumerate(self.mu_words):
-            crossed = set()
-            for (token, _exp) in w:
-                if token[0] == "conn":
-                    crossed.add(token[1])
-            # A dual built from two slot words crosses exactly its edge.
-            if not crossed:
-                crossed = {k}
-            supports[k] = frozenset(crossed)
-        return supports
-
 
 def build_marking(g: int, n: int) -> Marking:
     """Canonical deterministic pants decomposition of the (g, n) surface.
@@ -445,6 +436,8 @@ class Holonomy:
 
     ``slot_mats[(p, s)]`` is the global boundary word of slot ``s`` of pants
     ``p``; ``conn_mats[k]`` the connector for each non-tree edge.
+    ``local[p]`` holds the unpositioned generators ``(A, B, C)`` of pants
+    ``p`` and ``frames[(p, s)]`` the frame of each glued slot in them.
     ``relation_residual`` is the largest deviation of a defining gluing
     relation from plus or minus the identity, and ``det_residual`` the
     largest deviation of a generator determinant from 1.
@@ -454,6 +447,8 @@ class Holonomy:
     fn: FNPoint
     slot_mats: dict
     conn_mats: dict
+    local: dict
+    frames: dict
     relation_residual: float
     det_residual: float
 
@@ -474,6 +469,25 @@ class Holonomy:
                 out = out @ m
         return out
 
+    def dual_length(self, k: int, power: int) -> float:
+        """Length of ``mu_k`` twisted ``power`` times along its cuff ``k``.
+
+        That is the seed's length at twist ``t_k - power * L_k``, a trace in
+        the frame of cuff ``k`` with ``T`` the transition at that twist:
+        ``tr T`` on a handle loop, else ``tr(A T B T^-1)`` with ``A``, ``B``
+        the local words of the slots after the glued ones.  No global
+        conjugator enters, so far pants lose no accuracy.
+        """
+        e = self.marking.edges[k]
+        (pa, sa), (pb, sb) = e.left, e.right
+        trans = _transition(self.frames, e.left, e.right,
+                            self.fn.twists[k] - power * self.fn.lengths[k])
+        if pa == pb:
+            return _trace_length(float(np.trace(trans)))
+        word = (self.local[pa][(sa + 1) % 3] @ trans
+                @ self.local[pb][(sb + 1) % 3] @ _inv(trans))
+        return _trace_length(float(np.trace(word)))
+
 
 def _slot_lengths(m: Marking, fn: FNPoint):
     assign = m.slot_assignment()
@@ -483,13 +497,20 @@ def _slot_lengths(m: Marking, fn: FNPoint):
     return out
 
 
-def holonomy(fn: FNPoint, m: Marking, *, residual_tol: float = 1e-9) -> Holonomy:
+def _transition(frames: dict, a: tuple, b: tuple, twist: float) -> np.ndarray:
+    """``inv(F_a) @ translation(t) @ SWAP @ F_b`` across a cuff glued at
+    ``twist``; swapping the slots gives the inverse up to sign."""
+    return _renorm(_inv(frames[a]) @ _translation(_TWIST_SIGN * twist)
+                   @ _SWAP @ frames[b])
+
+
+def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
     """Assemble the holonomy representation for ``fn`` on marking ``m``.
 
     Pants groups are positioned along the spanning tree of the pants graph;
     every remaining cuff contributes a connector matrix.  Raises
     :class:`HolonomyError` if any defining relation deviates from plus or
-    minus the identity by more than ``residual_tol`` (in scale-relative
+    minus the identity by more than ``_RESIDUAL_TOL`` (in scale-relative
     transition form).  Extremely degenerate inputs, such as cuffs shorter
     than about 1e-3, exhaust double precision and are rejected this way
     rather than returning drifted matrices.
@@ -522,15 +543,14 @@ def holonomy(fn: FNPoint, m: Marking, *, residual_tol: float = 1e-9) -> Holonomy
         progress = False
         for e in tree_edges:
             (pa, sa), (pb, sb) = e.left, e.right
-            t = _TWIST_SIGN * fn.twists[e.index]
             if pa in g_mat and pb not in g_mat:
                 parent, pslot, child, cslot = pa, sa, pb, sb
             elif pb in g_mat and pa not in g_mat:
                 parent, pslot, child, cslot = pb, sb, pa, sa
             else:
                 continue
-            trans = _renorm(_inv(frames[(parent, pslot)])
-                            @ _translation(t) @ _SWAP @ frames[(child, cslot)])
+            trans = _transition(frames, (parent, pslot), (child, cslot),
+                                fn.twists[e.index])
             g_mat[child] = _renorm(g_mat[parent] @ trans)
             # Gluing relation in transition form: V_child equals the
             # transition-conjugate of V_parent^-1 (checked without forming
@@ -553,9 +573,7 @@ def holonomy(fn: FNPoint, m: Marking, *, residual_tol: float = 1e-9) -> Holonomy
         if e.index in m.tree:
             continue
         (pa, sa), (pb, sb) = e.left, e.right
-        t = _TWIST_SIGN * fn.twists[e.index]
-        trans = _renorm(_inv(frames[(pa, sa)])
-                        @ _translation(t) @ _SWAP @ frames[(pb, sb)])
+        trans = _transition(frames, e.left, e.right, fn.twists[e.index])
         conn_mats[e.index] = _renorm(g_mat[pa] @ trans @ _inv(g_mat[pb]))
         placed_resids.append(_relation_residual(
             trans @ local[pb][sb], _inv(local[pa][sa]) @ trans))
@@ -578,10 +596,11 @@ def holonomy(fn: FNPoint, m: Marking, *, residual_tol: float = 1e-9) -> Holonomy
             det_resid = max(det_resid, abs(_det(mat) - 1.0))
 
     residual = max(placed_resids) if placed_resids else 0.0
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise HolonomyError(
-            f"gluing relations failed: residual {residual:.3e} > {residual_tol:.1e}")
+            f"gluing relations failed: residual {residual:.3e} > {_RESIDUAL_TOL:.1e}")
     return Holonomy(marking=m, fn=fn, slot_mats=slot_mats, conn_mats=conn_mats,
+                    local=local, frames=frames,
                     relation_residual=residual, det_residual=det_resid)
 
 
@@ -622,7 +641,19 @@ def _relation_residual(got: np.ndarray, want: np.ndarray) -> float:
     return float(dev) / scale
 
 
-def curve_length(h: Holonomy, word, *, parabolic_tol: float = 1e-9) -> float:
+def _trace_length(trace: float) -> float:
+    """Geodesic length ``2 acosh(|tr|/2)`` of a hyperbolic trace, 0 within
+    ``_PARABOLIC_TOL`` of a parabolic, :class:`NotGeodesicError` for an
+    elliptic one."""
+    tr = abs(trace)
+    if tr >= 2.0 + _PARABOLIC_TOL:
+        return 2.0 * math.acosh(tr / 2.0)
+    if tr >= 2.0 - _PARABOLIC_TOL:
+        return 0.0
+    raise NotGeodesicError(f"elliptic word (|trace| = {tr!r} < 2): not a geodesic class")
+
+
+def curve_length(h: Holonomy, word) -> float:
     """Geodesic length of the free homotopy class of ``word``.
 
     ``2 acosh(|tr|/2)`` for hyperbolic holonomy, 0 within tolerance of a
@@ -630,12 +661,7 @@ def curve_length(h: Holonomy, word, *, parabolic_tol: float = 1e-9) -> float:
     """
     if not word:
         raise DomainError("empty word has no geodesic class")
-    tr = abs(float(np.trace(h.evaluate(word))))
-    if tr >= 2.0 + parabolic_tol:
-        return 2.0 * math.acosh(tr / 2.0)
-    if tr >= 2.0 - parabolic_tol:
-        return 0.0
-    raise NotGeodesicError(f"elliptic word (|trace| = {tr!r} < 2): not a geodesic class")
+    return _trace_length(float(np.trace(h.evaluate(word))))
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,6 @@ class TestNielsenKInfinity:
         assert nielsen_k_infinity(3.0, 1e-13) == pytest.approx(
             0.017914409718911761, abs=1e-12)
 
-    def test_alt_parsing_reference(self):
-        assert nielsen_k_infinity(1.0, 1e-13, alt_parsing=True) == pytest.approx(
-            0.20047442059701002, abs=1e-12)
-
     def test_truncation_depths_agree(self):
         for lam in (0.1, 1.0, 3.0):
             m = nielsen_truncation_index(lam, 1e-12)

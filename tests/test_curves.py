@@ -1,4 +1,4 @@
-"""Tests for curve/arc family enumeration and twist-shift evaluation."""
+"""Tests for curve/arc family enumeration and frame-local dual lengths."""
 
 import math
 
@@ -32,7 +32,7 @@ class TestEnumerateCurves:
         m = build_marking(1, 2)
         fam = enumerate_curves(m, 0)
         assert len(fam) == m.ncurves + m.ncurves + m.nboundary
-        assert all(not any(c.twist) for c in fam)
+        assert all(c.power == 0 for c in fam)
 
     def test_nested_in_depth(self):
         m = build_marking(1, 2)
@@ -73,14 +73,13 @@ class TestCurveLengthAt:
     def test_pants_curve_ignores_twisting(self):
         m = build_marking(1, 2)
         x = point(m, [1.5, 2.5], [0.3, -0.4], [1, 1])
-        zero = (0,) * m.ncurves
-        c = CurveClass(seed=("gamma", 0), twist=zero)
+        c = CurveClass(seed=("gamma", 0), power=0)
         assert curve_length_at(x, m, c) == 1.5
 
     def test_zero_twist_matches_plain_length(self):
         m = build_marking(1, 1)
         x = point(m, [2.0], [0.5], [1.0])
-        c = CurveClass(seed=("mu", 0), twist=(0,))
+        c = CurveClass(seed=("mu", 0), power=0)
         h = holonomy(x, m)
         assert curve_length_at(x, m, c) == pytest.approx(
             curve_length(h, m.mu_words[0]), abs=1e-12)
@@ -88,12 +87,12 @@ class TestCurveLengthAt:
     def test_twisted_class_matches_word_level_twist(self):
         # On the one-holed torus the k-fold twisted dual is the word
         # (connector * cuff^k); its direct length must agree with the
-        # twist-shift evaluation.
+        # frame-local evaluation.
         m = build_marking(1, 1)
         x = point(m, [2.0], [0.6], [1.5])
         h = holonomy(x, m)
         for k in (-3, -1, 1, 2):
-            c = CurveClass(seed=("mu", 0), twist=(k,))
+            c = CurveClass(seed=("mu", 0), power=k)
             word = m.mu_words[0] + ((("slot", 0, 0), k),)
             assert curve_length_at(x, m, c) == pytest.approx(
                 curve_length(h, word), abs=1e-9)
@@ -127,6 +126,96 @@ class TestCurveLengthAt:
             collar_crossings = 4 * math.asinh(1.0 / math.sinh(cuff / 2))
             offsets.append(dual - collar_crossings)
         assert max(offsets) - min(offsets) < 1e-3
+
+
+def twist_shift_length(x, m, c):
+    """Oracle: the seed's word evaluated on the holonomy re-assembled at the
+    point whose twist ``k`` is shifted by ``-power * L_k``."""
+    _, k = c.seed
+    twists = list(x.twists)
+    twists[k] -= c.power * x.lengths[k]
+    shifted = point(m, x.lengths, twists, x.boundary)
+    return curve_length(holonomy(shifted, m), m.mu_words[k])
+
+
+def random_points(m, seed, count, punctured):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        boundary = rng.uniform(0.5, 2.0, m.nboundary)
+        if punctured:
+            boundary = [0.0] * m.nboundary
+        yield point(m, rng.uniform(0.4, 3.0, m.ncurves),
+                    rng.uniform(-2.0, 2.0, m.ncurves), boundary)
+
+
+def dual_classes(m, depth):
+    return [c for c in enumerate_curves(m, depth) if c.seed[0] == "mu"]
+
+
+class TestFrameLocalDuals:
+    def test_label_names_the_power(self):
+        assert CurveClass(seed=("mu", 3), power=-2).label() == "mu3@-2"
+        assert CurveClass(seed=("mu", 3), power=0).label() == "mu3"
+
+    @pytest.mark.parametrize("punctured", [False, True])
+    @pytest.mark.parametrize("gn", [(0, 4), (1, 1), (1, 2), (2, 2), (3, 2), (1, 6)])
+    def test_matches_twist_shift_oracle(self, gn, punctured):
+        m = build_marking(*gn)
+        classes = dual_classes(m, 3)
+        for x in random_points(m, 10 * gn[0] + gn[1], 2, punctured):
+            got = family_lengths(x, m, classes)
+            for c, l in zip(classes, got):
+                want = twist_shift_length(x, m, c)
+                assert l == pytest.approx(want, rel=1e-8), c.label()
+
+    @pytest.mark.parametrize("gn", [(1, 2), (2, 2), (3, 2), (1, 6)])
+    def test_handle_duals_match_one_holed_torus(self, gn):
+        # A handle loop and its attaching cuff bound a one-holed torus; the
+        # twisted dual is the plain dual of that torus at the shifted twist.
+        m = build_marking(*gn)
+        m11 = build_marking(1, 1)
+        loops = [e for e in m.edges if e.left[0] == e.right[0]]
+        for x in random_points(m, 7, 3, False):
+            h = holonomy(x, m)
+            for e in loops:
+                (p, _), k = e.left, e.index
+                attach = next(f.index for f in m.edges
+                              if f.index != k and p in (f.left[0], f.right[0]))
+                for power in range(-3, 4):
+                    twist = x.twists[k] - power * x.lengths[k]
+                    y = point(m11, [x.lengths[k]], [twist], [x.lengths[attach]])
+                    want = curve_length(holonomy(y, m11), m11.mu_words[0])
+                    assert h.dual_length(k, power) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("gn", [(0, 5), (1, 3), (2, 2), (3, 3)])
+    def test_chain_duals_match_four_holed_sphere(self, gn):
+        # An edge gluing slot 2 of one pants to slot 0 of another is the
+        # cuff of the (0, 4) marking; the other four slots are its boundary.
+        m = build_marking(*gn)
+        m04 = build_marking(0, 4)
+        lengths = {}
+        for e in m.edges:
+            lengths[e.left] = lengths[e.right] = e.index
+        chain = [e for e in m.edges if e.left[1] == 2 and e.right[1] == 0
+                 and e.left[0] != e.right[0]]
+        assert chain
+        for x in random_points(m, 8, 3, False):
+            h = holonomy(x, m)
+
+            def slot_length(side):
+                if side in lengths:
+                    return x.lengths[lengths[side]]
+                return x.boundary[m.boundary_slots.index(side)]
+
+            for e in chain:
+                (pa, _), (pb, _), k = e.left, e.right, e.index
+                boundary = [slot_length(s) for s in
+                            ((pa, 0), (pa, 1), (pb, 1), (pb, 2))]
+                for power in range(-3, 4):
+                    twist = x.twists[k] - power * x.lengths[k]
+                    y = point(m04, [x.lengths[k]], [twist], boundary)
+                    want = curve_length(holonomy(y, m04), m04.mu_words[0])
+                    assert h.dual_length(k, power) == pytest.approx(want, rel=1e-10)
 
 
 class TestEnumerateArcs:

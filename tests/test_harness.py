@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from teichspace import curves
+from teichspace import curves, surface
 from teichspace.harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -226,16 +226,16 @@ class TestAlmostIsometryReport:
 
 
 class TestAssemblyCount:
-    """Every point is assembled once per twist vector of its family:
-    ``1 + 2 * depth * ncurves`` times."""
+    """Every length table assembles its point exactly once, whatever the
+    depth: twisted duals are traces on that one holonomy."""
 
     @pytest.fixture
     def assembled(self, monkeypatch):
         points = []
 
-        def counting(fn, m, **kw):
+        def counting(fn, m):
             points.append(fn)
-            return holonomy(fn, m, **kw)
+            return holonomy(fn, m)
 
         monkeypatch.setattr(curves, "holonomy", counting)
         return points
@@ -244,8 +244,9 @@ class TestAssemblyCount:
         cfg = ExperimentConfig(g=2, n=2, boundary=(1.0, 1.5), seed=3, depth=2,
                                samples=1)
         m = cfg.marking()
-        compare_metrics(sample_point(cfg, 0), sample_point(cfg, 1), m, 2)
-        assert len(assembled) == 2 * (1 + 2 * 2 * m.ncurves) == 42
+        x, y = sample_point(cfg, 0), sample_point(cfg, 1)
+        compare_metrics(x, y, m, 2)
+        assert assembled == [x, y]
 
     @pytest.mark.parametrize("metric", ["arc", "thurston"])
     def test_report(self, assembled, metric):
@@ -253,13 +254,13 @@ class TestAssemblyCount:
         m = cfg.marking()
         samples = [sample_point(cfg, i) for i in range(cfg.samples)]
         almost_isometry_report(samples, m, cfg.depth, metric=metric)
-        assert len(assembled) == 2 * cfg.samples * (1 + 2 * cfg.depth * m.ncurves)
+        assert len(assembled) == 2 * cfg.samples
 
     def test_phi_experiment(self, assembled):
         cfg = cfg_12()
         m = cfg.marking()
         phi_experiment(sample_point(cfg, 0), m, count=3, depth=1)
-        assert len(assembled) == (2 + 2 * 3) * (1 + 2 * 1 * m.ncurves)
+        assert len(assembled) == 2 + 2 * 3
 
 
 class TestReplayWitness:
@@ -276,10 +277,10 @@ class TestReplayWitness:
         assert isinstance(err.value.__cause__, HolonomyError)
 
     def test_not_geodesic_keeps_its_type(self, monkeypatch):
-        def elliptic(h, word):
+        def elliptic(trace):
             raise NotGeodesicError("elliptic word")
 
-        monkeypatch.setattr(curves, "curve_length", elliptic)
+        monkeypatch.setattr(surface, "_trace_length", elliptic)
         cfg = cfg_12()
         x = sample_point(cfg, 0)
         with pytest.raises(NotGeodesicError) as err:

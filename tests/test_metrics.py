@@ -126,6 +126,13 @@ class TestThurstonLower:
         est = thurston_lower(self.x, self.x, self.m, 2)
         assert est.value == 0.0
 
+    @pytest.mark.parametrize("boundary", [[1.0, 1.2, 0.8], [0.0, 0.0, 0.0]])
+    def test_pair_of_pants_has_no_essential_curve(self, boundary):
+        m = build_marking(0, 3)
+        x = point(m, [], [], boundary)
+        with pytest.raises(DomainError, match="no essential curve"):
+            thurston_lower(x, x, m, 1)
+
     def test_scaled_curve_witnessed(self):
         lengths = list(self.x.lengths)
         lengths[0] *= 1.7
@@ -216,6 +223,13 @@ class TestTeichInterval:
         iv = teich_interval(self.x, self.x, self.m, 1)
         assert iv.lo == 0.0
         assert iv.hi > 0.0
+
+    @pytest.mark.parametrize("boundary", [[1.0, 1.2, 0.8], [0.0, 0.0, 0.0]])
+    def test_pair_of_pants_has_no_essential_curve(self, boundary):
+        m = build_marking(0, 3)
+        x = point(m, [], [], boundary)
+        with pytest.raises(DomainError, match="no essential curve"):
+            teich_interval_report(x, x, m, 1)
 
     def test_width_bound(self):
         rng = np.random.default_rng(13)
