@@ -10,6 +10,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -65,11 +66,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["format"] = args.format
     if args.out is not None:
         overrides["out"] = args.out
-    if overrides:
-        d = json.loads(cfg.to_json())
-        d.update(overrides)
-        cfg = ExperimentConfig.from_json(json.dumps(d))
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _cmd_constants(args) -> None:

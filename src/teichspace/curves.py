@@ -188,21 +188,15 @@ def enumerate_arcs(m: Marking, depth: int = 0):
 
 def arc_length_formula(fn: FNPoint, m: Marking, arc: ArcClass) -> float:
     """Closed-form length of a pants-local arc (twist independent)."""
-    assign = m.slot_assignment()
-
-    def slot_len(p, s):
-        kind, idx = assign[(p, s)]
-        return fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
-
-    p = arc.pants
+    lens = [m.slot_length(fn, (arc.pants, s)) for s in range(3)]
     if arc.kind == "between":
         si, sj = arc.slots
-        return pants_trig.orthogeodesic_between(
-            slot_len(p, si), slot_len(p, sj), slot_len(p, 3 - si - sj))
+        return pants_trig.orthogeodesic_between(lens[si], lens[sj],
+                                                lens[3 - si - sj])
     (s,) = arc.slots
     others = [t for t in range(3) if t != s]
-    return pants_trig.orthogeodesic_self(
-        slot_len(p, s), slot_len(p, others[0]), slot_len(p, others[1]))
+    return pants_trig.orthogeodesic_self(lens[s], lens[others[0]],
+                                         lens[others[1]])
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,6 @@ class NeighborhoodCurve:
     """
 
     ref: tuple
-    word: tuple
     essential: bool
 
     def length_at(self, fn: FNPoint) -> float:
@@ -233,8 +226,7 @@ def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):
     a handle block).  Curves parallel to a surface boundary are returned
     flagged as non-essential.
     """
-    assign = m.slot_assignment()
-    p = arc.pants
+    slots = m.slot_assignment()
     if arc.kind == "between":
         si, sj = arc.slots
         other = [3 - si - sj]
@@ -243,12 +235,8 @@ def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):
         other = [t for t in range(3) if t != s]
     out = []
     for s in other:
-        kind, idx = assign[(p, s)]
-        if kind == "edge":
-            out.append(NeighborhoodCurve(ref=("gamma", idx),
-                                         word=m.gamma_word(idx), essential=True))
-        else:
-            out.append(NeighborhoodCurve(ref=("beta", idx),
-                                         word=m.boundary_word(idx), essential=False))
+        kind, idx = slots[(arc.pants, s)]
+        edge = kind == "edge"
+        out.append(NeighborhoodCurve(ref=("gamma" if edge else "beta", idx),
+                                     essential=edge))
     return out
-

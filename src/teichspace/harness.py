@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,13 +106,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Config from a JSON object; absent fields take their defaults and
+        unknown keys raise :class:`DomainError`."""
         d = json.loads(text)
-        return cls(g=d["g"], n=d["n"], boundary=d["boundary"],
-                   length_range=tuple(d.get("length_range", (0.5, 4.0))),
-                   twist_range=tuple(d.get("twist_range", (-2.0, 2.0))),
-                   seed=d.get("seed", 0), depth=d.get("depth", 2),
-                   samples=d.get("samples", 10), out=d.get("out"),
-                   format=d.get("format", "json"))
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DomainError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**d)
 
 
 def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
@@ -230,12 +230,11 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     if not (d_th.value >= 0.0):
         raise HarnessCheckError(
             "curve-ratio estimate negative: family missed its witness", witness)
-    gap = gap_constants(x1.boundary).gap if all(x1.boundary) else float("nan")
     return {
         "d_th": d_th.value,
         "d_a": d_a.value,
         "d_a_minus_d_th": d_a.value - d_th.value,
-        "gap_constant": gap,
+        "gap_constant": gap_constants(x1.boundary).gap,
         "teich_lo": teich.interval.lo,
         "teich_hi": teich.interval.hi,
         "depth": depth,

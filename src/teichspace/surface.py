@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -238,6 +239,10 @@ class Marking:
     seed multicurve words dual to each edge, and ``arcs`` the pants-local
     seed arcs.  Words are tuples of ``(token, exponent)`` pairs where a
     token is ``("slot", pants, slot)`` or ``("conn", edge_index)``.
+
+    Construction checks that every slot of every pants carries exactly one
+    edge side or boundary and keeps the resulting slot table, which
+    :meth:`slot_assignment` and :meth:`slot_length` read.
     """
 
     genus: int
@@ -248,6 +253,7 @@ class Marking:
     tree: frozenset
     mu_words: tuple
     arcs: tuple
+    _slots: dict = field(init=False, repr=False, compare=False)
 
     @property
     def ncurves(self) -> int:
@@ -267,16 +273,18 @@ class Marking:
         expected = {(p, s) for p in range(self.pants_count) for s in range(3)}
         if set(used) != expected:
             raise DomainError("marking is not trivalent")
+        object.__setattr__(self, "_slots", used)
 
     def slot_assignment(self):
-        """Map (pants, slot) -> ("edge", k) or ("boundary", m)."""
-        out = {}
-        for e in self.edges:
-            out[e.left] = ("edge", e.index)
-            out[e.right] = ("edge", e.index)
-        for m, side in enumerate(self.boundary_slots):
-            out[side] = ("boundary", m)
-        return out
+        """Read-only map ``(pants, slot) -> ("edge", k)`` or
+        ``("boundary", m)``: the curve on each slot."""
+        return MappingProxyType(self._slots)
+
+    def slot_length(self, fn: FNPoint, side: tuple) -> float:
+        """Length at ``fn`` of the curve on slot ``side = (pants, slot)``:
+        its cuff length, its boundary length, or 0.0 on a cusp."""
+        kind, idx = self._slots[side]
+        return fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
 
     def generator_tokens(self):
         """Generating set of the fundamental group: every pants slot word
@@ -489,14 +497,6 @@ class Holonomy:
         return _trace_length(float(np.trace(word)))
 
 
-def _slot_lengths(m: Marking, fn: FNPoint):
-    assign = m.slot_assignment()
-    out = {}
-    for (p, s), (kind, idx) in assign.items():
-        out[(p, s)] = fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
-    return out
-
-
 def _transition(frames: dict, a: tuple, b: tuple, twist: float) -> np.ndarray:
     """``inv(F_a) @ translation(t) @ SWAP @ F_b`` across a cuff glued at
     ``twist``; swapping the slots gives the inverse up to sign."""
@@ -511,15 +511,16 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
     every remaining cuff contributes a connector matrix.  Raises
     :class:`HolonomyError` if any defining relation deviates from plus or
     minus the identity by more than ``_RESIDUAL_TOL`` (in scale-relative
-    transition form).  Extremely degenerate inputs, such as cuffs shorter
-    than about 1e-3, exhaust double precision and are rejected this way
-    rather than returning drifted matrices.
+    transition form), or if a cuff frame degenerates.  This catches
+    gluings that double precision cannot close, such as every cuff at 20
+    on genus 2 or 3.  It does not bound length accuracy: on (2, 2) with
+    every cuff at 1e-4 the relations hold to 2e-12 or better, yet the cuff
+    lengths read back up to 9e-4 off (relative), since ``2 acosh(|tr|/2)``
+    cancels near trace 2.  An enforced accuracy envelope is an open
+    ROADMAP item.
     """
-    lengths = _slot_lengths(m, fn)
-    local = {}
-    for p in range(m.pants_count):
-        local[p] = _pants_generators(lengths[(p, 0)], lengths[(p, 1)],
-                                     lengths[(p, 2)])
+    local = {p: _pants_generators(*(m.slot_length(fn, (p, s)) for s in range(3)))
+             for p in range(m.pants_count)}
     # Cuff frames are needed only on glued slots; boundary slots may carry
     # parabolic words, which have no axis frame.  The frame of a glued slot
     # aligns the foot of the seam to the next slot of the pants; on a handle
@@ -531,34 +532,23 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
             nb = o if p == q else (s + 1) % 3
             frames[(p, s)] = _frame(local[p][s], local[p][nb])
 
-    # Position pants across the spanning tree, children in edge order.  All
+    # Position pants across the spanning tree, each after its parent.  All
     # frames are computed on well-conditioned local matrices; the global
     # frame of a positioned cuff is frame_local @ inv(G), exactly.  Rooting
     # at a tree center keeps conjugator entries as small as possible.
-    g_mat = {_tree_center(m): _ID}
-    tree_edges = [m.edges[k] for k in sorted(m.tree)]
+    root, steps = _tree_walk(m)
+    g_mat = {root: _ID}
     placed_resids = []
-    progress = True
-    while progress:
-        progress = False
-        for e in tree_edges:
-            (pa, sa), (pb, sb) = e.left, e.right
-            if pa in g_mat and pb not in g_mat:
-                parent, pslot, child, cslot = pa, sa, pb, sb
-            elif pb in g_mat and pa not in g_mat:
-                parent, pslot, child, cslot = pb, sb, pa, sa
-            else:
-                continue
-            trans = _transition(frames, (parent, pslot), (child, cslot),
-                                fn.twists[e.index])
-            g_mat[child] = _renorm(g_mat[parent] @ trans)
-            # Gluing relation in transition form: V_child equals the
-            # transition-conjugate of V_parent^-1 (checked without forming
-            # ill-conditioned global conjugates).
-            placed_resids.append(_relation_residual(
-                local[child][cslot] @ _inv(trans),
-                _inv(trans) @ _inv(local[parent][pslot])))
-            progress = True
+    for (parent, pslot), (child, cslot), k in steps:
+        trans = _transition(frames, (parent, pslot), (child, cslot),
+                            fn.twists[k])
+        g_mat[child] = _renorm(g_mat[parent] @ trans)
+        # Gluing relation in transition form: V_child equals the
+        # transition-conjugate of V_parent^-1 (checked without forming
+        # ill-conditioned global conjugates).
+        placed_resids.append(_relation_residual(
+            local[child][cslot] @ _inv(trans),
+            _inv(trans) @ _inv(local[parent][pslot])))
     if len(g_mat) != m.pants_count:
         raise HolonomyError("pants graph is not connected via the spanning tree")
 
@@ -604,33 +594,39 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
                     relation_residual=residual, det_residual=det_resid)
 
 
-def _tree_center(m: Marking) -> int:
+def _tree_walk(m: Marking):
+    """Root of the spanning tree and the other pants in breadth-first order
+    from it, as ``(parent side, child side, edge index)`` of the tree edge
+    that reaches each one.
+
+    The root is a center: the middle of the path between the farthest pants
+    ``u`` from pants 0 and the farthest pants from ``u`` (ties to the lower
+    index; on an even path, the middle pants nearer ``u``).
+    """
     adj = {p: [] for p in range(m.pants_count)}
     for k in sorted(m.tree):
         e = m.edges[k]
-        adj[e.left[0]].append(e.right[0])
-        adj[e.right[0]].append(e.left[0])
+        adj[e.left[0]].append((e.left, e.right, k))
+        adj[e.right[0]].append((e.right, e.left, k))
 
-    def farthest(start):
-        seen = {start: 0}
-        order = [start]
-        for v in order:
-            for w in adj[v]:
-                if w not in seen:
-                    seen[w] = seen[v] + 1
-                    order.append(w)
-        end = max(order, key=lambda v: (seen[v], -v))
-        return end, seen
+    def bfs(start):
+        order, dist, via = [start], {start: 0}, {}
+        for p in order:
+            for mine, other, k in adj[p]:
+                q = other[0]
+                if q not in dist:
+                    dist[q], via[q] = dist[p] + 1, (mine, other, k)
+                    order.append(q)
+        return order, via, max(order, key=lambda p: (dist[p], -p))
 
-    u, _ = farthest(0)
-    v, dist_u = farthest(u)
-    # walk back from v halfway toward u
+    _, _, u = bfs(0)
+    _, via, v = bfs(u)
     path = [v]
-    cur = v
-    while cur != u:
-        cur = min((w for w in adj[cur] if dist_u[w] == dist_u[cur] - 1))
-        path.append(cur)
-    return path[len(path) // 2]
+    while path[-1] != u:
+        path.append(via[path[-1]][0][0])
+    root = path[len(path) // 2]
+    order, via, _ = bfs(root)
+    return root, [via[q] for q in order[1:]]
 
 
 def _relation_residual(got: np.ndarray, want: np.ndarray) -> float:
@@ -704,9 +700,7 @@ def double(fn: FNPoint, m: Marking) -> DoubleData:
     def mirror_side(side):
         return (side[0] + p_count, side[1])
 
-    edges = []
-    for e in m.edges:
-        edges.append(Edge(e.index, e.left, e.right))
+    edges = list(m.edges)
     for e in m.edges:
         edges.append(Edge(e.index + n_edges, mirror_side(e.left),
                           mirror_side(e.right)))
@@ -718,7 +712,9 @@ def double(fn: FNPoint, m: Marking) -> DoubleData:
 
     # Spanning tree preferring the boundary gluings, so each mirror pants is
     # positioned directly across the boundary from its original; this keeps
-    # the conjugators of doubled-arc words short and well conditioned.
+    # the conjugators of doubled-arc words short and well conditioned.  The
+    # base tree, one boundary gluing and the mirror tree already span, so
+    # no other edge is ever needed.
     parent = list(range(2 * p_count))
 
     def find(a):
@@ -728,24 +724,15 @@ def double(fn: FNPoint, m: Marking) -> DoubleData:
         return a
 
     tree = set()
-    priority = ([k for k in sorted(m.tree)]
-                + boundary_edge
-                + [k + n_edges for k in sorted(m.tree)]
-                + [e.index for e in edges if e.index not in m.tree
-                   and e.index < n_edges]
-                + [e.index for e in edges
-                   if n_edges <= e.index < 2 * n_edges
-                   and e.index - n_edges not in m.tree])
-    for k in priority:
+    base_tree = sorted(m.tree)
+    for k in base_tree + boundary_edge + [k + n_edges for k in base_tree]:
         e = edges[k]
         ra, rb = find(e.left[0]), find(e.right[0])
         if ra != rb:
             parent[ra] = rb
             tree.add(k)
 
-    mu_words = []
-    for w in m.mu_words:
-        mu_words.append(w)
+    mu_words = list(m.mu_words)
     for w in m.mu_words:
         mu_words.append(tuple((_mirror_token(t, p_count, n_edges), e)
                               for t, e in w))

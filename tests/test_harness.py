@@ -1,5 +1,6 @@
 """Tests for the experiment harness and the CLI."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from teichspace import curves, surface
+from teichspace import cli, curves, surface
 from teichspace.harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -27,6 +28,7 @@ from teichspace.surface import (
     NotGeodesicError,
     build_marking,
     holonomy,
+    phi_gamma,
 )
 
 
@@ -40,6 +42,28 @@ class TestExperimentConfig:
     def test_json_roundtrip(self):
         cfg = cfg_12(format="csv", out="report.csv")
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    def test_rejects_unknown_keys(self):
+        text = json.dumps({"g": 1, "n": 2, "boundary": [1, 1], "sample": 50,
+                           "seeed": 3})
+        with pytest.raises(DomainError, match="unknown config keys: sample, seeed"):
+            ExperimentConfig.from_json(text)
+
+    def test_partial_config_takes_defaults(self):
+        cfg = ExperimentConfig.from_json('{"g": 1, "n": 2, "boundary": [1, 1]}')
+        assert cfg == ExperimentConfig(g=1, n=2, boundary=(1.0, 1.0))
+
+    def test_config_echo_with_overrides(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"g": 1, "n": 2, "boundary": [1, 1]}')
+        args = argparse.Namespace(config=str(path), seed=3, depth=1,
+                                  format="csv", out="rows.csv")
+        cfg = cli._load_config(args)
+        assert cfg.out == "rows.csv"
+        assert json.dumps(cli._config_echo(cfg)) == (
+            '{"g": 1, "n": 2, "boundary": [1.0, 1.0], "length_range": '
+            '[0.5, 4.0], "twist_range": [-2.0, 2.0], "seed": 3, "depth": 1, '
+            '"samples": 10, "out": null, "format": "csv"}')
 
     def test_validates_boundary_count(self):
         with pytest.raises(DomainError):
@@ -136,6 +160,12 @@ class TestCompareMetrics:
             row = compare_metrics(sample_point(cfg, 2 * i),
                                   sample_point(cfg, 2 * i + 1), m, 2)
             assert row["d_a_minus_d_th"] <= row["gap_constant"]
+
+    def test_punctured_pair_raises(self):
+        cfg = cfg_12()
+        x1, x2 = (phi_gamma(sample_point(cfg, i)) for i in (0, 1))
+        with pytest.raises(DomainError, match="strictly positive boundary"):
+            compare_metrics(x1, x2, cfg.marking(), 1)
 
     def test_csv_line_fixed_columns(self):
         cfg = cfg_12()

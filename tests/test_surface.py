@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from teichspace import surface
 from teichspace.curves import enumerate_curves, family_lengths
 from teichspace.pants_trig import (
     DomainError,
@@ -44,6 +45,97 @@ def random_point(m, rng, *, boundary=None, lo=0.4, hi=3.0, twist=2.0):
 def slot_length(m, fn, p, s):
     kind, idx = m.slot_assignment()[(p, s)]
     return fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
+
+
+# Every supported (g, n) with g <= 3 and n <= 4.
+SMALL_SURFACES = [(g, n) for g in range(4) for n in range(1, 5)
+                  if 2 - 2 * g - n < 0]
+
+
+def marking_and_double(g, n):
+    m = build_marking(g, n)
+    fn = FNPoint(g=g, n=n, lengths=[1.0] * m.ncurves,
+                 twists=[0.0] * m.ncurves, boundary=[1.0] * n)
+    return m, double(fn, m).marking
+
+
+class TestSlotTable:
+    @pytest.mark.parametrize("g,n", SMALL_SURFACES)
+    def test_matches_edges_and_boundary_slots(self, g, n):
+        for mk in marking_and_double(g, n):
+            want = {}
+            for e in mk.edges:
+                want[e.left] = want[e.right] = ("edge", e.index)
+            for i, side in enumerate(mk.boundary_slots):
+                want[side] = ("boundary", i)
+            assert dict(mk.slot_assignment()) == want
+
+    def test_returned_map_cannot_change_the_marking(self):
+        m = build_marking(1, 2)
+        x = FNPoint(g=1, n=2, lengths=[1.5, 2.5], twists=[0.3, -0.7],
+                    boundary=[1.0, 2.0])
+        slots = m.slot_assignment()
+        before = dict(slots)
+        with pytest.raises(TypeError):
+            slots[(0, 0)] = ("boundary", 1)
+        assert dict(m.slot_assignment()) == before
+        assert m.slot_length(x, (0, 0)) == 1.5
+
+    def test_reader_gives_cuff_boundary_and_cusp_lengths(self):
+        # (1, 2): the handle loop on pants 0, cuff 1 joining it to pants 1,
+        # and the two boundaries on slots 1 and 2 of pants 1.
+        m = build_marking(1, 2)
+        x = FNPoint(g=1, n=2, lengths=[1.5, 2.5], twists=[0.3, -0.7],
+                    boundary=[1.0, 2.0])
+        assert [m.slot_length(x, (0, s)) for s in range(3)] == [1.5, 1.5, 2.5]
+        assert [m.slot_length(x, (1, s)) for s in range(3)] == [2.5, 1.0, 2.0]
+        assert [m.slot_length(phi_gamma(x), (1, s))
+                for s in range(3)] == [2.5, 0.0, 0.0]
+
+
+def tree_distances(m, start):
+    adj = {p: [] for p in range(m.pants_count)}
+    for k in m.tree:
+        a, b = m.edges[k].left[0], m.edges[k].right[0]
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = {start: 0}
+    queue = [start]
+    for p in queue:
+        for q in adj[p]:
+            if q not in dist:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return dist
+
+
+class TestTreeWalk:
+    @pytest.mark.parametrize("g,n", SMALL_SURFACES)
+    def test_breadth_first_from_a_center(self, g, n):
+        for mk in marking_and_double(g, n):
+            root, steps = surface._tree_walk(mk)
+            depth = {root: 0}
+            for parent_side, child_side, k in steps:
+                parent, child = parent_side[0], child_side[0]
+                assert parent in depth and child not in depth
+                assert k in mk.tree
+                assert {mk.edges[k].left, mk.edges[k].right} == {
+                    parent_side, child_side}
+                depth[child] = depth[parent] + 1
+            assert sorted(depth) == list(range(mk.pants_count))
+            order = [root] + [child[0] for _, child, _ in steps]
+            assert [depth[p] for p in order] == sorted(depth.values())
+            diameter = max(max(tree_distances(mk, p).values())
+                           for p in range(mk.pants_count))
+            assert max(depth.values()) == math.ceil(diameter / 2)
+
+    @pytest.mark.parametrize("g,n,root,double_root", [
+        (2, 2, 2, 7), (3, 2, 4, 11), (1, 6, 3, 3),
+    ])
+    def test_roots_pinned(self, g, n, root, double_root):
+        m, dm = marking_and_double(g, n)
+        assert surface._tree_walk(m)[0] == root
+        assert surface._tree_walk(dm)[0] == double_root
 
 
 class TestBuildMarking:
@@ -295,6 +387,13 @@ class TestDouble:
         assert d.marking.genus == 2 * 1 + 2 - 1
         assert d.fn.lengths == (1.5, 2.5, 1.5, 2.5, 1.0, 2.0)
         assert d.fn.twists == (0.3, -0.7, -0.3, 0.7, 0.0, 0.0)
+
+    @pytest.mark.parametrize("g,n,tree", [
+        (2, 2, {2, 3, 4, 7, 8, 9, 10}),
+        (3, 2, {3, 4, 5, 6, 7, 11, 12, 13, 14, 15, 16}),
+    ])
+    def test_spanning_tree_pinned(self, g, n, tree):
+        assert marking_and_double(g, n)[1].tree == tree
 
     def test_rejects_cusped_boundary(self):
         m = build_marking(1, 1)
