@@ -69,12 +69,6 @@ def bmms_dilation(eps) -> float:
     return total
 
 
-def bmms_horocycle_lengths(eps) -> list:
-    """Horocycle lengths ``(2/pi) eps_j`` of the truncation matched to the
-    straightening map of :func:`bmms_dilation`."""
-    return [2.0 / math.pi * float(e) for e in eps]
-
-
 def comparison_bounds(n: int) -> dict:
     """Additive and multiplicative constants for ``n`` boundary components:
     the extremal-ratio defect ``log(n+2)``, the coordinatewise comparison

@@ -7,37 +7,43 @@ Every family member is therefore simple by construction (a mapping-class
 image of a simple seed), which is the certificate this module relies on; no
 general simplicity test is performed.
 
-Lengths of twisted classes are evaluated frame-locally on the point's one
-holonomy: the image of ``mu_k`` under the ``p``-fold twist along cuff ``k``
-has the length of ``mu_k`` at twist ``t_k - p * L_k`` (mapping-class
-equivariance of geodesic length), and that is a 2x2 trace in the frame of
-cuff ``k`` (:meth:`~teichspace.surface.Holonomy.dual_length`).  Along the
-orbit the trace is ``a + b e^t + c e^-t`` in the twist ``t`` (``b e^(t/2) +
-c e^(-t/2)`` on a handle loop).
+Every length has a closed form in the Fenchel-Nielsen coordinates.  The
+``p``-fold twist of ``mu_k`` along cuff ``k`` has the length of ``mu_k`` at
+twist ``tau = t_k - p * L_k`` (mapping-class equivariance), and ``mu_k``
+lies in the one-holed torus or four-holed sphere around cuff ``k`` (Buser,
+*Geometry and Spectra of Compact Riemann Surfaces*, ch. 2-3; Goldman,
+"Trace coordinates on Fricke spaces of some simple hyperbolic surfaces").
+With ``c(x) = cosh(x/2)``, ``L = L_k`` and ``s = sinh(L/2)``:
+
+* handle loop, ``b`` the third slot: ``cosh(l/2) = cosh(d/2) cosh(tau/2)``
+  with ``cosh d - 1 = (c(b) + 1) / s^2``;
+* other cuffs, ``a+, a-`` (``b+, b-``) the slots after the glued one in the
+  left (right) pants: ``s^2 cosh(l/2) = c(L) (c(a+) c(b-) + c(a-) c(b+))
+  + c(a+) c(b+) + c(a-) c(b-) + cosh(tau) Q(a+, a-) Q(b+, b-)`` with
+  ``Q(x, y)^2 = c(x)^2 + c(y)^2 + 2 c(x) c(y) c(L) + s^2``.
+
+Both are evaluated as ``u = cosh(l/2) - 1``, a sum of positive terms, and
+``l = 2 log1p(u + sqrt(u (u + 2)))``, so neither long cuffs nor short duals
+cancel.  The holonomy of :mod:`teichspace.surface` is their independent
+check.
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
 are convex, so these lengths do not depend on the twists.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
-point is assembled once however many estimators and partners use it.
+point is evaluated once however many estimators and partners use it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import pants_trig
 from .pants_trig import DomainError
-from .surface import (
-    ArcClass,
-    FNPoint,
-    HolonomyError,
-    Marking,
-    NotGeodesicError,
-    holonomy,
-)
+from .surface import ArcClass, FNPoint, Marking
 
 __all__ = [
     "CurveClass",
@@ -98,16 +104,13 @@ def enumerate_curves(m: Marking, depth: int):
 
 
 def family_lengths(fn: FNPoint, m: Marking, classes):
-    """Lengths of many curve classes at one point.
+    """Lengths of many curve classes at one point, aligned with ``classes``.
 
-    Assembles the holonomy of ``fn`` once, whose relation check raises
-    :class:`HolonomyError` on a failed gluing.  Pants and boundary lengths
-    are read off the point; every dual class is a trace in the frame of
-    its cuff.  Returns a list aligned with ``classes``.  :func:`length_table`
-    makes this call once per point, so a comparison of two points costs two
-    assemblies.
+    Pants and boundary lengths are read off the point; a dual class is the
+    one-holed torus or four-holed sphere identity of the module docstring
+    (scalar work, no holonomy).  Raises :class:`DomainError` when a length
+    is not finite in double precision (such as at twists of 2000).
     """
-    h = holonomy(fn, m)
     out = []
     for c in classes:
         kind, idx = c.seed
@@ -116,8 +119,42 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
         elif kind == "beta":
             out.append(fn.boundary[idx])
         else:
-            out.append(h.dual_length(idx, c.power))
+            try:
+                length = _dual_length(fn, m, idx, c.power)
+            except OverflowError:
+                length = math.inf
+            if not math.isfinite(length):
+                raise DomainError(
+                    f"length of {c.label()} is not finite in double precision")
+            out.append(length)
     return out
+
+
+def _dual_length(fn: FNPoint, m: Marking, k: int, power: int) -> float:
+    """Length of ``mu_k`` twisted ``power`` times along its cuff ``k``."""
+    (pa, sa), (pb, sb) = m.edges[k].left, m.edges[k].right
+    cuff = fn.lengths[k]
+    tau = fn.twists[k] - power * cuff
+    s2 = math.sinh(cuff / 2.0) ** 2
+    if pa == pb:
+        # w = cosh d - 1; cosh(d/2) - 1 = (w/2) / (sqrt(1 + w/2) + 1).
+        w = (math.cosh(m.slot_length(fn, (pa, 3 - sa - sb)) / 2.0) + 1.0) / s2
+        u = (0.5 * w / (math.sqrt(1.0 + 0.5 * w) + 1.0) * math.cosh(tau / 2.0)
+             + 2.0 * math.sinh(tau / 4.0) ** 2)
+    else:
+        cl = math.cosh(cuff / 2.0)
+        ap, am, bp, bm = (math.cosh(m.slot_length(fn, side) / 2.0) for side in
+                          ((pa, (sa + 1) % 3), (pa, (sa + 2) % 3),
+                           (pb, (sb + 1) % 3), (pb, (sb + 2) % 3)))
+        # Q(a+, a-)^2 = s2 + qa and Q(b+, b-)^2 = s2 + qb, so
+        # Q Q - s2 = (s2 (qa + qb) + qa qb) / (Q Q + s2) without cancelling.
+        qa = ap * ap + am * am + 2.0 * ap * am * cl
+        qb = bp * bp + bm * bm + 2.0 * bp * bm * cl
+        qq = math.sqrt((s2 + qa) * (s2 + qb))
+        u = (cl * (ap * bm + am * bp) + ap * bp + am * bm
+             + 2.0 * math.sinh(tau / 2.0) ** 2 * qq
+             + (s2 * (qa + qb) + qa * qb) / (qq + s2)) / s2
+    return 2.0 * math.log1p(u + math.sqrt(u) * math.sqrt(u + 2.0))
 
 
 def curve_length_at(fn: FNPoint, m: Marking, c: CurveClass) -> float:
@@ -147,10 +184,10 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     """Evaluate the length table of ``fn`` at family depth ``depth``.
 
     The curve lengths come from one :func:`family_lengths` call over the
-    whole family.  A :class:`HolonomyError` or :class:`NotGeodesicError`
-    of the assembly is re-raised as the same type with the replay witness
-    ``{"x": <point JSON>, "depth": depth}`` appended to its message and
-    kept in its ``witness`` attribute.
+    whole family.  A :class:`DomainError` of that call (a length that is
+    not finite) is re-raised with the replay witness ``{"x": <point JSON>,
+    "depth": depth}`` appended to its message and kept in its ``witness``
+    attribute.
     """
     if (fn.g, fn.n) != (m.genus, m.nboundary):
         raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
@@ -158,9 +195,9 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     classes = tuple(enumerate_curves(m, depth))
     try:
         lengths = tuple(family_lengths(fn, m, classes))
-    except (HolonomyError, NotGeodesicError) as err:
+    except DomainError as err:
         witness = {"x": json.loads(fn.to_json()), "depth": depth}
-        replay = type(err)(f"{err}\nwitness: {json.dumps(witness)}")
+        replay = DomainError(f"{err}\nwitness: {json.dumps(witness)}")
         replay.witness = witness
         raise replay from err
     arcs = ()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -106,12 +106,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """Config from a JSON object; absent fields take their defaults and
-        unknown keys raise :class:`DomainError`."""
+        """Config from a JSON object; absent fields take their defaults.
+        Unknown keys, absent fields without a default and non-integer
+        values of integer fields raise :class:`DomainError` naming them."""
         d = json.loads(text)
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise DomainError(f"unknown config keys: {', '.join(unknown)}")
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING:
+                raise DomainError(f"missing config key: {f.name}")
+            if f.type == "int" and f.name in d and type(d[f.name]) is not int:
+                raise DomainError(f"config key {f.name} must be an integer, "
+                                  f"got {d[f.name]!r}")
         return cls(**d)
 
 
@@ -364,7 +371,7 @@ def almost_isometry_report(samples, m: Marking, depth: int,
     between bordered samples; ``d2`` the curve-ratio estimate between
     their punctured images.  Targets are the images of the samples, so
     the coarse-density bound is exactly zero for this sample set.  Each
-    sample and each image is assembled once, into its length table.
+    sample and each image is evaluated once, into its length table.
     """
     samples = list(samples)
     if len(samples) < 2:

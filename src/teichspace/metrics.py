@@ -19,8 +19,8 @@ of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`);
 :func:`thurston_lower`, :func:`arc_lower` and :func:`teich_interval_report`
 build the two tables and reduce.  Callers that compare one point with
 several others, or run several estimators on one pair, build each table
-once and call the reductions: one comparison row then costs two
-holonomy assemblies, whatever the depth.
+once and call the reductions: one comparison row then costs two length
+tables, scalar closed forms with no holonomy assembly.
 """
 
 from __future__ import annotations

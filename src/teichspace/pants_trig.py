@@ -63,8 +63,9 @@ argument with threshold ``t0 = 2 B_hi`` (note ``B_hi > log 8 > 0``):
 The exported constant is ``min(c_a, c_b, c_c)`` minimised over the boundary
 components, so the certified inequality holds in every zone.
 
-All formulas are evaluated in double precision; cross-validation against an
-independent holonomy computation holds to a relative tolerance of about 1e-9.
+All formulas are evaluated in double precision; they agree with traces of
+the doubled-arc words in the holonomy of the arc's own pants, doubled, to
+a relative tolerance of 1e-8.
 Boundary components of length 0 (cusps) are rejected here: the hexagon
 identities degenerate, and cusped surfaces only ever need closed-curve
 lengths.

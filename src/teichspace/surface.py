@@ -286,15 +286,6 @@ class Marking:
         kind, idx = self._slots[side]
         return fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
 
-    def generator_tokens(self):
-        """Generating set of the fundamental group: every pants slot word
-        plus one connector letter per non-tree cuff."""
-        out = [("slot", p, s) for p in range(self.pants_count)
-               for s in range(3)]
-        out += [("conn", e.index) for e in self.edges
-                if e.index not in self.tree]
-        return out
-
     def gamma_word(self, k: int):
         p, s = self.edges[k].left
         return ((("slot", p, s), 1),)
@@ -444,8 +435,6 @@ class Holonomy:
 
     ``slot_mats[(p, s)]`` is the global boundary word of slot ``s`` of pants
     ``p``; ``conn_mats[k]`` the connector for each non-tree edge.
-    ``local[p]`` holds the unpositioned generators ``(A, B, C)`` of pants
-    ``p`` and ``frames[(p, s)]`` the frame of each glued slot in them.
     ``relation_residual`` is the largest deviation of a defining gluing
     relation from plus or minus the identity, and ``det_residual`` the
     largest deviation of a generator determinant from 1.
@@ -455,8 +444,6 @@ class Holonomy:
     fn: FNPoint
     slot_mats: dict
     conn_mats: dict
-    local: dict
-    frames: dict
     relation_residual: float
     det_residual: float
 
@@ -476,25 +463,6 @@ class Holonomy:
             for _ in range(exp):
                 out = out @ m
         return out
-
-    def dual_length(self, k: int, power: int) -> float:
-        """Length of ``mu_k`` twisted ``power`` times along its cuff ``k``.
-
-        That is the seed's length at twist ``t_k - power * L_k``, a trace in
-        the frame of cuff ``k`` with ``T`` the transition at that twist:
-        ``tr T`` on a handle loop, else ``tr(A T B T^-1)`` with ``A``, ``B``
-        the local words of the slots after the glued ones.  No global
-        conjugator enters, so far pants lose no accuracy.
-        """
-        e = self.marking.edges[k]
-        (pa, sa), (pb, sb) = e.left, e.right
-        trans = _transition(self.frames, e.left, e.right,
-                            self.fn.twists[k] - power * self.fn.lengths[k])
-        if pa == pb:
-            return _trace_length(float(np.trace(trans)))
-        word = (self.local[pa][(sa + 1) % 3] @ trans
-                @ self.local[pb][(sb + 1) % 3] @ _inv(trans))
-        return _trace_length(float(np.trace(word)))
 
 
 def _transition(frames: dict, a: tuple, b: tuple, twist: float) -> np.ndarray:
@@ -590,7 +558,6 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
         raise HolonomyError(
             f"gluing relations failed: residual {residual:.3e} > {_RESIDUAL_TOL:.1e}")
     return Holonomy(marking=m, fn=fn, slot_mats=slot_mats, conn_mats=conn_mats,
-                    local=local, frames=frames,
                     relation_residual=residual, det_residual=det_resid)
 
 
@@ -637,18 +604,6 @@ def _relation_residual(got: np.ndarray, want: np.ndarray) -> float:
     return float(dev) / scale
 
 
-def _trace_length(trace: float) -> float:
-    """Geodesic length ``2 acosh(|tr|/2)`` of a hyperbolic trace, 0 within
-    ``_PARABOLIC_TOL`` of a parabolic, :class:`NotGeodesicError` for an
-    elliptic one."""
-    tr = abs(trace)
-    if tr >= 2.0 + _PARABOLIC_TOL:
-        return 2.0 * math.acosh(tr / 2.0)
-    if tr >= 2.0 - _PARABOLIC_TOL:
-        return 0.0
-    raise NotGeodesicError(f"elliptic word (|trace| = {tr!r} < 2): not a geodesic class")
-
-
 def curve_length(h: Holonomy, word) -> float:
     """Geodesic length of the free homotopy class of ``word``.
 
@@ -657,7 +612,12 @@ def curve_length(h: Holonomy, word) -> float:
     """
     if not word:
         raise DomainError("empty word has no geodesic class")
-    return _trace_length(float(np.trace(h.evaluate(word))))
+    tr = abs(float(np.trace(h.evaluate(word))))
+    if tr >= 2.0 + _PARABOLIC_TOL:
+        return 2.0 * math.acosh(tr / 2.0)
+    if tr >= 2.0 - _PARABOLIC_TOL:
+        return 0.0
+    raise NotGeodesicError(f"elliptic word (|trace| = {tr!r} < 2): not a geodesic class")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from teichspace.asymptotics import (
     bmms_dilation,
-    bmms_horocycle_lengths,
     comparison_bounds,
     cusp_radius,
     cusp_truncation_constant,
@@ -86,9 +85,6 @@ class TestBmmsDilation:
         for bad in (0.0, 0.5, 0.7):
             with pytest.raises(DomainError):
                 bmms_dilation([bad])
-
-    def test_horocycle_lengths(self):
-        assert bmms_horocycle_lengths([math.pi / 2]) == pytest.approx([1.0])
 
 
 class TestComparisonBounds:

@@ -1,9 +1,12 @@
-"""Tests for curve/arc family enumeration and frame-local dual lengths."""
+"""Tests for curve/arc family enumeration and closed-form dual lengths."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teichspace.curves import (
     CurveClass,
@@ -12,6 +15,7 @@ from teichspace.curves import (
     enumerate_arcs,
     enumerate_curves,
     family_lengths,
+    length_table,
     pants_neighborhood_boundaries,
 )
 from teichspace.pants_trig import (
@@ -87,7 +91,7 @@ class TestCurveLengthAt:
     def test_twisted_class_matches_word_level_twist(self):
         # On the one-holed torus the k-fold twisted dual is the word
         # (connector * cuff^k); its direct length must agree with the
-        # frame-local evaluation.
+        # closed form.
         m = build_marking(1, 1)
         x = point(m, [2.0], [0.6], [1.5])
         h = holonomy(x, m)
@@ -152,7 +156,14 @@ def dual_classes(m, depth):
     return [c for c in enumerate_curves(m, depth) if c.seed[0] == "mu"]
 
 
+def twisted_duals(k):
+    """``mu_k`` twisted -3 to 3 times along its cuff."""
+    return [CurveClass(seed=("mu", k), power=p) for p in range(-3, 4)]
+
+
 class TestFrameLocalDuals:
+    """The closed forms against the holonomy, which is their oracle."""
+
     def test_label_names_the_power(self):
         assert CurveClass(seed=("mu", 3), power=-2).label() == "mu3@-2"
         assert CurveClass(seed=("mu", 3), power=0).label() == "mu3"
@@ -176,16 +187,16 @@ class TestFrameLocalDuals:
         m11 = build_marking(1, 1)
         loops = [e for e in m.edges if e.left[0] == e.right[0]]
         for x in random_points(m, 7, 3, False):
-            h = holonomy(x, m)
             for e in loops:
                 (p, _), k = e.left, e.index
                 attach = next(f.index for f in m.edges
                               if f.index != k and p in (f.left[0], f.right[0]))
-                for power in range(-3, 4):
+                got = family_lengths(x, m, twisted_duals(k))
+                for power, length in zip(range(-3, 4), got):
                     twist = x.twists[k] - power * x.lengths[k]
                     y = point(m11, [x.lengths[k]], [twist], [x.lengths[attach]])
                     want = curve_length(holonomy(y, m11), m11.mu_words[0])
-                    assert h.dual_length(k, power) == pytest.approx(want, rel=1e-10)
+                    assert length == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("gn", [(0, 5), (1, 3), (2, 2), (3, 3)])
     def test_chain_duals_match_four_holed_sphere(self, gn):
@@ -193,29 +204,115 @@ class TestFrameLocalDuals:
         # cuff of the (0, 4) marking; the other four slots are its boundary.
         m = build_marking(*gn)
         m04 = build_marking(0, 4)
-        lengths = {}
-        for e in m.edges:
-            lengths[e.left] = lengths[e.right] = e.index
         chain = [e for e in m.edges if e.left[1] == 2 and e.right[1] == 0
                  and e.left[0] != e.right[0]]
         assert chain
         for x in random_points(m, 8, 3, False):
-            h = holonomy(x, m)
-
-            def slot_length(side):
-                if side in lengths:
-                    return x.lengths[lengths[side]]
-                return x.boundary[m.boundary_slots.index(side)]
-
             for e in chain:
                 (pa, _), (pb, _), k = e.left, e.right, e.index
-                boundary = [slot_length(s) for s in
+                boundary = [m.slot_length(x, s) for s in
                             ((pa, 0), (pa, 1), (pb, 1), (pb, 2))]
-                for power in range(-3, 4):
+                got = family_lengths(x, m, twisted_duals(k))
+                for power, length in zip(range(-3, 4), got):
                     twist = x.twists[k] - power * x.lengths[k]
                     y = point(m04, [x.lengths[k]], [twist], boundary)
                     want = curve_length(holonomy(y, m04), m04.mu_words[0])
-                    assert h.dual_length(k, power) == pytest.approx(want, rel=1e-10)
+                    assert length == pytest.approx(want, rel=1e-10)
+
+
+def mp_dual_length(x, m, k, power):
+    """Reference: the trace identities as written, in 50-digit arithmetic
+    on the exact float inputs."""
+    with mpmath.workdps(50):
+        (pa, sa), (pb, sb) = m.edges[k].left, m.edges[k].right
+        cuff = mpmath.mpf(x.lengths[k])
+        tau = mpmath.mpf(x.twists[k]) - power * cuff
+        cl = mpmath.cosh(cuff / 2)
+        s2 = mpmath.sinh(cuff / 2) ** 2
+
+        def c(side):
+            return mpmath.cosh(mpmath.mpf(m.slot_length(x, side)) / 2)
+
+        if pa == pb:
+            cosh_d = (c((pa, 3 - sa - sb)) + cl ** 2) / s2
+            half = mpmath.sqrt((cosh_d + 1) / 2) * mpmath.cosh(tau / 2)
+        else:
+            ap, am = c((pa, (sa + 1) % 3)), c((pa, (sa + 2) % 3))
+            bp, bm = c((pb, (sb + 1) % 3)), c((pb, (sb + 2) % 3))
+
+            def q(u, v):
+                return mpmath.sqrt(u * u + v * v + cl * cl + 2 * u * v * cl - 1)
+
+            half = (cl * (ap * bm + am * bp) + ap * bp + am * bm
+                    + mpmath.cosh(tau) * q(ap, am) * q(bp, bm)) / s2
+        return 2 * mpmath.acosh(half)
+
+
+def rel_error(got, want):
+    return float(abs((mpmath.mpf(got) - want) / want))
+
+
+# The accuracy envelope of the closed forms: cuff and boundary lengths in
+# [1e-4, 40] (boundaries may also be cusps) and twists in [-100, 100].
+_LOG_LENGTH = st.floats(math.log(1e-4), math.log(40.0)).map(math.exp)
+
+
+@st.composite
+def envelope_points(draw):
+    m = build_marking(*draw(st.sampled_from([(1, 1), (0, 4), (1, 2), (2, 2)])))
+    lengths = draw(st.lists(_LOG_LENGTH, min_size=m.ncurves, max_size=m.ncurves))
+    twists = draw(st.lists(st.floats(-100.0, 100.0), min_size=m.ncurves,
+                           max_size=m.ncurves))
+    boundary = draw(st.lists(st.one_of(st.just(0.0), _LOG_LENGTH),
+                             min_size=m.nboundary, max_size=m.nboundary))
+    return m, point(m, lengths, twists, boundary)
+
+
+class TestClosedFormAccuracy:
+    """The closed forms against a 50-digit evaluation of the identities."""
+
+    @given(mx=envelope_points(), power=st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_envelope(self, mx, power):
+        m, x = mx
+        classes = [CurveClass(seed=("mu", k), power=power) for k in range(m.ncurves)]
+        for c, got in zip(classes, family_lengths(x, m, classes)):
+            assert rel_error(got, mp_dual_length(x, m, c.seed[1], power)) <= 1e-12
+
+    def test_long_handle_cuff(self):
+        # The two copies of a cuff of 30 are 1.26e-6 apart; the literal
+        # 2 acosh(cosh(d/2) cosh(tau/2)) rounds that to 0.
+        m = build_marking(1, 1)
+        x = point(m, [30.0], [0.0], [1.0])
+        (got,) = family_lengths(x, m, [CurveClass(seed=("mu", 0), power=0)])
+        want = mp_dual_length(x, m, 0, 0)
+        assert 1.2e-6 < got < 1.3e-6
+        assert rel_error(got, want) <= 1e-12
+
+    def test_long_chain_cuff(self):
+        # A four-holed sphere with cuff 40: the dual is 4.1e-4 long, and
+        # the literal identity loses 1.6e-9 of it to cancellation.
+        m = build_marking(0, 4)
+        x = point(m, [40.0], [0.0], [1.0] * 4)
+        (got,) = family_lengths(x, m, [CurveClass(seed=("mu", 0), power=0)])
+        assert rel_error(got, mp_dual_length(x, m, 0, 0)) <= 1e-12
+
+    def test_short_cuffs(self):
+        # Every cuff at 1e-3 on (2, 2): a point whose holonomy fails its
+        # relation check, while the closed forms hold.
+        m = build_marking(2, 2)
+        x = point(m, [1e-3] * 5, [0.0] * 5, [1.0, 1.0])
+        table = length_table(x, m, 3)
+        for c, got in zip(table.classes, table.lengths):
+            if c.seed[0] == "mu":
+                want = mp_dual_length(x, m, c.seed[1], c.power)
+                assert rel_error(got, want) <= 1e-12, c.label()
+
+    def test_overflow_is_rejected(self):
+        m = build_marking(2, 2)
+        x = point(m, [1.0] * 5, [2000.0] * 5, [1.0, 1.0])
+        with pytest.raises(DomainError, match="is not finite in double precision"):
+            family_lengths(x, m, enumerate_curves(m, 1))
 
 
 class TestEnumerateArcs:

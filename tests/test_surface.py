@@ -174,12 +174,6 @@ class TestBuildMarking:
         assert not (loops & m.tree)
         assert len(m.tree) == m.pants_count - 1
 
-    def test_generator_table(self):
-        m = build_marking(2, 2)
-        gens = m.generator_tokens()
-        assert len(gens) == 3 * m.pants_count + (m.ncurves - len(m.tree))
-        assert ("conn", 0) in gens and ("conn", 1) in gens
-
 
 class TestFNPoint:
     def test_json_roundtrip(self):
