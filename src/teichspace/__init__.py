@@ -33,14 +33,12 @@ from .harness import (
     phi_experiment,
     sample_point,
     verify_arc_construction,
+    verify_arcs,
 )
 from .metrics import (
     MetricEstimate,
     arc_lower,
     arc_of,
-    ext_annulus,
-    ext_cylinder,
-    ext_sum_bracket,
     maskit_bracket,
     symmetrize,
     teich_interval,

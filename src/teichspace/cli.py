@@ -24,7 +24,7 @@ from .harness import (
     PHI_COLUMNS,
     phi_experiment,
     sample_point,
-    verify_arc_construction,
+    verify_arcs,
 )
 from .metrics import arc_lower, teich_interval_report, thurston_lower
 from .surface import FNPoint, build_marking
@@ -148,14 +148,19 @@ def _cmd_compare(args) -> None:
 def _cmd_verify_arcs(args) -> None:
     cfg = _load_config(args)
     m = cfg.marking()
-    reports = [verify_arc_construction(x1, x2, m, cfg.depth)
-               for x1, x2 in _paired_samples(cfg)]
-    checked = sum(r["checked"] for r in reports)
-    passed = sum(r["passed"] for r in reports)
-    failures = [r for r in reports if not r["all_passed"]]
+    pairs = checked = passed = 0
+    failures, reports = [], []
+    for r in verify_arcs(_paired_samples(cfg), m, cfg.depth):
+        pairs += 1
+        checked += r["checked"]
+        passed += r["passed"]
+        if not r["all_passed"]:
+            failures.append(r)
+        if not args.summary_only:
+            reports.append(r)
     payload = {
         "config": _config_echo(cfg),
-        "pairs": len(reports),
+        "pairs": pairs,
         "checked": checked,
         "passed": passed,
         "pass_rate": 1.0 if checked == 0 else passed / checked,

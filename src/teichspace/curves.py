@@ -196,7 +196,7 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     try:
         lengths = tuple(family_lengths(fn, m, classes))
     except DomainError as err:
-        witness = {"x": json.loads(fn.to_json()), "depth": depth}
+        witness = {"x": fn.to_dict(), "depth": depth}
         replay = DomainError(f"{err}\nwitness: {json.dumps(witness)}")
         replay.witness = witness
         raise replay from err

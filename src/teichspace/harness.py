@@ -38,6 +38,7 @@ __all__ = [
     "phi_experiment",
     "sample_point",
     "verify_arc_construction",
+    "verify_arcs",
     "COMPARE_COLUMNS",
     "PHI_COLUMNS",
 ]
@@ -130,81 +131,101 @@ def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
     lo, hi = cfg.length_range
     lengths = np.exp(rng.uniform(math.log(lo), math.log(hi), ncurves))
     twists = rng.uniform(cfg.twist_range[0], cfg.twist_range[1], ncurves)
-    return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths, twists=twists,
-                   boundary=cfg.boundary)
+    return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths.tolist(),
+                   twists=twists.tolist(), boundary=cfg.boundary)
 
 
 # ---------------------------------------------------------------------------
 # constructive arc check
 
 
-def verify_arc_construction(x1: FNPoint, x2: FNPoint, m: Marking,
-                            depth: int) -> dict:
-    """Check the constructive arc-to-curve comparison on every seed arc.
+def verify_arcs(pairs, m: Marking, depth: int):
+    """Check the constructive arc-to-curve comparison on every seed arc of
+    each pair ``(x1, x2)``; yield one report per pair, in order.
 
     For each arc whose length grows from ``x1`` to ``x2``, the boundary
     curves of its neighbourhood pants must satisfy
     ``max length-ratio >= c * arc-ratio`` with the certified constant
     ``c = gap_constants(boundary).c``.  Boundary-parallel neighbourhood
-    curves are excluded from the maximum and noted.  The report carries
+    curves are excluded from the maximum and noted.  Each report carries
     full replay witnesses.
+
+    The constants, the arcs and their neighbourhood curves depend only on
+    the boundary and the marking, so they are computed once, from the
+    first pair, before its report; every point of every pair must share
+    that boundary.
     """
-    if x1.boundary != x2.boundary:
-        raise DomainError("arc check needs equal boundary lengths")
-    if any(v == 0.0 for v in x1.boundary):
-        raise DomainError("arc check needs positive boundary lengths")
-    constants = gap_constants(x1.boundary)
-    rows = []
-    checked = passed = vacuous = 0
-    for arc in enumerate_arcs(m, depth):
-        l1 = arc_length_formula(x1, m, arc)
-        l2 = arc_length_formula(x2, m, arc)
-        ratio = l2 / l1
-        row = {"arc": arc.label(), "l1": l1, "l2": l2, "ratio": ratio}
-        if ratio <= 1.0:
-            vacuous += 1
-            row["checked"] = False
-            rows.append(row)
-            continue
-        curves = []
-        best = None
-        excluded = 0
-        for nb in pants_neighborhood_boundaries(arc, m):
-            c1, c2 = nb.length_at(x1), nb.length_at(x2)
-            curves.append({"curve": nb.label(), "l1": c1, "l2": c2,
-                           "ratio": c2 / c1, "essential": nb.essential})
-            if nb.essential:
-                best = c2 / c1 if best is None else max(best, c2 / c1)
+    plan = None
+    for x1, x2 in pairs:
+        if plan is None:
+            boundary = x1.boundary
+            if any(v == 0.0 for v in boundary):
+                raise DomainError("arc check needs positive boundary lengths")
+            constants = gap_constants(boundary)
+            plan = [(arc, arc.label(),
+                     [(nb, nb.label())
+                      for nb in pants_neighborhood_boundaries(arc, m)])
+                    for arc in enumerate_arcs(m, depth)]
+        if x1.boundary != boundary or x2.boundary != boundary:
+            raise DomainError("arc check needs equal boundary lengths")
+        rows = []
+        checked = passed = vacuous = 0
+        for arc, label, neighbours in plan:
+            l1 = arc_length_formula(x1, m, arc)
+            l2 = arc_length_formula(x2, m, arc)
+            ratio = l2 / l1
+            row = {"arc": label, "l1": l1, "l2": l2, "ratio": ratio}
+            if ratio <= 1.0:
+                vacuous += 1
+                row["checked"] = False
+                rows.append(row)
+                continue
+            curves = []
+            best = None
+            excluded = 0
+            for nb, nb_label in neighbours:
+                c1, c2 = nb.length_at(x1), nb.length_at(x2)
+                curves.append({"curve": nb_label, "l1": c1, "l2": c2,
+                               "ratio": c2 / c1, "essential": nb.essential})
+                if nb.essential:
+                    best = c2 / c1 if best is None else max(best, c2 / c1)
+                else:
+                    excluded += 1
+            row.update({"checked": True, "curves": curves,
+                        "excluded_boundary_parallel": excluded})
+            if best is None:
+                row.update({"passed": True,
+                            "note": "no essential neighbourhood curve; "
+                                    "boundary-parallel curves have ratio 1"})
+                checked += 1
+                passed += 1
             else:
-                excluded += 1
-        row.update({"checked": True, "curves": curves,
-                    "excluded_boundary_parallel": excluded})
-        if best is None:
-            row.update({"passed": True,
-                        "note": "no essential neighbourhood curve; "
-                                "boundary-parallel curves have ratio 1"})
-            checked += 1
-            passed += 1
-        else:
-            bound = constants.c * ratio
-            ok = best >= bound
-            row.update({"max_curve_ratio": best, "bound": bound, "passed": ok})
-            checked += 1
-            passed += ok
-        rows.append(row)
-    return {
-        "x1": json.loads(x1.to_json()),
-        "x2": json.loads(x2.to_json()),
-        "constant": constants.c,
-        "constant_between": constants.c_between,
-        "constant_self": constants.c_self,
-        "gap": constants.gap,
-        "arcs": rows,
-        "checked": checked,
-        "passed": passed,
-        "vacuous": vacuous,
-        "all_passed": passed == checked,
-    }
+                bound = constants.c * ratio
+                ok = best >= bound
+                row.update({"max_curve_ratio": best, "bound": bound,
+                            "passed": ok})
+                checked += 1
+                passed += ok
+            rows.append(row)
+        yield {
+            "x1": x1.to_dict(),
+            "x2": x2.to_dict(),
+            "constant": constants.c,
+            "constant_between": constants.c_between,
+            "constant_self": constants.c_self,
+            "gap": constants.gap,
+            "arcs": rows,
+            "checked": checked,
+            "passed": passed,
+            "vacuous": vacuous,
+            "all_passed": passed == checked,
+        }
+
+
+def verify_arc_construction(x1: FNPoint, x2: FNPoint, m: Marking,
+                            depth: int) -> dict:
+    """The :func:`verify_arcs` report of the one pair ``(x1, x2)``."""
+    return next(verify_arcs([(x1, x2)], m, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +250,7 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     d_th = thurston_of(t1, t2)
     d_a = arc_of(t1, t2)
     teich = teich_of(t1, t2)
-    witness = {"x1": json.loads(x1.to_json()), "x2": json.loads(x2.to_json()),
+    witness = {"x1": x1.to_dict(), "x2": x2.to_dict(),
                "depth": depth, "d_th": d_th.value, "d_a": d_a.value,
                "d_th_witness": d_th.witness, "d_a_witness": d_a.witness}
     if not (d_a.value >= d_th.value):
@@ -320,7 +341,7 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int = 0,
             "coordinate_bound": bound,
         })
     report = {
-        "base_point": json.loads(x.to_json()),
+        "base_point": x.to_dict(),
         "curve_index": curve_index,
         "step": step,
         "count": count,

@@ -39,9 +39,6 @@ __all__ = [
     "arc_lower",
     "arc_of",
     "bordered_ext_bracket",
-    "ext_annulus",
-    "ext_cylinder",
-    "ext_sum_bracket",
     "maskit_bracket",
     "symmetrize",
     "teich_interval",
@@ -176,31 +173,6 @@ def bordered_ext_bracket(l: float) -> Interval:
     curve: ``maskit_bracket(2 l) / 2 = [l/pi, (l/2) exp(l)]``.
     """
     return maskit_bracket(2.0 * l).scale(0.5)
-
-
-def ext_sum_bracket(parts) -> Interval:
-    """Bound for the extremal length of a ``k``-part lamination sum:
-    ``[max lo_j, k^2 max hi_j]`` over the per-part intervals."""
-    parts = list(parts)
-    if not parts:
-        raise DomainError("need at least one component interval")
-    k = len(parts)
-    return Interval(max(p.lo for p in parts), k * k * max(p.hi for p in parts))
-
-
-def ext_annulus(r_in: float, r_out: float) -> float:
-    """Extremal length ``2 pi / log(r_out/r_in)`` of the core curve of a
-    round annulus ``r_in < |z| < r_out``."""
-    if not (0.0 < r_in < r_out):
-        raise DomainError(f"need 0 < r_in < r_out, got {r_in!r}, {r_out!r}")
-    return 2.0 * math.pi / math.log(r_out / r_in)
-
-
-def ext_cylinder(circumference: float, height: float) -> float:
-    """Extremal length ``c/h`` of the core curve of a flat cylinder."""
-    if not (circumference > 0.0 and height > 0.0):
-        raise DomainError("cylinder dimensions must be positive")
-    return circumference / height
 
 
 # ---------------------------------------------------------------------------

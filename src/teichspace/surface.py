@@ -399,6 +399,9 @@ class FNPoint:
         for v in self.lengths:
             if not (v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"cuff lengths must be positive, got {v!r}")
+        for v in self.twists:
+            if not math.isfinite(v):
+                raise DomainError(f"twists must be finite, got {v!r}")
         for v in self.boundary:
             if v < 0.0 or not math.isfinite(v):
                 raise DomainError(f"boundary lengths must be nonnegative, got {v!r}")
@@ -406,11 +409,13 @@ class FNPoint:
     def is_punctured(self) -> bool:
         return all(v == 0.0 for v in self.boundary)
 
+    def to_dict(self) -> dict:
+        """The point as a plain JSON-ready dict; :meth:`to_json` dumps it."""
+        return {"g": self.g, "n": self.n, "lengths": list(self.lengths),
+                "twists": list(self.twists), "boundary": list(self.boundary)}
+
     def to_json(self) -> str:
-        return json.dumps({"g": self.g, "n": self.n,
-                           "lengths": list(self.lengths),
-                           "twists": list(self.twists),
-                           "boundary": list(self.boundary)})
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "FNPoint":

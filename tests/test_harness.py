@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from teichspace import cli, surface
+from teichspace import cli, harness, surface
 from teichspace.harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -20,6 +20,7 @@ from teichspace.harness import (
     phi_experiment,
     sample_point,
     verify_arc_construction,
+    verify_arcs,
 )
 from teichspace.pants_trig import DomainError
 from teichspace.surface import (
@@ -143,6 +144,60 @@ class TestVerifyArcConstruction:
                     boundary=(1.0, 2.0))
         with pytest.raises(DomainError):
             verify_arc_construction(x, y, m, 1)
+
+
+class TestVerifyArcs:
+    @pytest.mark.parametrize("g,n,boundary", [
+        (1, 6, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)), (2, 2, (1.0, 1.5))])
+    def test_batch_equals_one_pair_calls(self, g, n, boundary):
+        cfg = ExperimentConfig(g=g, n=n, boundary=boundary, seed=3)
+        m = cfg.marking()
+        pairs = [(sample_point(cfg, 2 * i), sample_point(cfg, 2 * i + 1))
+                 for i in range(6)]
+        batch = list(verify_arcs(iter(pairs), m, 2))
+        assert batch == [verify_arc_construction(x1, x2, m, 2)
+                         for x1, x2 in pairs]
+        assert any(r["checked"] for r in batch)
+
+    def test_cli_computes_gap_constants_once(self, tmp_path, monkeypatch):
+        calls = []
+        gap_constants = harness.gap_constants
+        monkeypatch.setattr(harness, "gap_constants",
+                            lambda b: calls.append(b) or gap_constants(b))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_12(samples=5).to_json())
+        cli.main(["verify-arcs", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "arcs.json")])
+        assert calls == [(1.0, 1.0)]
+
+    def test_summary_is_full_payload_without_reports(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_12(samples=5).to_json())
+        full, summary = tmp_path / "full.json", tmp_path / "summary.json"
+        cli.main(["verify-arcs", "--config", str(cfg_path), "--out", str(full)])
+        cli.main(["verify-arcs", "--config", str(cfg_path), "--summary-only",
+                  "--out", str(summary)])
+        payload = json.loads(full.read_text())
+        assert len(payload.pop("reports")) == 5
+        assert json.loads(summary.read_text()) == payload
+
+    def test_boundary_mismatch_mid_batch_raises(self):
+        cfg = cfg_12()
+        m = cfg.marking()
+        x = sample_point(cfg, 0)
+        y = FNPoint(g=1, n=2, lengths=x.lengths, twists=x.twists,
+                    boundary=(1.0, 2.0))
+        reports = verify_arcs([(x, x), (y, y), (x, x)], m, 1)
+        assert next(reports)["vacuous"] == len(m.arcs)
+        with pytest.raises(DomainError, match="equal boundary lengths"):
+            next(reports)
+
+    def test_zero_boundary_raises_before_any_report(self):
+        cfg = cfg_12()
+        x = phi_gamma(sample_point(cfg, 0))
+        reports = verify_arcs([(x, x), (x, x)], cfg.marking(), 1)
+        with pytest.raises(DomainError, match="positive boundary lengths"):
+            next(reports)
 
 
 class TestCompareMetrics:

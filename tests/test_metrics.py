@@ -12,9 +12,6 @@ from teichspace.metrics import (
     arc_lower,
     arc_of,
     bordered_ext_bracket,
-    ext_annulus,
-    ext_cylinder,
-    ext_sum_bracket,
     maskit_bracket,
     symmetrize,
     teich_interval,
@@ -23,7 +20,7 @@ from teichspace.metrics import (
     thurston_lower,
     thurston_of,
 )
-from teichspace.pants_trig import DomainError, Interval
+from teichspace.pants_trig import DomainError
 from teichspace.surface import FNPoint, build_marking, phi_gamma
 
 lengths = st.floats(min_value=0.05, max_value=10.0,
@@ -67,52 +64,6 @@ class TestMaskitBracket:
             assert direct.lo == pytest.approx(doubled.lo / 2)
             assert direct.hi == pytest.approx(doubled.hi / 2)
             assert direct.hi == pytest.approx(0.5 * l * math.exp(l))
-
-
-class TestExtBrackets:
-    def test_sum_single_part_unchanged(self):
-        iv = Interval(0.5, 2.0)
-        assert ext_sum_bracket([iv]) == iv
-
-    def test_sum_two_equal_parts(self):
-        iv = ext_sum_bracket([Interval(1, 2), Interval(1, 2)])
-        assert iv == Interval(1, 8)
-
-    def test_sum_contains_every_part(self):
-        parts = [Interval(0.1, 0.5), Interval(0.3, 0.4), Interval(0.2, 1.0)]
-        out = ext_sum_bracket(parts)
-        for p in parts:
-            assert out.lo >= p.lo - 1e-15 or out.lo <= p.lo
-            assert out.hi >= p.hi
-
-    def test_sum_rejects_empty(self):
-        with pytest.raises(DomainError):
-            ext_sum_bracket([])
-
-    def test_annulus_unit_value(self):
-        r1 = math.exp(-4 * math.pi)  # cusp radius at horocycle length 1/2
-        r2 = math.exp(-2 * math.pi)
-        assert ext_annulus(r1, r2) == pytest.approx(1.0)
-
-    def test_annulus_small_horocycle(self):
-        for eps in (0.1, 0.01):
-            val = ext_annulus(math.exp(-2 * math.pi / eps), math.exp(-2 * math.pi))
-            assert val == pytest.approx(1 / (1 / eps - 1))
-            assert val <= 2 * eps
-
-    def test_annulus_log_ratio_one(self):
-        assert ext_annulus(1.0, math.e) == pytest.approx(2 * math.pi)
-
-    def test_annulus_rejects_bad_order(self):
-        with pytest.raises(DomainError):
-            ext_annulus(2.0, 1.0)
-
-    def test_cylinder(self):
-        assert ext_cylinder(1, 1) == 1.0
-        assert ext_cylinder(3, 2) == pytest.approx(1.5)
-        assert ext_cylinder(3, 4) == pytest.approx(ext_cylinder(3, 2) / 2)
-        with pytest.raises(DomainError):
-            ext_cylinder(0, 1)
 
 
 class TestThurstonLower:

@@ -194,6 +194,17 @@ class TestFNPoint:
         with pytest.raises(DomainError):
             FNPoint(g=1, n=1, lengths=[0.0], twists=[0.0], boundary=[1])
 
+    @pytest.mark.parametrize("twist", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_twist(self, twist):
+        with pytest.raises(DomainError, match="twists must be finite"):
+            FNPoint(1, 1, [1.0], [twist], [1.0])
+
+    def test_json_is_dumped_dict(self):
+        x = FNPoint(g=1, n=2, lengths=[1.5, 2.0], twists=[0.25, -1.0],
+                    boundary=[1.0, 0.5])
+        assert x.to_json() == json.dumps(x.to_dict())
+        assert json.loads(x.to_json()) == x.to_dict()
+
     def test_boundary_zero_allowed(self):
         x = FNPoint(g=1, n=1, lengths=[2.0], twists=[0.0], boundary=[0.0])
         assert x.is_punctured()
