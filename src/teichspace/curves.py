@@ -48,7 +48,6 @@ from .surface import ArcClass, FNPoint, Marking
 __all__ = [
     "CurveClass",
     "LengthTable",
-    "NeighborhoodCurve",
     "curve_length_at",
     "enumerate_arcs",
     "enumerate_curves",
@@ -225,55 +224,26 @@ def enumerate_arcs(m: Marking, depth: int = 0):
 
 def arc_length_formula(fn: FNPoint, m: Marking, arc: ArcClass) -> float:
     """Closed-form length of a pants-local arc (twist independent)."""
-    lens = [m.slot_length(fn, (arc.pants, s)) for s in range(3)]
+    a, b, c = (m.slot_length(fn, (arc.pants, s))
+               for s in arc.slots + arc.neighbour_slots)
     if arc.kind == "between":
-        si, sj = arc.slots
-        return pants_trig.orthogeodesic_between(lens[si], lens[sj],
-                                                lens[3 - si - sj])
-    (s,) = arc.slots
-    others = [t for t in range(3) if t != s]
-    return pants_trig.orthogeodesic_self(lens[s], lens[others[0]],
-                                         lens[others[1]])
-
-
-@dataclass(frozen=True)
-class NeighborhoodCurve:
-    """Boundary curve of the pants neighbourhood of an arc.
-
-    ``ref`` points at a pants curve ``("gamma", k)`` or a boundary
-    ``("beta", i)``; boundary-parallel curves are flagged non-essential.
-    """
-
-    ref: tuple
-    essential: bool
-
-    def length_at(self, fn: FNPoint) -> float:
-        kind, idx = self.ref
-        return fn.lengths[idx] if kind == "gamma" else fn.boundary[idx]
-
-    def label(self) -> str:
-        return f"{self.ref[0]}{self.ref[1]}" + ("" if self.essential else "(boundary)")
+        return pants_trig.orthogeodesic_between(a, b, c)
+    return pants_trig.orthogeodesic_self(a, b, c)
 
 
 def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):
     """Boundary curves of the tubular neighbourhood pants of an arc.
 
-    One curve for an arc joining two distinct boundaries (the third cuff of
-    its pants), two for a self-arc (the other two cuffs, which coincide on
-    a handle block).  Curves parallel to a surface boundary are returned
-    flagged as non-essential.
+    The seed curves on the arc's ``neighbour_slots``: one for an arc
+    joining two distinct boundaries (the third cuff of its pants), two for
+    a self-arc (the other two cuffs, which coincide on a handle block).
+    A curve on a boundary slot is the seed ``("beta", i)``, which is not
+    essential.
     """
     slots = m.slot_assignment()
-    if arc.kind == "between":
-        si, sj = arc.slots
-        other = [3 - si - sj]
-    else:
-        (s,) = arc.slots
-        other = [t for t in range(3) if t != s]
     out = []
-    for s in other:
+    for s in arc.neighbour_slots:
         kind, idx = slots[(arc.pants, s)]
-        edge = kind == "edge"
-        out.append(NeighborhoodCurve(ref=("gamma" if edge else "beta", idx),
-                                     essential=edge))
+        out.append(CurveClass(seed=("gamma" if kind == "edge" else "beta", idx),
+                              power=0))
     return out

@@ -217,12 +217,16 @@ class ArcClass:
 
     ``kind`` is "between" (two distinct boundary slots ``slots``) or "self"
     (one boundary slot).  Boundary indices are recorded alongside the slots.
+    ``neighbour_slots`` are the slots of the other cuffs of the pants, which
+    bound the arc's neighbourhood: the third slot of a between-arc, the
+    other two of a self-arc in ascending order.
     """
 
     pants: int
     kind: str
     slots: tuple
     boundaries: tuple
+    neighbour_slots: tuple
 
     def label(self) -> str:
         bs = ",".join(str(b) for b in self.boundaries)
@@ -357,15 +361,17 @@ def build_marking(g: int, n: int) -> Marking:
         sides = sorted(by_pants[p], key=lambda ps: ps[1])
         for i in range(len(sides)):
             for j in range(i + 1, len(sides)):
+                si, sj = sides[i][1], sides[j][1]
                 arcs.append(ArcClass(
-                    pants=p, kind="between",
-                    slots=(sides[i][1], sides[j][1]),
+                    pants=p, kind="between", slots=(si, sj),
                     boundaries=(slot_of_boundary[sides[i]],
-                                slot_of_boundary[sides[j]])))
+                                slot_of_boundary[sides[j]]),
+                    neighbour_slots=(3 - si - sj,)))
         for side in sides:
             arcs.append(ArcClass(
                 pants=p, kind="self", slots=(side[1],),
-                boundaries=(slot_of_boundary[side],)))
+                boundaries=(slot_of_boundary[side],),
+                neighbour_slots=tuple(t for t in range(3) if t != side[1])))
 
     return Marking(genus=g, nboundary=n, pants_count=pants_count,
                    edges=tuple(edges), boundary_slots=tuple(boundary_slots),

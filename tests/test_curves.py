@@ -345,7 +345,7 @@ class TestNeighborhoodBoundaries:
         arc = next(a for a in m.arcs if a.kind == "between"
                    and a.boundaries == (0, 1))
         (nb,) = pants_neighborhood_boundaries(arc, m)
-        assert nb.ref == ("beta", 2)
+        assert nb.seed == ("beta", 2)
         assert not nb.essential
 
     def test_self_arc_has_two_curves(self):
@@ -358,7 +358,7 @@ class TestNeighborhoodBoundaries:
         m = build_marking(1, 1)
         (arc,) = m.arcs
         nbs = pants_neighborhood_boundaries(arc, m)
-        assert [nb.ref for nb in nbs] == [("gamma", 0), ("gamma", 0)]
+        assert [nb.seed for nb in nbs] == [("gamma", 0), ("gamma", 0)]
         assert all(nb.essential for nb in nbs)
 
     def test_between_arc_identity_cross_module(self):
@@ -371,7 +371,7 @@ class TestNeighborhoodBoundaries:
         arc = next(a for a in m.arcs if a.kind == "between")
         (nb,) = pants_neighborhood_boundaries(arc, m)
         assert nb.essential
-        la = nb.length_at(x)
+        la = curve_length_at(x, m, nb)
         i, j = arc.boundaries
         want = orthogeodesic_between(x.boundary[i], x.boundary[j], la)
         assert arc_length_formula(x, m, arc) == pytest.approx(want, abs=1e-8)
@@ -384,7 +384,27 @@ class TestNeighborhoodBoundaries:
         arc = next(a for a in m.arcs if a.kind == "self")
         nbs = pants_neighborhood_boundaries(arc, m)
         (i,) = arc.boundaries
-        want = orthogeodesic_self(x.boundary[i], nbs[0].length_at(x),
-                                  nbs[1].length_at(x))
+        want = orthogeodesic_self(x.boundary[i], curve_length_at(x, m, nbs[0]),
+                                  curve_length_at(x, m, nbs[1]))
         assert arc_length_formula(x, m, arc) == pytest.approx(want, abs=1e-8)
 
+
+    @pytest.mark.parametrize("g,n", [(g, n) for g in range(4)
+                                     for n in range(1, 5) if 2 * g + n > 2])
+    def test_neighbourhood_curves_are_seeds_on_the_neighbour_slots(self, g, n):
+        m = build_marking(g, n)
+        slots = m.slot_assignment()
+        for arc in m.arcs:
+            if arc.kind == "between":
+                assert arc.neighbour_slots == (3 - sum(arc.slots),)
+            else:
+                assert arc.neighbour_slots == tuple(
+                    t for t in range(3) if t not in arc.slots)
+            nbs = pants_neighborhood_boundaries(arc, m)
+            assert all(isinstance(nb, CurveClass) and nb.power == 0
+                       for nb in nbs)
+            want = [slots[(arc.pants, s)] for s in arc.neighbour_slots]
+            assert [("edge" if nb.essential else "boundary", nb.seed[1])
+                    for nb in nbs] == want
+            assert [nb.seed[0] for nb in nbs] == [
+                "gamma" if kind == "edge" else "beta" for kind, _ in want]

@@ -200,6 +200,39 @@ class TestVerifyArcs:
             next(reports)
 
 
+    def test_pants_alone_checks_no_arc(self):
+        cfg = ExperimentConfig(g=0, n=3, boundary=(0.5, 1.0, 2.0), seed=2,
+                               samples=20)
+        m = cfg.marking()
+        pairs = [(sample_point(cfg, 2 * i), sample_point(cfg, 2 * i + 1))
+                 for i in range(20)]
+        reports = list(verify_arcs(pairs, m, 1))
+        assert len(reports) == 20
+        for rep in reports:
+            assert rep["checked"] == rep["passed"] == 0
+            assert rep["vacuous"] == len(m.arcs)
+            assert all(row["ratio"] == 1.0 and row["checked"] is False
+                       for row in rep["arcs"])
+
+    def test_boundary_parallel_curve_is_listed_and_excluded(self):
+        cfg = ExperimentConfig(g=1, n=6, boundary=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75),
+                               seed=3)
+        m = cfg.marking()
+        pairs = [(sample_point(cfg, 2 * i), sample_point(cfg, 2 * i + 1))
+                 for i in range(20)]
+        rows = [row for rep in verify_arcs(pairs, m, 2) for row in rep["arcs"]
+                if row["checked"] and row["excluded_boundary_parallel"]]
+        assert rows
+        for row in rows:
+            assert row["excluded_boundary_parallel"] == 1
+            (parallel,) = [c for c in row["curves"] if not c["essential"]]
+            assert parallel["curve"].startswith("beta")
+            assert parallel["curve"].endswith("(boundary)")
+            assert parallel["l1"] == parallel["l2"]
+            assert row["max_curve_ratio"] == max(
+                c["ratio"] for c in row["curves"] if c["essential"])
+
+
 class TestCompareMetrics:
     def test_equal_points_all_zero(self):
         cfg = cfg_12()
