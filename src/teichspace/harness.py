@@ -97,13 +97,17 @@ class ExperimentConfig:
     def marking(self) -> Marking:
         return build_marking(self.g, self.n)
 
+    def to_dict(self) -> dict:
+        """The config as a plain JSON-ready dict; :meth:`to_json` dumps it."""
+        return {"g": self.g, "n": self.n, "boundary": list(self.boundary),
+                "length_range": list(self.length_range),
+                "twist_range": list(self.twist_range),
+                "seed": self.seed, "depth": self.depth,
+                "samples": self.samples, "out": self.out,
+                "format": self.format}
+
     def to_json(self) -> str:
-        return json.dumps({
-            "g": self.g, "n": self.n, "boundary": list(self.boundary),
-            "length_range": list(self.length_range),
-            "twist_range": list(self.twist_range),
-            "seed": self.seed, "depth": self.depth, "samples": self.samples,
-            "out": self.out, "format": self.format})
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -371,10 +375,10 @@ class AlmostIsometryReport:
     metric: str
     worst_pair: tuple = field(default=())
 
-    def to_json(self) -> str:
-        return json.dumps({"a_bound": self.a_bound, "b_bound": self.b_bound,
-                           "pairs": self.pairs, "metric": self.metric,
-                           "worst_pair": list(self.worst_pair)})
+    def to_dict(self) -> dict:
+        return {"a_bound": self.a_bound, "b_bound": self.b_bound,
+                "pairs": self.pairs, "metric": self.metric,
+                "worst_pair": list(self.worst_pair)}
 
 
 def almost_isometry_report(samples, m: Marking, depth: int,

@@ -25,7 +25,6 @@ tables, scalar closed forms with no holonomy assembly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,10 +57,9 @@ class MetricEstimate:
     witness: str
     family_size: int
 
-    def to_json(self) -> str:
-        return json.dumps({"value": self.value, "depth": self.depth,
-                           "witness": self.witness,
-                           "family_size": self.family_size})
+    def to_dict(self) -> dict:
+        return {"value": self.value, "depth": self.depth,
+                "witness": self.witness, "family_size": self.family_size}
 
 
 def _require_same_space(x1: FNPoint, x2: FNPoint) -> None:
@@ -189,12 +187,11 @@ class TeichIntervalReport:
     witness_max_log_width: float
     family_size: int
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "interval": [self.interval.lo, self.interval.hi],
-            "depth": self.depth, "witness": self.witness,
-            "witness_max_log_width": self.witness_max_log_width,
-            "family_size": self.family_size})
+    def to_dict(self) -> dict:
+        return {"interval": [self.interval.lo, self.interval.hi],
+                "depth": self.depth, "witness": self.witness,
+                "witness_max_log_width": self.witness_max_log_width,
+                "family_size": self.family_size}
 
 
 def _curve_ext_bracket(l: float, bordered: bool) -> Interval:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from teichspace import cli, harness, surface
+from teichspace import cli, harness, metrics, surface
 from teichspace.harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -420,6 +420,26 @@ class TestCli:
                      "--depth", "2", "--out", str(out))
         payload = json.loads(out.read_text())
         assert payload["d_th"]["value"] >= math.log(2.5 / 2.0) - 1e-12
+
+    @pytest.mark.parametrize("boundary", [(1.0,), (0.0,)])
+    def test_distance_builds_two_tables(self, tmp_path, monkeypatch, boundary):
+        builds = []
+        length_table = metrics.length_table
+        monkeypatch.setattr(metrics, "length_table",
+                            lambda *a: builds.append(a) or length_table(*a))
+        paths = []
+        for name, lengths in (("x1", [2.0]), ("x2", [2.5])):
+            x = FNPoint(g=1, n=1, lengths=lengths, twists=[0.3],
+                        boundary=boundary)
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(x.to_json())
+        out = tmp_path / "dist.json"
+        cli.main(["distance", "--x1", str(paths[0]), "--x2", str(paths[1]),
+                  "--out", str(out)])
+        assert len(builds) == 2
+        payload = json.loads(out.read_text())
+        assert list(payload) == (["d_th", "d_a", "teich"] if boundary[0]
+                                 else ["d_th", "teich"])
 
     def test_report_thurston_on_punctured_images(self, tmp_path):
         # The images of these points glue cusp pants to bordered-slot pants.
