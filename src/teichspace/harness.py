@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .curves import (
 )
 from .metrics import arc_of, teich_of, thurston_of
 from .pants_trig import DomainError, gap_constants
-from .surface import FNPoint, Marking, build_marking, phi_gamma
+from .surface import FNPoint, Marking, build_marking, json_fields, phi_gamma
 
 __all__ = [
     "AlmostIsometryReport",
@@ -82,6 +82,10 @@ class ExperimentConfig:
         object.__setattr__(self, "twist_range", tuple(float(v) for v in self.twist_range))
         if len(self.boundary) != self.n:
             raise DomainError(f"expected {self.n} boundary lengths")
+        for name in ("length_range", "twist_range"):
+            r = getattr(self, name)
+            if len(r) != 2 or not all(math.isfinite(v) for v in r):
+                raise DomainError(f"{name} must be two finite numbers, got {r}")
         lo, hi = self.length_range
         if not (0 < lo <= hi):
             raise DomainError(f"length range must be positive, got {self.length_range}")
@@ -111,20 +115,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """Config from a JSON object; absent fields take their defaults.
-        Unknown keys, absent fields without a default and non-integer
-        values of integer fields raise :class:`DomainError` naming them."""
-        d = json.loads(text)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise DomainError(f"unknown config keys: {', '.join(unknown)}")
-        for f in fields(cls):
-            if f.name not in d and f.default is MISSING:
-                raise DomainError(f"missing config key: {f.name}")
-            if f.type == "int" and f.name in d and type(d[f.name]) is not int:
-                raise DomainError(f"config key {f.name} must be an integer, "
-                                  f"got {d[f.name]!r}")
-        return cls(**d)
+        """Config from a JSON object, checked by
+        :func:`~teichspace.surface.json_fields`; absent fields take their
+        defaults."""
+        return cls(**json_fields(cls, text, "config"))
 
 
 def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:

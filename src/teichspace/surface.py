@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -425,9 +425,40 @@ class FNPoint:
 
     @classmethod
     def from_json(cls, text: str) -> "FNPoint":
-        d = json.loads(text)
-        return cls(g=d["g"], n=d["n"], lengths=d["lengths"],
-                   twists=d["twists"], boundary=d["boundary"])
+        """Point from a JSON object, checked by :func:`json_fields`."""
+        return cls(**json_fields(cls, text, "point"))
+
+
+def json_fields(cls, text: str, what: str) -> dict:
+    """Keyword arguments of the dataclass ``cls`` read from the JSON object
+    ``text``; ``what`` names the object in messages.
+
+    A value that is not an object, unknown keys, absent fields without a
+    default, non-integer values of integer fields and values of tuple
+    fields that are not lists of numbers raise :class:`DomainError` naming
+    them.  Absent fields with a default are left out.
+    """
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise DomainError(f"{what} must be a JSON object, got "
+                          f"{type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DomainError(f"unknown {what} keys: {', '.join(unknown)}")
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING:
+                raise DomainError(f"missing {what} key: {f.name}")
+            continue
+        v = d[f.name]
+        if f.type == "int" and type(v) is not int:
+            raise DomainError(f"{what} key {f.name} must be an integer, "
+                              f"got {v!r}")
+        if f.type == "tuple" and not (
+                type(v) is list and all(type(e) in (int, float) for e in v)):
+            raise DomainError(f"{what} key {f.name} must be a list of "
+                              f"numbers, got {v!r}")
+    return d
 
 
 def phi_gamma(x: FNPoint) -> FNPoint:

@@ -58,6 +58,21 @@ class TestExperimentConfig:
         with pytest.raises(DomainError, match=f"config key {key} must be an integer"):
             ExperimentConfig.from_json(json.dumps(d))
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("length_range", [0.5, math.inf], "length_range must be two finite"),
+        ("twist_range", [math.nan, math.nan], "twist_range must be two finite"),
+        ("length_range", [1], "length_range must be two finite"),
+        ("boundary", 5, "config key boundary must be a list of numbers"),
+    ])
+    def test_rejects_malformed_ranges(self, key, value, match):
+        d = {"g": 1, "n": 2, "boundary": [1, 1], key: value}
+        with pytest.raises(DomainError, match=match):
+            ExperimentConfig.from_json(json.dumps(d))
+
+    def test_rejects_non_object(self):
+        with pytest.raises(DomainError, match="config must be a JSON object"):
+            ExperimentConfig.from_json("[1, 2]")
+
     def test_partial_config_takes_defaults(self):
         cfg = ExperimentConfig.from_json('{"g": 1, "n": 2, "boundary": [1, 1]}')
         assert cfg == ExperimentConfig(g=1, n=2, boundary=(1.0, 1.0))

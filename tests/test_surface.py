@@ -205,6 +205,26 @@ class TestFNPoint:
         assert x.to_json() == json.dumps(x.to_dict())
         assert json.loads(x.to_json()) == x.to_dict()
 
+    @pytest.mark.parametrize("change,match", [
+        ({"g": None}, "missing point key: g"),
+        ({"genus": 1}, "unknown point keys: genus"),
+        ({"g": True}, "point key g must be an integer, got True"),
+        ({"g": "1"}, "point key g must be an integer, got '1'"),
+        ({"boundary": 1.0}, "point key boundary must be a list of numbers"),
+        ({"twists": ["0"]}, "point key twists must be a list of numbers"),
+    ])
+    def test_from_json_rejects_malformed_fields(self, change, match):
+        d = {"g": 1, "n": 1, "lengths": [2.0], "twists": [0.0],
+             "boundary": [1.0]}
+        d.update(change)
+        d = {k: v for k, v in d.items() if v is not None}
+        with pytest.raises(DomainError, match=match):
+            FNPoint.from_json(json.dumps(d))
+
+    def test_from_json_rejects_non_object(self):
+        with pytest.raises(DomainError, match="point must be a JSON object"):
+            FNPoint.from_json("[1, 1, [2.0], [0.0], [1.0]]")
+
     def test_boundary_zero_allowed(self):
         x = FNPoint(g=1, n=1, lengths=[2.0], twists=[0.0], boundary=[0.0])
         assert x.is_punctured()
