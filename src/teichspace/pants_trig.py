@@ -88,6 +88,11 @@ def _require_positive(**values: float) -> None:
             raise DomainError(f"{name} must be a positive finite length, got {v!r}")
 
 
+def _acosh1p(w: float) -> float:
+    """``acosh(1 + w)`` for ``w >= 0``, without rounding ``1 + w``."""
+    return math.log1p(w + math.sqrt(w) * math.sqrt(w + 2.0))
+
+
 def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     """Length of the orthogeodesic arc joining two distinct boundaries.
 
@@ -95,13 +100,16 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     connects, ``la`` the length of the third boundary of the pants the arc
     determines.  Symmetric in ``(li, lj)`` and strictly increasing in ``la``.
     ``la = 0`` is allowed (the third boundary degenerates to a cusp).
+    Since ``cosh a cosh b - sinh a sinh b = cosh(a - b)``, the identity is
+    ``acosh(1 + w)`` with ``w = (cosh((li - lj)/2) + cosh(la/2))
+    / (sinh(li/2) sinh(lj/2))``, which keeps its precision for long
+    boundaries.
     """
     _require_positive(li=li, lj=lj)
     if la < 0 or not math.isfinite(la):
         raise DomainError(f"la must be a nonnegative finite length, got {la!r}")
-    num = math.cosh(li / 2) * math.cosh(lj / 2) + math.cosh(la / 2)
-    den = math.sinh(li / 2) * math.sinh(lj / 2)
-    return math.acosh(num / den)
+    return _acosh1p((math.cosh((li - lj) / 2) + math.cosh(la / 2))
+                    / (math.sinh(li / 2) * math.sinh(lj / 2)))
 
 
 def min_between_arc_length(li: float, lj: float) -> float:
@@ -111,10 +119,7 @@ def min_between_arc_length(li: float, lj: float) -> float:
     below this value no pants exists and :func:`third_boundary_from_arc`
     has no solution.
     """
-    _require_positive(li=li, lj=lj)
-    num = math.cosh(li / 2) * math.cosh(lj / 2) + 1.0
-    den = math.sinh(li / 2) * math.sinh(lj / 2)
-    return math.acosh(num / den)
+    return orthogeodesic_between(li, lj, 0.0)
 
 
 def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
@@ -252,8 +257,7 @@ def between_arc_constants(boundary_lengths) -> BetweenArcConstants:
         lam = max(lam, ss, (cc + 1.0) / ss)
     threshold = math.log(2.0 * lam)
     arc_floor = min(
-        math.acosh((math.cosh(u / 2) * math.cosh(v / 2))
-                   / (math.sinh(u / 2) * math.sinh(v / 2)))
+        _acosh1p(math.cosh((u - v) / 2) / (math.sinh(u / 2) * math.sinh(v / 2)))
         for (u, v) in pairs)
     # Cap on the curve length while the arc stays below the threshold:
     # cosh(la/2) = cosh(l_arc) ss - cc <= exp(l_arc) ss - cc <= 2 lam ss - cc.

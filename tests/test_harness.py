@@ -490,6 +490,18 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["pass_rate"] == 1.0
 
+    @pytest.mark.parametrize("long", [38.0, 40.0])
+    def test_long_boundary_runs(self, tmp_path, long):
+        cfg = ExperimentConfig(g=1, n=2, boundary=(long, 1.0), depth=1,
+                               samples=3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out = tmp_path / "out.json"
+        cli.main(["compare", "--config", str(cfg_path), "--out", str(out)])
+        assert len(json.loads(out.read_text())["rows"]) == 3
+        cli.main(["verify-arcs", "--config", str(cfg_path), "--out", str(out)])
+        assert json.loads(out.read_text())["pass_rate"] == 1.0
+
     def test_phi_experiment_subcommand(self, tmp_path):
         cfg = cfg_12(samples=1)
         cfg_path = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from the defining formulas; the inline comments show the expressions.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from teichspace.pants_trig import (
 
 lengths = st.floats(min_value=0.05, max_value=8.0,
                     allow_nan=False, allow_infinity=False)
+# The documented boundary range.
+envelope = st.floats(min_value=1e-4, max_value=40.0)
 
 
 class TestOrthogeodesicBetween:
@@ -63,6 +66,23 @@ class TestOrthogeodesicBetween:
         e = math.exp(la / 2)
         assert e / (2 * lam) <= c * (1 + 1e-12)
         assert c <= lam * e * (1 + 1e-12)
+
+
+    @given(li=envelope, lj=envelope, la=st.just(0.0) | envelope)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mpmath_over_the_envelope(self, li, lj, la):
+        with mpmath.workdps(50):
+            a, b, c = (mpmath.mpf(v) / 2 for v in (li, lj, la))
+            want = mpmath.acosh((mpmath.cosh(a) * mpmath.cosh(b) + mpmath.cosh(c))
+                                / (mpmath.sinh(a) * mpmath.sinh(b)))
+            got = orthogeodesic_between(li, lj, la)
+            assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("li,lj", [(38.0, 1.0), (40.0, 40.0),
+                                       (37.43, 39.31)])
+    def test_long_boundaries(self, li, lj):
+        assert 0.0 < orthogeodesic_between(li, lj, 0.0) < math.inf
+        assert min_between_arc_length(li, lj) == orthogeodesic_between(li, lj, 0.0)
 
 
 class TestThirdBoundaryFromArc:
@@ -226,6 +246,14 @@ class TestGapConstants:
         g = gap_constants([1, 1])
         assert g.c_between == between_arc_constants([1, 1]).ratio_const
         assert g.c_self == self_arc_constant([1, 1])
+
+
+    @given(st.lists(envelope, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_constant_in_unit_interval_over_the_envelope(self, boundary):
+        gaps = gap_constants(boundary)
+        assert 0.0 < gaps.c <= 1.0
+        assert between_arc_constants(boundary).arc_floor > 0.0
 
 
 class TestInterval:
