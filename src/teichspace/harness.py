@@ -148,9 +148,9 @@ def verify_arcs(pairs, m: Marking, depth: int):
     curves are excluded from the maximum and noted.  Each report carries
     full replay witnesses.
 
-    Every arc outside the pants alone has an essential neighbourhood curve;
-    on the pants alone both points carry the same three boundary lengths,
-    so every arc keeps its length and none is checked.
+    Every checked arc has an essential neighbourhood curve: only the pants
+    alone has none, and there both points share all three cuff lengths,
+    so no arc changes length.
 
     The constants, the arcs and their neighbourhood curves depend only on
     the boundary and the marking, so they are computed once, from the
@@ -165,8 +165,8 @@ def verify_arcs(pairs, m: Marking, depth: int):
                 raise DomainError("arc check needs positive boundary lengths")
             constants = gap_constants(boundary)
             plan = [(arc, arc.label(),
-                     [((arc.pants, s), c.label() + ("" if c.essential
-                                                    else "(boundary)"),
+                     [((arc.pants, s),
+                       c.label() + ("" if c.essential else "(boundary)"),
                        c.essential)
                       for s, c in zip(arc.neighbour_slots,
                                       pants_neighborhood_boundaries(arc, m))])

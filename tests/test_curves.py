@@ -400,11 +400,7 @@ class TestNeighborhoodBoundaries:
             else:
                 assert arc.neighbour_slots == tuple(
                     t for t in range(3) if t not in arc.slots)
-            nbs = pants_neighborhood_boundaries(arc, m)
-            assert all(isinstance(nb, CurveClass) and nb.power == 0
-                       for nb in nbs)
-            want = [slots[(arc.pants, s)] for s in arc.neighbour_slots]
-            assert [("edge" if nb.essential else "boundary", nb.seed[1])
-                    for nb in nbs] == want
-            assert [nb.seed[0] for nb in nbs] == [
-                "gamma" if kind == "edge" else "beta" for kind, _ in want]
+            want = [CurveClass(("gamma" if kind == "edge" else "beta", idx), 0)
+                    for kind, idx in (slots[(arc.pants, s)]
+                                      for s in arc.neighbour_slots)]
+            assert pants_neighborhood_boundaries(arc, m) == want
