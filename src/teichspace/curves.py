@@ -153,7 +153,7 @@ def _dual_length(fn: FNPoint, m: Marking, k: int, power: int) -> float:
         u = (cl * (ap * bm + am * bp) + ap * bp + am * bm
              + 2.0 * math.sinh(tau / 2.0) ** 2 * qq
              + (s2 * (qa + qb) + qa * qb) / (qq + s2)) / s2
-    return 2.0 * math.log1p(u + math.sqrt(u) * math.sqrt(u + 2.0))
+    return 2.0 * pants_trig._acosh1p(u)
 
 
 def curve_length_at(fn: FNPoint, m: Marking, c: CurveClass) -> float:
@@ -201,24 +201,17 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
         raise replay from err
     arcs = ()
     if m.nboundary and all(fn.boundary):
-        arcs = tuple(enumerate_arcs(m, depth))
+        arcs = tuple(enumerate_arcs(m))
     return LengthTable(point=fn, depth=depth, classes=classes, lengths=lengths,
                        arcs=arcs,
                        arc_lengths=tuple(arc_length_formula(fn, m, a) for a in arcs))
 
 
-def enumerate_arcs(m: Marking, depth: int = 0):
-    """Seed arcs of every boundary-adjacent pants.
-
-    The seed system (one arc per boundary pair within a pants plus one
-    self-arc per boundary slot) is independent of ``depth``; richer
-    doubled-word families are an extension point and keep the family
-    nested in ``depth``.
-    """
+def enumerate_arcs(m: Marking):
+    """Seed arcs of every boundary-adjacent pants: one arc per boundary
+    pair within a pants plus one self-arc per boundary slot."""
     if m.nboundary < 1:
         raise DomainError("arc families need at least one boundary component")
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth!r}")
     return list(m.arcs)
 
 

@@ -155,7 +155,8 @@ def verify_arcs(pairs, m: Marking, depth: int):
     The constants, the arcs and their neighbourhood curves depend only on
     the boundary and the marking, so they are computed once, from the
     first pair, before its report; every point of every pair must share
-    that boundary.
+    that boundary.  ``depth`` does not enter: the seed arcs are the same at
+    every family depth.
     """
     plan = None
     for x1, x2 in pairs:
@@ -170,7 +171,7 @@ def verify_arcs(pairs, m: Marking, depth: int):
                        c.essential)
                       for s, c in zip(arc.neighbour_slots,
                                       pants_neighborhood_boundaries(arc, m))])
-                    for arc in enumerate_arcs(m, depth)]
+                    for arc in enumerate_arcs(m)]
         if x1.boundary != boundary or x2.boundary != boundary:
             raise DomainError("arc check needs equal boundary lengths")
         rows = []

@@ -12,7 +12,10 @@ two-sided bounds for the extremal length of a closed geodesic in terms of
 its hyperbolic length (Maskit's inequalities on cusped surfaces, doubled
 across the boundary for bordered ones) are combined conservatively over
 the curve family, and the upper end absorbs the additive defect
-``log(n + 2)`` of restricting the supremum to simple closed curves.
+``log(n + 2)`` of restricting the supremum to simple closed curves.  The
+brackets enter in closed log form, ``log(l/pi) <= log Ext <= log(l/2) +
+kappa l`` with ``kappa = 1/2`` punctured and ``1`` bordered, so the interval
+is finite for every length a table can hold (no ``exp(l)`` is formed).
 
 Every estimator is a pure reduction over the :class:`~teichspace.curves.LengthTable`
 of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`);
@@ -170,7 +173,9 @@ def bordered_ext_bracket(l: float) -> Interval:
     length, so the bordered bracket is half the bracket of the doubled
     curve: ``maskit_bracket(2 l) / 2 = [l/pi, (l/2) exp(l)]``.
     """
-    return maskit_bracket(2.0 * l).scale(0.5)
+    if not (l > 0.0) or not math.isfinite(l):
+        raise DomainError(f"length must be positive, got {l!r}")
+    return Interval(l / math.pi, 0.5 * l * math.exp(l))
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +199,6 @@ class TeichIntervalReport:
                 "family_size": self.family_size}
 
 
-def _curve_ext_bracket(l: float, bordered: bool) -> Interval:
-    return bordered_ext_bracket(l) if bordered else maskit_bracket(l)
-
-
 def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     """Interval bracketing the quasiconformal metric between two points.
 
@@ -206,7 +207,11 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     bracketed through the hyperbolic-length brackets; the lower end pairs
     bracket ends so the value can only shrink, the upper end so it can
     only grow, and the additive defect ``log(n+2)`` of the simple-curve
-    restriction widens the top.
+    restriction widens the top.  The brackets are taken in log form: a
+    curve of length ``l`` has log extremal length in ``[log(l/pi),
+    log(l/2) + kappa l]``, ``kappa = 1/2`` punctured (:func:`maskit_bracket`)
+    and ``1`` bordered (:func:`bordered_ext_bracket`), which never forms
+    ``exp(l)`` and so holds for every length a table can hold.
     """
     _require_comparable(t1, t2)
     x1 = t1.point
@@ -214,13 +219,12 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     if not punctured and any(v == 0.0 for v in x1.boundary):
         raise DomainError("points must be fully punctured or fully bordered")
     triples = _essential(t1, t2)
+    kappa = 0.5 if punctured else 1.0
     s_lo = 0.0
     s_hi, witness, wit_width = None, None, 0.0
     for c, a, b in triples:
-        b1 = _curve_ext_bracket(a, not punctured)
-        b2 = _curve_ext_bracket(b, not punctured)
-        la1, lb1 = math.log(b1.lo), math.log(b1.hi)
-        la2, lb2 = math.log(b2.lo), math.log(b2.hi)
+        la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
+        la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
         v_lo = 0.5 * max(0.0, la2 - lb1, la1 - lb2)
         v_hi = 0.5 * max(lb2 - la1, lb1 - la2)
         s_lo = max(s_lo, v_lo)

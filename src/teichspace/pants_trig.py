@@ -125,13 +125,16 @@ def min_between_arc_length(li: float, lj: float) -> float:
 def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
     """Invert :func:`orthogeodesic_between`: third boundary from arc length.
 
-    Returns ``la >= 0`` with ``orthogeodesic_between(li, lj, la) == lg``.
-    Raises :class:`DomainError` when ``lg`` is shorter than the minimal
-    feasible arc length for the given pair, reporting that minimum.
+    Returns ``la >= 0`` with ``orthogeodesic_between(li, lj, la) == lg``,
+    from the forward identity solved as ``cosh(la/2) = 2 sinh^2(lg/2)
+    sinh(li/2) sinh(lj/2) - cosh((li - lj)/2)``, which does not cancel for
+    long boundaries.  Raises :class:`DomainError` when ``lg`` is shorter
+    than the minimal feasible arc length for the given pair, reporting that
+    minimum.
     """
     _require_positive(li=li, lj=lj, lg=lg)
-    arg = (math.cosh(lg) * math.sinh(li / 2) * math.sinh(lj / 2)
-           - math.cosh(li / 2) * math.cosh(lj / 2))
+    arg = (2.0 * math.sinh(lg / 2) ** 2 * math.sinh(li / 2) * math.sinh(lj / 2)
+           - math.cosh((li - lj) / 2))
     if arg < 1.0:
         # Tolerate roundoff at the boundary of the feasible region.
         if arg > 1.0 - 1e-12:
@@ -198,11 +201,6 @@ class Interval:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
 
-    def scale(self, factor: float) -> "Interval":
-        if factor < 0:
-            raise DomainError("interval scale factor must be nonnegative")
-        return Interval(self.lo * factor, self.hi * factor)
-
 
 @dataclass(frozen=True)
 class BetweenArcConstants:
@@ -232,14 +230,14 @@ class BetweenArcConstants:
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
 
 
-def _boundary_pairs(boundary_lengths):
+def _boundary_lengths(boundary_lengths) -> tuple:
     lam = tuple(float(v) for v in boundary_lengths)
     if not lam:
         raise DomainError("need at least one boundary length")
     for v in lam:
         if not (v > 0.0 and math.isfinite(v)):
             raise DomainError(f"boundary lengths must be positive, got {v!r}")
-    return list(combinations_with_replacement(lam, 2))
+    return lam
 
 
 def between_arc_constants(boundary_lengths) -> BetweenArcConstants:
@@ -249,28 +247,17 @@ def between_arc_constants(boundary_lengths) -> BetweenArcConstants:
     (pairs with repetition: two distinct boundary components may have equal
     lengths).  All entries must be strictly positive.
     """
-    pairs = _boundary_pairs(boundary_lengths)
-    lam = 0.0
-    for (u, v) in pairs:
-        ss = math.sinh(u / 2) * math.sinh(v / 2)
-        cc = math.cosh(u / 2) * math.cosh(v / 2)
-        lam = max(lam, ss, (cc + 1.0) / ss)
+    terms = [(math.sinh(u / 2) * math.sinh(v / 2),
+              math.cosh(u / 2) * math.cosh(v / 2), math.cosh((u - v) / 2))
+             for u, v in combinations_with_replacement(
+                 _boundary_lengths(boundary_lengths), 2)]
+    lam = max(max(ss, (cc + 1.0) / ss) for ss, cc, _ in terms)
     threshold = math.log(2.0 * lam)
-    arc_floor = min(
-        _acosh1p(math.cosh((u - v) / 2) / (math.sinh(u / 2) * math.sinh(v / 2)))
-        for (u, v) in pairs)
+    arc_floor = min(_acosh1p(cd / ss) for ss, _, cd in terms)
     # Cap on the curve length while the arc stays below the threshold:
     # cosh(la/2) = cosh(l_arc) ss - cc <= exp(l_arc) ss - cc <= 2 lam ss - cc.
     # Since lam >= (cc+1)/ss for every pair, the acosh argument is >= cc + 2.
-    curve_cap = 0.0
-    for (u, v) in pairs:
-        ss = math.sinh(u / 2) * math.sinh(v / 2)
-        cc = math.cosh(u / 2) * math.cosh(v / 2)
-        arg = 2.0 * lam * ss - cc
-        if arg < 1.0:
-            raise DomainError(
-                f"curve cap undefined for boundary pair ({u!r}, {v!r})")
-        curve_cap = max(curve_cap, 2.0 * math.acosh(arg))
+    curve_cap = max(2.0 * math.acosh(2.0 * lam * ss - cc) for ss, cc, _ in terms)
     ratio_const = max(1.0 / 3.0, arc_floor / curve_cap, arc_floor / threshold)
     return BetweenArcConstants(lam=lam, threshold=threshold,
                                arc_floor=arc_floor, curve_cap=curve_cap,
@@ -285,13 +272,8 @@ def self_arc_constant(boundary_lengths) -> float:
     the minimum over all boundary components, so a single constant certifies
     every self-arc on the surface.  Always lies in ``(0, 1]``.
     """
-    lam = tuple(float(v) for v in boundary_lengths)
-    if not lam:
-        raise DomainError("need at least one boundary length")
     best = 1.0
-    for li in lam:
-        if not (li > 0.0 and math.isfinite(li)):
-            raise DomainError(f"boundary lengths must be positive, got {li!r}")
+    for li in _boundary_lengths(boundary_lengths):
         bracket = self_arc_bracket(li)
         b_lo, b_hi = bracket.lo, bracket.hi
         g0 = self_arc_floor(li)

@@ -76,6 +76,17 @@ _TWIST_SIGN = -1.0
 # and the band of |trace| around 2 read as parabolic (length 0).
 _RESIDUAL_TOL = 1e-9
 _PARABOLIC_TOL = 1e-9
+# Rounding noise of a determinant (64 eps max|entry|^2) above which
+# _renorm leaves the matrix alone: the determinant carries no information.
+_RENORM_NOISE_TOL = 1e-6
+# The same noise above which the determinant residual skips a matrix.
+_DET_NOISE_TOL = 1e-12
+# |w1| / |w0| below which a neighbouring axis endpoint is read as sitting
+# on the cuff endpoint at infinity, so the frame's foot is undefined.
+_FOOT_TOL = 1e-13
+# Trace discriminant and eigenbasis determinant below which a matrix is
+# read as parabolic: its two fixed directions coincide.
+_DEGENERATE_TOL = 1e-14
 
 
 class HolonomyError(RuntimeError):
@@ -109,7 +120,7 @@ def _renorm(m: np.ndarray) -> np.ndarray:
     """
     scale = float(np.abs(m).max())
     noise = 64.0 * np.finfo(float).eps * scale * scale
-    if noise > 1e-6:
+    if noise > _RENORM_NOISE_TOL:
         return m
     d = _det(m)
     if d <= 0:
@@ -132,7 +143,7 @@ def _fixed_directions(m: np.ndarray):
     single repeated direction for a parabolic one."""
     tr = m[0, 0] + m[1, 1]
     disc = tr * tr - 4.0
-    if disc <= 1e-14:
+    if disc <= _DEGENERATE_TOL:
         lam = math.copysign(1.0, tr)
         v = _eigen_direction(m, lam)
         return v, v
@@ -147,7 +158,7 @@ def _normalizer(m: np.ndarray) -> np.ndarray:
     ep, em = _fixed_directions(m)
     v = np.column_stack([ep, em])
     d = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if abs(d) < 1e-14:
+    if abs(d) < _DEGENERATE_TOL:
         raise HolonomyError("cannot normalize a parabolic element to the axis")
     if d < 0:
         v = np.column_stack([ep, -em])
@@ -163,7 +174,7 @@ def _frame(slot_mat: np.ndarray, neighbor_mat: np.ndarray) -> np.ndarray:
     pts = []
     for v in _fixed_directions(neighbor_mat):
         w = n @ v
-        if abs(w[1]) < 1e-13 * abs(w[0]):
+        if abs(w[1]) < _FOOT_TOL * abs(w[0]):
             raise HolonomyError("neighbouring cuff axis touches the cuff endpoint")
         pts.append(w[0] / w[1])
     p, q = pts
@@ -588,7 +599,7 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
     det_resid = 0.0
     for mat in list(slot_mats.values()) + list(conn_mats.values()):
         scale = float(np.abs(mat).max())
-        if 64.0 * np.finfo(float).eps * scale * scale > 1e-12:
+        if 64.0 * np.finfo(float).eps * scale * scale > _DET_NOISE_TOL:
             continue
         det_resid = max(det_resid, abs(_det(mat) - 1.0))
     for p in range(m.pants_count):

@@ -275,6 +275,16 @@ class TestCompareMetrics:
                                   sample_point(cfg, 2 * i + 1), m, 2)
             assert row["d_a_minus_d_th"] <= row["gap_constant"]
 
+    def test_long_cuffs_deep_family_give_finite_teich_interval(self):
+        # Twisted duals of length ~ 20 * 40 once overflowed exp(l).
+        m = build_marking(1, 1)
+        x1 = FNPoint(g=1, n=1, lengths=[40.0], twists=[0.0], boundary=[1.0])
+        x2 = FNPoint(g=1, n=1, lengths=[39.0], twists=[0.5], boundary=[1.0])
+        iv = metrics.teich_interval_report(x1, x2, m, 20).interval
+        row = compare_metrics(x1, x2, m, 20)
+        for lo, hi in ((iv.lo, iv.hi), (row["teich_lo"], row["teich_hi"])):
+            assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi
+
     def test_punctured_pair_raises(self):
         cfg = cfg_12()
         x1, x2 = (phi_gamma(sample_point(cfg, i)) for i in (0, 1))

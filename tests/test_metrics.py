@@ -198,15 +198,16 @@ class TestTeichInterval:
         with pytest.raises(DomainError):
             teich_interval(self.x, phi_gamma(self.x), self.m, 1)
 
-    def test_scaled_single_curve_against_direct_brackets(self):
+    @pytest.mark.parametrize("boundary,bb", [(1.0, bordered_ext_bracket),
+                                             (0.0, maskit_bracket)])
+    def test_scaled_single_curve_against_direct_brackets(self, boundary, bb):
         # One-holed torus with only the cuff length scaled: compare against
         # a direct evaluation of the bracket ends over the same family.
         m = build_marking(1, 1)
-        x = point(m, [1.0], [0.0], [1.0])
-        y = point(m, [2.0], [0.0], [1.0])
+        x = point(m, [1.0], [0.0], [boundary])
+        y = point(m, [2.0], [0.0], [boundary])
         rep = teich_interval_report(x, y, m, 0)
-        from teichspace.curves import curve_length_at, enumerate_curves
-        from teichspace.metrics import bordered_ext_bracket as bb
+        from teichspace.curves import curve_length_at
         lo = 0.0
         hi = None
         for c in enumerate_curves(m, 0):

@@ -86,13 +86,15 @@ class TestOrthogeodesicBetween:
 
 
 class TestThirdBoundaryFromArc:
-    def test_roundtrip_identity(self):
-        lg = orthogeodesic_between(2, 2, 2)
-        assert third_boundary_from_arc(2, 2, lg) == pytest.approx(2.0, abs=1e-12)
+    @pytest.mark.parametrize("li,lj,la", [(2, 2, 2), (40, 40, 5), (36, 36, 5)])
+    def test_roundtrip_identity(self, li, lj, la):
+        lg = orthogeodesic_between(li, lj, la)
+        assert third_boundary_from_arc(li, lj, lg) == pytest.approx(la, abs=1e-12)
 
-    def test_roundtrip_through_formula(self):
-        la = third_boundary_from_arc(1, 3, 5)
-        assert orthogeodesic_between(1, 3, la) == pytest.approx(5.0, abs=1e-12)
+    @pytest.mark.parametrize("li,lj,lg", [(1, 3, 5), (40, 40, 5), (36, 36, 5)])
+    def test_roundtrip_through_formula(self, li, lj, lg):
+        la = third_boundary_from_arc(li, lj, lg)
+        assert orthogeodesic_between(li, lj, la) == pytest.approx(lg, abs=1e-12)
 
     def test_minimal_arc_maps_to_zero(self):
         # At the feasibility threshold the acosh argument is exactly 1.
@@ -266,6 +268,3 @@ class TestInterval:
         assert iv.contains(2.0)
         assert not iv.contains(3.5)
         assert iv.width == 2.0
-
-    def test_scale(self):
-        assert Interval(1.0, 2.0).scale(0.5) == Interval(0.5, 1.0)
