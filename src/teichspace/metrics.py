@@ -207,11 +207,10 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     bracketed through the hyperbolic-length brackets; the lower end pairs
     bracket ends so the value can only shrink, the upper end so it can
     only grow, and the additive defect ``log(n+2)`` of the simple-curve
-    restriction widens the top.  The brackets are taken in log form: a
-    curve of length ``l`` has log extremal length in ``[log(l/pi),
-    log(l/2) + kappa l]``, ``kappa = 1/2`` punctured (:func:`maskit_bracket`)
-    and ``1`` bordered (:func:`bordered_ext_bracket`), which never forms
-    ``exp(l)`` and so holds for every length a table can hold.
+    restriction widens the top.  The brackets are the logs of
+    :func:`maskit_bracket` (punctured) and :func:`bordered_ext_bracket`,
+    ``[log(l/pi), log(l/2) + kappa l]`` with ``kappa`` 1/2 and 1, taken in
+    that form so that no ``exp(l)`` is formed.
     """
     _require_comparable(t1, t2)
     x1 = t1.point
