@@ -1,9 +1,12 @@
 """Experiment runner: sampling, inequality checks, and report generation.
 
 Every operation here is deterministic given the experiment configuration:
-points are drawn from a counter-based generator keyed by (seed, index), and
-reports are plain dicts with fixed key order so identical runs serialize to
-identical bytes.
+point ``index`` is drawn from numpy's ``SeedSequence`` + ``PCG64`` stream
+keyed by ``(seed, index)``, written out in pure Python so that no run
+imports ``numpy.random`` and numpy's Generator policy cannot move it.  Only
+the lengths' ``exp`` stays numpy's, because ``math.exp`` does not always
+reproduce its last bit (see :func:`sample_point`).  Reports are plain dicts with fixed key order so
+identical runs serialize to identical bytes.
 
 The checks are boundedness reports, not proofs: the estimators are lower
 bounds, so an observed difference exceeding a theoretical ceiling indicates
@@ -89,8 +92,11 @@ class ExperimentConfig:
         lo, hi = self.length_range
         if not (0 < lo <= hi):
             raise DomainError(f"length range must be positive, got {self.length_range}")
-        if self.twist_range[0] > self.twist_range[1]:
+        lo, hi = self.twist_range
+        if lo > hi:
             raise DomainError(f"bad twist range {self.twist_range}")
+        if not math.isfinite(hi - lo):
+            raise DomainError(f"twist range width must be finite, got {self.twist_range}")
         if self.samples < 1:
             raise DomainError("need at least one sample")
         if self.depth < 0:
@@ -121,16 +127,111 @@ class ExperimentConfig:
         return cls(**json_fields(cls, text, "config"))
 
 
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 (XSL-RR 128/64),
+# written out so that sampling needs no ``numpy.random``.
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_consts(h: int, mult: int, calls: int) -> list:
+    """``(xor, mul)`` of ``calls`` successive hashmix calls from constant ``h``:
+    each call XORs with the running constant, advances it, multiplies by it."""
+    out = []
+    for _ in range(calls):
+        out.append((h, h * mult & _M32))
+        h = out[-1][1]
+    return out
+
+
+def _mixing_schedule(extra: int):
+    """Hash constants of the pool fill, and ``(src, dst, xor, mul)`` of every
+    mixing step: each pool word into every other, then each of ``extra``
+    entropy words past the pool into every pool word.  A ``src`` past the
+    pool indexes those extra words, which sit after the pool."""
+    pairs = [(s, d) for s in range(_POOL) for d in range(_POOL) if s != d]
+    pairs += [(_POOL + e, d) for e in range(extra) for d in range(_POOL)]
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL + len(pairs))
+    return consts[:_POOL], [(s, d, *c) for (s, d), c in zip(pairs, consts[_POOL:])]
+
+
+_FILL, _SCHEDULE = _mixing_schedule(0)
+# The eight state words, cycling over the pool: (pool word, xor, mul).
+_OUTPUT = [(i % _POOL, *c) for i, c in
+           enumerate(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL))]
+
+
+def _words32(n: int) -> list:
+    """``n`` as little-endian 32-bit words; one word for 0."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _uniforms(seed: int, index: int, count: int) -> list:
+    """The first ``count`` doubles in [0, 1) of
+    ``numpy.random.default_rng([seed, index])``, bit for bit.
+
+    ``SeedSequence`` hashes the entropy words into its pool and draws eight
+    words from it; as four little-endian uint64 ``s0 s1 i0 i1`` they seed
+    PCG64 with state ``s0:s1`` and increment ``2 (i0:i1) + 1``.  Each double
+    is the top 53 bits of one XSL-RR output.
+    """
+    if seed < 0 or index < 0:
+        raise DomainError(f"seed and index must be nonnegative, got {seed}, {index}")
+    pool = _words32(seed) + _words32(index)
+    fill, schedule = (_FILL, _SCHEDULE) if len(pool) <= _POOL else \
+        _mixing_schedule(len(pool) - _POOL)
+    pool += [0] * (_POOL - len(pool))
+    for i, (xor, mul) in enumerate(fill):
+        v = (pool[i] ^ xor) * mul & _M32
+        pool[i] = v ^ v >> 16
+    for s, d, xor, mul in schedule:
+        v = (pool[s] ^ xor) * mul & _M32
+        v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
+        pool[d] = v ^ v >> 16
+    w = []
+    for i, xor, mul in _OUTPUT:
+        v = (pool[i] ^ xor) * mul & _M32
+        w.append(v ^ v >> 16)
+    state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
+    state = ((inc + state) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        # rotate x right by the top six bits of the state
+        out.append((((x << 64 | x) >> (state >> 122) & _M64) >> 11) * 2.0 ** -53)
+    return out
+
+
 def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
     """Point number ``index`` of the experiment: deterministic in
-    ``(cfg.seed, index)``, lengths log-uniform, twists uniform."""
-    rng = np.random.default_rng([cfg.seed & (2 ** 64 - 1), index])
+    ``(cfg.seed, index)``, lengths log-uniform, twists uniform.
+
+    The draws are those of ``numpy.random.default_rng([cfg.seed mod 2**64,
+    index]).uniform``, bit for bit, from :func:`_uniforms`: numpy's
+    ``SeedSequence`` and ``PCG64`` stream written out.  Importing
+    ``numpy.random`` took longer than a small run's geometry, and numpy does
+    not promise that ``Generator.uniform`` keeps its stream across releases.
+    The lengths go through ``np.exp``, not ``math.exp``: the two differ in
+    the last bit on some inputs, and only numpy's kernel keeps the points
+    of earlier runs.  A negative ``index`` raises :class:`DomainError`.
+    """
     ncurves = 3 * cfg.g - 3 + cfg.n
-    lo, hi = cfg.length_range
-    lengths = np.exp(rng.uniform(math.log(lo), math.log(hi), ncurves))
-    twists = rng.uniform(cfg.twist_range[0], cfg.twist_range[1], ncurves)
-    return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths.tolist(),
-                   twists=twists.tolist(), boundary=cfg.boundary)
+    u = _uniforms(cfg.seed & _M64, index, 2 * ncurves)
+    lo, hi = math.log(cfg.length_range[0]), math.log(cfg.length_range[1])
+    t_lo, t_hi = cfg.twist_range
+    lengths = np.exp([lo + (hi - lo) * v for v in u[:ncurves]]).tolist()
+    twists = [t_lo + (t_hi - t_lo) * v for v in u[ncurves:]]
+    return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths, twists=twists,
+                   boundary=cfg.boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,27 @@ def symmetrize(d_xy: float, d_yx: float) -> float:
 # extremal-length brackets
 
 
-def maskit_bracket(l: float) -> Interval:
-    """Two-sided bound ``[l/pi, (l/2) exp(l/2)]`` for the extremal length
-    of a closed geodesic of hyperbolic length ``l`` on a cusped surface."""
+def _ext_bracket(l: float, kappa: float) -> Interval:
+    """``[l/pi, (l/2) exp(kappa l)]``; the upper end must be finite."""
     if not (l > 0.0) or not math.isfinite(l):
         raise DomainError(f"length must be positive, got {l!r}")
-    return Interval(l / math.pi, 0.5 * l * math.exp(0.5 * l))
+    try:
+        hi = 0.5 * l * math.exp(kappa * l)
+    except OverflowError:
+        hi = math.inf
+    if hi == math.inf:
+        raise DomainError(
+            f"the upper bracket end at length {l!r} is not finite in double "
+            f"precision; teich_of works with its log, log(l/2) + kappa l")
+    return Interval(l / math.pi, hi)
+
+
+def maskit_bracket(l: float) -> Interval:
+    """Two-sided bound ``[l/pi, (l/2) exp(l/2)]`` for the extremal length
+    of a closed geodesic of hyperbolic length ``l`` on a cusped surface.
+    Raises :class:`DomainError` where the upper end overflows (``l`` above
+    about 1406)."""
+    return _ext_bracket(l, 0.5)
 
 
 def bordered_ext_bracket(l: float) -> Interval:
@@ -171,11 +186,11 @@ def bordered_ext_bracket(l: float) -> Interval:
 
     Doubling halves both the extremal length and the doubled geodesic
     length, so the bordered bracket is half the bracket of the doubled
-    curve: ``maskit_bracket(2 l) / 2 = [l/pi, (l/2) exp(l)]``.
+    curve: ``maskit_bracket(2 l) / 2 = [l/pi, (l/2) exp(l)]``.  Raises
+    :class:`DomainError` where the upper end overflows (``l`` above about
+    704).
     """
-    if not (l > 0.0) or not math.isfinite(l):
-        raise DomainError(f"length must be positive, got {l!r}")
-    return Interval(l / math.pi, 0.5 * l * math.exp(l))
+    return _ext_bracket(l, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class TestExperimentConfig:
         ("length_range", [0.5, math.inf], "length_range must be two finite"),
         ("twist_range", [math.nan, math.nan], "twist_range must be two finite"),
         ("length_range", [1], "length_range must be two finite"),
+        # Each end is finite, but hi - lo overflows and no twist could be drawn.
+        ("twist_range", [-1.7e308, 1.7e308], "twist range width must be finite"),
         ("boundary", 5, "config key boundary must be a list of numbers"),
     ])
     def test_rejects_malformed_ranges(self, key, value, match):
@@ -122,6 +124,34 @@ class TestSamplePoint:
 
     def test_seed_changes_points(self):
         assert sample_point(cfg_12(seed=1), 0) != sample_point(cfg_12(seed=2), 0)
+
+    @pytest.mark.parametrize("g,n", [(1, 6), (2, 2), (3, 2), (0, 4)])
+    def test_matches_numpy_generator_bit_for_bit(self, g, n):
+        # The reference is the generator sample_point replaced.  Indices of
+        # 2**64 and beyond give more entropy words than the pool holds.
+        seeds = [*range(300), 2 ** 32, 2 ** 63, 2 ** 64 - 1, -1, -12345,
+                 2 ** 70 + 3]
+        indices = [0, 1, 9, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
+                   2 ** 100 + 17]
+        ranges = np.random.default_rng(g * 10 + n)
+        for seed in seeds:
+            lo, hi = np.sort(np.exp(ranges.uniform(math.log(1e-4), math.log(40), 2)))
+            t_lo = ranges.uniform(-100, 100)
+            cfg = ExperimentConfig(
+                g=g, n=n, boundary=(1.0,) * n, seed=seed,
+                length_range=(lo, hi),
+                twist_range=(t_lo, t_lo + ranges.uniform(0, 200)))
+            for index in indices[:3] if 0 < seed < 300 else indices:
+                rng = np.random.default_rng([seed & (2 ** 64 - 1), index])
+                lengths = np.exp(rng.uniform(math.log(lo), math.log(hi), 3 * g - 3 + n))
+                twists = rng.uniform(*cfg.twist_range, 3 * g - 3 + n)
+                x = sample_point(cfg, index)
+                assert [v.hex() for v in x.lengths] == [v.hex() for v in lengths.tolist()]
+                assert [v.hex() for v in x.twists] == [v.hex() for v in twists.tolist()]
+
+    def test_negative_index_raises(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            sample_point(cfg_12(), -1)
 
 
 class TestVerifyArcConstruction:
@@ -524,6 +554,26 @@ class TestCli:
                      "--ray-curve", "1", "--ray-count", "4", "--out", str(out))
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 4
+
+    def test_no_subcommand_imports_numpy_random(self, tmp_path):
+        cfg = cfg_12(samples=3, depth=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        x_path = tmp_path / "x.json"
+        x_path.write_text(sample_point(cfg, 0).to_json())
+        out = str(tmp_path / "out")
+        config = ["--config", str(cfg_path), "--out", out]
+        runs = [["compare", *config], ["report", *config],
+                ["verify-arcs", *config], ["phi-experiment", *config],
+                ["distance", "--x1", str(x_path), "--x2", str(x_path),
+                 "--out", out],
+                ["constants", "--boundary", "1.0,1.0", "--out", out]]
+        code = ("import sys\n"
+                "from teichspace import cli\n"
+                f"for argv in {runs!r}:\n"
+                "    cli.main(argv)\n"
+                "    assert 'numpy.random' not in sys.modules, argv[0]\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_report_subcommand_deterministic(self, tmp_path):
         cfg = cfg_12(samples=3, depth=1)

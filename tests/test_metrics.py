@@ -57,6 +57,13 @@ class TestMaskitBracket:
             assert r == pytest.approx(math.pi / 2 * math.exp(l / 2), rel=1e-12)
         assert ratios[-1] == pytest.approx(math.pi / 2, rel=1e-3)
 
+    @pytest.mark.parametrize("bracket,finite,overflow", [
+        (bordered_ext_bracket, 700.0, 800.0), (maskit_bracket, 1400.0, 1500.0)])
+    def test_overflowing_upper_end_raises(self, bracket, finite, overflow):
+        assert math.isfinite(bracket(finite).hi)
+        with pytest.raises(DomainError, match=f"at length {overflow!r}.*teich_of"):
+            bracket(overflow)
+
     def test_bordered_bracket_is_half_of_doubled(self):
         for l in (0.5, 1.0, 2.7):
             direct = bordered_ext_bracket(l)
