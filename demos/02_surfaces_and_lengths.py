@@ -10,16 +10,8 @@ to measure arcs.
 
 import numpy as np
 
-from teichspace import (
-    FNPoint,
-    arc_length,
-    build_marking,
-    curve_length,
-    double,
-    holonomy,
-    orthogeodesic_self,
-    phi_gamma,
-)
+from teichspace import FNPoint, build_marking, orthogeodesic_self, phi_gamma
+from teichspace.surface import arc_length, curve_length, double, holonomy
 
 # A genus-1 surface with two boundary components: one handle block glued to
 # a chain pants that carries both boundaries.

@@ -3,7 +3,9 @@
 Builds surfaces from Fenchel-Nielsen coordinates, computes geodesic lengths
 of closed curves and orthogeodesic arcs, estimates the curve-ratio, arc,
 and quasiconformal metrics over certified curve families, and provides the
-closed-form comparison constants relating them.
+closed-form comparison constants relating them.  The SL(2, R) holonomy that
+cross-checks the closed forms is :mod:`teichspace.surface`, which the
+package does not import.
 """
 
 from .asymptotics import (
@@ -14,6 +16,7 @@ from .asymptotics import (
     halpern_bracket,
     nielsen_k_infinity,
 )
+from .coords import ArcClass, FNPoint, Marking, build_marking, phi_gamma
 from .curves import (
     CurveClass,
     LengthTable,
@@ -58,19 +61,6 @@ from .pants_trig import (
     orthogeodesic_self,
     self_arc_constant,
     third_boundary_from_arc,
-)
-from .surface import (
-    ArcClass,
-    DoubleData,
-    FNPoint,
-    Holonomy,
-    Marking,
-    arc_length,
-    build_marking,
-    curve_length,
-    double,
-    holonomy,
-    phi_gamma,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import json
 import sys
 
 from . import asymptotics, pants_trig
+from .coords import FNPoint, build_marking
 from .harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -29,7 +30,6 @@ from .harness import (
 from .metrics import _tables, arc_of, teich_of, thurston_of
 # Bound only because the benchmark's tracer test reads cli.thurston_lower.
 from .metrics import thurston_lower  # noqa: F401
-from .surface import FNPoint, build_marking
 
 
 def _emit(text: str, out: str | None) -> None:

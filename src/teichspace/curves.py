@@ -42,8 +42,8 @@ import math
 from dataclasses import dataclass
 
 from . import pants_trig
+from .coords import ArcClass, FNPoint, Marking
 from .pants_trig import DomainError
-from .surface import ArcClass, FNPoint, Marking
 
 __all__ = [
     "CurveClass",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coords import FNPoint, Marking, build_marking, json_fields, phi_gamma
 from .curves import (
     arc_length_formula,
     enumerate_arcs,
@@ -29,7 +30,6 @@ from .curves import (
 )
 from .metrics import arc_of, teich_of, thurston_of
 from .pants_trig import DomainError, gap_constants
-from .surface import FNPoint, Marking, build_marking, json_fields, phi_gamma
 
 __all__ = [
     "AlmostIsometryReport",

@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .coords import FNPoint, Marking
 from .curves import LengthTable, length_table
 from .pants_trig import DomainError, Interval
-from .surface import FNPoint, Marking
 
 __all__ = [
     "MetricEstimate",

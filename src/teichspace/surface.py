@@ -1,12 +1,12 @@
-"""Fenchel-Nielsen coordinates, pants gluing, and holonomy representations.
+"""SL(2, R) holonomy of a Fenchel-Nielsen point: the matrix oracle.
 
-A surface of genus ``g`` with ``n`` boundary components (``2 - 2g - n < 0``)
-carries a canonical pants decomposition built here from ``g`` one-handle
-blocks attached to a linear chain of pants.  Given Fenchel-Nielsen data
-(cuff lengths, twists, boundary lengths) the module assembles an explicit
-representation of the fundamental group into SL(2, R) by positioning one
-pants group per pair of pants and conjugating neighbours into place across
-each cuff.
+Given Fenchel-Nielsen data on the canonical marking of
+:mod:`teichspace.coords`, this module assembles an explicit representation
+of the fundamental group into SL(2, R) by positioning one pants group per
+pair of pants and conjugating neighbours into place across each cuff.  No
+subcommand calls it: every reported length comes from the closed forms of
+:mod:`teichspace.curves` and :mod:`teichspace.pants_trig`, and the traces
+of these matrices are the tests' independent cross-check of them.
 
 Matrix conventions
 ------------------
@@ -38,29 +38,25 @@ gluing relation is checked numerically and reported as a residual.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
+from .coords import ArcClass, Edge, FNPoint, Marking
+# Bound only because the benchmark imports them from this module.
+from .coords import build_marking, phi_gamma  # noqa: F401
 from .pants_trig import DomainError
 
 __all__ = [
-    "ArcClass",
     "DoubleData",
-    "FNPoint",
     "Holonomy",
     "HolonomyError",
-    "Marking",
     "NotGeodesicError",
     "arc_length",
-    "build_marking",
     "curve_length",
     "double",
     "holonomy",
-    "phi_gamma",
 ]
 
 _ID = np.eye(2)
@@ -207,275 +203,6 @@ def _pants_generators(l0: float, l1: float, l2: float):
             b = np.array([[y, root], [(y * y - 1.0) / root, y]])
     c = _inv(a @ b)
     return a, b, c
-
-
-# ---------------------------------------------------------------------------
-# combinatorics
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Internal pants curve: the two pants slots it glues (left, right)."""
-
-    index: int
-    left: tuple  # (pants, slot)
-    right: tuple
-
-
-@dataclass(frozen=True)
-class ArcClass:
-    """Homotopy class of an essential arc supported in a single pants.
-
-    ``kind`` is "between" (two distinct boundary slots ``slots``) or "self"
-    (one boundary slot).  Boundary indices are recorded alongside the slots.
-    ``neighbour_slots`` are the slots of the other cuffs of the pants, which
-    bound the arc's neighbourhood: the third slot of a between-arc, the
-    other two of a self-arc in ascending order.
-    """
-
-    pants: int
-    kind: str
-    slots: tuple
-    boundaries: tuple
-    neighbour_slots: tuple
-
-    def label(self) -> str:
-        bs = ",".join(str(b) for b in self.boundaries)
-        return f"arc[{self.kind}:p{self.pants}:b{bs}]"
-
-
-@dataclass(frozen=True)
-class Marking:
-    """Combinatorial pants decomposition with seed curve and arc systems.
-
-    ``edges`` are the internal curves (index aligned with the length/twist
-    vectors), ``boundary_slots[m]`` is the pants slot carrying boundary
-    ``m``, ``tree`` lists the spanning-tree edge indices, ``mu_words`` the
-    seed multicurve words dual to each edge, and ``arcs`` the pants-local
-    seed arcs.  Words are tuples of ``(token, exponent)`` pairs where a
-    token is ``("slot", pants, slot)`` or ``("conn", edge_index)``.
-
-    Construction checks that every slot of every pants carries exactly one
-    edge side or boundary and keeps the resulting slot table, which
-    :meth:`slot_assignment` and :meth:`slot_length` read.
-    """
-
-    genus: int
-    nboundary: int
-    pants_count: int
-    edges: tuple
-    boundary_slots: tuple
-    tree: frozenset
-    mu_words: tuple
-    arcs: tuple
-    _slots: dict = field(init=False, repr=False, compare=False)
-
-    @property
-    def ncurves(self) -> int:
-        return len(self.edges)
-
-    def __post_init__(self):
-        used = {}
-        for e in self.edges:
-            for side in (e.left, e.right):
-                if side in used:
-                    raise DomainError(f"slot {side} used twice in marking")
-                used[side] = ("edge", e.index)
-        for m, side in enumerate(self.boundary_slots):
-            if side in used:
-                raise DomainError(f"slot {side} used twice in marking")
-            used[side] = ("boundary", m)
-        expected = {(p, s) for p in range(self.pants_count) for s in range(3)}
-        if set(used) != expected:
-            raise DomainError("marking is not trivalent")
-        object.__setattr__(self, "_slots", used)
-
-    def slot_assignment(self):
-        """Read-only map ``(pants, slot) -> ("edge", k)`` or
-        ``("boundary", m)``: the curve on each slot."""
-        return MappingProxyType(self._slots)
-
-    def slot_length(self, fn: FNPoint, side: tuple) -> float:
-        """Length at ``fn`` of the curve on slot ``side = (pants, slot)``:
-        its cuff length, its boundary length, or 0.0 on a cusp."""
-        kind, idx = self._slots[side]
-        return fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
-
-    def gamma_word(self, k: int):
-        p, s = self.edges[k].left
-        return ((("slot", p, s), 1),)
-
-    def boundary_word(self, m: int):
-        p, s = self.boundary_slots[m]
-        return ((("slot", p, s), 1),)
-
-
-def build_marking(g: int, n: int) -> Marking:
-    """Canonical deterministic pants decomposition of the (g, n) surface.
-
-    ``g`` handle blocks (one pants with two slots glued to each other) are
-    attached to a chain of ``g + n - 2`` pants carrying the boundary legs.
-    Edge order: handle loops, block attachments, chain gluings.
-
-    This fixes one marking among the isotopic choices; all reported
-    quantities are marking-dependent only through the naming of curve and
-    arc classes, not through any metric value.
-    """
-    if n < 1:
-        raise DomainError(f"need at least one boundary component, got n={n!r}")
-    if 2 - 2 * g - n >= 0:
-        raise DomainError(f"unsupported surface: chi(S) = {2 - 2*g - n} >= 0")
-    pants_count = 2 * g - 2 + n
-    m = g + n - 2
-    edges = []
-    if m == 0:
-        # One-holed torus: a single block whose free slot is the boundary.
-        edges.append(Edge(0, (0, 0), (0, 1)))
-        boundary_slots = ((0, 2),)
-        tree = frozenset()
-    else:
-        legs = [(g, 0), (g, 1)]
-        legs += [(g + c, 1) for c in range(1, m - 1)]
-        if m > 1:
-            legs += [(g + m - 1, 1), (g + m - 1, 2)]
-        else:
-            legs = [(g, 0), (g, 1), (g, 2)]
-        k = 0
-        for h in range(g):
-            edges.append(Edge(k, (h, 0), (h, 1)))
-            k += 1
-        for h in range(g):
-            edges.append(Edge(k, (h, 2), legs[h]))
-            k += 1
-        for c in range(m - 1):
-            edges.append(Edge(k, (g + c, 2), (g + c + 1, 0)))
-            k += 1
-        boundary_slots = tuple(legs[g + i] for i in range(n))
-        tree = frozenset(range(g, len(edges)))
-
-    mu_words = []
-    loop_edges = {e.index for e in edges if e.left[0] == e.right[0]}
-    for e in edges:
-        if e.index in loop_edges:
-            mu_words.append(((("conn", e.index), 1),))
-        else:
-            (pa, sa), (pb, sb) = e.left, e.right
-            mu_words.append(((("slot", pa, (sa + 1) % 3), 1),
-                             (("slot", pb, (sb + 1) % 3), 1)))
-
-    slot_of_boundary = {side: mh for mh, side in enumerate(boundary_slots)}
-    by_pants = {}
-    for side, mh in slot_of_boundary.items():
-        by_pants.setdefault(side[0], []).append(side)
-    arcs = []
-    for p in sorted(by_pants):
-        sides = sorted(by_pants[p], key=lambda ps: ps[1])
-        for i in range(len(sides)):
-            for j in range(i + 1, len(sides)):
-                si, sj = sides[i][1], sides[j][1]
-                arcs.append(ArcClass(
-                    pants=p, kind="between", slots=(si, sj),
-                    boundaries=(slot_of_boundary[sides[i]],
-                                slot_of_boundary[sides[j]]),
-                    neighbour_slots=(3 - si - sj,)))
-        for side in sides:
-            arcs.append(ArcClass(
-                pants=p, kind="self", slots=(side[1],),
-                boundaries=(slot_of_boundary[side],),
-                neighbour_slots=tuple(t for t in range(3) if t != side[1])))
-
-    return Marking(genus=g, nboundary=n, pants_count=pants_count,
-                   edges=tuple(edges), boundary_slots=tuple(boundary_slots),
-                   tree=tree, mu_words=tuple(mu_words), arcs=tuple(arcs))
-
-
-# ---------------------------------------------------------------------------
-# Fenchel-Nielsen points
-
-
-@dataclass(frozen=True)
-class FNPoint:
-    """Fenchel-Nielsen coordinates: cuff lengths, twists, boundary lengths."""
-
-    g: int
-    n: int
-    lengths: tuple
-    twists: tuple
-    boundary: tuple
-
-    def __post_init__(self):
-        ncurves = 3 * self.g - 3 + self.n
-        object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
-        object.__setattr__(self, "twists", tuple(float(v) for v in self.twists))
-        object.__setattr__(self, "boundary", tuple(float(v) for v in self.boundary))
-        if len(self.lengths) != ncurves or len(self.twists) != ncurves:
-            raise DomainError(
-                f"expected {ncurves} lengths/twists for (g, n)=({self.g},{self.n})")
-        if len(self.boundary) != self.n:
-            raise DomainError(f"expected {self.n} boundary lengths")
-        for v in self.lengths:
-            if not (v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"cuff lengths must be positive, got {v!r}")
-        for v in self.twists:
-            if not math.isfinite(v):
-                raise DomainError(f"twists must be finite, got {v!r}")
-        for v in self.boundary:
-            if v < 0.0 or not math.isfinite(v):
-                raise DomainError(f"boundary lengths must be nonnegative, got {v!r}")
-
-    def is_punctured(self) -> bool:
-        return all(v == 0.0 for v in self.boundary)
-
-    def to_dict(self) -> dict:
-        """The point as a plain JSON-ready dict; :meth:`to_json` dumps it."""
-        return {"g": self.g, "n": self.n, "lengths": list(self.lengths),
-                "twists": list(self.twists), "boundary": list(self.boundary)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "FNPoint":
-        """Point from a JSON object, checked by :func:`json_fields`."""
-        return cls(**json_fields(cls, text, "point"))
-
-
-def json_fields(cls, text: str, what: str) -> dict:
-    """Keyword arguments of the dataclass ``cls`` read from the JSON object
-    ``text``; ``what`` names the object in messages.
-
-    A value that is not an object, unknown keys, absent fields without a
-    default, non-integer values of integer fields and values of tuple
-    fields that are not lists of numbers raise :class:`DomainError` naming
-    them.  Absent fields with a default are left out.
-    """
-    d = json.loads(text)
-    if not isinstance(d, dict):
-        raise DomainError(f"{what} must be a JSON object, got "
-                          f"{type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise DomainError(f"unknown {what} keys: {', '.join(unknown)}")
-    for f in fields(cls):
-        if f.name not in d:
-            if f.default is MISSING:
-                raise DomainError(f"missing {what} key: {f.name}")
-            continue
-        v = d[f.name]
-        if f.type == "int" and type(v) is not int:
-            raise DomainError(f"{what} key {f.name} must be an integer, "
-                              f"got {v!r}")
-        if f.type == "tuple" and not (
-                type(v) is list and all(type(e) in (int, float) for e in v)):
-            raise DomainError(f"{what} key {f.name} must be a list of "
-                              f"numbers, got {v!r}")
-    return d
-
-
-def phi_gamma(x: FNPoint) -> FNPoint:
-    """Forget the boundary lengths: (L, T, Lambda) -> (L, T, 0).  Idempotent."""
-    return FNPoint(g=x.g, n=x.n, lengths=x.lengths, twists=x.twists,
-                   boundary=(0.0,) * x.n)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from teichspace.asymptotics import (
     nielsen_k_infinity,
     nielsen_truncation_index,
 )
+from teichspace.coords import FNPoint, build_marking
 from teichspace.curves import arc_length_formula, enumerate_arcs
 from teichspace.harness import (
     ExperimentConfig,
@@ -42,14 +43,7 @@ from teichspace.pants_trig import (
     orthogeodesic_self,
     self_arc_bracket,
 )
-from teichspace.surface import (
-    FNPoint,
-    arc_length,
-    build_marking,
-    curve_length,
-    double,
-    holonomy,
-)
+from teichspace.surface import arc_length, curve_length, double, holonomy
 
 
 def report(criterion: str) -> None:

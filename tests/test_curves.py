@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teichspace.coords import FNPoint, build_marking
 from teichspace.curves import (
     CurveClass,
     arc_length_formula,
@@ -23,7 +24,7 @@ from teichspace.pants_trig import (
     orthogeodesic_between,
     orthogeodesic_self,
 )
-from teichspace.surface import FNPoint, build_marking, curve_length, holonomy
+from teichspace.surface import curve_length, holonomy
 
 
 def point(m, lengths, twists, boundary):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from teichspace import cli, harness, metrics, surface
+from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -23,11 +24,6 @@ from teichspace.harness import (
     verify_arcs,
 )
 from teichspace.pants_trig import DomainError
-from teichspace.surface import (
-    FNPoint,
-    build_marking,
-    phi_gamma,
-)
 
 
 def cfg_12(**kw):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.curves import enumerate_curves, family_lengths, length_table
 from teichspace.metrics import (
     arc_lower,
@@ -21,7 +22,6 @@ from teichspace.metrics import (
     thurston_of,
 )
 from teichspace.pants_trig import DomainError
-from teichspace.surface import FNPoint, build_marking, phi_gamma
 
 lengths = st.floats(min_value=0.05, max_value=10.0,
                     allow_nan=False, allow_infinity=False)

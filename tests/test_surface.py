@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from teichspace import surface
+from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.curves import enumerate_curves, family_lengths
 from teichspace.pants_trig import (
     DomainError,
@@ -19,16 +20,13 @@ from teichspace.pants_trig import (
     orthogeodesic_self,
 )
 from teichspace.surface import (
-    FNPoint,
     HolonomyError,
     NotGeodesicError,
     arc_length,
-    build_marking,
     curve_length,
     double,
     doubled_arc_word,
     holonomy,
-    phi_gamma,
 )
 
 
