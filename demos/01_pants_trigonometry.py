@@ -8,8 +8,6 @@ This script walks through the closed-form lengths of orthogeodesic arcs
 that control how the arcs relate to neighbouring closed curves.
 """
 
-import numpy as np
-
 from teichspace import (
     between_arc_constants,
     gap_constants,

@@ -9,8 +9,6 @@ bounds converging as the family depth grows, the ordering between the two
 metrics, and the interval bracketing the quasiconformal metric.
 """
 
-import numpy as np
-
 from teichspace import (
     FNPoint,
     arc_lower,

@@ -9,8 +9,6 @@ additive bounds of the extremal-length comparison, and the contraction
 factor of the infinite Nielsen extension.
 """
 
-import numpy as np
-
 from teichspace import (
     bmms_dilation,
     comparison_bounds,

@@ -9,8 +9,6 @@ differ by at most an additive constant.  This script measures that
 distortion empirically: along a twist ray, and over a random sample.
 """
 
-import numpy as np
-
 from teichspace import (
     ExperimentConfig,
     almost_isometry_report,

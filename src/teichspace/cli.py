@@ -149,7 +149,7 @@ def _cmd_verify_arcs(args) -> None:
     m = cfg.marking()
     pairs = checked = passed = 0
     failures, reports = [], []
-    for r in verify_arcs(_paired_samples(cfg), m, cfg.depth):
+    for r in verify_arcs(_paired_samples(cfg), m):
         pairs += 1
         checked += r["checked"]
         passed += r["passed"]

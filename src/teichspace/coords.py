@@ -265,9 +265,10 @@ def json_fields(cls, text: str, what: str) -> dict:
     ``text``; ``what`` names the object in messages.
 
     A value that is not an object, unknown keys, absent fields without a
-    default, non-integer values of integer fields and values of tuple
-    fields that are not lists of numbers raise :class:`DomainError` naming
-    them.  Absent fields with a default are left out.
+    default, non-integer values of integer fields, values of tuple fields
+    that are not lists of numbers and values of string fields that are
+    neither strings nor null raise :class:`DomainError` naming them.
+    Absent fields with a default are left out.
     """
     d = json.loads(text)
     if not isinstance(d, dict):
@@ -289,6 +290,8 @@ def json_fields(cls, text: str, what: str) -> dict:
                 type(v) is list and all(type(e) in (int, float) for e in v)):
             raise DomainError(f"{what} key {f.name} must be a list of "
                               f"numbers, got {v!r}")
+        if f.type in ("str", "str | None") and not (v is None or type(v) is str):
+            raise DomainError(f"{what} key {f.name} must be a string, got {v!r}")
     return d
 
 

@@ -3,9 +3,9 @@
 Every operation here is deterministic given the experiment configuration:
 point ``index`` is drawn from numpy's ``SeedSequence`` + ``PCG64`` stream
 keyed by ``(seed, index)``, written out in pure Python so that no run
-imports ``numpy.random`` and numpy's Generator policy cannot move it.  Only
-the lengths' ``exp`` stays numpy's, because ``math.exp`` does not always
-reproduce its last bit (see :func:`sample_point`).  Reports are plain dicts with fixed key order so
+imports numpy and numpy's Generator policy cannot move it; the lengths go
+through ``math.exp``, so the points do not depend on numpy's CPU dispatch
+(see :func:`sample_point`).  Reports are plain dicts with fixed key order so
 identical runs serialize to identical bytes.
 
 The checks are boundedness reports, not proofs: the estimators are lower
@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .coords import FNPoint, Marking, build_marking, json_fields, phi_gamma
 from .curves import (
@@ -122,7 +120,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Config from a JSON object, checked by
-        :func:`~teichspace.surface.json_fields`; absent fields take their
+        :func:`~teichspace.coords.json_fields`; absent fields take their
         defaults."""
         return cls(**json_fields(cls, text, "config"))
 
@@ -220,15 +218,16 @@ def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
     ``SeedSequence`` and ``PCG64`` stream written out.  Importing
     ``numpy.random`` took longer than a small run's geometry, and numpy does
     not promise that ``Generator.uniform`` keeps its stream across releases.
-    The lengths go through ``np.exp``, not ``math.exp``: the two differ in
-    the last bit on some inputs, and only numpy's kernel keeps the points
-    of earlier runs.  A negative ``index`` raises :class:`DomainError`.
+    The lengths go through ``math.exp``, the C library's: numpy's ``exp``
+    dispatches to a CPU-specific kernel that differs from it in the last
+    bit on some inputs, so numpy's lengths depend on the host.  A negative
+    ``index`` raises :class:`DomainError`.
     """
     ncurves = 3 * cfg.g - 3 + cfg.n
     u = _uniforms(cfg.seed & _M64, index, 2 * ncurves)
     lo, hi = math.log(cfg.length_range[0]), math.log(cfg.length_range[1])
     t_lo, t_hi = cfg.twist_range
-    lengths = np.exp([lo + (hi - lo) * v for v in u[:ncurves]]).tolist()
+    lengths = [math.exp(lo + (hi - lo) * v) for v in u[:ncurves]]
     twists = [t_lo + (t_hi - t_lo) * v for v in u[ncurves:]]
     return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths, twists=twists,
                    boundary=cfg.boundary)
@@ -238,7 +237,7 @@ def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
 # constructive arc check
 
 
-def verify_arcs(pairs, m: Marking, depth: int):
+def verify_arcs(pairs, m: Marking):
     """Check the constructive arc-to-curve comparison on every seed arc of
     each pair ``(x1, x2)``; yield one report per pair, in order.
 
@@ -256,8 +255,8 @@ def verify_arcs(pairs, m: Marking, depth: int):
     The constants, the arcs and their neighbourhood curves depend only on
     the boundary and the marking, so they are computed once, from the
     first pair, before its report; every point of every pair must share
-    that boundary.  ``depth`` does not enter: the seed arcs are the same at
-    every family depth.
+    that boundary.  The seed arcs are the same at every family depth, so
+    there is no depth.
     """
     plan = None
     for x1, x2 in pairs:
@@ -317,8 +316,11 @@ def verify_arcs(pairs, m: Marking, depth: int):
 
 def verify_arc_construction(x1: FNPoint, x2: FNPoint, m: Marking,
                             depth: int) -> dict:
-    """The :func:`verify_arcs` report of the one pair ``(x1, x2)``."""
-    return next(verify_arcs([(x1, x2)], m, depth))
+    """The :func:`verify_arcs` report of the one pair ``(x1, x2)``.
+
+    ``depth`` is ignored; it is kept only because the benchmark passes one.
+    """
+    return next(verify_arcs([(x1, x2)], m))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teichspace.pants_trig import (
@@ -148,6 +148,20 @@ class TestOrthogeodesicSelf:
         bracket = self_arc_bracket(li)
         gap = orthogeodesic_self(li, la, ld) - max(la, ld)
         assert bracket.contains(gap, slack=1e-10)
+
+    @given(li=envelope, la=envelope, ld=envelope)
+    @example(li=40.0, la=1e-4, ld=1e-4)
+    @example(li=39.52703595802186, la=0.11836819238737609,
+             ld=0.004403998472195287)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mpmath_over_the_envelope(self, li, la, ld):
+        with mpmath.workdps(50):
+            x, a, d = (mpmath.mpf(v) / 2 for v in (li, la, ld))
+            want = 2 * mpmath.acosh(mpmath.sqrt(
+                (mpmath.cosh(d) + mpmath.cosh(a + x))
+                * (mpmath.cosh(d) + mpmath.cosh(a - x))) / mpmath.sinh(x))
+            got = orthogeodesic_self(li, la, ld)
+            assert abs(got - want) <= 1e-14 * want
 
 
 class TestBetweenArcConstants:
