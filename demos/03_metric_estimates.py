@@ -15,8 +15,7 @@ from teichspace import (
     build_marking,
     gap_constants,
     maskit_bracket,
-    symmetrize,
-    teich_interval,
+    teich_interval_report,
     thurston_lower,
 )
 
@@ -43,17 +42,19 @@ g = gap_constants(boundary)
 print("\nobserved arc-vs-curve gap:", d_a.value - d_th.value)
 print("certified additive gap   :", g.gap)
 
-# Asymmetry and its symmetrisation.
+# Asymmetry and its symmetrisation, the larger of the two one-sided values.
 back = thurston_lower(y, x, m, 3)
 print("\nforward estimate :", d_th.value)
 print("backward estimate:", back.value)
-print("symmetrised      :", symmetrize(d_th.value, back.value))
+print("symmetrised      :", max(d_th.value, back.value))
 
 # The quasiconformal metric cannot be evaluated exactly without extremal
 # metrics; it is reported as an interval from two-sided extremal-length
 # bounds.  At equal points the interval starts at zero.
-print("\nquasiconformal interval for (x, y):", teich_interval(x, y, m, 2))
-print("quasiconformal interval for (x, x):", teich_interval(x, x, m, 2))
+print("\nquasiconformal interval for (x, y):",
+      teich_interval_report(x, y, m, 2).interval)
+print("quasiconformal interval for (x, x):",
+      teich_interval_report(x, x, m, 2).interval)
 
 # The per-curve ingredient: hyperbolic length brackets the extremal length.
 print("\nextremal-length bracket for a curve of hyperbolic length 2:",

@@ -37,9 +37,9 @@ print("max difference:", rep["max_difference"])
 # the arc metric upstairs and the curve-ratio metric downstairs:
 samples = [sample_point(cfg, i) for i in range(cfg.samples)]
 air = almost_isometry_report(samples, m, cfg.depth)
-print(f"\nalmost-isometry distortion over {air.pairs} ordered pairs:",
-      air.b_bound)
-print("worst pair of sample indices:", air.worst_pair)
+print(f"\nalmost-isometry distortion over {air['pairs']} ordered pairs:",
+      air["b_bound"])
+print("worst pair of sample indices:", air["worst_pair"])
 
 # Per-pair comparison rows also record the certified gap between the arc
 # and curve-ratio metrics; the observed gap sits far below it.

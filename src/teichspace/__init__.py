@@ -29,7 +29,6 @@ from .curves import (
     pants_neighborhood_boundaries,
 )
 from .harness import (
-    AlmostIsometryReport,
     ExperimentConfig,
     almost_isometry_report,
     compare_metrics,
@@ -43,8 +42,7 @@ from .metrics import (
     arc_lower,
     arc_of,
     maskit_bracket,
-    symmetrize,
-    teich_interval,
+    teich_interval_report,
     teich_of,
     thurston_lower,
     thurston_of,

@@ -2,9 +2,10 @@
 
 Subcommands: ``constants``, ``distance``, ``compare``, ``verify-arcs``,
 ``phi-experiment``, ``report``.  Experiments are configured by a JSON file
-whose fields match :class:`teichspace.harness.ExperimentConfig`; ``--seed``
-and ``--depth`` override the config.  Identical configurations produce
-byte-identical output files.
+whose fields match :class:`teichspace.harness.ExperimentConfig`; ``--seed``,
+``--out`` and, where a subcommand reads them, ``--depth`` and ``--format``
+override the config.  Identical configurations produce byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -52,20 +53,11 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_json(fh.read())
-    else:
-        raise SystemExit("this subcommand needs --config <json path>")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.depth is not None:
-        overrides["depth"] = args.depth
-    if args.format is not None:
-        overrides["format"] = args.format
-    if args.out is not None:
-        overrides["out"] = args.out
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = ExperimentConfig.from_json(fh.read())
+    # Only the flags the subcommand defines are in ``args``.
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in ("seed", "depth", "format", "out") and v is not None}
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -116,8 +108,7 @@ def _read_point(path: str) -> FNPoint:
 def _cmd_distance(args) -> None:
     x1, x2 = _read_point(args.x1), _read_point(args.x2)
     m = build_marking(x1.g, x1.n)
-    depth = args.depth if args.depth is not None else 2
-    t1, t2 = _tables(x1, x2, m, depth)
+    t1, t2 = _tables(x1, x2, m, args.depth)
     payload = {"d_th": thurston_of(t1, t2).to_dict()}
     if all(x1.boundary):
         payload["d_a"] = arc_of(t1, t2).to_dict()
@@ -191,8 +182,7 @@ def _cmd_report(args) -> None:
     m = cfg.marking()
     samples = [sample_point(cfg, i) for i in range(cfg.samples)]
     rep = almost_isometry_report(samples, m, cfg.depth, metric=args.metric)
-    payload = {"config": _config_echo(cfg),
-               "report": rep.to_dict()}
+    payload = {"config": _config_echo(cfg), "report": rep}
     _emit(json.dumps(payload, indent=2), cfg.out)
 
 
@@ -202,11 +192,14 @@ def main(argv=None) -> int:
         description="Numerics for Teichmueller spaces of bordered surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="experiment config JSON path")
+    def common(p, *read):
+        p.add_argument("--config", required=True,
+                       help="experiment config JSON path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if "depth" in read:
+            p.add_argument("--depth", type=int, default=None)
+        if "format" in read:
+            p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("constants", help="dump closed-form constants as JSON")
@@ -220,12 +213,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("distance", help="metric estimates between two points")
     p.add_argument("--x1", required=True, help="FN point JSON path")
     p.add_argument("--x2", required=True, help="FN point JSON path")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("compare", help="metric comparison rows over sampled pairs")
-    common(p)
+    common(p, "depth", "format")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify-arcs", help="constructive arc/curve check")
@@ -235,7 +228,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("phi-experiment", help="twist-ray comparison under "
                                               "forgetting boundary lengths")
-    common(p)
+    common(p, "depth", "format")
     p.add_argument("--ray-curve", type=int, default=0)
     p.add_argument("--ray-step", type=float, default=0.5)
     p.add_argument("--ray-count", type=int, default=11)
@@ -243,7 +236,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_phi_experiment)
 
     p = sub.add_parser("report", help="almost-isometry distortion report")
-    common(p)
+    common(p, "depth")
     p.add_argument("--metric", choices=("arc", "thurston"), default="arc")
     p.set_defaults(func=_cmd_report)
 

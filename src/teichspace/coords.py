@@ -70,14 +70,17 @@ class Marking:
 
     ``edges`` are the internal curves (index aligned with the length/twist
     vectors), ``boundary_slots[m]`` is the pants slot carrying boundary
-    ``m``, ``tree`` lists the spanning-tree edge indices, ``mu_words`` the
-    seed multicurve words dual to each edge, and ``arcs`` the pants-local
-    seed arcs.  Words are tuples of ``(token, exponent)`` pairs where a
-    token is ``("slot", pants, slot)`` or ``("conn", edge_index)``.
+    ``m``, ``tree`` lists the spanning-tree edge indices and ``arcs`` the
+    pants-local seed arcs.
 
     Construction checks that every slot of every pants carries exactly one
     edge side or boundary and keeps the resulting slot table, which
-    :meth:`slot_assignment` and :meth:`slot_length` read.
+    :meth:`slot_assignment` and :meth:`slot_length` read.  It also derives
+    ``mu_words``, the seed multicurve words dual to each edge: a handle
+    loop's dual is its connector, and any other dual runs through the slot
+    after the glued one on each side.  Words are tuples of ``(token,
+    exponent)`` pairs where a token is ``("slot", pants, slot)`` or
+    ``("conn", edge_index)``.
     """
 
     genus: int
@@ -86,8 +89,8 @@ class Marking:
     edges: tuple
     boundary_slots: tuple
     tree: frozenset
-    mu_words: tuple
     arcs: tuple
+    mu_words: tuple = field(init=False)
     _slots: dict = field(init=False, repr=False, compare=False)
 
     @property
@@ -109,6 +112,11 @@ class Marking:
         if set(used) != expected:
             raise DomainError("marking is not trivalent")
         object.__setattr__(self, "_slots", used)
+        object.__setattr__(self, "mu_words", tuple(
+            ((("conn", e.index), 1),) if e.left[0] == e.right[0] else
+            ((("slot", e.left[0], (e.left[1] + 1) % 3), 1),
+             (("slot", e.right[0], (e.right[1] + 1) % 3), 1))
+            for e in self.edges))
 
     def slot_assignment(self):
         """Read-only map ``(pants, slot) -> ("edge", k)`` or
@@ -173,16 +181,6 @@ def build_marking(g: int, n: int) -> Marking:
         boundary_slots = tuple(legs[g + i] for i in range(n))
         tree = frozenset(range(g, len(edges)))
 
-    mu_words = []
-    loop_edges = {e.index for e in edges if e.left[0] == e.right[0]}
-    for e in edges:
-        if e.index in loop_edges:
-            mu_words.append(((("conn", e.index), 1),))
-        else:
-            (pa, sa), (pb, sb) = e.left, e.right
-            mu_words.append(((("slot", pa, (sa + 1) % 3), 1),
-                             (("slot", pb, (sb + 1) % 3), 1)))
-
     slot_of_boundary = {side: mh for mh, side in enumerate(boundary_slots)}
     by_pants = {}
     for side, mh in slot_of_boundary.items():
@@ -206,7 +204,7 @@ def build_marking(g: int, n: int) -> Marking:
 
     return Marking(genus=g, nboundary=n, pants_count=pants_count,
                    edges=tuple(edges), boundary_slots=tuple(boundary_slots),
-                   tree=tree, mu_words=tuple(mu_words), arcs=tuple(arcs))
+                   tree=tree, arcs=tuple(arcs))
 
 
 # ---------------------------------------------------------------------------

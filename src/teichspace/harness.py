@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coords import FNPoint, Marking, build_marking, json_fields, phi_gamma
 from .curves import (
@@ -30,7 +30,6 @@ from .metrics import arc_of, teich_of, thurston_of
 from .pants_trig import DomainError, gap_constants
 
 __all__ = [
-    "AlmostIsometryReport",
     "ExperimentConfig",
     "HarnessCheckError",
     "almost_isometry_report",
@@ -145,18 +144,14 @@ def _hash_consts(h: int, mult: int, calls: int) -> list:
     return out
 
 
-def _mixing_schedule(extra: int):
-    """Hash constants of the pool fill, and ``(src, dst, xor, mul)`` of every
-    mixing step: each pool word into every other, then each of ``extra``
-    entropy words past the pool into every pool word.  A ``src`` past the
-    pool indexes those extra words, which sit after the pool."""
-    pairs = [(s, d) for s in range(_POOL) for d in range(_POOL) if s != d]
-    pairs += [(_POOL + e, d) for e in range(extra) for d in range(_POOL)]
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL + len(pairs))
-    return consts[:_POOL], [(s, d, *c) for (s, d), c in zip(pairs, consts[_POOL:])]
-
-
-_FILL, _SCHEDULE = _mixing_schedule(0)
+# Hash constants of the pool fill, and ``(src, dst, xor, mul)`` of every
+# mixing step: each pool word into every other.  A seed and an index below
+# 2**64 give at most the four entropy words the pool holds, so no word is
+# ever mixed in past the pool.
+_MIX_PAIRS = [(s, d) for s in range(_POOL) for d in range(_POOL) if s != d]
+_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL + len(_MIX_PAIRS))
+_FILL = _CONSTS[:_POOL]
+_SCHEDULE = [(s, d, *c) for (s, d), c in zip(_MIX_PAIRS, _CONSTS[_POOL:])]
 # The eight state words, cycling over the pool: (pool word, xor, mul).
 _OUTPUT = [(i % _POOL, *c) for i, c in
            enumerate(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL))]
@@ -173,23 +168,22 @@ def _words32(n: int) -> list:
 
 def _uniforms(seed: int, index: int, count: int) -> list:
     """The first ``count`` doubles in [0, 1) of
-    ``numpy.random.default_rng([seed, index])``, bit for bit.
+    ``numpy.random.default_rng([seed, index])``, bit for bit, for ``seed``
+    and ``index`` in ``[0, 2**64)``; another ``index`` raises DomainError.
 
     ``SeedSequence`` hashes the entropy words into its pool and draws eight
     words from it; as four little-endian uint64 ``s0 s1 i0 i1`` they seed
     PCG64 with state ``s0:s1`` and increment ``2 (i0:i1) + 1``.  Each double
     is the top 53 bits of one XSL-RR output.
     """
-    if seed < 0 or index < 0:
-        raise DomainError(f"seed and index must be nonnegative, got {seed}, {index}")
+    if not 0 <= index <= _M64:
+        raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
     pool = _words32(seed) + _words32(index)
-    fill, schedule = (_FILL, _SCHEDULE) if len(pool) <= _POOL else \
-        _mixing_schedule(len(pool) - _POOL)
     pool += [0] * (_POOL - len(pool))
-    for i, (xor, mul) in enumerate(fill):
+    for i, (xor, mul) in enumerate(_FILL):
         v = (pool[i] ^ xor) * mul & _M32
         pool[i] = v ^ v >> 16
-    for s, d, xor, mul in schedule:
+    for s, d, xor, mul in _SCHEDULE:
         v = (pool[s] ^ xor) * mul & _M32
         v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
         pool[d] = v ^ v >> 16
@@ -220,8 +214,8 @@ def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
     not promise that ``Generator.uniform`` keeps its stream across releases.
     The lengths go through ``math.exp``, the C library's: numpy's ``exp``
     dispatches to a CPU-specific kernel that differs from it in the last
-    bit on some inputs, so numpy's lengths depend on the host.  A negative
-    ``index`` raises :class:`DomainError`.
+    bit on some inputs, so numpy's lengths depend on the host.  An
+    ``index`` below 0 or at or above 2**64 raises :class:`DomainError`.
     """
     ncurves = 3 * cfg.g - 3 + cfg.n
     u = _uniforms(cfg.seed & _M64, index, 2 * ncurves)
@@ -457,37 +451,20 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int = 0,
 # almost-isometry sampling report
 
 
-@dataclass(frozen=True)
-class AlmostIsometryReport:
-    """Empirical additive distortion of the boundary-forgetting map.
-
-    ``b_bound`` is the largest observed ``|d2(f x, f y) - d1(x, y)|`` over
-    sampled ordered pairs and ``worst_pair`` the first pair attaining it,
-    also when it is zero; ``a_bound`` the largest distance from a target
-    to the image (zero when the targets are the images themselves).
-    """
-
-    a_bound: float
-    b_bound: float
-    pairs: int
-    metric: str
-    worst_pair: tuple = field(default=())
-
-    def to_dict(self) -> dict:
-        return {"a_bound": self.a_bound, "b_bound": self.b_bound,
-                "pairs": self.pairs, "metric": self.metric,
-                "worst_pair": list(self.worst_pair)}
-
-
 def almost_isometry_report(samples, m: Marking, depth: int,
-                           metric: str = "arc") -> AlmostIsometryReport:
+                           metric: str = "arc") -> dict:
     """Measure the additive metric distortion of forgetting the boundary.
 
     ``d1`` is the arc estimate (or curve-ratio estimate, per ``metric``)
     between bordered samples; ``d2`` the curve-ratio estimate between
-    their punctured images.  Targets are the images of the samples, so
-    the coarse-density bound is exactly zero for this sample set.  Each
-    sample and each image is evaluated once, into its length table.
+    their punctured images.  Each sample and each image is evaluated
+    once, into its length table.
+
+    The report's ``b_bound`` is the largest observed ``|d2(f x, f y) -
+    d1(x, y)|`` over sampled ordered pairs and ``worst_pair`` the first
+    pair attaining it, also when it is zero; ``a_bound`` is the largest
+    distance from a target to the image, exactly zero here since the
+    targets are the images of the samples.
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -497,7 +474,7 @@ def almost_isometry_report(samples, m: Marking, depth: int,
     d1_of = arc_of if metric == "arc" else thurston_of
     tables = [length_table(x, m, depth) for x in samples]
     images = [length_table(phi_gamma(x), m, depth) for x in samples]
-    b_bound, worst = None, ()
+    b_bound, worst = None, []
     pairs = 0
     for i in range(len(samples)):
         for j in range(len(samples)):
@@ -507,6 +484,6 @@ def almost_isometry_report(samples, m: Marking, depth: int,
             d2 = thurston_of(images[i], images[j]).value
             pairs += 1
             if b_bound is None or abs(d2 - d1) > b_bound:
-                b_bound, worst = abs(d2 - d1), (i, j)
-    return AlmostIsometryReport(a_bound=0.0, b_bound=b_bound, pairs=pairs,
-                                metric=metric, worst_pair=worst)
+                b_bound, worst = abs(d2 - d1), [i, j]
+    return {"a_bound": 0.0, "b_bound": b_bound, "pairs": pairs,
+            "metric": metric, "worst_pair": worst}

@@ -42,8 +42,6 @@ __all__ = [
     "arc_of",
     "bordered_ext_bracket",
     "maskit_bracket",
-    "symmetrize",
-    "teich_interval",
     "teich_interval_report",
     "teich_of",
     "thurston_lower",
@@ -149,11 +147,6 @@ def arc_lower(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> MetricEstimat
     return arc_of(*_tables(x1, x2, m, depth))
 
 
-def symmetrize(d_xy: float, d_yx: float) -> float:
-    """Symmetrised metric value: the larger of the two one-sided values."""
-    return max(d_xy, d_yx)
-
-
 # ---------------------------------------------------------------------------
 # extremal-length brackets
 
@@ -256,9 +249,3 @@ def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,
                           depth: int) -> TeichIntervalReport:
     """:func:`teich_of` on the length tables of ``x1`` and ``x2``."""
     return teich_of(*_tables(x1, x2, m, depth))
-
-
-def teich_interval(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> Interval:
-    """Interval bracketing the quasiconformal metric; see
-    :func:`teich_interval_report` for the witness data."""
-    return teich_interval_report(x1, x2, m, depth).interval

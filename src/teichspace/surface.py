@@ -472,19 +472,9 @@ def double(fn: FNPoint, m: Marking) -> DoubleData:
             parent[ra] = rb
             tree.add(k)
 
-    mu_words = list(m.mu_words)
-    for w in m.mu_words:
-        mu_words.append(tuple((_mirror_token(t, p_count, n_edges), e)
-                              for t, e in w))
-    for i, side in enumerate(m.boundary_slots):
-        p, s = side
-        mu_words.append(((("slot", p, (s + 1) % 3), 1),
-                         (("slot", p + p_count, (s + 1) % 3), 1)))
-
     dm = Marking(genus=2 * m.genus + n - 1, nboundary=0,
                  pants_count=2 * p_count, edges=tuple(edges),
-                 boundary_slots=(), tree=frozenset(tree),
-                 mu_words=tuple(mu_words), arcs=())
+                 boundary_slots=(), tree=frozenset(tree), arcs=())
 
     dfn = FNPoint(g=dm.genus, n=0,
                   lengths=fn.lengths + fn.lengths + fn.boundary,
@@ -505,12 +495,6 @@ def double(fn: FNPoint, m: Marking) -> DoubleData:
 
     return DoubleData(base_marking=m, marking=dm, fn=dfn,
                       involution=involution, boundary_edge=tuple(boundary_edge))
-
-
-def _mirror_token(token, p_count, n_edges):
-    if token[0] == "slot":
-        return ("slot", token[1] + p_count, token[2])
-    return ("conn", token[1] + n_edges)
 
 
 def doubled_arc_word(d: DoubleData, arc: ArcClass):

@@ -295,8 +295,7 @@ def test_11_determinism(tmp_path):
     for name in ("first.json", "second.json"):
         out = tmp_path / name
         subprocess.run([sys.executable, "-m", "teichspace", "verify-arcs",
-                        "--config", str(cfg_path), "--format", "json",
-                        "--out", str(out)],
+                        "--config", str(cfg_path), "--out", str(out)],
                        check=True, capture_output=True)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -129,12 +129,10 @@ class TestSamplePoint:
     def test_matches_numpy_generator_bit_for_bit(self, g, n):
         # The reference is the generator sample_point replaced; its lengths
         # are math.exp of numpy's uniforms, since numpy's exp kernel depends
-        # on the CPU.  Indices of 2**64 and beyond give more entropy words
-        # than the pool holds.
+        # on the CPU.  Indices stop below 2**64; seeds are masked to 64 bits.
         seeds = [*range(300), 2 ** 32, 2 ** 63, 2 ** 64 - 1, -1, -12345,
                  2 ** 70 + 3]
-        indices = [0, 1, 9, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
-                   2 ** 100 + 17]
+        indices = [0, 1, 9, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
         ranges = np.random.default_rng(g * 10 + n)
         for seed in seeds:
             lo, hi = np.sort(np.exp(ranges.uniform(math.log(1e-4), math.log(40), 2)))
@@ -153,7 +151,7 @@ class TestSamplePoint:
                 assert [v.hex() for v in x.twists] == [v.hex() for v in twists.tolist()]
 
     def test_negative_index_raises(self):
-        with pytest.raises(DomainError, match="nonnegative"):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
             sample_point(cfg_12(), -1)
 
 
@@ -389,17 +387,17 @@ class TestAlmostIsometryReport:
         m = cfg.marking()
         x = sample_point(cfg, 0)
         rep = almost_isometry_report([x, x], m, 1)
-        assert rep.b_bound == 0.0
-        assert rep.a_bound == 0.0
-        assert rep.worst_pair == (0, 1)
+        assert rep["b_bound"] == 0.0
+        assert rep["a_bound"] == 0.0
+        assert rep["worst_pair"] == [0, 1]
 
     def test_finite_on_samples(self):
         cfg = cfg_12(samples=4)
         m = cfg.marking()
         samples = [sample_point(cfg, i) for i in range(4)]
         rep = almost_isometry_report(samples, m, 1)
-        assert rep.pairs == 12
-        assert math.isfinite(rep.b_bound) and rep.b_bound >= 0
+        assert rep["pairs"] == 12
+        assert math.isfinite(rep["b_bound"]) and rep["b_bound"] >= 0
 
     def test_metric_selector(self):
         cfg = cfg_12()
@@ -407,7 +405,7 @@ class TestAlmostIsometryReport:
         samples = [sample_point(cfg, i) for i in range(2)]
         arc = almost_isometry_report(samples, m, 1, metric="arc")
         thu = almost_isometry_report(samples, m, 1, metric="thurston")
-        assert arc.metric == "arc" and thu.metric == "thurston"
+        assert arc["metric"] == "arc" and thu["metric"] == "thurston"
         with pytest.raises(DomainError):
             almost_isometry_report(samples, m, 1, metric="extremal")
 
