@@ -2,10 +2,9 @@
 
 Subcommands: ``constants``, ``distance``, ``compare``, ``verify-arcs``,
 ``phi-experiment``, ``report``.  Experiments are configured by a JSON file
-whose fields match :class:`teichspace.harness.ExperimentConfig`; ``--seed``,
-``--out`` and, where a subcommand reads them, ``--depth`` and ``--format``
-override the config.  Identical configurations produce byte-identical
-output files.
+whose fields match :class:`teichspace.harness.ExperimentConfig`; the flags
+``--seed``, ``--out`` and, where read, ``--depth`` and ``--format`` override
+it.  Identical configurations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -193,8 +192,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *read):
-        p.add_argument("--config", required=True,
-                       help="experiment config JSON path")
+        p.add_argument("--config", required=True, help="experiment config JSON path")
         p.add_argument("--seed", type=int, default=None)
         if "depth" in read:
             p.add_argument("--depth", type=int, default=None)

@@ -70,17 +70,16 @@ class Marking:
 
     ``edges`` are the internal curves (index aligned with the length/twist
     vectors), ``boundary_slots[m]`` is the pants slot carrying boundary
-    ``m``, ``tree`` lists the spanning-tree edge indices and ``arcs`` the
-    pants-local seed arcs.
+    ``m``, ``tree`` lists the spanning-tree edge indices, ``mu_words`` the
+    seed multicurve words dual to each edge, and ``arcs`` the pants-local
+    seed arcs.  Words are tuples of ``(token, exponent)`` pairs where a
+    token is ``("slot", pants, slot)`` or ``("conn", edge_index)``.
 
     Construction checks that every slot of every pants carries exactly one
     edge side or boundary and keeps the resulting slot table, which
-    :meth:`slot_assignment` and :meth:`slot_length` read.  It also derives
-    ``mu_words``, the seed multicurve words dual to each edge: a handle
-    loop's dual is its connector, and any other dual runs through the slot
-    after the glued one on each side.  Words are tuples of ``(token,
-    exponent)`` pairs where a token is ``("slot", pants, slot)`` or
-    ``("conn", edge_index)``.
+    :meth:`slot_assignment` and :meth:`slot_length` read, and derives
+    ``mu_words`` from ``edges``: a handle loop's dual is its connector, any
+    other dual runs through the slot after the glued one on each side.
     """
 
     genus: int

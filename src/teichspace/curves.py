@@ -37,7 +37,6 @@ point is evaluated once however many estimators and partners use it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -183,28 +182,25 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     """Evaluate the length table of ``fn`` at family depth ``depth``.
 
     The curve lengths come from one :func:`family_lengths` call over the
-    whole family.  A :class:`DomainError` of that call (a length that is
-    not finite) is re-raised with the replay witness ``{"x": <point JSON>,
-    "depth": depth}`` appended to its message and kept in its ``witness``
-    attribute.
+    whole family.  A :class:`DomainError` of that call or of an arc length
+    (a length that is not finite) is re-raised with the replay witness
+    ``{"x": <point JSON>, "depth": depth}`` appended to its message and
+    kept in its ``witness`` attribute.
     """
     if (fn.g, fn.n) != (m.genus, m.nboundary):
         raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
                           f"of ({m.genus},{m.nboundary})")
     classes = tuple(enumerate_curves(m, depth))
-    try:
-        lengths = tuple(family_lengths(fn, m, classes))
-    except DomainError as err:
-        witness = {"x": fn.to_dict(), "depth": depth}
-        replay = DomainError(f"{err}\nwitness: {json.dumps(witness)}")
-        replay.witness = witness
-        raise replay from err
     arcs = ()
     if m.nboundary and all(fn.boundary):
         arcs = tuple(enumerate_arcs(m))
+    try:
+        lengths = tuple(family_lengths(fn, m, classes))
+        arc_lengths = tuple(arc_length_formula(fn, m, a) for a in arcs)
+    except DomainError as err:
+        raise err.with_witness({"x": fn.to_dict(), "depth": depth}) from err
     return LengthTable(point=fn, depth=depth, classes=classes, lengths=lengths,
-                       arcs=arcs,
-                       arc_lengths=tuple(arc_length_formula(fn, m, a) for a in arcs))
+                       arcs=arcs, arc_lengths=arc_lengths)
 
 
 def enumerate_arcs(m: Marking):

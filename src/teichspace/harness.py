@@ -145,9 +145,7 @@ def _hash_consts(h: int, mult: int, calls: int) -> list:
 
 
 # Hash constants of the pool fill, and ``(src, dst, xor, mul)`` of every
-# mixing step: each pool word into every other.  A seed and an index below
-# 2**64 give at most the four entropy words the pool holds, so no word is
-# ever mixed in past the pool.
+# mixing step: each pool word into every other.
 _MIX_PAIRS = [(s, d) for s in range(_POOL) for d in range(_POOL) if s != d]
 _CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL + len(_MIX_PAIRS))
 _FILL = _CONSTS[:_POOL]
@@ -169,7 +167,7 @@ def _words32(n: int) -> list:
 def _uniforms(seed: int, index: int, count: int) -> list:
     """The first ``count`` doubles in [0, 1) of
     ``numpy.random.default_rng([seed, index])``, bit for bit, for ``seed``
-    and ``index`` in ``[0, 2**64)``; another ``index`` raises DomainError.
+    and ``index`` below 2**64, whose words fit the pool; other indices raise.
 
     ``SeedSequence`` hashes the entropy words into its pool and draws eight
     words from it; as four little-endian uint64 ``s0 s1 i0 i1`` they seed
@@ -250,47 +248,50 @@ def verify_arcs(pairs, m: Marking):
     the boundary and the marking, so they are computed once, from the
     first pair, before its report; every point of every pair must share
     that boundary.  The seed arcs are the same at every family depth, so
-    there is no depth.
+    there is no depth.  A pair's DomainError carries the witness ``{"x1", "x2"}``.
     """
     plan = None
     for x1, x2 in pairs:
-        if plan is None:
-            boundary = x1.boundary
-            if any(v == 0.0 for v in boundary):
-                raise DomainError("arc check needs positive boundary lengths")
-            constants = gap_constants(boundary)
-            plan = [(arc, arc.label(),
-                     [((arc.pants, s),
-                       c.label() + ("" if c.essential else "(boundary)"),
-                       c.essential)
-                      for s, c in zip(arc.neighbour_slots,
-                                      pants_neighborhood_boundaries(arc, m))])
-                    for arc in enumerate_arcs(m)]
-        if x1.boundary != boundary or x2.boundary != boundary:
-            raise DomainError("arc check needs equal boundary lengths")
-        rows = []
-        for arc, label, neighbours in plan:
-            l1 = arc_length_formula(x1, m, arc)
-            l2 = arc_length_formula(x2, m, arc)
-            ratio = l2 / l1
-            row = {"arc": label, "l1": l1, "l2": l2, "ratio": ratio}
-            if ratio <= 1.0:
-                row["checked"] = False
+        try:
+            if plan is None:
+                boundary = x1.boundary
+                if any(v == 0.0 for v in boundary):
+                    raise DomainError("arc check needs positive boundary lengths")
+                constants = gap_constants(boundary)
+                plan = [(arc, arc.label(),
+                         [((arc.pants, s),
+                           c.label() + ("" if c.essential else "(boundary)"),
+                           c.essential)
+                          for s, c in zip(arc.neighbour_slots,
+                                          pants_neighborhood_boundaries(arc, m))])
+                        for arc in enumerate_arcs(m)]
+            if x1.boundary != boundary or x2.boundary != boundary:
+                raise DomainError("arc check needs equal boundary lengths")
+            rows = []
+            for arc, label, neighbours in plan:
+                l1 = arc_length_formula(x1, m, arc)
+                l2 = arc_length_formula(x2, m, arc)
+                ratio = l2 / l1
+                row = {"arc": label, "l1": l1, "l2": l2, "ratio": ratio}
+                if ratio <= 1.0:
+                    row["checked"] = False
+                    rows.append(row)
+                    continue
+                curves = []
+                for side, nb_label, essential in neighbours:
+                    c1, c2 = m.slot_length(x1, side), m.slot_length(x2, side)
+                    curves.append({"curve": nb_label, "l1": c1, "l2": c2,
+                                   "ratio": c2 / c1, "essential": essential})
+                best = max(c["ratio"] for c in curves if c["essential"])
+                bound = constants.c * ratio
+                row.update({"checked": True, "curves": curves,
+                            "excluded_boundary_parallel":
+                                sum(not c["essential"] for c in curves),
+                            "max_curve_ratio": best, "bound": bound,
+                            "passed": best >= bound})
                 rows.append(row)
-                continue
-            curves = []
-            for side, nb_label, essential in neighbours:
-                c1, c2 = m.slot_length(x1, side), m.slot_length(x2, side)
-                curves.append({"curve": nb_label, "l1": c1, "l2": c2,
-                               "ratio": c2 / c1, "essential": essential})
-            best = max(c["ratio"] for c in curves if c["essential"])
-            bound = constants.c * ratio
-            row.update({"checked": True, "curves": curves,
-                        "excluded_boundary_parallel":
-                            sum(not c["essential"] for c in curves),
-                        "max_curve_ratio": best, "bound": bound,
-                        "passed": best >= bound})
-            rows.append(row)
+        except DomainError as err:
+            raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
         checked = sum(r["checked"] for r in rows)
         passed = sum(r["checked"] and r["passed"] for r in rows)
         yield {
@@ -333,7 +334,8 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
 
     The three estimators reduce over the same two length tables.  Raises
     :class:`HarnessCheckError` with a replay witness if the ordering
-    ``d_a >= d_th >= 0`` fails on the evaluated family.
+    ``d_a >= d_th >= 0`` fails on the evaluated family; a
+    :class:`DomainError` of the gap constant gets the witness ``{"x1", "x2"}``.
     """
     t1, t2 = length_table(x1, m, depth), length_table(x2, m, depth)
     d_th = thurston_of(t1, t2)
@@ -347,11 +349,15 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     if not (d_th.value >= 0.0):
         raise HarnessCheckError(
             "curve-ratio estimate negative: family missed its witness", witness)
+    try:
+        gap = gap_constants(x1.boundary).gap
+    except DomainError as err:
+        raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
     return {
         "d_th": d_th.value,
         "d_a": d_a.value,
         "d_a_minus_d_th": d_a.value - d_th.value,
-        "gap_constant": gap_constants(x1.boundary).gap,
+        "gap_constant": gap,
         "teich_lo": teich.interval.lo,
         "teich_hi": teich.interval.hi,
         "depth": depth,
@@ -457,14 +463,12 @@ def almost_isometry_report(samples, m: Marking, depth: int,
 
     ``d1`` is the arc estimate (or curve-ratio estimate, per ``metric``)
     between bordered samples; ``d2`` the curve-ratio estimate between
-    their punctured images.  Each sample and each image is evaluated
-    once, into its length table.
-
-    The report's ``b_bound`` is the largest observed ``|d2(f x, f y) -
-    d1(x, y)|`` over sampled ordered pairs and ``worst_pair`` the first
-    pair attaining it, also when it is zero; ``a_bound`` is the largest
-    distance from a target to the image, exactly zero here since the
-    targets are the images of the samples.
+    their punctured images.  ``b_bound`` is the largest observed ``|d2(f
+    x, f y) - d1(x, y)|`` over sampled ordered pairs and ``worst_pair``
+    the first pair attaining it, also when it is zero.  Targets are the
+    images of the samples, so the coarse-density bound ``a_bound`` is
+    exactly zero.  Each sample and each image is evaluated once, into its
+    length table.
     """
     samples = list(samples)
     if len(samples) < 2:

@@ -67,7 +67,8 @@ Both arc forms are evaluated in double precision as sums of positive
 terms.  For boundary lengths in ``[1e-4, 40]`` they match a 50-digit
 mpmath evaluation of the identities above to 1e-14 relative, and traces
 of the doubled-arc words in the holonomy of the arc's own pants, doubled,
-to 1e-8.
+to 1e-8.  Where an intermediate or the result leaves double range, both
+forms and the constants raise :class:`DomainError` naming the lengths.
 Boundary components of length 0 (cusps) are rejected here: the hexagon
 identities degenerate, and cusped surfaces only ever need closed-curve
 lengths.
@@ -75,6 +76,7 @@ lengths.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -82,6 +84,12 @@ from itertools import combinations_with_replacement
 
 class DomainError(ValueError):
     """Raised when an input lies outside the validity domain of a formula."""
+
+    def with_witness(self, witness: dict) -> "DomainError":
+        """This error with the replay ``witness`` in its message and attribute."""
+        replay = DomainError(f"{self}\nwitness: {json.dumps(witness)}")
+        replay.witness = witness
+        return replay
 
 
 def _require_positive(**values: float) -> None:
@@ -110,8 +118,14 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     _require_positive(li=li, lj=lj)
     if la < 0 or not math.isfinite(la):
         raise DomainError(f"la must be a nonnegative finite length, got {la!r}")
-    return _acosh1p((math.cosh((li - lj) / 2) + math.cosh(la / 2))
-                    / (math.sinh(li / 2) * math.sinh(lj / 2)))
+    try:
+        length = _acosh1p((math.cosh((li - lj) / 2) + math.cosh(la / 2))
+                          / (math.sinh(li / 2) * math.sinh(lj / 2)))
+    except (OverflowError, ZeroDivisionError):
+        length = math.inf
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"orthogeodesic_between{(li, lj, la)} leaves double range")
+    return length
 
 
 def min_between_arc_length(li: float, lj: float) -> float:
@@ -161,9 +175,15 @@ def orthogeodesic_self(li: float, la: float, ld: float) -> float:
     """
     _require_positive(li=li, la=la, ld=ld)
     x = li / 2
-    ca, cd = math.cosh(la / 2), math.cosh(ld / 2)
-    return 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * math.cosh(x)
-                                      + cd * cd) / math.sinh(x))
+    try:
+        ca, cd = math.cosh(la / 2), math.cosh(ld / 2)
+        length = 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * math.cosh(x)
+                                            + cd * cd) / math.sinh(x))
+    except (OverflowError, ZeroDivisionError):
+        length = math.inf
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"orthogeodesic_self{(li, la, ld)} leaves double range")
+    return length
 
 
 def self_arc_floor(li: float) -> float:
@@ -240,8 +260,14 @@ def _boundary_lengths(boundary_lengths) -> tuple:
     if not lam:
         raise DomainError("need at least one boundary length")
     for v in lam:
-        if not (v > 0.0 and math.isfinite(v)):
-            raise DomainError(f"boundary lengths must be positive, got {v!r}")
+        # Every pair's sinh(u/2) sinh(v/2) lies between two of these squares.
+        try:
+            s2 = math.sinh(v / 2) ** 2
+        except OverflowError:
+            s2 = math.inf
+        if not (v > 0.0 and 0.0 < s2 < math.inf):
+            raise DomainError(f"boundary lengths must be positive, with sinh(l/2)^2 "
+                              f"in double range, got {v!r}")
     return lam
 
 

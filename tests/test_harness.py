@@ -154,6 +154,11 @@ class TestSamplePoint:
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
             sample_point(cfg_12(), -1)
 
+    def test_index_past_64_bits_raises(self):
+        # Past 2**64 the pool would need words numpy mixes in after it.
+        with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
+            harness._uniforms(0, 2 ** 64, 2)
+
 
 class TestVerifyArcConstruction:
     def test_equal_points_vacuous(self):
@@ -577,6 +582,67 @@ class TestCli:
                 f"for argv in {runs!r}:\n"
                 "    cli.main(argv)\n")
         subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify-arcs", "--depth", "3"], "unrecognized arguments: --depth 3"),
+        (["verify-arcs", "--format", "csv"], "unrecognized arguments: --format"),
+        (["report", "--format", "csv"], "unrecognized arguments: --format"),
+        (["compare"], "the following arguments are required: --config"),
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(
+            self, tmp_path, capsys, argv, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_12().to_json())
+        config = [] if argv == ["compare"] else ["--config", str(cfg_path)]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, *config])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_json_outputs_are_strict_json(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        cfg = cfg_12(samples=3, depth=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        x1, x2 = tmp_path / "x1.json", tmp_path / "x2.json"
+        x1.write_text(sample_point(cfg, 0).to_json())
+        x2.write_text(sample_point(cfg, 1).to_json())
+        config = ["--config", str(cfg_path)]
+        runs = [["compare", *config, "--format", "json"],
+                ["report", *config], ["report", *config, "--metric", "thurston"],
+                ["verify-arcs", *config], ["verify-arcs", *config, "--summary-only"],
+                ["phi-experiment", *config, "--format", "json"],
+                ["distance", "--x1", str(x1), "--x2", str(x2)],
+                ["constants", "--boundary", "1.0,1.5"]]
+        out = tmp_path / "out.json"
+        for argv in runs:
+            cli.main([*argv, "--out", str(out)])
+            json.loads(out.read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize("subcommand,config,message,witness", [
+        ("compare", {"length_range": [800, 900]}, "not finite", "table"),
+        ("verify-arcs", {"length_range": [800, 900]}, "leaves double range", "pair"),
+        ("compare", {"boundary": [1e-200, 1.0]}, "double range, got 1e-200", "pair"),
+        ("verify-arcs", {"boundary": [1e-200, 1.0]}, "double range, got 1e-200", "pair"),
+    ])
+    def test_out_of_range_raises_with_witness(self, tmp_path, subcommand,
+                                              config, message, witness):
+        cfg = ExperimentConfig.from_json(json.dumps(
+            {"g": 1, "n": 2, "boundary": [1.0, 1.5], "depth": 1, "samples": 2,
+             **config}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out = tmp_path / "out.json"
+        with pytest.raises(DomainError, match=message) as err:
+            cli.main([subcommand, "--config", str(cfg_path), "--out", str(out)])
+        x1, x2 = sample_point(cfg, 0).to_dict(), sample_point(cfg, 1).to_dict()
+        want = ({"x": x1, "depth": 1} if witness == "table"
+                else {"x1": x1, "x2": x2})
+        assert err.value.witness == want
+        assert str(err.value).endswith("\nwitness: " + json.dumps(want))
+        assert not out.exists()
 
     def test_report_subcommand_deterministic(self, tmp_path):
         cfg = cfg_12(samples=3, depth=1)

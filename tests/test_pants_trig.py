@@ -5,6 +5,7 @@ from the defining formulas; the inline comments show the expressions.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -270,6 +271,25 @@ class TestGapConstants:
         gaps = gap_constants(boundary)
         assert 0.0 < gaps.c <= 1.0
         assert between_arc_constants(boundary).arc_floor > 0.0
+
+
+class TestDoubleRange:
+    """Lengths whose intermediates or result leave double range are
+    rejected naming them, not returned as inf or 0 or raised as a bare
+    OverflowError or ZeroDivisionError."""
+
+    @pytest.mark.parametrize("form,args,named", [
+        (orthogeodesic_self, (1, 720, 1), "orthogeodesic_self(1, 720, 1)"),
+        (orthogeodesic_self, (1, 1500, 1), "orthogeodesic_self(1, 1500, 1)"),
+        (orthogeodesic_between, (800, 800, 1),
+         "orthogeodesic_between(800, 800, 1)"),
+        (orthogeodesic_between, (1e-200, 1e-200, 1),
+         "orthogeodesic_between(1e-200, 1e-200, 1)"),
+        (gap_constants, ([1e-300, 1.0],), "double range, got 1e-300"),
+    ])
+    def test_rejected_naming_the_lengths(self, form, args, named):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            form(*args)
 
 
 class TestInterval:
