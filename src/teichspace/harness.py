@@ -1,10 +1,7 @@
 """Experiment runner: sampling, inequality checks, and report generation.
 
 Every operation here is deterministic given the experiment configuration:
-point ``index`` is drawn from numpy's ``SeedSequence`` + ``PCG64`` stream
-keyed by ``(seed, index)``, written out in pure Python so that no run
-imports numpy and numpy's Generator policy cannot move it; the lengths go
-through ``math.exp``, so the points do not depend on numpy's CPU dispatch
+point ``index`` is drawn from a ``random.Random`` keyed by ``(seed, index)``
 (see :func:`sample_point`).  Reports are plain dicts with fixed key order so
 identical runs serialize to identical bytes.
 
@@ -17,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 
 from .coords import FNPoint, Marking, build_marking, json_fields, phi_gamma
@@ -124,103 +122,30 @@ class ExperimentConfig:
         return cls(**json_fields(cls, text, "config"))
 
 
-# numpy's SeedSequence (pool of four 32-bit words) and PCG64 (XSL-RR 128/64),
-# written out so that sampling needs no ``numpy.random``.
-_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
-_POOL = 4
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _hash_consts(h: int, mult: int, calls: int) -> list:
-    """``(xor, mul)`` of ``calls`` successive hashmix calls from constant ``h``:
-    each call XORs with the running constant, advances it, multiplies by it."""
-    out = []
-    for _ in range(calls):
-        out.append((h, h * mult & _M32))
-        h = out[-1][1]
-    return out
-
-
-# Hash constants of the pool fill, and ``(src, dst, xor, mul)`` of every
-# mixing step: each pool word into every other.
-_MIX_PAIRS = [(s, d) for s in range(_POOL) for d in range(_POOL) if s != d]
-_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL + len(_MIX_PAIRS))
-_FILL = _CONSTS[:_POOL]
-_SCHEDULE = [(s, d, *c) for (s, d), c in zip(_MIX_PAIRS, _CONSTS[_POOL:])]
-# The eight state words, cycling over the pool: (pool word, xor, mul).
-_OUTPUT = [(i % _POOL, *c) for i, c in
-           enumerate(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL))]
-
-
-def _words32(n: int) -> list:
-    """``n`` as little-endian 32-bit words; one word for 0."""
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _uniforms(seed: int, index: int, count: int) -> list:
-    """The first ``count`` doubles in [0, 1) of
-    ``numpy.random.default_rng([seed, index])``, bit for bit, for ``seed``
-    and ``index`` below 2**64, whose words fit the pool; other indices raise.
-
-    ``SeedSequence`` hashes the entropy words into its pool and draws eight
-    words from it; as four little-endian uint64 ``s0 s1 i0 i1`` they seed
-    PCG64 with state ``s0:s1`` and increment ``2 (i0:i1) + 1``.  Each double
-    is the top 53 bits of one XSL-RR output.
-    """
-    if not 0 <= index <= _M64:
-        raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
-    pool = _words32(seed) + _words32(index)
-    pool += [0] * (_POOL - len(pool))
-    for i, (xor, mul) in enumerate(_FILL):
-        v = (pool[i] ^ xor) * mul & _M32
-        pool[i] = v ^ v >> 16
-    for s, d, xor, mul in _SCHEDULE:
-        v = (pool[s] ^ xor) * mul & _M32
-        v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
-        pool[d] = v ^ v >> 16
-    w = []
-    for i, xor, mul in _OUTPUT:
-        v = (pool[i] ^ xor) * mul & _M32
-        w.append(v ^ v >> 16)
-    state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
-    state = ((inc + state) * _PCG_MULT + inc) & _M128
-    out = []
-    for _ in range(count):
-        state = (state * _PCG_MULT + inc) & _M128
-        x = (state >> 64 ^ state) & _M64
-        # rotate x right by the top six bits of the state
-        out.append((((x << 64 | x) >> (state >> 122) & _M64) >> 11) * 2.0 ** -53)
-    return out
+_M64 = 2 ** 64 - 1
 
 
 def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
     """Point number ``index`` of the experiment: deterministic in
     ``(cfg.seed, index)``, lengths log-uniform, twists uniform.
 
-    The draws are those of ``numpy.random.default_rng([cfg.seed mod 2**64,
-    index]).uniform``, bit for bit, from :func:`_uniforms`: numpy's
-    ``SeedSequence`` and ``PCG64`` stream written out.  Importing
-    ``numpy.random`` took longer than a small run's geometry, and numpy does
-    not promise that ``Generator.uniform`` keeps its stream across releases.
-    The lengths go through ``math.exp``, the C library's: numpy's ``exp``
-    dispatches to a CPU-specific kernel that differs from it in the last
-    bit on some inputs, so numpy's lengths depend on the host.  An
-    ``index`` below 0 or at or above 2**64 raises :class:`DomainError`.
+    The draws come from one ``random.Random`` per point, seeded with the
+    integer ``(cfg.seed mod 2**64) * 2**64 + index``, which is injective
+    over the accepted range: first the logs of the ``ncurves`` lengths,
+    uniform over the logs of ``length_range`` and taken through
+    ``math.exp``, then the ``ncurves`` twists, uniform over
+    ``twist_range``.  Python keeps ``random()`` the same for the same
+    integer seed in every release, so the points do not depend on the
+    interpreter or the host.  An ``index`` below 0 or at or above 2**64
+    would collide with another key and raises :class:`DomainError`.
     """
+    if not 0 <= index <= _M64:
+        raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
+    rng = random.Random((cfg.seed & _M64) << 64 | index)
     ncurves = 3 * cfg.g - 3 + cfg.n
-    u = _uniforms(cfg.seed & _M64, index, 2 * ncurves)
     lo, hi = math.log(cfg.length_range[0]), math.log(cfg.length_range[1])
-    t_lo, t_hi = cfg.twist_range
-    lengths = [math.exp(lo + (hi - lo) * v) for v in u[:ncurves]]
-    twists = [t_lo + (t_hi - t_lo) * v for v in u[ncurves:]]
+    lengths = [math.exp(rng.uniform(lo, hi)) for _ in range(ncurves)]
+    twists = [rng.uniform(*cfg.twist_range) for _ in range(ncurves)]
     return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths, twists=twists,
                    boundary=cfg.boundary)
 

@@ -1,12 +1,12 @@
 """Tests for the experiment harness and the CLI."""
 
 import argparse
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from teichspace import cli, harness, metrics, surface
@@ -125,39 +125,48 @@ class TestSamplePoint:
     def test_seed_changes_points(self):
         assert sample_point(cfg_12(seed=1), 0) != sample_point(cfg_12(seed=2), 0)
 
-    @pytest.mark.parametrize("g,n", [(1, 6), (2, 2), (3, 2), (0, 4)])
-    def test_matches_numpy_generator_bit_for_bit(self, g, n):
-        # The reference is the generator sample_point replaced; its lengths
-        # are math.exp of numpy's uniforms, since numpy's exp kernel depends
-        # on the CPU.  Indices stop below 2**64; seeds are masked to 64 bits.
-        seeds = [*range(300), 2 ** 32, 2 ** 63, 2 ** 64 - 1, -1, -12345,
-                 2 ** 70 + 3]
-        indices = [0, 1, 9, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
-        ranges = np.random.default_rng(g * 10 + n)
-        for seed in seeds:
-            lo, hi = np.sort(np.exp(ranges.uniform(math.log(1e-4), math.log(40), 2)))
-            t_lo = ranges.uniform(-100, 100)
-            cfg = ExperimentConfig(
-                g=g, n=n, boundary=(1.0,) * n, seed=seed,
-                length_range=(lo, hi),
-                twist_range=(t_lo, t_lo + ranges.uniform(0, 200)))
-            for index in indices[:3] if 0 < seed < 300 else indices:
-                rng = np.random.default_rng([seed & (2 ** 64 - 1), index])
-                logs = rng.uniform(math.log(lo), math.log(hi), 3 * g - 3 + n)
-                lengths = [math.exp(v) for v in logs.tolist()]
-                twists = rng.uniform(*cfg.twist_range, 3 * g - 3 + n)
+    # SHA-256 of the space-joined float.hex of the lengths, then the twists,
+    # of every point at seeds 0, 7, -1, 2**64 - 1 and indices 0, 1, 2**64 - 1,
+    # with the default ranges and boundary 1.0.
+    GOLDEN = {
+        (1, 6): "5abc73d425c5a4cfed5b8e4381bc10c151d46636809ea31d2a5cc4a886fb3cc8",
+        (2, 2): "d72559de0868eef8825907b9beed9690308584b112bf2b158321dfbb0fc242c4",
+        (0, 4): "ae7761364eb49ba8177520d83788a34818ffb48005b40469b6b1317a55b8b106",
+    }
+
+    @pytest.mark.parametrize("g,n", list(GOLDEN))
+    def test_golden_stream(self, g, n):
+        hexes = []
+        for seed in (0, 7, -1, 2 ** 64 - 1):
+            cfg = ExperimentConfig(g=g, n=n, boundary=(1.0,) * n, seed=seed)
+            for index in (0, 1, 2 ** 64 - 1):
                 x = sample_point(cfg, index)
-                assert [v.hex() for v in x.lengths] == [v.hex() for v in lengths]
-                assert [v.hex() for v in x.twists] == [v.hex() for v in twists.tolist()]
+                hexes += [v.hex() for v in x.lengths + x.twists]
+        digest = hashlib.sha256(" ".join(hexes).encode()).hexdigest()
+        assert digest == self.GOLDEN[g, n]
+
+    def test_golden_point(self):
+        x = sample_point(ExperimentConfig(g=2, n=2, boundary=(1.0, 1.0), seed=7), 1)
+        assert [v.hex() for v in x.lengths] == [
+            "0x1.9c73b0e55a071p+1", "0x1.e783f24d06919p-1", "0x1.515651996f421p+1",
+            "0x1.3e941f9065274p+0", "0x1.9049a06e3535ep-1"]
+        assert [v.hex() for v in x.twists] == [
+            "-0x1.b62312fc83d6ep+0", "0x1.efc8246d68c40p-1", "-0x1.faf0e85db4e80p+0",
+            "0x1.1a9fd79db3056p+0", "0x1.19fbc496ce29ap+0"]
+
+    def test_seed_taken_mod_2_to_64(self):
+        cfg = cfg_12(seed=-1)
+        assert sample_point(cfg, 5) == sample_point(cfg_12(seed=2 ** 64 - 1), 5)
 
     def test_negative_index_raises(self):
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
             sample_point(cfg_12(), -1)
 
     def test_index_past_64_bits_raises(self):
-        # Past 2**64 the pool would need words numpy mixes in after it.
+        # Past 2**64 the key (seed << 64 | index) would collide with the
+        # next seed's.
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
-            harness._uniforms(0, 2 ** 64, 2)
+            sample_point(cfg_12(), 2 ** 64)
 
 
 class TestVerifyArcConstruction:
