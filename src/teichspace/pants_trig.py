@@ -68,7 +68,8 @@ terms.  For boundary lengths in ``[1e-4, 40]`` they match a 50-digit
 mpmath evaluation of the identities above to 1e-14 relative, and traces
 of the doubled-arc words in the holonomy of the arc's own pants, doubled,
 to 1e-8.  Where an intermediate or the result leaves double range, both
-forms and the constants raise :class:`DomainError` naming the lengths.
+forms, the inverse of the between-arc form, the self-arc floor and bracket
+and the constants raise :class:`DomainError` naming the lengths.
 Boundary components of length 0 (cusps) are rejected here: the hexagon
 identities degenerate, and cusped surfaces only ever need closed-curve
 lengths.
@@ -149,8 +150,11 @@ def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
     minimum.
     """
     _require_positive(li=li, lj=lj, lg=lg)
-    arg = (2.0 * math.sinh(lg / 2) ** 2 * math.sinh(li / 2) * math.sinh(lj / 2)
-           - math.cosh((li - lj) / 2))
+    try:
+        arg = (2.0 * math.sinh(lg / 2) ** 2 * math.sinh(li / 2) * math.sinh(lj / 2)
+               - math.cosh((li - lj) / 2))
+    except OverflowError:
+        arg = math.inf
     if arg < 1.0:
         # Tolerate roundoff at the boundary of the feasible region.
         if arg > 1.0 - 1e-12:
@@ -160,7 +164,10 @@ def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
             raise DomainError(
                 f"arc too short for these boundaries: lg={lg!r} but the "
                 f"minimal feasible arc length for ({li!r}, {lj!r}) is {lo!r}")
-    return 2.0 * math.acosh(arg)
+    length = 2.0 * math.acosh(arg)
+    if not length < math.inf:
+        raise DomainError(f"third_boundary_from_arc{(li, lj, lg)} leaves double range")
+    return length
 
 
 def orthogeodesic_self(li: float, la: float, ld: float) -> float:
@@ -189,7 +196,13 @@ def orthogeodesic_self(li: float, la: float, ld: float) -> float:
 def self_arc_floor(li: float) -> float:
     """Lower bound ``2 arcsinh(1/sinh(li/2))`` for any self-arc at ``li``."""
     _require_positive(li=li)
-    return 2.0 * math.asinh(1.0 / math.sinh(li / 2))
+    try:
+        floor = 2.0 * math.asinh(1.0 / math.sinh(li / 2))
+    except (OverflowError, ZeroDivisionError):
+        floor = math.inf
+    if not 0.0 < floor < math.inf:
+        raise DomainError(f"self_arc_floor({li!r}) leaves double range")
+    return floor
 
 
 def self_arc_bracket(li: float) -> "Interval":
@@ -201,8 +214,13 @@ def self_arc_bracket(li: float) -> "Interval":
     """
     _require_positive(li=li)
     x = li / 2
-    lo = 2.0 * (-x - math.log(2.0 * math.sinh(x)))
-    hi = 2.0 * (x + math.log(4.0 / math.sinh(x)))
+    try:
+        hi = 2.0 * (x + math.log(4.0 / math.sinh(x)))
+        lo = 2.0 * (-x - math.log(2.0 * math.sinh(x)))
+    except (OverflowError, ZeroDivisionError):
+        hi = math.inf
+    if not hi < math.inf:
+        raise DomainError(f"self_arc_bracket({li!r}) leaves double range")
     return Interval(lo, hi)
 
 
@@ -248,12 +266,6 @@ class BetweenArcConstants:
     curve_cap: float
     ratio_const: float
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "threshold", "arc_floor", "curve_cap", "ratio_const"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
-
 
 def _boundary_lengths(boundary_lengths) -> tuple:
     lam = tuple(float(v) for v in boundary_lengths)
@@ -276,12 +288,14 @@ def between_arc_constants(boundary_lengths) -> BetweenArcConstants:
 
     Extremised over all ordered pairs of entries of ``boundary_lengths``
     (pairs with repetition: two distinct boundary components may have equal
-    lengths).  All entries must be strictly positive.
+    lengths).  All entries must be strictly positive.  Raises
+    :class:`DomainError` naming the lengths where a constant leaves double
+    range.
     """
+    lengths = _boundary_lengths(boundary_lengths)
     terms = [(math.sinh(u / 2) * math.sinh(v / 2),
               math.cosh(u / 2) * math.cosh(v / 2), math.cosh((u - v) / 2))
-             for u, v in combinations_with_replacement(
-                 _boundary_lengths(boundary_lengths), 2)]
+             for u, v in combinations_with_replacement(lengths, 2)]
     lam = max(max(ss, (cc + 1.0) / ss) for ss, cc, _ in terms)
     threshold = math.log(2.0 * lam)
     arc_floor = min(_acosh1p(cd / ss) for ss, _, cd in terms)
@@ -289,6 +303,8 @@ def between_arc_constants(boundary_lengths) -> BetweenArcConstants:
     # cosh(la/2) = cosh(l_arc) ss - cc <= exp(l_arc) ss - cc <= 2 lam ss - cc.
     # Since lam >= (cc+1)/ss for every pair, the acosh argument is >= cc + 2.
     curve_cap = max(2.0 * math.acosh(2.0 * lam * ss - cc) for ss, cc, _ in terms)
+    if not all(0.0 < v < math.inf for v in (lam, arc_floor, curve_cap)):
+        raise DomainError(f"between_arc_constants({lengths}) leaves double range")
     ratio_const = max(1.0 / 3.0, arc_floor / curve_cap, arc_floor / threshold)
     return BetweenArcConstants(lam=lam, threshold=threshold,
                                arc_floor=arc_floor, curve_cap=curve_cap,

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -481,6 +482,14 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["comparison"]["gap"] > 0
         assert payload["cusp_radius"] == pytest.approx(math.exp(-2 * math.pi / 1e-4))
+
+    @pytest.mark.parametrize("boundary,named", [
+        ("700,1.0", "between_arc_constants((700.0, 1.0))"),
+        ("2e-154", "between_arc_constants((2e-154,))"),
+    ])
+    def test_constants_names_boundary_out_of_range(self, boundary, named):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            cli.main(["constants", "--boundary", boundary])
 
     def test_distance_subcommand(self, tmp_path):
         x1 = FNPoint(g=1, n=1, lengths=[2.0], twists=[0.0], boundary=[1.0])

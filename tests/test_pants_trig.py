@@ -286,6 +286,13 @@ class TestDoubleRange:
         (orthogeodesic_between, (1e-200, 1e-200, 1),
          "orthogeodesic_between(1e-200, 1e-200, 1)"),
         (gap_constants, ([1e-300, 1.0],), "double range, got 1e-300"),
+        (third_boundary_from_arc, (1, 1, 800), "third_boundary_from_arc(1, 1, 800)"),
+        (third_boundary_from_arc, (1, 1, 1500),
+         "third_boundary_from_arc(1, 1, 1500)"),
+        (self_arc_floor, (1e-320,), "self_arc_floor(1e-320)"),
+        (self_arc_bracket, (1e-320,), "self_arc_bracket(1e-320)"),
+        (gap_constants, ([700.0],), "between_arc_constants((700.0,))"),
+        (gap_constants, ([2e-154],), "between_arc_constants((2e-154,))"),
     ])
     def test_rejected_naming_the_lengths(self, form, args, named):
         with pytest.raises(DomainError, match=re.escape(named)):
