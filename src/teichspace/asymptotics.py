@@ -107,8 +107,7 @@ def nielsen_truncation_index(lam: float, tol: float) -> int:
     return m
 
 
-def nielsen_k_infinity(lam: float, tol: float = 1e-12, *,
-                       terms: int | None = None) -> float:
+def nielsen_k_infinity(lam: float, tol: float = 1e-12) -> float:
     """Length-contraction factor of the infinite Nielsen extension.
 
     Evaluates ``prod_{i>=1} (1 - (2/pi) atan(2 sinh(lam / 2^i)))`` truncated
@@ -119,13 +118,12 @@ def nielsen_k_infinity(lam: float, tol: float = 1e-12, *,
 
     The factor argument is read as ``2 sinh(lam / 2^i)``, the halving
     applied to the length before the sinh, not as ``(2 sinh lam) / 2^i``.
-    ``terms`` overrides the truncation index.
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise DomainError(f"boundary length must be nonnegative, got {lam!r}")
     if lam == 0.0:
         return 1.0
-    m = terms if terms is not None else nielsen_truncation_index(lam, tol)
+    m = nielsen_truncation_index(lam, tol)
     product = 1.0
     for i in range(1, m + 1):
         f = _nielsen_factor(lam, i)
