@@ -164,8 +164,8 @@ class TestSamplePoint:
             sample_point(cfg_12(), -1)
 
     def test_index_past_64_bits_raises(self):
-        # Past 2**64 the key (seed << 64 | index) would collide with the
-        # next seed's.
+        # From 2**64 on, the key (seed << 64 | index) would equal that of
+        # another (seed, index) pair.
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
             sample_point(cfg_12(), 2 ** 64)
 
