@@ -11,6 +11,7 @@ factor of the infinite Nielsen extension.
 from __future__ import annotations
 
 import math
+import sys
 
 from .pants_trig import DomainError, Interval
 
@@ -84,7 +85,12 @@ def comparison_bounds(n: int) -> dict:
 
 
 def _nielsen_factor(lam: float, i: int) -> float:
-    return 1.0 - (2.0 / math.pi) * math.atan(2.0 * math.sinh(lam / 2.0 ** i))
+    # 1 - (2/pi) atan(y) = (2/pi) atan(1/y) for y > 0; the first form
+    # cancels for large y, the second divides by zero once y underflows.
+    y = 2.0 * math.sinh(lam / 2.0 ** i)
+    if y <= 1.0:
+        return 1.0 - (2.0 / math.pi) * math.atan(y)
+    return (2.0 / math.pi) * math.atan(1.0 / y)
 
 
 def nielsen_truncation_index(lam: float, tol: float) -> int:
@@ -114,7 +120,11 @@ def nielsen_k_infinity(lam: float, tol: float = 1e-12) -> float:
     at :func:`nielsen_truncation_index`, whose tail bound keeps the result
     within ``tol`` of the full product.  Every factor lies in ``(0, 1]``
     because ``atan < pi/2``, so the product is well defined for all
-    ``lam >= 0`` and equals 1 at ``lam = 0``.
+    ``lam >= 0`` and equals 1 at ``lam = 0``.  A factor whose argument
+    ``y`` exceeds 1 is evaluated as ``(2/pi) atan(1/y)``, which does not
+    cancel.  The product is about ``exp(-lam)`` for large ``lam``; from
+    about ``lam = 704`` it leaves the normal double range and a
+    :class:`DomainError` naming ``lam`` is raised.
 
     The factor argument is read as ``2 sinh(lam / 2^i)``, the halving
     applied to the length before the sinh, not as ``(2 sinh lam) / 2^i``.
@@ -124,11 +134,13 @@ def nielsen_k_infinity(lam: float, tol: float = 1e-12) -> float:
     if lam == 0.0:
         return 1.0
     m = nielsen_truncation_index(lam, tol)
-    product = 1.0
-    for i in range(1, m + 1):
-        f = _nielsen_factor(lam, i)
-        assert f > 0.0, "factors stay positive since atan < pi/2"
-        product *= f
+    try:
+        product = math.prod(_nielsen_factor(lam, i) for i in range(1, m + 1))
+    except OverflowError:
+        product = 0.0
+    if product < sys.float_info.min:
+        raise DomainError(
+            f"nielsen_k_infinity({lam!r}) leaves the normal double range")
     return product
 
 

@@ -24,7 +24,12 @@ With ``c(x) = cosh(x/2)``, ``L = L_k`` and ``s = sinh(L/2)``:
 
 Both are evaluated as ``u = cosh(l/2) - 1``, a sum of positive terms, and
 ``l = 2 log1p(u + sqrt(u (u + 2)))``, so neither long cuffs nor short duals
-cancel.  The holonomy of :mod:`teichspace.surface` is their independent
+cancel.  Along an orbit only ``tau`` changes, so :func:`family_lengths`
+evaluates the twist-free terms of cuff ``k`` (``s^2``, and ``cosh(d/2) - 1``
+or the ``c(L)`` cross terms, ``Q Q`` and the constant tail) once per cuff
+per point; each member then costs one ``cosh``/``sinh`` of ``tau`` and one
+``acosh``.  The family itself is built once per ``(ncurves, nboundary,
+depth)``.  The holonomy of :mod:`teichspace.surface` is their independent
 check.
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
@@ -37,6 +42,7 @@ point is evaluated once however many estimators and partners use it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,18 +93,25 @@ def enumerate_curves(m: Marking, depth: int):
     Pants curves and boundary curves are fixed by every twist, so they
     appear once; a dual seed crosses only its own cuff, so the other twists
     fix it.  Deterministic order (radius, then cuff, then ``-r`` before
-    ``+r``), nested in ``depth``.
+    ``+r``), nested in ``depth``.  The family depends only on
+    ``(m.ncurves, m.nboundary, depth)`` and is built once per such key; each
+    call returns a new list of the same classes.
     """
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth!r}")
-    out = [CurveClass(seed=("gamma", k), power=0) for k in range(m.ncurves)]
-    out += [CurveClass(seed=("mu", k), power=0) for k in range(m.ncurves)]
-    out += [CurveClass(seed=("beta", i), power=0) for i in range(m.nboundary)]
+    return list(_family(m.ncurves, m.nboundary, depth))
+
+
+@functools.lru_cache(maxsize=16)
+def _family(ncurves: int, nboundary: int, depth: int) -> tuple:
+    out = [CurveClass(seed=("gamma", k), power=0) for k in range(ncurves)]
+    out += [CurveClass(seed=("mu", k), power=0) for k in range(ncurves)]
+    out += [CurveClass(seed=("beta", i), power=0) for i in range(nboundary)]
     for radius in range(1, depth + 1):
-        for k in range(m.ncurves):
+        for k in range(ncurves):
             for power in (-radius, radius):
                 out.append(CurveClass(seed=("mu", k), power=power))
-    return out
+    return tuple(out)
 
 
 def family_lengths(fn: FNPoint, m: Marking, classes):
@@ -106,19 +119,32 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
 
     Pants and boundary lengths are read off the point; a dual class is the
     one-holed torus or four-holed sphere identity of the module docstring
-    (scalar work, no holonomy).  Raises :class:`DomainError` when a length
-    is not finite in double precision (such as at twists of 2000).
+    (scalar work, no holonomy).  The twist-free terms of cuff ``k`` are
+    evaluated once, when the first class of its orbit appears; each member
+    then costs one function of its twist ``tau``.  Raises
+    :class:`DomainError` when a length is not finite in double precision
+    (such as at twists of 2000 or cuffs of 1500).
     """
     out = []
+    orbits = {}
     for c in classes:
-        kind, idx = c.seed
+        kind, k = c.seed
         if kind == "gamma":
-            out.append(fn.lengths[idx])
+            out.append(fn.lengths[k])
         elif kind == "beta":
-            out.append(fn.boundary[idx])
+            out.append(fn.boundary[k])
         else:
             try:
-                length = _dual_length(fn, m, idx, c.power)
+                orbit = orbits.get(k)
+                if orbit is None:
+                    orbit = orbits[k] = _orbit_terms(fn, m, k)
+                cuff, h, head, qq, tail, s2 = orbit
+                tau = fn.twists[k] - c.power * cuff
+                if h is not None:
+                    u = h * math.cosh(tau / 2.0) + 2.0 * math.sinh(tau / 4.0) ** 2
+                else:
+                    u = (head + 2.0 * math.sinh(tau / 2.0) ** 2 * qq + tail) / s2
+                length = 2.0 * pants_trig._acosh1p(u)
             except OverflowError:
                 length = math.inf
             if not math.isfinite(length):
@@ -128,31 +154,28 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
     return out
 
 
-def _dual_length(fn: FNPoint, m: Marking, k: int, power: int) -> float:
-    """Length of ``mu_k`` twisted ``power`` times along its cuff ``k``."""
+def _orbit_terms(fn: FNPoint, m: Marking, k: int) -> tuple:
+    """Twist-free terms ``(L, h, head, qq, tail, s2)`` of the orbit of
+    ``mu_k``: on a handle loop ``h = cosh(d/2) - 1`` and ``None`` for
+    ``head``, ``qq`` and ``tail``; on other cuffs ``h`` is ``None``."""
     (pa, sa), (pb, sb) = m.edges[k].left, m.edges[k].right
     cuff = fn.lengths[k]
-    tau = fn.twists[k] - power * cuff
     s2 = math.sinh(cuff / 2.0) ** 2
     if pa == pb:
         # w = cosh d - 1; cosh(d/2) - 1 = (w/2) / (sqrt(1 + w/2) + 1).
         w = (math.cosh(m.slot_length(fn, (pa, 3 - sa - sb)) / 2.0) + 1.0) / s2
-        u = (0.5 * w / (math.sqrt(1.0 + 0.5 * w) + 1.0) * math.cosh(tau / 2.0)
-             + 2.0 * math.sinh(tau / 4.0) ** 2)
-    else:
-        cl = math.cosh(cuff / 2.0)
-        ap, am, bp, bm = (math.cosh(m.slot_length(fn, side) / 2.0) for side in
-                          ((pa, (sa + 1) % 3), (pa, (sa + 2) % 3),
-                           (pb, (sb + 1) % 3), (pb, (sb + 2) % 3)))
-        # Q(a+, a-)^2 = s2 + qa and Q(b+, b-)^2 = s2 + qb, so
-        # Q Q - s2 = (s2 (qa + qb) + qa qb) / (Q Q + s2) without cancelling.
-        qa = ap * ap + am * am + 2.0 * ap * am * cl
-        qb = bp * bp + bm * bm + 2.0 * bp * bm * cl
-        qq = math.sqrt((s2 + qa) * (s2 + qb))
-        u = (cl * (ap * bm + am * bp) + ap * bp + am * bm
-             + 2.0 * math.sinh(tau / 2.0) ** 2 * qq
-             + (s2 * (qa + qb) + qa * qb) / (qq + s2)) / s2
-    return 2.0 * pants_trig._acosh1p(u)
+        return cuff, 0.5 * w / (math.sqrt(1.0 + 0.5 * w) + 1.0), None, None, None, s2
+    cl = math.cosh(cuff / 2.0)
+    ap, am, bp, bm = (math.cosh(m.slot_length(fn, side) / 2.0) for side in
+                      ((pa, (sa + 1) % 3), (pa, (sa + 2) % 3),
+                       (pb, (sb + 1) % 3), (pb, (sb + 2) % 3)))
+    # Q(a+, a-)^2 = s2 + qa and Q(b+, b-)^2 = s2 + qb, so
+    # Q Q - s2 = (s2 (qa + qb) + qa qb) / (Q Q + s2) without cancelling.
+    qa = ap * ap + am * am + 2.0 * ap * am * cl
+    qb = bp * bp + bm * bm + 2.0 * bp * bm * cl
+    qq = math.sqrt((s2 + qa) * (s2 + qb))
+    head = cl * (ap * bm + am * bp) + ap * bp + am * bm
+    return cuff, None, head, qq, (s2 * (qa + qb) + qa * qb) / (qq + s2), s2
 
 
 def curve_length_at(fn: FNPoint, m: Marking, c: CurveClass) -> float:

@@ -1,7 +1,9 @@
 """Tests for the asymptotic comparison constants."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -134,6 +136,24 @@ class TestNielsenKInfinity:
     def test_in_unit_interval(self):
         for lam in (0.01, 0.5, 2.0, 10.0):
             assert 0.0 < nielsen_k_infinity(lam) <= 1.0
+
+    @pytest.mark.parametrize("lam", [40.0, 60.0, 100.0, 700.0])
+    def test_long_boundaries_against_mpmath(self, lam):
+        # The leading factors are 1 - (2/pi) atan(y) with y up to e^350;
+        # 400 digits carry them through the cancellation exactly.
+        m = nielsen_truncation_index(lam, 1e-12)
+        with mpmath.workdps(400):
+            x = mpmath.mpf(lam)
+            want = mpmath.fprod(
+                1 - 2 / mpmath.pi * mpmath.atan(2 * mpmath.sinh(x / 2 ** i))
+                for i in range(1, m + 1))
+            assert abs(nielsen_k_infinity(lam, 1e-12) / want - 1) < 1e-14
+
+    @pytest.mark.parametrize("lam", [720.0, 1500.0, 1e300])
+    def test_past_double_range_raises(self, lam):
+        named = re.escape(f"nielsen_k_infinity({lam!r})")
+        with pytest.raises(DomainError, match=named):
+            nielsen_k_infinity(lam)
 
 
 class TestHalpernBracket:

@@ -21,6 +21,7 @@ from teichspace.curves import (
 )
 from teichspace.pants_trig import (
     DomainError,
+    _acosh1p,
     orthogeodesic_between,
     orthogeodesic_self,
 )
@@ -259,8 +260,8 @@ _LOG_LENGTH = st.floats(math.log(1e-4), math.log(40.0)).map(math.exp)
 
 
 @st.composite
-def envelope_points(draw):
-    m = build_marking(*draw(st.sampled_from([(1, 1), (0, 4), (1, 2), (2, 2)])))
+def envelope_points(draw, markings=((1, 1), (0, 4), (1, 2), (2, 2))):
+    m = build_marking(*draw(st.sampled_from(markings)))
     lengths = draw(st.lists(_LOG_LENGTH, min_size=m.ncurves, max_size=m.ncurves))
     twists = draw(st.lists(st.floats(-100.0, 100.0), min_size=m.ncurves,
                            max_size=m.ncurves))
@@ -309,11 +310,65 @@ class TestClosedFormAccuracy:
                 want = mp_dual_length(x, m, c.seed[1], c.power)
                 assert rel_error(got, want) <= 1e-12, c.label()
 
-    def test_overflow_is_rejected(self):
+    # Twists of 2000 overflow a member; cuffs of 1500 overflow sinh(L/2)^2
+    # in the twist-free terms of the first orbit, before any member.
+    @pytest.mark.parametrize("cuff,twist", [(1.0, 2000.0), (1500.0, 0.0)])
+    def test_overflow_is_rejected(self, cuff, twist):
         m = build_marking(2, 2)
-        x = point(m, [1.0] * 5, [2000.0] * 5, [1.0, 1.0])
+        x = point(m, [cuff] * 5, [twist] * 5, [1.0, 1.0])
         with pytest.raises(DomainError, match="is not finite in double precision"):
             family_lengths(x, m, enumerate_curves(m, 1))
+
+
+def member_dual_length(x, m, k, power):
+    """Reference: the length of ``mu_k`` twisted ``power`` times along cuff
+    ``k``, every term evaluated again for each member in the association
+    order of the closed forms."""
+    (pa, sa), (pb, sb) = m.edges[k].left, m.edges[k].right
+    cuff = x.lengths[k]
+    tau = x.twists[k] - power * cuff
+    s2 = math.sinh(cuff / 2.0) ** 2
+    if pa == pb:
+        w = (math.cosh(m.slot_length(x, (pa, 3 - sa - sb)) / 2.0) + 1.0) / s2
+        u = (0.5 * w / (math.sqrt(1.0 + 0.5 * w) + 1.0) * math.cosh(tau / 2.0)
+             + 2.0 * math.sinh(tau / 4.0) ** 2)
+    else:
+        cl = math.cosh(cuff / 2.0)
+        ap, am, bp, bm = (math.cosh(m.slot_length(x, side) / 2.0) for side in
+                          ((pa, (sa + 1) % 3), (pa, (sa + 2) % 3),
+                           (pb, (sb + 1) % 3), (pb, (sb + 2) % 3)))
+        qa = ap * ap + am * am + 2.0 * ap * am * cl
+        qb = bp * bp + bm * bm + 2.0 * bp * bm * cl
+        qq = math.sqrt((s2 + qa) * (s2 + qb))
+        u = (cl * (ap * bm + am * bp) + ap * bp + am * bm
+             + 2.0 * math.sinh(tau / 2.0) ** 2 * qq
+             + (s2 * (qa + qb) + qa * qb) / (qq + s2)) / s2
+    return 2.0 * _acosh1p(u)
+
+
+class TestOrbitTerms:
+    """Twist-free terms evaluated once per orbit give the same bits as
+    evaluating every member from scratch."""
+
+    # Every marking of genus >= 1 has a handle loop; (0, 4) and the other
+    # cuffs of the larger markings run the four-holed sphere identity.
+    @given(mx=envelope_points(((1, 1), (0, 4), (1, 2), (2, 2), (3, 2), (1, 6))),
+           depth=st.integers(0, 8), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit(self, mx, depth, data):
+        m, x = mx
+        classes = enumerate_curves(m, depth)
+        got = family_lengths(x, m, classes)
+        for c, length in zip(classes, got):
+            kind, k = c.seed
+            if kind == "mu":
+                assert length == member_dual_length(x, m, k, c.power), c.label()
+            else:
+                assert length == (x.lengths if kind == "gamma" else x.boundary)[k]
+        by_class = dict(zip(classes, got))
+        shuffled = data.draw(st.permutations(classes))
+        assert family_lengths(x, m, shuffled) == [by_class[c] for c in shuffled]
+        assert [curve_length_at(x, m, c) for c in classes] == got
 
 
 class TestEnumerateArcs:
