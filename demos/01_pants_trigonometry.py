@@ -11,7 +11,6 @@ that control how the arcs relate to neighbouring closed curves.
 from teichspace import (
     between_arc_constants,
     gap_constants,
-    min_between_arc_length,
     orthogeodesic_between,
     orthogeodesic_self,
     self_arc_constant,
@@ -35,7 +34,9 @@ for la in (0.0, 2.0, 4.0, 8.0):
 # arcs shorter than the feasibility threshold do not bound a pants.
 lg = orthogeodesic_between(2.0, 2.0, 2.0)
 print("roundtrip third boundary:", third_boundary_from_arc(2.0, 2.0, lg))
-print("minimal feasible arc length for (2, 2):", min_between_arc_length(2.0, 2.0))
+# The minimal feasible arc length is the arc length at a cusp (third
+# boundary 0).
+print("minimal feasible arc length for (2, 2):", orthogeodesic_between(2.0, 2.0, 0.0))
 
 # An arc from a boundary back to itself, with the two other boundary curves
 # of its neighbourhood pants given:

@@ -14,7 +14,6 @@ from teichspace import (
     comparison_bounds,
     cusp_radius,
     cusp_truncation_constant,
-    halpern_bracket,
     nielsen_k_infinity,
 )
 from teichspace.pants_trig import DomainError
@@ -55,5 +54,6 @@ print("\nNielsen contraction factor:")
 for lam in (0.1, 0.5, 1.0, 2.0, 3.0):
     print(f"  max boundary {lam}: k = {nielsen_k_infinity(lam):.9f}")
 
+k = nielsen_k_infinity(1.0)
 print("\nlength bracket on the extension for a curve of length 3, "
-      "boundary at most 1:", halpern_bracket(3.0, 1.0))
+      f"boundary at most 1: ({k * 3.0}, 3.0)")

@@ -25,7 +25,8 @@ m = cfg.marking()
 # Along a twist ray the bordered and cusped estimates both grow, and their
 # difference levels off instead of diverging.
 x = sample_point(cfg, 0)
-rep = phi_experiment(x, m, curve_index=1, step=1.0, count=9, depth=2)
+rep = phi_experiment(x, m, curve_index=1, step=1.0, count=9, depth=2,
+                     ceiling=None)
 print("twist ray (bordered vs cusped curve-ratio estimates):")
 for row in rep["rows"]:
     print(f"  offset {row['twist_offset']:4.1f}: bordered "
@@ -36,7 +37,7 @@ print("max difference:", rep["max_difference"])
 # Over a random sample, the largest additive distortion observed between
 # the arc metric upstairs and the curve-ratio metric downstairs:
 samples = [sample_point(cfg, i) for i in range(cfg.samples)]
-air = almost_isometry_report(samples, m, cfg.depth)
+air = almost_isometry_report(samples, m, cfg.depth, metric="arc")
 print(f"\nalmost-isometry distortion over {air['pairs']} ordered pairs:",
       air["b_bound"])
 print("worst pair of sample indices:", air["worst_pair"])

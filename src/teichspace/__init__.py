@@ -13,7 +13,6 @@ from .asymptotics import (
     comparison_bounds,
     cusp_radius,
     cusp_truncation_constant,
-    halpern_bracket,
     nielsen_k_infinity,
 )
 from .coords import ArcClass, FNPoint, Marking, build_marking, phi_gamma
@@ -21,7 +20,6 @@ from .curves import (
     CurveClass,
     LengthTable,
     arc_length_formula,
-    curve_length_at,
     enumerate_arcs,
     enumerate_curves,
     family_lengths,
@@ -54,7 +52,6 @@ from .pants_trig import (
     Interval,
     between_arc_constants,
     gap_constants,
-    min_between_arc_length,
     orthogeodesic_between,
     orthogeodesic_self,
     self_arc_constant,

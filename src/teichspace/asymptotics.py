@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 import sys
 
-from .pants_trig import DomainError, Interval
+from .pants_trig import DomainError
 
 # Truncation distortion is max((1 - 2 n pi sqrt(2) e^(1/4))^-2,
 #                              1 + sqrt(32 pi exp(2 pi)) e^(1/4)).
 # The derivation uses an intermediate factor (1 - n sqrt(2) e^(1/4)); the
 # final squared constant with the extra 2 pi is the one implemented here.
 _TRUNCATION_COEFF = math.sqrt(32.0 * math.pi * math.exp(2.0 * math.pi))
+# Bound on the truncated tail of the infinite Nielsen product.
+_NIELSEN_TOL = 1e-12
 
 
 def cusp_radius(eps: float) -> float:
@@ -93,33 +95,33 @@ def _nielsen_factor(lam: float, i: int) -> float:
     return (2.0 / math.pi) * math.atan(1.0 / y)
 
 
-def nielsen_truncation_index(lam: float, tol: float) -> int:
-    """Smallest truncation index whose tail error provably stays below tol.
+def nielsen_truncation_index(lam: float) -> int:
+    """Smallest truncation index whose tail error provably stays below
+    ``_NIELSEN_TOL``.
 
     With ``a_i = (2/pi) atan(2 sinh(lam / 2^i))`` the tail product beyond
     index ``m`` satisfies ``1 >= prod_{i>m} (1 - a_i) >= 1 - sum_{i>m} a_i``.
     For ``2^i >= lam`` convexity gives ``sinh(lam/2^i) <= sinh(1) lam/2^i``,
     and ``atan(x) <= x``, so ``sum_{i>m} a_i <= (4 sinh(1)/pi) lam 2^-m``.
-    The returned index makes that geometric tail smaller than ``tol``.
+    The returned index makes that geometric tail smaller than
+    ``_NIELSEN_TOL``.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
     if lam == 0.0:
         return 1
     m = max(1, math.ceil(math.log2(max(lam, 1.0))))
     bound = 4.0 * math.sinh(1.0) / math.pi * lam
-    while bound * 2.0 ** -m >= tol:
+    while bound * 2.0 ** -m >= _NIELSEN_TOL:
         m += 1
     return m
 
 
-def nielsen_k_infinity(lam: float, tol: float = 1e-12) -> float:
+def nielsen_k_infinity(lam: float) -> float:
     """Length-contraction factor of the infinite Nielsen extension.
 
     Evaluates ``prod_{i>=1} (1 - (2/pi) atan(2 sinh(lam / 2^i)))`` truncated
     at :func:`nielsen_truncation_index`, whose tail bound keeps the result
-    within ``tol`` of the full product.  Every factor lies in ``(0, 1]``
-    because ``atan < pi/2``, so the product is well defined for all
+    within ``_NIELSEN_TOL`` of the full product.  Every factor lies in
+    ``(0, 1]`` because ``atan < pi/2``, so the product is well defined for all
     ``lam >= 0`` and equals 1 at ``lam = 0``.  A factor whose argument
     ``y`` exceeds 1 is evaluated as ``(2/pi) atan(1/y)``, which does not
     cancel.  The product is about ``exp(-lam)`` for large ``lam``; from
@@ -128,12 +130,17 @@ def nielsen_k_infinity(lam: float, tol: float = 1e-12) -> float:
 
     The factor argument is read as ``2 sinh(lam / 2^i)``, the halving
     applied to the length before the sinh, not as ``(2 sinh lam) / 2^i``.
+
+    On the infinite Nielsen extension of a surface with boundary lengths
+    at most ``lam``, a closed geodesic of length ``l`` has length in
+    ``(k_inf * l, l)``.  Boundary-parallel classes collapse to length 0 on
+    the extension and are not covered by this bracket.
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise DomainError(f"boundary length must be nonnegative, got {lam!r}")
     if lam == 0.0:
         return 1.0
-    m = nielsen_truncation_index(lam, tol)
+    m = nielsen_truncation_index(lam)
     try:
         product = math.prod(_nielsen_factor(lam, i) for i in range(1, m + 1))
     except OverflowError:
@@ -142,15 +149,3 @@ def nielsen_k_infinity(lam: float, tol: float = 1e-12) -> float:
         raise DomainError(
             f"nielsen_k_infinity({lam!r}) leaves the normal double range")
     return product
-
-
-def halpern_bracket(l_x: float, lam: float, tol: float = 1e-12) -> Interval:
-    """Open bracket ``(k_inf * l, l)`` for the geodesic length on the
-    infinite Nielsen extension of a surface with boundary lengths at most
-    ``lam``; degenerate at ``lam = 0``.  Boundary-parallel classes collapse
-    to length 0 on the extension and are not covered by this bracket.
-    """
-    if not (l_x > 0.0):
-        raise DomainError(f"length must be positive, got {l_x!r}")
-    k = nielsen_k_infinity(lam, tol)
-    return Interval(k * l_x, l_x)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import asymptotics, pants_trig
 from .coords import FNPoint, build_marking
+from .curves import length_table
 from .harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -27,7 +29,7 @@ from .harness import (
     sample_point,
     verify_arcs,
 )
-from .metrics import _tables, arc_of, teich_of, thurston_of
+from .metrics import arc_of, teich_of, thurston_of
 # Bound only because the benchmark's tracer test reads cli.thurston_lower.
 from .metrics import thurston_lower  # noqa: F401
 
@@ -61,10 +63,15 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_constants(args) -> None:
+    eps = args.eps
+    if not math.isfinite(eps):
+        raise pants_trig.DomainError(f"--eps must be finite, got {eps!r}")
+    if args.cusps < 1:
+        raise pants_trig.DomainError(
+            f"--cusps must be at least 1, got {args.cusps!r}")
     boundary = [float(v) for v in args.boundary.split(",") if v]
     between = pants_trig.between_arc_constants(boundary)
     gaps = pants_trig.gap_constants(boundary)
-    eps = args.eps
     try:
         truncation = asymptotics.cusp_truncation_constant(eps, args.cusps)
     except pants_trig.DomainError as err:
@@ -107,9 +114,9 @@ def _read_point(path: str) -> FNPoint:
 def _cmd_distance(args) -> None:
     x1, x2 = _read_point(args.x1), _read_point(args.x2)
     m = build_marking(x1.g, x1.n)
-    t1, t2 = _tables(x1, x2, m, args.depth)
+    t1, t2 = length_table(x1, m, args.depth), length_table(x2, m, args.depth)
     payload = {"d_th": thurston_of(t1, t2).to_dict()}
-    if all(x1.boundary):
+    if t1.arcs:
         payload["d_a"] = arc_of(t1, t2).to_dict()
     payload["teich"] = teich_of(t1, t2).to_dict()
     _emit(json.dumps(payload, indent=2), args.out)

@@ -70,31 +70,29 @@ class Marking:
 
     ``edges`` are the internal curves (index aligned with the length/twist
     vectors), ``boundary_slots[m]`` is the pants slot carrying boundary
-    ``m``, ``tree`` lists the spanning-tree edge indices, ``mu_words`` the
-    seed multicurve words dual to each edge, and ``arcs`` the pants-local
-    seed arcs.  Words are tuples of ``(token, exponent)`` pairs where a
-    token is ``("slot", pants, slot)`` or ``("conn", edge_index)``.
+    ``m``, ``tree`` lists the spanning-tree edge indices and ``arcs`` the
+    pants-local seed arcs.
 
     Construction checks that every slot of every pants carries exactly one
     edge side or boundary and keeps the resulting slot table, which
-    :meth:`slot_assignment` and :meth:`slot_length` read, and derives
-    ``mu_words`` from ``edges``: a handle loop's dual is its connector, any
-    other dual runs through the slot after the glued one on each side.
+    :meth:`slot_assignment` and :meth:`slot_length` read.
     """
 
     genus: int
     nboundary: int
-    pants_count: int
     edges: tuple
     boundary_slots: tuple
     tree: frozenset
     arcs: tuple
-    mu_words: tuple = field(init=False)
     _slots: dict = field(init=False, repr=False, compare=False)
 
     @property
     def ncurves(self) -> int:
         return len(self.edges)
+
+    @property
+    def pants_count(self) -> int:
+        return 2 * self.genus - 2 + self.nboundary
 
     def __post_init__(self):
         used = {}
@@ -111,11 +109,6 @@ class Marking:
         if set(used) != expected:
             raise DomainError("marking is not trivalent")
         object.__setattr__(self, "_slots", used)
-        object.__setattr__(self, "mu_words", tuple(
-            ((("conn", e.index), 1),) if e.left[0] == e.right[0] else
-            ((("slot", e.left[0], (e.left[1] + 1) % 3), 1),
-             (("slot", e.right[0], (e.right[1] + 1) % 3), 1))
-            for e in self.edges))
 
     def slot_assignment(self):
         """Read-only map ``(pants, slot) -> ("edge", k)`` or
@@ -127,14 +120,6 @@ class Marking:
         its cuff length, its boundary length, or 0.0 on a cusp."""
         kind, idx = self._slots[side]
         return fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
-
-    def gamma_word(self, k: int):
-        p, s = self.edges[k].left
-        return ((("slot", p, s), 1),)
-
-    def boundary_word(self, m: int):
-        p, s = self.boundary_slots[m]
-        return ((("slot", p, s), 1),)
 
 
 def build_marking(g: int, n: int) -> Marking:
@@ -152,7 +137,6 @@ def build_marking(g: int, n: int) -> Marking:
         raise DomainError(f"need at least one boundary component, got n={n!r}")
     if 2 - 2 * g - n >= 0:
         raise DomainError(f"unsupported surface: chi(S) = {2 - 2*g - n} >= 0")
-    pants_count = 2 * g - 2 + n
     m = g + n - 2
     edges = []
     if m == 0:
@@ -201,9 +185,9 @@ def build_marking(g: int, n: int) -> Marking:
                 boundaries=(slot_of_boundary[side],),
                 neighbour_slots=tuple(t for t in range(3) if t != side[1])))
 
-    return Marking(genus=g, nboundary=n, pants_count=pants_count,
-                   edges=tuple(edges), boundary_slots=tuple(boundary_slots),
-                   tree=tree, arcs=tuple(arcs))
+    return Marking(genus=g, nboundary=n, edges=tuple(edges),
+                   boundary_slots=tuple(boundary_slots), tree=tree,
+                   arcs=tuple(arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from .pants_trig import DomainError
 __all__ = [
     "CurveClass",
     "LengthTable",
-    "curve_length_at",
     "enumerate_arcs",
     "enumerate_curves",
     "family_lengths",
@@ -176,11 +175,6 @@ def _orbit_terms(fn: FNPoint, m: Marking, k: int) -> tuple:
     qq = math.sqrt((s2 + qa) * (s2 + qb))
     head = cl * (ap * bm + am * bp) + ap * bp + am * bm
     return cuff, None, head, qq, (s2 * (qa + qb) + qa * qb) / (qq + s2), s2
-
-
-def curve_length_at(fn: FNPoint, m: Marking, c: CurveClass) -> float:
-    """Length of one twisted class at ``fn``."""
-    return family_lengths(fn, m, [c])[0]
 
 
 @dataclass(frozen=True)

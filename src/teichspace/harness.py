@@ -311,17 +311,17 @@ PHI_COLUMNS = (
 )
 
 
-def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int = 0,
-                   step: float = 0.5, count: int = 11, depth: int = 2,
-                   ceiling: float | None = None) -> dict:
+def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
+                   count: int, depth: int, ceiling: float | None) -> dict:
     """Tabulate metric distortion under forgetting the boundary lengths.
 
     Walks a twist ray ``X_s`` from ``x`` (twist of one cuff shifted by
     ``s * step``), comparing the curve-ratio estimate between bordered
     points with the estimate between their punctured images, plus the
     quasiconformal intervals against the coordinate bound ``log(n+3)``.
-    If ``ceiling`` is given and any difference exceeds it the run fails
-    with a replay witness.
+    If ``ceiling`` is not ``None`` and any difference exceeds it the run
+    fails with a replay witness; a ceiling that is not finite raises
+    :class:`DomainError`.
     """
     if any(v == 0.0 for v in x.boundary):
         raise DomainError("ray experiment starts from a bordered point")
@@ -329,6 +329,8 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int = 0,
         raise DomainError(f"no cuff with index {curve_index}")
     if count < 1:
         raise DomainError("need at least one ray point")
+    if ceiling is not None and not math.isfinite(ceiling):
+        raise DomainError(f"ceiling must be finite, got {ceiling!r}")
     base = length_table(x, m, depth)
     base_image = length_table(phi_gamma(x), m, depth)
     bound = math.log(x.n + 3)
@@ -383,7 +385,7 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int = 0,
 
 
 def almost_isometry_report(samples, m: Marking, depth: int,
-                           metric: str = "arc") -> dict:
+                           metric: str) -> dict:
     """Measure the additive metric distortion of forgetting the boundary.
 
     ``d1`` is the arc estimate (or curve-ratio estimate, per ``metric``)

@@ -63,24 +63,16 @@ class MetricEstimate:
                 "witness": self.witness, "family_size": self.family_size}
 
 
-def _require_same_space(x1: FNPoint, x2: FNPoint) -> None:
+def _require_comparable(t1: LengthTable, t2: LengthTable) -> None:
+    x1, x2 = t1.point, t2.point
     if (x1.g, x1.n) != (x2.g, x2.n):
         raise DomainError(
             f"points live on different surfaces: ({x1.g},{x1.n}) vs ({x2.g},{x2.n})")
     if x1.boundary != x2.boundary:
         raise DomainError(
             f"boundary lengths differ: {x1.boundary} vs {x2.boundary}")
-
-
-def _require_comparable(t1: LengthTable, t2: LengthTable) -> None:
-    _require_same_space(t1.point, t2.point)
     if t1.depth != t2.depth:
         raise DomainError(f"tables have different depths: {t1.depth} vs {t2.depth}")
-
-
-def _tables(x1: FNPoint, x2: FNPoint, m: Marking, depth: int):
-    _require_same_space(x1, x2)
-    return length_table(x1, m, depth), length_table(x2, m, depth)
 
 
 def _essential(t1: LengthTable, t2: LengthTable):
@@ -125,10 +117,8 @@ def arc_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
     family is a superset.
     """
     _require_comparable(t1, t2)
-    if any(v == 0.0 for v in t1.point.boundary):
-        raise DomainError("arc metric needs strictly positive boundary lengths")
     if not t1.arcs:
-        raise DomainError("arc families need at least one boundary component")
+        raise DomainError("arc metric needs strictly positive boundary lengths")
     members = t1.classes + t1.arcs
     best, witness = _sup_log_ratio(zip(members, t1.lengths + t1.arc_lengths,
                                        t2.lengths + t2.arc_lengths))
@@ -139,12 +129,12 @@ def arc_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
 def thurston_lower(x1: FNPoint, x2: FNPoint, m: Marking,
                    depth: int) -> MetricEstimate:
     """:func:`thurston_of` on the length tables of ``x1`` and ``x2``."""
-    return thurston_of(*_tables(x1, x2, m, depth))
+    return thurston_of(length_table(x1, m, depth), length_table(x2, m, depth))
 
 
 def arc_lower(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> MetricEstimate:
     """:func:`arc_of` on the length tables of ``x1`` and ``x2``."""
-    return arc_of(*_tables(x1, x2, m, depth))
+    return arc_of(length_table(x1, m, depth), length_table(x2, m, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -248,4 +238,4 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
 def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,
                           depth: int) -> TeichIntervalReport:
     """:func:`teich_of` on the length tables of ``x1`` and ``x2``."""
-    return teich_of(*_tables(x1, x2, m, depth))
+    return teich_of(length_table(x1, m, depth), length_table(x2, m, depth))

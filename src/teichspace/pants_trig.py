@@ -129,16 +129,6 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     return length
 
 
-def min_between_arc_length(li: float, lj: float) -> float:
-    """Infimum of feasible arc lengths between boundaries ``li`` and ``lj``.
-
-    Attained exactly when the third boundary of the pants shrinks to zero;
-    below this value no pants exists and :func:`third_boundary_from_arc`
-    has no solution.
-    """
-    return orthogeodesic_between(li, lj, 0.0)
-
-
 def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
     """Invert :func:`orthogeodesic_between`: third boundary from arc length.
 
@@ -147,7 +137,8 @@ def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
     sinh(li/2) sinh(lj/2) - cosh((li - lj)/2)``, which does not cancel for
     long boundaries.  Raises :class:`DomainError` when ``lg`` is shorter
     than the minimal feasible arc length for the given pair, reporting that
-    minimum.
+    minimum, ``orthogeodesic_between(li, lj, 0.0)``: the arc length as the
+    third boundary shrinks to a cusp.
     """
     _require_positive(li=li, lj=lj, lg=lg)
     try:
@@ -160,7 +151,7 @@ def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
         if arg > 1.0 - 1e-12:
             arg = 1.0
         else:
-            lo = min_between_arc_length(li, lj)
+            lo = orthogeodesic_between(li, lj, 0.0)
             raise DomainError(
                 f"arc too short for these boundaries: lg={lg!r} but the "
                 f"minimal feasible arc length for ({li!r}, {lj!r}) is {lo!r}")
@@ -236,13 +227,6 @@ class Interval:
             raise DomainError(f"interval endpoints must be finite: {self}")
         if self.lo > self.hi:
             raise DomainError(f"empty interval: lo={self.lo} > hi={self.hi}")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
 
 
 @dataclass(frozen=True)

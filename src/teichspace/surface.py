@@ -34,6 +34,11 @@ Cuffs not in the spanning tree of the pants graph (handle loops, mirror
 gluings) contribute one explicit connector matrix each; together with the
 pants generators these generate the holonomy group, and every defining
 gluing relation is checked numerically and reported as a residual.
+
+Words are tuples of ``(token, exponent)`` pairs; a token is ``("slot",
+pants, slot)``, the boundary word of a slot, or ``("conn", edge_index)``,
+the connector of a non-tree edge.  :func:`gamma_word`, :func:`mu_word` and
+:func:`boundary_word` spell the seed curves of a marking this way.
 """
 
 from __future__ import annotations
@@ -54,9 +59,12 @@ __all__ = [
     "HolonomyError",
     "NotGeodesicError",
     "arc_length",
+    "boundary_word",
     "curve_length",
     "double",
+    "gamma_word",
     "holonomy",
+    "mu_word",
 ]
 
 _ID = np.eye(2)
@@ -243,6 +251,31 @@ class Holonomy:
             for _ in range(exp):
                 out = out @ m
         return out
+
+
+def gamma_word(m: Marking, k: int):
+    """Word of the pants curve ``k``: the slot word of its left side."""
+    p, s = m.edges[k].left
+    return ((("slot", p, s), 1),)
+
+
+def mu_word(m: Marking, k: int):
+    """Word of the seed curve dual to pants curve ``k``.
+
+    A handle loop's dual is its connector; any other dual runs through the
+    slot after the glued one on each side.
+    """
+    e = m.edges[k]
+    if e.left[0] == e.right[0]:
+        return ((("conn", e.index), 1),)
+    return ((("slot", e.left[0], (e.left[1] + 1) % 3), 1),
+            (("slot", e.right[0], (e.right[1] + 1) % 3), 1))
+
+
+def boundary_word(m: Marking, i: int):
+    """Word of the boundary curve ``i``: the word of its slot."""
+    p, s = m.boundary_slots[i]
+    return ((("slot", p, s), 1),)
 
 
 def _transition(frames: dict, a: tuple, b: tuple, twist: float) -> np.ndarray:
@@ -472,8 +505,7 @@ def double(fn: FNPoint, m: Marking) -> DoubleData:
             parent[ra] = rb
             tree.add(k)
 
-    dm = Marking(genus=2 * m.genus + n - 1, nboundary=0,
-                 pants_count=2 * p_count, edges=tuple(edges),
+    dm = Marking(genus=2 * m.genus + n - 1, nboundary=0, edges=tuple(edges),
                  boundary_slots=(), tree=frozenset(tree), arcs=())
 
     dfn = FNPoint(g=dm.genus, n=0,

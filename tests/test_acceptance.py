@@ -44,7 +44,14 @@ from teichspace.pants_trig import (
     orthogeodesic_self,
     self_arc_bracket,
 )
-from teichspace.surface import arc_length, curve_length, double, holonomy
+from teichspace.surface import (
+    arc_length,
+    boundary_word,
+    curve_length,
+    double,
+    gamma_word,
+    holonomy,
+)
 
 
 def report(criterion: str) -> None:
@@ -73,9 +80,9 @@ def test_01_holonomy_trace_consistency():
             fn = random_fn(m, rng)
             h = holonomy(fn, m)
             for k in range(m.ncurves):
-                assert abs(curve_length(h, m.gamma_word(k)) - fn.lengths[k]) < 1e-9
+                assert abs(curve_length(h, gamma_word(m, k)) - fn.lengths[k]) < 1e-9
             for i in range(n):
-                assert abs(curve_length(h, m.boundary_word(i)) - fn.boundary[i]) < 1e-9
+                assert abs(curve_length(h, boundary_word(m, i)) - fn.boundary[i]) < 1e-9
     elapsed = time.time() - start
     assert elapsed < 10.0, f"trace consistency took {elapsed:.1f}s"
     report("01 holonomy-trace-consistency")
@@ -120,7 +127,8 @@ def test_03_arc_brackets_hold():
     for _ in range(10_000):
         li, la, ld = rng.uniform(0.1, 6.0, 3)
         gap = orthogeodesic_self(li, la, ld) - max(la, ld)
-        if not self_arc_bracket(li).contains(gap, slack=1e-10):
+        bracket = self_arc_bracket(li)
+        if not bracket.lo - 1e-10 <= gap <= bracket.hi + 1e-10:
             violations += 1
     assert violations == 0
     report("03 arc-brackets-zero-violations")
@@ -200,9 +208,10 @@ def test_07_teich_interval_sanity():
     for _ in range(100):
         x = random_fn(m, rng, boundary=np.array([1.0, 1.0]))
         rep = teich_interval_report(x, x, m, 1)
-        assert rep.interval.contains(0.0)
+        iv = rep.interval
+        assert iv.lo <= 0.0 <= iv.hi
         bound = math.log(m.nboundary + 2) + 2 * rep.witness_max_log_width
-        assert rep.interval.width <= bound + 1e-12
+        assert iv.hi - iv.lo <= bound + 1e-12
     report("07 teich-interval-sanity")
 
 
@@ -234,8 +243,8 @@ def test_09_nielsen_infinite_product():
     index agree within 1e-12; the product is 1 at 0 and strictly
     decreasing on a 20-point grid."""
     for lam in (0.1, 1.0, 3.0):
-        idx = nielsen_truncation_index(lam, 1e-12)
-        a = nielsen_k_infinity(lam, 1e-12)
+        idx = nielsen_truncation_index(lam)
+        a = nielsen_k_infinity(lam)
         b = math.prod(_nielsen_factor(lam, i) for i in range(1, 4 * idx + 1))
         assert abs(a - b) < 1e-12
     assert nielsen_k_infinity(0.0) == 1.0

@@ -12,7 +12,6 @@ from teichspace.coords import FNPoint, build_marking
 from teichspace.curves import (
     CurveClass,
     arc_length_formula,
-    curve_length_at,
     enumerate_arcs,
     enumerate_curves,
     family_lengths,
@@ -25,7 +24,7 @@ from teichspace.pants_trig import (
     orthogeodesic_between,
     orthogeodesic_self,
 )
-from teichspace.surface import curve_length, holonomy
+from teichspace.surface import curve_length, holonomy, mu_word
 
 
 def point(m, lengths, twists, boundary):
@@ -80,15 +79,15 @@ class TestCurveLengthAt:
         m = build_marking(1, 2)
         x = point(m, [1.5, 2.5], [0.3, -0.4], [1, 1])
         c = CurveClass(seed=("gamma", 0), power=0)
-        assert curve_length_at(x, m, c) == 1.5
+        assert family_lengths(x, m, [c])[0] == 1.5
 
     def test_zero_twist_matches_plain_length(self):
         m = build_marking(1, 1)
         x = point(m, [2.0], [0.5], [1.0])
         c = CurveClass(seed=("mu", 0), power=0)
         h = holonomy(x, m)
-        assert curve_length_at(x, m, c) == pytest.approx(
-            curve_length(h, m.mu_words[0]), abs=1e-12)
+        assert family_lengths(x, m, [c])[0] == pytest.approx(
+            curve_length(h, mu_word(m, 0)), abs=1e-12)
 
     def test_twisted_class_matches_word_level_twist(self):
         # On the one-holed torus the k-fold twisted dual is the word
@@ -99,8 +98,8 @@ class TestCurveLengthAt:
         h = holonomy(x, m)
         for k in (-3, -1, 1, 2):
             c = CurveClass(seed=("mu", 0), power=k)
-            word = m.mu_words[0] + ((("slot", 0, 0), k),)
-            assert curve_length_at(x, m, c) == pytest.approx(
+            word = mu_word(m, 0) + ((("slot", 0, 0), k),)
+            assert family_lengths(x, m, [c])[0] == pytest.approx(
                 curve_length(h, word), abs=1e-9)
 
     def test_family_lengths_alignment(self):
@@ -111,7 +110,7 @@ class TestCurveLengthAt:
         lens = family_lengths(x, m, fam)
         assert len(lens) == len(fam)
         for c, l in zip(fam, lens):
-            assert curve_length_at(x, m, c) == pytest.approx(l, abs=1e-12)
+            assert family_lengths(x, m, [c])[0] == pytest.approx(l, abs=1e-12)
 
     def test_lengths_positive_for_essential(self):
         m = build_marking(1, 2)
@@ -128,7 +127,7 @@ class TestCurveLengthAt:
         for cuff in (0.1, 0.01, 0.001):
             x = point(m, [cuff], [0.0], [1.2, 1.2, 1.2, 1.2])
             h = holonomy(x, m)
-            dual = curve_length(h, m.mu_words[0])
+            dual = curve_length(h, mu_word(m, 0))
             collar_crossings = 4 * math.asinh(1.0 / math.sinh(cuff / 2))
             offsets.append(dual - collar_crossings)
         assert max(offsets) - min(offsets) < 1e-3
@@ -141,7 +140,7 @@ def twist_shift_length(x, m, c):
     twists = list(x.twists)
     twists[k] -= c.power * x.lengths[k]
     shifted = point(m, x.lengths, twists, x.boundary)
-    return curve_length(holonomy(shifted, m), m.mu_words[k])
+    return curve_length(holonomy(shifted, m), mu_word(m, k))
 
 
 def random_points(m, seed, count, punctured):
@@ -197,7 +196,7 @@ class TestFrameLocalDuals:
                 for power, length in zip(range(-3, 4), got):
                     twist = x.twists[k] - power * x.lengths[k]
                     y = point(m11, [x.lengths[k]], [twist], [x.lengths[attach]])
-                    want = curve_length(holonomy(y, m11), m11.mu_words[0])
+                    want = curve_length(holonomy(y, m11), mu_word(m11, 0))
                     assert length == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("gn", [(0, 5), (1, 3), (2, 2), (3, 3)])
@@ -218,7 +217,7 @@ class TestFrameLocalDuals:
                 for power, length in zip(range(-3, 4), got):
                     twist = x.twists[k] - power * x.lengths[k]
                     y = point(m04, [x.lengths[k]], [twist], boundary)
-                    want = curve_length(holonomy(y, m04), m04.mu_words[0])
+                    want = curve_length(holonomy(y, m04), mu_word(m04, 0))
                     assert length == pytest.approx(want, rel=1e-10)
 
 
@@ -368,7 +367,7 @@ class TestOrbitTerms:
         by_class = dict(zip(classes, got))
         shuffled = data.draw(st.permutations(classes))
         assert family_lengths(x, m, shuffled) == [by_class[c] for c in shuffled]
-        assert [curve_length_at(x, m, c) for c in classes] == got
+        assert [family_lengths(x, m, [c])[0] for c in classes] == got
 
 
 class TestEnumerateArcs:
@@ -423,7 +422,7 @@ class TestNeighborhoodBoundaries:
         arc = next(a for a in m.arcs if a.kind == "between")
         (nb,) = pants_neighborhood_boundaries(arc, m)
         assert nb.essential
-        la = curve_length_at(x, m, nb)
+        (la,) = family_lengths(x, m, [nb])
         i, j = arc.boundaries
         want = orthogeodesic_between(x.boundary[i], x.boundary[j], la)
         assert arc_length_formula(x, m, arc) == pytest.approx(want, abs=1e-8)
@@ -436,8 +435,7 @@ class TestNeighborhoodBoundaries:
         arc = next(a for a in m.arcs if a.kind == "self")
         nbs = pants_neighborhood_boundaries(arc, m)
         (i,) = arc.boundaries
-        want = orthogeodesic_self(x.boundary[i], curve_length_at(x, m, nbs[0]),
-                                  curve_length_at(x, m, nbs[1]))
+        want = orthogeodesic_self(x.boundary[i], *family_lengths(x, m, nbs))
         assert arc_length_formula(x, m, arc) == pytest.approx(want, abs=1e-8)
 
 

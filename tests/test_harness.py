@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from teichspace import cli, harness, metrics, surface
+from teichspace import cli, harness, metrics
 from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.harness import (
     COMPARE_COLUMNS,
@@ -366,7 +366,7 @@ class TestPhiExperiment:
         cfg = cfg_12()
         m = cfg.marking()
         rep = phi_experiment(sample_point(cfg, 0), m, curve_index=1,
-                             step=0.5, count=4, depth=1)
+                             step=0.5, count=4, depth=1, ceiling=None)
         first = rep["rows"][0]
         assert first["difference"] == 0.0
         assert first["d_th_bordered"] == 0.0
@@ -375,7 +375,7 @@ class TestPhiExperiment:
         cfg = cfg_12()
         m = cfg.marking()
         rep = phi_experiment(sample_point(cfg, 0), m, curve_index=1,
-                             step=0.5, count=6, depth=2)
+                             step=0.5, count=6, depth=2, ceiling=None)
         assert rep["max_difference"] == max(r["difference"] for r in rep["rows"])
         assert all(math.isfinite(r["teich_diff_hi"]) for r in rep["rows"])
 
@@ -393,7 +393,8 @@ class TestPhiExperiment:
         px = FNPoint(g=1, n=2, lengths=x.lengths, twists=x.twists,
                      boundary=(0.0, 0.0))
         with pytest.raises(DomainError):
-            phi_experiment(px, m, depth=1)
+            phi_experiment(px, m, curve_index=0, step=0.5, count=11, depth=1,
+                           ceiling=None)
 
 
 class TestAlmostIsometryReport:
@@ -401,7 +402,7 @@ class TestAlmostIsometryReport:
         cfg = cfg_12()
         m = cfg.marking()
         x = sample_point(cfg, 0)
-        rep = almost_isometry_report([x, x], m, 1)
+        rep = almost_isometry_report([x, x], m, 1, metric="arc")
         assert rep["b_bound"] == 0.0
         assert rep["a_bound"] == 0.0
         assert rep["worst_pair"] == [0, 1]
@@ -410,7 +411,7 @@ class TestAlmostIsometryReport:
         cfg = cfg_12(samples=4)
         m = cfg.marking()
         samples = [sample_point(cfg, i) for i in range(4)]
-        rep = almost_isometry_report(samples, m, 1)
+        rep = almost_isometry_report(samples, m, 1, metric="arc")
         assert rep["pairs"] == 12
         assert math.isfinite(rep["b_bound"]) and rep["b_bound"] >= 0
 
@@ -423,37 +424,6 @@ class TestAlmostIsometryReport:
         assert arc["metric"] == "arc" and thu["metric"] == "thurston"
         with pytest.raises(DomainError):
             almost_isometry_report(samples, m, 1, metric="extremal")
-
-
-class TestAssemblyCount:
-    """Length tables are closed forms: compare rows, reports and the
-    phi experiment assemble no holonomy at all."""
-
-    @pytest.fixture(autouse=True)
-    def no_assembly(self, monkeypatch):
-        def refuse(fn, m):
-            raise AssertionError("a length table assembled a holonomy")
-
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "teichspace"
-                    and getattr(module, "holonomy", None) is surface.holonomy):
-                monkeypatch.setattr(module, "holonomy", refuse)
-
-    def test_compare_row(self):
-        cfg = ExperimentConfig(g=2, n=2, boundary=(1.0, 1.5), seed=3, depth=2,
-                               samples=1)
-        compare_metrics(sample_point(cfg, 0), sample_point(cfg, 1),
-                        cfg.marking(), 2)
-
-    @pytest.mark.parametrize("metric", ["arc", "thurston"])
-    def test_report(self, metric):
-        cfg = cfg_12(samples=3)
-        samples = [sample_point(cfg, i) for i in range(cfg.samples)]
-        almost_isometry_report(samples, cfg.marking(), cfg.depth, metric=metric)
-
-    def test_phi_experiment(self):
-        cfg = cfg_12()
-        phi_experiment(sample_point(cfg, 0), cfg.marking(), count=3, depth=1)
 
 
 class TestReplayWitness:
@@ -491,6 +461,24 @@ class TestCli:
         with pytest.raises(DomainError, match=re.escape(named)):
             cli.main(["constants", "--boundary", boundary])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["constants", "--boundary", "1.0", "--eps", "nan"], "--eps must be finite"),
+        (["constants", "--boundary", "1.0", "--eps", "inf"], "--eps must be finite"),
+        (["constants", "--boundary", "1.0", "--cusps", "0"],
+         "--cusps must be at least 1"),
+        (["phi-experiment", "--ceiling", "nan"], "ceiling must be finite"),
+        (["phi-experiment", "--ceiling", "inf"], "ceiling must be finite"),
+    ])
+    def test_bad_flag_value_rejected_before_output(self, tmp_path, argv,
+                                                   message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_12(samples=1, depth=1).to_json())
+        config = [] if argv[0] == "constants" else ["--config", str(cfg_path)]
+        out = tmp_path / "out.json"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cli.main([*argv, *config, "--out", str(out)])
+        assert not out.exists()
+
     def test_distance_subcommand(self, tmp_path):
         x1 = FNPoint(g=1, n=1, lengths=[2.0], twists=[0.0], boundary=[1.0])
         x2 = FNPoint(g=1, n=1, lengths=[2.5], twists=[0.3], boundary=[1.0])
@@ -506,8 +494,8 @@ class TestCli:
     @pytest.mark.parametrize("boundary", [(1.0,), (0.0,)])
     def test_distance_builds_two_tables(self, tmp_path, monkeypatch, boundary):
         builds = []
-        length_table = metrics.length_table
-        monkeypatch.setattr(metrics, "length_table",
+        length_table = cli.length_table
+        monkeypatch.setattr(cli, "length_table",
                             lambda *a: builds.append(a) or length_table(*a))
         paths = []
         for name, lengths in (("x1", [2.0]), ("x2", [2.5])):

@@ -115,10 +115,9 @@ class TestThurstonLower:
         x = point(m, [2.0], [0.0], [1.5])
         y = point(m, [2.0], [1.3], [1.5])
         est = thurston_lower(x, y, m, 3)
-        from teichspace.curves import curve_length_at, enumerate_curves
-        best = max(
-            math.log(curve_length_at(y, m, c) / curve_length_at(x, m, c))
-            for c in enumerate_curves(m, 3) if c.essential)
+        classes = [c for c in enumerate_curves(m, 3) if c.essential]
+        best = max(math.log(b / a) for a, b in zip(
+            family_lengths(x, m, classes), family_lengths(y, m, classes)))
         assert est.value == pytest.approx(best, abs=0)
 
     def test_punctured_points_supported(self):
@@ -152,7 +151,7 @@ class TestArcLower:
         assert est.value >= 0.0
 
 
-class TestSymmetrize:
+class TestBothDirections:
     def test_two_sided_estimates(self):
         m = build_marking(1, 1)
         x = point(m, [1.0], [0.0], [1.0])
@@ -187,12 +186,12 @@ class TestTeichInterval:
                   [1.0, 1.0])
         rep = teich_interval_report(self.x, y, self.m, 2)
         bound = math.log(self.m.nboundary + 2) + 2 * rep.witness_max_log_width
-        assert rep.interval.width <= bound + 1e-12
+        assert rep.interval.hi - rep.interval.lo <= bound + 1e-12
 
     def test_punctured_pair_supported(self):
         iv = teich_interval_report(phi_gamma(self.x), phi_gamma(self.x),
                                    self.m, 1).interval
-        assert iv.contains(0.0)
+        assert iv.lo <= 0.0 <= iv.hi
 
     def test_mixed_pair_rejected(self):
         with pytest.raises(DomainError):
@@ -207,14 +206,13 @@ class TestTeichInterval:
         x = point(m, [1.0], [0.0], [boundary])
         y = point(m, [2.0], [0.0], [boundary])
         rep = teich_interval_report(x, y, m, 0)
-        from teichspace.curves import curve_length_at
         lo = 0.0
         hi = None
         for c in enumerate_curves(m, 0):
             if not c.essential:
                 continue
-            b1 = bb(curve_length_at(x, m, c))
-            b2 = bb(curve_length_at(y, m, c))
+            (l1,), (l2,) = family_lengths(x, m, [c]), family_lengths(y, m, [c])
+            b1, b2 = bb(l1), bb(l2)
             v_lo = 0.5 * max(0.0, math.log(b2.lo / b1.hi), math.log(b1.lo / b2.hi))
             v_hi = 0.5 * max(math.log(b2.hi / b1.lo), math.log(b1.hi / b2.lo))
             lo = max(lo, v_lo)

@@ -23,10 +23,13 @@ from teichspace.surface import (
     HolonomyError,
     NotGeodesicError,
     arc_length,
+    boundary_word,
     curve_length,
     double,
     doubled_arc_word,
+    gamma_word,
     holonomy,
+    mu_word,
 )
 
 
@@ -146,7 +149,7 @@ class TestBuildMarking:
         assert m.ncurves == curves
         assert m.pants_count == pants
         assert len(m.boundary_slots) == n
-        assert len(m.mu_words) == curves
+        assert len({mu_word(m, k) for k in range(curves)}) == curves
 
     def test_deterministic(self):
         assert build_marking(2, 2) == build_marking(2, 2)
@@ -249,10 +252,10 @@ class TestHolonomy:
             fn = random_point(m, rng)
             h = holonomy(fn, m)
             for k in range(m.ncurves):
-                assert curve_length(h, m.gamma_word(k)) == pytest.approx(
+                assert curve_length(h, gamma_word(m, k)) == pytest.approx(
                     fn.lengths[k], abs=1e-9)
             for i in range(n):
-                assert curve_length(h, m.boundary_word(i)) == pytest.approx(
+                assert curve_length(h, boundary_word(m, i)) == pytest.approx(
                     fn.boundary[i], abs=1e-9)
             assert h.relation_residual < 1e-9
             assert h.det_residual < 1e-12
@@ -263,9 +266,9 @@ class TestHolonomy:
                      boundary=[0.0, 0.0])
         h = holonomy(fn, m)
         for i in range(2):
-            tr = abs(np.trace(h.evaluate(m.boundary_word(i))))
+            tr = abs(np.trace(h.evaluate(boundary_word(m, i))))
             assert tr == pytest.approx(2.0, abs=1e-9)
-            assert curve_length(h, m.boundary_word(i)) == 0.0
+            assert curve_length(h, boundary_word(m, i)) == 0.0
 
     def test_twist_invariance_of_cuff_lengths(self):
         m = build_marking(1, 2)
@@ -275,21 +278,21 @@ class TestHolonomy:
                           twists=(5.0, -7.5), boundary=base.boundary)
         h0, h1 = holonomy(base, m), holonomy(twisted, m)
         for k in range(m.ncurves):
-            assert curve_length(h0, m.gamma_word(k)) == pytest.approx(
-                curve_length(h1, m.gamma_word(k)), abs=1e-10)
+            assert curve_length(h0, gamma_word(m, k)) == pytest.approx(
+                curve_length(h1, gamma_word(m, k)), abs=1e-10)
 
     def test_twists_move_dual_curves(self):
         m = build_marking(1, 1)
         fn0 = FNPoint(g=1, n=1, lengths=[2.0], twists=[0.0], boundary=[1.0])
         fn1 = FNPoint(g=1, n=1, lengths=[2.0], twists=[0.8], boundary=[1.0])
-        w = m.mu_words[0]
+        w = mu_word(m, 0)
         assert curve_length(holonomy(fn1, m), w) > curve_length(holonomy(fn0, m), w)
 
     def test_word_and_inverse_have_equal_length(self):
         m = build_marking(1, 2)
         rng = np.random.default_rng(8)
         h = holonomy(random_point(m, rng), m)
-        w = m.mu_words[1]
+        w = mu_word(m, 1)
         w_inv = tuple((t, -e) for t, e in reversed(w))
         assert curve_length(h, w) == pytest.approx(curve_length(h, w_inv), abs=1e-12)
 
@@ -301,7 +304,7 @@ class TestHolonomy:
         # hard to hit by accident, so inject a rotation directly.
         h.slot_mats[(0, 0)] = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(NotGeodesicError):
-            curve_length(h, m.gamma_word(0))
+            curve_length(h, gamma_word(m, 0))
 
     def test_one_holed_torus_against_direct_assembly(self):
         # Independent assembly: cuff along the imaginary axis, dual along
@@ -316,8 +319,8 @@ class TestHolonomy:
             dual_expected = 2 * math.acosh(math.sqrt(y_sq) / 2)
             fn = FNPoint(g=1, n=1, lengths=[ell], twists=[0.0], boundary=[lam])
             h = holonomy(fn, m)
-            assert curve_length(h, m.boundary_word(0)) == pytest.approx(lam, abs=1e-10)
-            assert curve_length(h, m.mu_words[0]) == pytest.approx(
+            assert curve_length(h, boundary_word(m, 0)) == pytest.approx(lam, abs=1e-10)
+            assert curve_length(h, mu_word(m, 0)) == pytest.approx(
                 dual_expected, abs=1e-10)
             u = np.array([[math.exp(ell / 4), 0], [0, math.exp(-ell / 4)]]) @ \
                 np.array([[math.exp(ell / 4), 0], [0, math.exp(-ell / 4)]])
@@ -336,12 +339,12 @@ class TestHolonomy:
         h = holonomy(FNPoint(g=1, n=1, lengths=[ell], twists=[t0],
                              boundary=[lam]), m)
         for k in (-2, -1, 1, 2):
-            twisted_word = m.mu_words[0] + ((("slot", 0, 0), k),)
+            twisted_word = mu_word(m, 0) + ((("slot", 0, 0), k),)
             shifted = holonomy(FNPoint(g=1, n=1, lengths=[ell],
                                        twists=[t0 - k * ell],
                                        boundary=[lam]), m)
             assert curve_length(h, twisted_word) == pytest.approx(
-                curve_length(shifted, m.mu_words[0]), abs=1e-10)
+                curve_length(shifted, mu_word(m, 0)), abs=1e-10)
 
 
 def figure_eights(m):
@@ -389,7 +392,7 @@ class TestCuspLimit:
         h = holonomy(fn, m)
         assert h.det_residual < 1e-12
         for i, b in enumerate(boundary):
-            assert curve_length(h, m.boundary_word(i)) == pytest.approx(b, abs=1e-9)
+            assert curve_length(h, boundary_word(m, i)) == pytest.approx(b, abs=1e-9)
         assert limit_gap(m, fn) < 1e-6
 
 
@@ -431,7 +434,7 @@ class TestDouble:
         d = double(fn, m)
         h = d.holonomy()
         for i, k in enumerate(d.boundary_edge):
-            assert curve_length(h, d.marking.gamma_word(k)) == pytest.approx(
+            assert curve_length(h, gamma_word(d.marking, k)) == pytest.approx(
                 fn.boundary[i], abs=1e-9)
 
     @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2)])
@@ -442,9 +445,9 @@ class TestDouble:
         d = double(fn, m)
         h_x, h_d = holonomy(fn, m), d.holonomy()
         for k in range(m.ncurves):
-            assert curve_length(h_x, m.gamma_word(k)) == pytest.approx(
-                curve_length(h_d, m.gamma_word(k)), abs=1e-9)
-        for w in m.mu_words:
+            assert curve_length(h_x, gamma_word(m, k)) == pytest.approx(
+                curve_length(h_d, gamma_word(m, k)), abs=1e-9)
+        for w in (mu_word(m, k) for k in range(m.ncurves)):
             assert curve_length(h_x, w) == pytest.approx(
                 curve_length(h_d, w), abs=1e-9)
 
@@ -454,7 +457,8 @@ class TestDouble:
         fn = random_point(m, rng)
         d = double(fn, m)
         h = d.holonomy()
-        for w in d.marking.mu_words:
+        for w in (mu_word(d.marking, k)
+                  for k in range(d.marking.ncurves)):
             iw = tuple((d.involution.get(t, t), e) for t, e in w)
             assert curve_length(h, w) == pytest.approx(
                 curve_length(h, iw), abs=1e-9)
