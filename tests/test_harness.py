@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from teichspace import cli, harness, metrics
+from teichspace import cli, harness, metrics, surface
 from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.harness import (
     COMPARE_COLUMNS,
@@ -424,6 +424,38 @@ class TestAlmostIsometryReport:
         assert arc["metric"] == "arc" and thu["metric"] == "thurston"
         with pytest.raises(DomainError):
             almost_isometry_report(samples, m, 1, metric="extremal")
+
+
+class TestAssemblyCount:
+    """Length tables are closed forms: compare rows, reports and the
+    phi experiment assemble no holonomy at all."""
+
+    @pytest.fixture(autouse=True)
+    def no_assembly(self, monkeypatch):
+        def refuse(fn, m):
+            raise AssertionError("a length table assembled a holonomy")
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "teichspace"
+                    and getattr(module, "holonomy", None) is surface.holonomy):
+                monkeypatch.setattr(module, "holonomy", refuse)
+
+    def test_compare_row(self):
+        cfg = ExperimentConfig(g=2, n=2, boundary=(1.0, 1.5), seed=3, depth=2,
+                               samples=1)
+        compare_metrics(sample_point(cfg, 0), sample_point(cfg, 1),
+                        cfg.marking(), 2)
+
+    @pytest.mark.parametrize("metric", ["arc", "thurston"])
+    def test_report(self, metric):
+        cfg = cfg_12(samples=3)
+        samples = [sample_point(cfg, i) for i in range(cfg.samples)]
+        almost_isometry_report(samples, cfg.marking(), cfg.depth, metric=metric)
+
+    def test_phi_experiment(self):
+        cfg = cfg_12()
+        phi_experiment(sample_point(cfg, 0), cfg.marking(), curve_index=0,
+                       step=0.5, count=3, depth=1, ceiling=None)
 
 
 class TestReplayWitness:
