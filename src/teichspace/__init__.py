@@ -23,6 +23,7 @@ from .curves import (
     enumerate_arcs,
     enumerate_curves,
     family_lengths,
+    hexagon_lengths,
     length_table,
     pants_neighborhood_boundaries,
 )

@@ -61,14 +61,19 @@ def bmms_dilation(eps) -> float:
     """Quasiconformal dilation bound ``prod_j (1 + 2 eps_j^2)`` for
     straightening pants boundaries of lengths ``eps_j`` into cusps.
 
-    Each entry must lie in ``(0, 1/2)``; the empty product is 1.
+    ``eps`` may be any iterable.  Each entry must lie in ``(0, 1/2)``; the
+    empty product is 1.  Once the product leaves double range a
+    :class:`DomainError` naming the factor count is raised.
     """
     total = 1.0
-    for e in eps:
+    for count, e in enumerate(eps, 1):
         e = float(e)
         if not (0.0 < e < 0.5):
             raise DomainError(f"boundary lengths must lie in (0, 1/2), got {e!r}")
         total *= 1.0 + 2.0 * e * e
+        if total == math.inf:
+            raise DomainError(
+                f"bmms_dilation leaves double range after {count} factors")
     return total
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -80,7 +81,7 @@ def _cmd_constants(args) -> None:
     else:
         truncation_note = None
     try:
-        dilation = asymptotics.bmms_dilation([eps] * args.cusps)
+        dilation = asymptotics.bmms_dilation(itertools.repeat(eps, args.cusps))
     except pants_trig.DomainError as err:
         dilation, dilation_note = None, str(err)
     else:

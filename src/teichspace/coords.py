@@ -75,7 +75,9 @@ class Marking:
 
     Construction checks that every slot of every pants carries exactly one
     edge side or boundary and keeps the resulting slot table, which
-    :meth:`slot_assignment` and :meth:`slot_length` read.
+    :meth:`slot_assignment`, :meth:`slot_length` and :meth:`curve_index`
+    read.  It also resolves each seed arc once: ``arc_forms[i]`` is
+    :meth:`arc_form` of ``arcs[i]``.
     """
 
     genus: int
@@ -85,6 +87,7 @@ class Marking:
     tree: frozenset
     arcs: tuple
     _slots: dict = field(init=False, repr=False, compare=False)
+    arc_forms: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def ncurves(self) -> int:
@@ -109,6 +112,8 @@ class Marking:
         if set(used) != expected:
             raise DomainError("marking is not trivalent")
         object.__setattr__(self, "_slots", used)
+        object.__setattr__(self, "arc_forms",
+                           tuple(self.arc_form(a) for a in self.arcs))
 
     def slot_assignment(self):
         """Read-only map ``(pants, slot) -> ("edge", k)`` or
@@ -120,6 +125,20 @@ class Marking:
         its cuff length, its boundary length, or 0.0 on a cusp."""
         kind, idx = self._slots[side]
         return fn.lengths[idx] if kind == "edge" else fn.boundary[idx]
+
+    def curve_index(self, side: tuple) -> int:
+        """Index of the curve on slot ``side = (pants, slot)`` in
+        ``fn.lengths + fn.boundary``: cuffs first, then boundaries."""
+        kind, idx = self._slots[side]
+        return idx if kind == "edge" else self.ncurves + idx
+
+    def arc_form(self, arc: ArcClass) -> tuple:
+        """``(between, i, j, k)``: whether ``arc`` joins two distinct
+        boundaries, then the :meth:`curve_index` of the curves on its
+        ``slots + neighbour_slots``; the curves its hexagon form reads."""
+        return (arc.kind == "between",
+                *(self.curve_index((arc.pants, s))
+                  for s in arc.slots + arc.neighbour_slots))
 
 
 def build_marking(g: int, n: int) -> Marking:

@@ -33,7 +33,13 @@ depth)``.  The holonomy of :mod:`teichspace.surface` is their independent
 check.
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
-are convex, so these lengths do not depend on the twists.
+are convex, so these lengths do not depend on the twists.  Which curves
+each seed arc's form reads is resolved once per marking
+(:attr:`~teichspace.coords.Marking.arc_forms`); :func:`hexagon_lengths`
+then takes ``cosh(l/2)`` once per curve of a point and evaluates every
+form from these terms, with the arithmetic of
+:func:`~teichspace.pants_trig.orthogeodesic_between` and
+:func:`~teichspace.pants_trig.orthogeodesic_self`.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
@@ -57,6 +63,7 @@ __all__ = [
     "enumerate_curves",
     "family_lengths",
     "arc_length_formula",
+    "hexagon_lengths",
     "length_table",
     "pants_neighborhood_boundaries",
 ]
@@ -208,12 +215,10 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
         raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
                           f"of ({m.genus},{m.nboundary})")
     classes = tuple(enumerate_curves(m, depth))
-    arcs = ()
-    if m.nboundary and all(fn.boundary):
-        arcs = tuple(enumerate_arcs(m))
+    arcs = m.arcs if m.nboundary and all(fn.boundary) else ()
     try:
         lengths = tuple(family_lengths(fn, m, classes))
-        arc_lengths = tuple(arc_length_formula(fn, m, a) for a in arcs)
+        arc_lengths = tuple(hexagon_lengths(fn, m.arc_forms)) if arcs else ()
     except DomainError as err:
         raise err.with_witness({"x": fn.to_dict(), "depth": depth}) from err
     return LengthTable(point=fn, depth=depth, classes=classes, lengths=lengths,
@@ -230,11 +235,49 @@ def enumerate_arcs(m: Marking):
 
 def arc_length_formula(fn: FNPoint, m: Marking, arc: ArcClass) -> float:
     """Closed-form length of a pants-local arc (twist independent)."""
-    a, b, c = (m.slot_length(fn, (arc.pants, s))
-               for s in arc.slots + arc.neighbour_slots)
-    if arc.kind == "between":
-        return pants_trig.orthogeodesic_between(a, b, c)
-    return pants_trig.orthogeodesic_self(a, b, c)
+    return hexagon_lengths(fn, [m.arc_form(arc)])[0]
+
+
+def _cosh_half(v: float) -> float:
+    try:
+        return math.cosh(v / 2)
+    except OverflowError:
+        return math.inf
+
+
+def hexagon_lengths(fn: FNPoint, forms) -> list:
+    """Hexagon lengths at ``fn`` of the arcs resolved by
+    :meth:`~teichspace.coords.Marking.arc_form`, aligned with ``forms``.
+
+    ``cosh(l/2)`` is taken once per curve of the point (``inf`` where it
+    overflows); each form adds its own ``sinh`` terms and the arithmetic of
+    :func:`~teichspace.pants_trig.orthogeodesic_between` or
+    :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths are
+    theirs bit for bit.  A length outside double range, and every arc of a
+    point with a cusp, goes through that function instead, which raises
+    its :class:`DomainError` naming the lengths (a cusp is allowed only as
+    the third boundary of a between-arc).
+    """
+    ell = fn.lengths + fn.boundary
+    ch = [_cosh_half(v) for v in ell]
+    cusp = 0.0 in fn.boundary
+    out = []
+    for between, i, j, k in forms:
+        li, lj = ell[i], ell[j]
+        try:
+            if between:
+                length = pants_trig._between_core(math.cosh((li - lj) / 2), ch[k],
+                                             math.sinh(li / 2), math.sinh(lj / 2))
+            else:
+                length = pants_trig._self_core(ch[j], ch[k], ch[i], math.sinh(li / 2))
+        except (OverflowError, ZeroDivisionError):
+            length = math.inf
+        if cusp or not 0.0 < length < math.inf:
+            form = (pants_trig.orthogeodesic_between if between
+                    else pants_trig.orthogeodesic_self)
+            length = form(li, lj, ell[k])
+        out.append(length)
+    return out
 
 
 def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):

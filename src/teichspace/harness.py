@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .coords import FNPoint, Marking, build_marking, json_fields, phi_gamma
 from .curves import (
-    arc_length_formula,
     enumerate_arcs,
+    hexagon_lengths,
     length_table,
     pants_neighborhood_boundaries,
 )
@@ -141,11 +141,15 @@ def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
     """
     if not 0 <= index <= _M64:
         raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
-    rng = random.Random((cfg.seed & _M64) << 64 | index)
+    draw = random.Random((cfg.seed & _M64) << 64 | index).random
     ncurves = 3 * cfg.g - 3 + cfg.n
-    lo, hi = math.log(cfg.length_range[0]), math.log(cfg.length_range[1])
-    lengths = [math.exp(rng.uniform(lo, hi)) for _ in range(ncurves)]
-    twists = [rng.uniform(*cfg.twist_range) for _ in range(ncurves)]
+    # lo + (hi - lo) * random() is what Random.uniform(lo, hi) returns.
+    lo = math.log(cfg.length_range[0])
+    width = math.log(cfg.length_range[1]) - lo
+    lengths = [math.exp(lo + width * draw()) for _ in range(ncurves)]
+    lo, hi = cfg.twist_range
+    width = hi - lo
+    twists = [lo + width * draw() for _ in range(ncurves)]
     return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths, twists=twists,
                    boundary=cfg.boundary)
 
@@ -170,10 +174,17 @@ def verify_arcs(pairs, m: Marking):
     so no arc changes length.
 
     The constants, the arcs and their neighbourhood curves depend only on
-    the boundary and the marking, so they are computed once, from the
-    first pair, before its report; every point of every pair must share
-    that boundary.  The seed arcs are the same at every family depth, so
-    there is no depth.  A pair's DomainError carries the witness ``{"x1", "x2"}``.
+    the boundary and the marking, so they are gathered once per run, from
+    the first pair, before its report: the gap constants, each arc's label
+    and resolved form (:attr:`~teichspace.coords.Marking.arc_forms`), and
+    the label and :meth:`~teichspace.coords.Marking.curve_index` of each
+    neighbourhood curve.  Every point of every pair must share that
+    boundary.  Per point, one :func:`~teichspace.curves.hexagon_lengths`
+    pass gives every arc length, and the neighbourhood ratios are read
+    through the same indices.  The seed arcs are the same at every family
+    depth, so there is no depth.  A pair's DomainError carries the witness
+    ``{"x1", "x2"}``; it is the error of the first arc that fails, ``x1``
+    before ``x2``.
     """
     plan = None
     for x1, x2 in pairs:
@@ -183,19 +194,27 @@ def verify_arcs(pairs, m: Marking):
                 if any(v == 0.0 for v in boundary):
                     raise DomainError("arc check needs positive boundary lengths")
                 constants = gap_constants(boundary)
-                plan = [(arc, arc.label(),
-                         [((arc.pants, s),
+                arcs, forms = enumerate_arcs(m), m.arc_forms
+                plan = [(arc.label(),
+                         [(m.curve_index((arc.pants, s)),
                            c.label() + ("" if c.essential else "(boundary)"),
                            c.essential)
                           for s, c in zip(arc.neighbour_slots,
                                           pants_neighborhood_boundaries(arc, m))])
-                        for arc in enumerate_arcs(m)]
+                        for arc in arcs]
             if x1.boundary != boundary or x2.boundary != boundary:
                 raise DomainError("arc check needs equal boundary lengths")
+            try:
+                lens1, lens2 = hexagon_lengths(x1, forms), hexagon_lengths(x2, forms)
+            except DomainError:
+                lens1 = None
+            if lens1 is None:  # raise the first failing arc's error, x1 first
+                for form in forms:
+                    hexagon_lengths(x1, [form])
+                    hexagon_lengths(x2, [form])
+            ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
             rows = []
-            for arc, label, neighbours in plan:
-                l1 = arc_length_formula(x1, m, arc)
-                l2 = arc_length_formula(x2, m, arc)
+            for (label, neighbours), l1, l2 in zip(plan, lens1, lens2):
                 ratio = l2 / l1
                 row = {"arc": label, "l1": l1, "l2": l2, "ratio": ratio}
                 if ratio <= 1.0:
@@ -203,8 +222,8 @@ def verify_arcs(pairs, m: Marking):
                     rows.append(row)
                     continue
                 curves = []
-                for side, nb_label, essential in neighbours:
-                    c1, c2 = m.slot_length(x1, side), m.slot_length(x2, side)
+                for index, nb_label, essential in neighbours:
+                    c1, c2 = ell1[index], ell2[index]
                     curves.append({"curve": nb_label, "l1": c1, "l2": c2,
                                    "ratio": c2 / c1, "essential": essential})
                 best = max(c["ratio"] for c in curves if c["essential"])

@@ -64,7 +64,9 @@ The exported constant is ``min(c_a, c_b, c_c)`` minimised over the boundary
 components, so the certified inequality holds in every zone.
 
 Both arc forms are evaluated in double precision as sums of positive
-terms.  For boundary lengths in ``[1e-4, 40]`` they match a 50-digit
+terms, each by one private core over its ``cosh``/``sinh`` terms, which
+the public form and :func:`teichspace.curves.hexagon_lengths` share.
+For boundary lengths in ``[1e-4, 40]`` they match a 50-digit
 mpmath evaluation of the identities above to 1e-14 relative, and traces
 of the doubled-arc words in the holonomy of the arc's own pants, doubled,
 to 1e-8.  Where an intermediate or the result leaves double range, both
@@ -104,6 +106,18 @@ def _acosh1p(w: float) -> float:
     return math.log1p(w + math.sqrt(w) * math.sqrt(w + 2.0))
 
 
+def _between_core(cij: float, ca: float, si: float, sj: float) -> float:
+    """Between-arc form from ``cosh((li - lj)/2)``, ``cosh(la/2)``,
+    ``sinh(li/2)`` and ``sinh(lj/2)``; unchecked."""
+    return _acosh1p((cij + ca) / (si * sj))
+
+
+def _self_core(ca: float, cd: float, ci: float, si: float) -> float:
+    """Self-arc form from ``cosh(la/2)``, ``cosh(ld/2)``, ``cosh(li/2)`` and
+    ``sinh(li/2)``; unchecked."""
+    return 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * ci + cd * cd) / si)
+
+
 def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     """Length of the orthogeodesic arc joining two distinct boundaries.
 
@@ -120,8 +134,8 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     if la < 0 or not math.isfinite(la):
         raise DomainError(f"la must be a nonnegative finite length, got {la!r}")
     try:
-        length = _acosh1p((math.cosh((li - lj) / 2) + math.cosh(la / 2))
-                          / (math.sinh(li / 2) * math.sinh(lj / 2)))
+        length = _between_core(math.cosh((li - lj) / 2), math.cosh(la / 2),
+                          math.sinh(li / 2), math.sinh(lj / 2))
     except (OverflowError, ZeroDivisionError):
         length = math.inf
     if not 0.0 < length < math.inf:
@@ -172,11 +186,9 @@ def orthogeodesic_self(li: float, la: float, ld: float) -> float:
     a sum of positive terms, so nothing cancels for long boundaries.
     """
     _require_positive(li=li, la=la, ld=ld)
-    x = li / 2
     try:
-        ca, cd = math.cosh(la / 2), math.cosh(ld / 2)
-        length = 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * math.cosh(x)
-                                            + cd * cd) / math.sinh(x))
+        length = _self_core(math.cosh(la / 2), math.cosh(ld / 2),
+                       math.cosh(li / 2), math.sinh(li / 2))
     except (OverflowError, ZeroDivisionError):
         length = math.inf
     if not 0.0 < length < math.inf:

@@ -1,5 +1,6 @@
 """Tests for the asymptotic comparison constants."""
 
+import itertools
 import math
 import re
 
@@ -87,6 +88,15 @@ class TestBmmsDilation:
         for bad in (0.0, 0.5, 0.7):
             with pytest.raises(DomainError):
                 bmms_dilation([bad])
+
+    def test_repeated_factor_is_the_list_product(self):
+        assert bmms_dilation(itertools.repeat(0.1, 1000)) == bmms_dilation([0.1] * 1000)
+
+    def test_leaving_double_range_is_rejected(self):
+        # (1.02)^n passes the largest double at n = 35843.
+        assert bmms_dilation(itertools.repeat(0.1, 35842)) < math.inf
+        with pytest.raises(DomainError, match="after 35843 factors"):
+            bmms_dilation(itertools.repeat(0.1, 40000))
 
 
 class TestComparisonBounds:

@@ -15,6 +15,7 @@ from teichspace.curves import (
     enumerate_arcs,
     enumerate_curves,
     family_lengths,
+    hexagon_lengths,
     length_table,
     pants_neighborhood_boundaries,
 )
@@ -259,12 +260,13 @@ _LOG_LENGTH = st.floats(math.log(1e-4), math.log(40.0)).map(math.exp)
 
 
 @st.composite
-def envelope_points(draw, markings=((1, 1), (0, 4), (1, 2), (2, 2))):
+def envelope_points(draw, markings=((1, 1), (0, 4), (1, 2), (2, 2)), cusps=True):
     m = build_marking(*draw(st.sampled_from(markings)))
     lengths = draw(st.lists(_LOG_LENGTH, min_size=m.ncurves, max_size=m.ncurves))
     twists = draw(st.lists(st.floats(-100.0, 100.0), min_size=m.ncurves,
                            max_size=m.ncurves))
-    boundary = draw(st.lists(st.one_of(st.just(0.0), _LOG_LENGTH),
+    boundary = draw(st.lists(st.one_of(st.just(0.0), _LOG_LENGTH) if cusps
+                             else _LOG_LENGTH,
                              min_size=m.nboundary, max_size=m.nboundary))
     return m, point(m, lengths, twists, boundary)
 
@@ -388,6 +390,117 @@ class TestEnumerateArcs:
                       rng.uniform(0.5, 2, 2))
             for arc in enumerate_arcs(m):
                 assert arc_length_formula(x, m, arc) > 0
+
+
+def between_reference(li, lj, la):
+    """The between-arc form written out in its association order."""
+    return _acosh1p((math.cosh((li - lj) / 2) + math.cosh(la / 2))
+                    / (math.sinh(li / 2) * math.sinh(lj / 2)))
+
+
+def self_reference(li, la, ld):
+    """The self-arc form written out in its association order."""
+    ca, cd = math.cosh(la / 2), math.cosh(ld / 2)
+    return 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * math.cosh(li / 2)
+                                      + cd * cd) / math.sinh(li / 2))
+
+
+def arc_inputs(x, m, arc):
+    return [m.slot_length(x, (arc.pants, s))
+            for s in arc.slots + arc.neighbour_slots]
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the message of the DomainError it raises."""
+    try:
+        return f(*args)
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+def arc_by_arc(x, m):
+    """Every seed arc through its checked entry point, in arc order: the
+    lengths, or the message of the first DomainError."""
+    out = []
+    for arc in m.arcs:
+        form = orthogeodesic_between if arc.kind == "between" else orthogeodesic_self
+        length = outcome(form, *arc_inputs(x, m, arc))
+        if isinstance(length, str):
+            return length
+        out.append(length)
+    return out
+
+
+_ARC_MARKINGS = ((0, 3), (0, 4), (1, 1), (1, 2), (2, 2), (3, 2), (1, 6))
+
+
+class TestHexagonLengths:
+    """One ``cosh(l/2)`` per curve gives the bits of the entry points, and
+    both give the bits of the forms written out."""
+
+    @given(mx=envelope_points(_ARC_MARKINGS, cusps=False))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit(self, mx):
+        m, x = mx
+        got = hexagon_lengths(x, m.arc_forms)
+        assert got == arc_by_arc(x, m)
+        assert got == [(between_reference if a.kind == "between"
+                        else self_reference)(*arc_inputs(x, m, a)) for a in m.arcs]
+        assert [arc_length_formula(x, m, a) for a in m.arcs] == got
+        assert length_table(x, m, 0).arc_lengths == tuple(got)
+
+    def test_cusp_as_third_boundary_of_a_between_arc(self):
+        m = build_marking(0, 3)
+        x = point(m, (), (), (1.0, 1.5, 0.0))
+        arc = next(a for a in m.arcs if a.boundaries == (0, 1))
+        assert arc.kind == "between"
+        want = between_reference(1.0, 1.5, 0.0)
+        assert arc_length_formula(x, m, arc) == want
+        assert orthogeodesic_between(1.0, 1.5, 0.0) == want
+        # Every other arc touches the cusp and is rejected as the entry
+        # point rejects it.
+        for a in m.arcs:
+            form = orthogeodesic_between if a.kind == "between" else orthogeodesic_self
+            assert (outcome(arc_length_formula, x, m, a)
+                    == outcome(form, *arc_inputs(x, m, a)))
+        assert outcome(hexagon_lengths, x, m.arc_forms) == arc_by_arc(x, m)
+        assert isinstance(arc_by_arc(x, m), str)
+
+    @pytest.mark.parametrize("g,n", [(1, 2), (1, 6), (2, 2), (0, 4)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_long_cuffs_raise_the_entry_points_error(self, g, n, seed):
+        m = build_marking(g, n)
+        rng = np.random.default_rng(seed)
+        x = point(m, rng.uniform(800.0, 900.0, m.ncurves), [0.0] * m.ncurves,
+                  rng.uniform(0.5, 2.0, n))
+        want = arc_by_arc(x, m)
+        assert isinstance(want, str) and "leaves double range" in want
+        assert outcome(hexagon_lengths, x, m.arc_forms) == want
+
+    @pytest.mark.parametrize("g,n,boundary", [
+        (0, 3, (1e-200, 1e-200, 1.0)), (0, 3, (1e-200, 1.0, 1.5)),
+        (1, 2, (1e-200, 1e-200)), (2, 2, (1e-200, 1.0)),
+        (1, 6, (1e-200, 0.75, 1.0, 1.25, 1e-200, 1.75))])
+    def test_tiny_boundary_matches_the_entry_points(self, g, n, boundary):
+        m = build_marking(g, n)
+        x = point(m, [1.0] * m.ncurves, [0.0] * m.ncurves, boundary)
+        assert outcome(hexagon_lengths, x, m.arc_forms) == arc_by_arc(x, m)
+
+    def test_tiny_boundaries_leave_double_range(self):
+        m = build_marking(0, 3)
+        x = point(m, (), (), (1e-200, 1e-200, 1.0))
+        assert (outcome(hexagon_lengths, x, m.arc_forms)
+                == "DomainError: orthogeodesic_between(1e-200, 1e-200, 1.0) "
+                   "leaves double range")
+
+    def test_cosh_overflow_is_a_range_error(self):
+        # cosh(l/2) itself overflows past l of about 1421.
+        m = build_marking(1, 2)
+        x = point(m, [1.0, 1500.0], [0.0, 0.0], [1.0, 1.5])
+        want = arc_by_arc(x, m)
+        assert want == ("DomainError: orthogeodesic_between(1.0, 1.5, 1500.0) "
+                        "leaves double range")
+        assert outcome(hexagon_lengths, x, m.arc_forms) == want
 
 
 class TestNeighborhoodBoundaries:

@@ -24,7 +24,13 @@ from teichspace.harness import (
     verify_arc_construction,
     verify_arcs,
 )
-from teichspace.pants_trig import DomainError
+from teichspace.curves import pants_neighborhood_boundaries
+from teichspace.pants_trig import (
+    DomainError,
+    gap_constants,
+    orthogeodesic_between,
+    orthogeodesic_self,
+)
 
 
 def cfg_12(**kw):
@@ -207,7 +213,85 @@ class TestVerifyArcConstruction:
             verify_arc_construction(x, y, m, 1)
 
 
+def verify_arcs_reference(pairs, m):
+    """The arc check with each arc length through its checked entry point,
+    arc by arc and ``x1`` before ``x2``, and each neighbourhood length
+    through ``m.slot_length``."""
+    constants = gap_constants(pairs[0][0].boundary)
+    for x1, x2 in pairs:
+        try:
+            rows = []
+            for arc in m.arcs:
+                form = (orthogeodesic_between if arc.kind == "between"
+                        else orthogeodesic_self)
+                l1, l2 = (form(*(m.slot_length(x, (arc.pants, s))
+                                 for s in arc.slots + arc.neighbour_slots))
+                          for x in (x1, x2))
+                ratio = l2 / l1
+                row = {"arc": arc.label(), "l1": l1, "l2": l2, "ratio": ratio}
+                if ratio <= 1.0:
+                    row["checked"] = False
+                    rows.append(row)
+                    continue
+                curves = []
+                for s, c in zip(arc.neighbour_slots,
+                                pants_neighborhood_boundaries(arc, m)):
+                    c1 = m.slot_length(x1, (arc.pants, s))
+                    c2 = m.slot_length(x2, (arc.pants, s))
+                    curves.append({"curve": c.label() + ("" if c.essential
+                                                         else "(boundary)"),
+                                   "l1": c1, "l2": c2, "ratio": c2 / c1,
+                                   "essential": c.essential})
+                best = max(c["ratio"] for c in curves if c["essential"])
+                bound = constants.c * ratio
+                row.update({"checked": True, "curves": curves,
+                            "excluded_boundary_parallel":
+                                sum(not c["essential"] for c in curves),
+                            "max_curve_ratio": best, "bound": bound,
+                            "passed": best >= bound})
+                rows.append(row)
+        except DomainError as err:
+            raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
+        checked = sum(r["checked"] for r in rows)
+        passed = sum(r["checked"] and r["passed"] for r in rows)
+        yield {"x1": x1.to_dict(), "x2": x2.to_dict(), "constant": constants.c,
+               "constant_between": constants.c_between,
+               "constant_self": constants.c_self, "gap": constants.gap,
+               "arcs": rows, "checked": checked, "passed": passed,
+               "vacuous": len(rows) - checked, "all_passed": passed == checked}
+
+
 class TestVerifyArcs:
+    @pytest.mark.parametrize("g,n,boundary", [
+        (1, 6, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)), (2, 2, (1.0, 1.5))])
+    def test_reports_match_arc_by_arc_reference(self, g, n, boundary):
+        cfg = ExperimentConfig(g=g, n=n, boundary=boundary, seed=11)
+        m = cfg.marking()
+        pairs = [(sample_point(cfg, 2 * i), sample_point(cfg, 2 * i + 1))
+                 for i in range(50)]
+        reports = list(verify_arcs(pairs, m))
+        assert reports == list(verify_arcs_reference(pairs, m))
+        assert any(r["checked"] for r in reports)
+
+    def test_error_is_the_first_failing_arcs(self):
+        # A cuff of 1500 fails the self-arc of pants 4 (the fourth arc) at
+        # x1 and that of pants 1 (the first arc) at x2: the arc-by-arc
+        # order names x2's lengths.
+        m = build_marking(1, 6)
+        x1, x2 = (FNPoint(g=1, n=6, lengths=[1500.0 if k == bad else 1.0
+                                             for k in range(6)],
+                          twists=[0.0] * 6,
+                          boundary=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75))
+                  for bad in (5, 1))
+        with pytest.raises(DomainError) as ref:
+            next(verify_arcs_reference([(x1, x2)], m))
+        with pytest.raises(DomainError) as got:
+            next(verify_arcs([(x1, x2)], m))
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(
+            "orthogeodesic_self(0.5, 1500.0, 1.0) leaves double range")
+        assert got.value.witness == {"x1": x1.to_dict(), "x2": x2.to_dict()}
+
     @pytest.mark.parametrize("g,n,boundary", [
         (1, 6, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)), (2, 2, (1.0, 1.5))])
     def test_batch_equals_one_pair_calls(self, g, n, boundary):
@@ -484,6 +568,15 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["comparison"]["gap"] > 0
         assert payload["cusp_radius"] == pytest.approx(math.exp(-2 * math.pi / 1e-4))
+
+    def test_constants_notes_bmms_dilation_out_of_range(self, tmp_path):
+        out = tmp_path / "constants.json"
+        cli.main(["constants", "--boundary", "1.0", "--eps", "0.1",
+                  "--cusps", "40000", "--out", str(out)])
+        payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert payload["bmms_dilation"] is None
+        assert payload["bmms_dilation_note"] == (
+            "bmms_dilation leaves double range after 35843 factors")
 
     @pytest.mark.parametrize("boundary,named", [
         ("700,1.0", "between_arc_constants((700.0, 1.0))"),
