@@ -33,13 +33,11 @@ depth)``.  The holonomy of :mod:`teichspace.surface` is their independent
 check.
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
-are convex, so these lengths do not depend on the twists.  Which curves
-each seed arc's form reads is resolved once per marking
+are convex, so these lengths do not depend on the twists.  The curves
+each seed arc's form reads are resolved once per marking
 (:attr:`~teichspace.coords.Marking.arc_forms`); :func:`hexagon_lengths`
-then takes ``cosh(l/2)`` once per curve of a point and evaluates every
-form from these terms, with the arithmetic of
-:func:`~teichspace.pants_trig.orthogeodesic_between` and
-:func:`~teichspace.pants_trig.orthogeodesic_self`.
+takes ``cosh(l/2)`` once per curve of a point and evaluates every form
+from these terms.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
@@ -249,14 +247,13 @@ def hexagon_lengths(fn: FNPoint, forms) -> list:
     """Hexagon lengths at ``fn`` of the arcs resolved by
     :meth:`~teichspace.coords.Marking.arc_form`, aligned with ``forms``.
 
-    ``cosh(l/2)`` is taken once per curve of the point (``inf`` where it
-    overflows); each form adds its own ``sinh`` terms and the arithmetic of
+    ``cosh(l/2)`` is taken once per curve (``inf`` where it overflows) and
+    fed, with each form's ``sinh`` terms, to the core of
     :func:`~teichspace.pants_trig.orthogeodesic_between` or
     :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths are
     theirs bit for bit.  A length outside double range, and every arc of a
-    point with a cusp, goes through that function instead, which raises
-    its :class:`DomainError` naming the lengths (a cusp is allowed only as
-    the third boundary of a between-arc).
+    point with a cusp, goes through that function, whose checks raise the
+    :class:`DomainError` naming the lengths.
     """
     ell = fn.lengths + fn.boundary
     ch = [_cosh_half(v) for v in ell]
@@ -267,9 +264,11 @@ def hexagon_lengths(fn: FNPoint, forms) -> list:
         try:
             if between:
                 length = pants_trig._between_core(math.cosh((li - lj) / 2), ch[k],
-                                             math.sinh(li / 2), math.sinh(lj / 2))
+                                                  math.sinh(li / 2),
+                                                  math.sinh(lj / 2))
             else:
-                length = pants_trig._self_core(ch[j], ch[k], ch[i], math.sinh(li / 2))
+                length = pants_trig._self_core(ch[j], ch[k], ch[i],
+                                               math.sinh(li / 2))
         except (OverflowError, ZeroDivisionError):
             length = math.inf
         if cusp or not 0.0 < length < math.inf:

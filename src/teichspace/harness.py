@@ -177,14 +177,14 @@ def verify_arcs(pairs, m: Marking):
     the boundary and the marking, so they are gathered once per run, from
     the first pair, before its report: the gap constants, each arc's label
     and resolved form (:attr:`~teichspace.coords.Marking.arc_forms`), and
-    the label and :meth:`~teichspace.coords.Marking.curve_index` of each
-    neighbourhood curve.  Every point of every pair must share that
-    boundary.  Per point, one :func:`~teichspace.curves.hexagon_lengths`
-    pass gives every arc length, and the neighbourhood ratios are read
-    through the same indices.  The seed arcs are the same at every family
-    depth, so there is no depth.  A pair's DomainError carries the witness
-    ``{"x1", "x2"}``; it is the error of the first arc that fails, ``x1``
-    before ``x2``.
+    each neighbourhood curve's label and
+    :meth:`~teichspace.coords.Marking.curve_index`.  Every point of every
+    pair must share that boundary.  Per point, one
+    :func:`~teichspace.curves.hexagon_lengths` pass gives every arc
+    length; the neighbourhood ratios are read through the same indices.
+    The seed arcs are the same at every family depth, so there is no
+    depth.  A pair's DomainError, that of the first arc that fails (``x1``
+    before ``x2``), carries the witness ``{"x1", "x2"}``.
     """
     plan = None
     for x1, x2 in pairs:

@@ -135,7 +135,7 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
         raise DomainError(f"la must be a nonnegative finite length, got {la!r}")
     try:
         length = _between_core(math.cosh((li - lj) / 2), math.cosh(la / 2),
-                          math.sinh(li / 2), math.sinh(lj / 2))
+                               math.sinh(li / 2), math.sinh(lj / 2))
     except (OverflowError, ZeroDivisionError):
         length = math.inf
     if not 0.0 < length < math.inf:
@@ -188,7 +188,7 @@ def orthogeodesic_self(li: float, la: float, ld: float) -> float:
     _require_positive(li=li, la=la, ld=ld)
     try:
         length = _self_core(math.cosh(la / 2), math.cosh(ld / 2),
-                       math.cosh(li / 2), math.sinh(li / 2))
+                            math.cosh(li / 2), math.sinh(li / 2))
     except (OverflowError, ZeroDivisionError):
         length = math.inf
     if not 0.0 < length < math.inf:
