@@ -36,8 +36,9 @@ Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
 are convex, so these lengths do not depend on the twists.  The curves
 each seed arc's form reads are resolved once per marking
 (:attr:`~teichspace.coords.Marking.arc_forms`); :func:`hexagon_lengths`
-takes ``cosh(l/2)`` once per curve of a point and evaluates every form
-from these terms.
+takes ``cosh(l/2)`` once per curve of a point and feeds every form's
+checked core in :mod:`teichspace.pants_trig`, the one path by which a
+length is evaluated or rejected.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
@@ -127,7 +128,9 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
     evaluated once, when the first class of its orbit appears; each member
     then costs one function of its twist ``tau``.  Raises
     :class:`DomainError` when a length is not finite in double precision
-    (such as at twists of 2000 or cuffs of 1500).
+    (such as at twists of 2000, at cuffs of 1500, and at cuffs below about
+    1e-154, whose duals are too long; below about 1e-161 ``sinh(L/2)^2``
+    underflows to 0).
     """
     out = []
     orbits = {}
@@ -149,7 +152,7 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
                 else:
                     u = (head + 2.0 * math.sinh(tau / 2.0) ** 2 * qq + tail) / s2
                 length = 2.0 * pants_trig._acosh1p(u)
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):
                 length = math.inf
             if not math.isfinite(length):
                 raise DomainError(
@@ -236,47 +239,27 @@ def arc_length_formula(fn: FNPoint, m: Marking, arc: ArcClass) -> float:
     return hexagon_lengths(fn, [m.arc_form(arc)])[0]
 
 
-def _cosh_half(v: float) -> float:
-    try:
-        return math.cosh(v / 2)
-    except OverflowError:
-        return math.inf
-
-
 def hexagon_lengths(fn: FNPoint, forms) -> list:
     """Hexagon lengths at ``fn`` of the arcs resolved by
     :meth:`~teichspace.coords.Marking.arc_form`, aligned with ``forms``.
 
-    ``cosh(l/2)`` is taken once per curve (``inf`` where it overflows) and
-    fed, with each form's ``sinh`` terms, to the core of
+    ``cosh(l/2)`` is taken once per curve and fed to the checked core of
     :func:`~teichspace.pants_trig.orthogeodesic_between` or
-    :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths are
-    theirs bit for bit.  A length outside double range, and every arc of a
-    point with a cusp, goes through that function, whose checks raise the
-    :class:`DomainError` naming the lengths.
+    :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths, and
+    the :class:`DomainError` naming the lengths of the first arc that
+    leaves double range, are theirs.  On a point with a cusp every arc
+    goes through the entry point itself, whose positivity checks name the
+    cusp.
     """
     ell = fn.lengths + fn.boundary
-    ch = [_cosh_half(v) for v in ell]
-    cusp = 0.0 in fn.boundary
-    out = []
-    for between, i, j, k in forms:
-        li, lj = ell[i], ell[j]
-        try:
-            if between:
-                length = pants_trig._between_core(math.cosh((li - lj) / 2), ch[k],
-                                                  math.sinh(li / 2),
-                                                  math.sinh(lj / 2))
-            else:
-                length = pants_trig._self_core(ch[j], ch[k], ch[i],
-                                               math.sinh(li / 2))
-        except (OverflowError, ZeroDivisionError):
-            length = math.inf
-        if cusp or not 0.0 < length < math.inf:
-            form = (pants_trig.orthogeodesic_between if between
-                    else pants_trig.orthogeodesic_self)
-            length = form(li, lj, ell[k])
-        out.append(length)
-    return out
+    if 0.0 in fn.boundary:
+        return [(pants_trig.orthogeodesic_between if between
+                 else pants_trig.orthogeodesic_self)(ell[i], ell[j], ell[k])
+                for between, i, j, k in forms]
+    ch = [pants_trig._cosh_half(v) for v in ell]
+    return [pants_trig._between(ell[i], ell[j], ell[k], ch[k]) if between
+            else pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], ch[i])
+            for between, i, j, k in forms]
 
 
 def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):

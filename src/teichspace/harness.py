@@ -183,8 +183,9 @@ def verify_arcs(pairs, m: Marking):
     :func:`~teichspace.curves.hexagon_lengths` pass gives every arc
     length; the neighbourhood ratios are read through the same indices.
     The seed arcs are the same at every family depth, so there is no
-    depth.  A pair's DomainError, that of the first arc that fails (``x1``
-    before ``x2``), carries the witness ``{"x1", "x2"}``.
+    depth.  A pair's DomainError is that of the first failing arc of
+    ``x1``, or of ``x2`` if every arc of ``x1`` has a length, and carries
+    the witness ``{"x1", "x2"}``.
     """
     plan = None
     for x1, x2 in pairs:
@@ -204,14 +205,7 @@ def verify_arcs(pairs, m: Marking):
                         for arc in arcs]
             if x1.boundary != boundary or x2.boundary != boundary:
                 raise DomainError("arc check needs equal boundary lengths")
-            try:
-                lens1, lens2 = hexagon_lengths(x1, forms), hexagon_lengths(x2, forms)
-            except DomainError:
-                lens1 = None
-            if lens1 is None:  # raise the first failing arc's error, x1 first
-                for form in forms:
-                    hexagon_lengths(x1, [form])
-                    hexagon_lengths(x2, [form])
+            lens1, lens2 = hexagon_lengths(x1, forms), hexagon_lengths(x2, forms)
             ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
             rows = []
             for (label, neighbours), l1, l2 in zip(plan, lens1, lens2):

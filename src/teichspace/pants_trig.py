@@ -64,14 +64,17 @@ The exported constant is ``min(c_a, c_b, c_c)`` minimised over the boundary
 components, so the certified inequality holds in every zone.
 
 Both arc forms are evaluated in double precision as sums of positive
-terms, each by one private core over its ``cosh``/``sinh`` terms, which
-the public form and :func:`teichspace.curves.hexagon_lengths` share.
-For boundary lengths in ``[1e-4, 40]`` they match a 50-digit
-mpmath evaluation of the identities above to 1e-14 relative, and traces
-of the doubled-arc words in the holonomy of the arc's own pants, doubled,
-to 1e-8.  Where an intermediate or the result leaves double range, both
-forms, the inverse of the between-arc form, the self-arc floor and bracket
-and the constants raise :class:`DomainError` naming the lengths.
+terms, each by one private core (``_between``, ``_self``) that is passed
+the ``cosh(l/2)`` terms a point's arcs share, checks its range and raises
+its own :class:`DomainError`.  The public forms and
+:func:`teichspace.curves.hexagon_lengths` both call it, so they give the
+same lengths and the same errors.  For boundary lengths in ``[1e-4, 40]``
+they match a 50-digit mpmath evaluation of the identities above to 1e-14
+relative, and traces of the doubled-arc words in the holonomy of the
+arc's own pants, doubled, to 1e-8.  Where an intermediate or the result
+leaves double range, both forms, the inverse of the between-arc form, the
+self-arc floor and bracket and the constants raise :class:`DomainError`
+naming the lengths.
 Boundary components of length 0 (cusps) are rejected here: the hexagon
 identities degenerate, and cusped surfaces only ever need closed-curve
 lengths.
@@ -106,16 +109,40 @@ def _acosh1p(w: float) -> float:
     return math.log1p(w + math.sqrt(w) * math.sqrt(w + 2.0))
 
 
-def _between_core(cij: float, ca: float, si: float, sj: float) -> float:
-    """Between-arc form from ``cosh((li - lj)/2)``, ``cosh(la/2)``,
-    ``sinh(li/2)`` and ``sinh(lj/2)``; unchecked."""
-    return _acosh1p((cij + ca) / (si * sj))
+def _cosh_half(v: float) -> float:
+    """``cosh(v/2)``, or ``inf`` where it overflows."""
+    try:
+        return math.cosh(v / 2)
+    except OverflowError:
+        return math.inf
 
 
-def _self_core(ca: float, cd: float, ci: float, si: float) -> float:
-    """Self-arc form from ``cosh(la/2)``, ``cosh(ld/2)``, ``cosh(li/2)`` and
-    ``sinh(li/2)``; unchecked."""
-    return 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * ci + cd * cd) / si)
+def _between(li: float, lj: float, la: float, ca: float) -> float:
+    """Between-arc form of positive ``li``, ``lj`` and ``la >= 0``, given
+    ``ca = cosh(la/2)``; raises :class:`DomainError` where it leaves double
+    range."""
+    try:
+        length = _acosh1p((math.cosh((li - lj) / 2) + ca)
+                          / (math.sinh(li / 2) * math.sinh(lj / 2)))
+    except (OverflowError, ZeroDivisionError):
+        length = math.inf
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"orthogeodesic_between{(li, lj, la)} leaves double range")
+    return length
+
+
+def _self(li: float, la: float, ld: float, ca: float, cd: float, ci: float) -> float:
+    """Self-arc form of positive ``li``, ``la`` and ``ld``, given their
+    ``cosh(l/2)`` as ``ca``, ``cd`` and ``ci``; raises :class:`DomainError`
+    where it leaves double range."""
+    try:
+        length = 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * ci + cd * cd)
+                                  / math.sinh(li / 2))
+    except (OverflowError, ZeroDivisionError):
+        length = math.inf
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"orthogeodesic_self{(li, la, ld)} leaves double range")
+    return length
 
 
 def orthogeodesic_between(li: float, lj: float, la: float) -> float:
@@ -133,14 +160,7 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     _require_positive(li=li, lj=lj)
     if la < 0 or not math.isfinite(la):
         raise DomainError(f"la must be a nonnegative finite length, got {la!r}")
-    try:
-        length = _between_core(math.cosh((li - lj) / 2), math.cosh(la / 2),
-                               math.sinh(li / 2), math.sinh(lj / 2))
-    except (OverflowError, ZeroDivisionError):
-        length = math.inf
-    if not 0.0 < length < math.inf:
-        raise DomainError(f"orthogeodesic_between{(li, lj, la)} leaves double range")
-    return length
+    return _between(li, lj, la, _cosh_half(la))
 
 
 def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
@@ -186,14 +206,7 @@ def orthogeodesic_self(li: float, la: float, ld: float) -> float:
     a sum of positive terms, so nothing cancels for long boundaries.
     """
     _require_positive(li=li, la=la, ld=ld)
-    try:
-        length = _self_core(math.cosh(la / 2), math.cosh(ld / 2),
-                            math.cosh(li / 2), math.sinh(li / 2))
-    except (OverflowError, ZeroDivisionError):
-        length = math.inf
-    if not 0.0 < length < math.inf:
-        raise DomainError(f"orthogeodesic_self{(li, la, ld)} leaves double range")
-    return length
+    return _self(li, la, ld, _cosh_half(la), _cosh_half(ld), _cosh_half(li))
 
 
 def self_arc_floor(li: float) -> float:

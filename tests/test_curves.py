@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teichspace import pants_trig
 from teichspace.coords import FNPoint, build_marking
 from teichspace.curves import (
     CurveClass,
@@ -320,6 +321,20 @@ class TestClosedFormAccuracy:
         with pytest.raises(DomainError, match="is not finite in double precision"):
             family_lengths(x, m, enumerate_curves(m, 1))
 
+    # sinh(L/2)^2 underflows to 0 below a cuff of about 1e-161: on a handle
+    # loop (1, 1) and on the chain cuff of (2, 2).
+    @pytest.mark.parametrize("g,n,k", [(1, 1, 0), (2, 2, 4)])
+    @pytest.mark.parametrize("cuff", [1e-170, 1e-200])
+    def test_underflow_is_rejected(self, g, n, k, cuff):
+        m = build_marking(g, n)
+        x = point(m, [cuff if i == k else 1.0 for i in range(m.ncurves)],
+                  [0.0] * m.ncurves, [1.0] * n)
+        with pytest.raises(DomainError) as err:
+            length_table(x, m, 1)
+        assert str(err.value).startswith(
+            f"length of mu{k} is not finite in double precision\nwitness: ")
+        assert err.value.witness == {"x": x.to_dict(), "depth": 1}
+
 
 def member_dual_length(x, m, k, power):
     """Reference: the length of ``mu_k`` twisted ``power`` times along cuff
@@ -448,6 +463,31 @@ class TestHexagonLengths:
                         else self_reference)(*arc_inputs(x, m, a)) for a in m.arcs]
         assert [arc_length_formula(x, m, a) for a in m.arcs] == got
         assert length_table(x, m, 0).arc_lengths == tuple(got)
+
+    @pytest.mark.parametrize("g,n", [(1, 6), (2, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bordered_points_skip_the_entry_points(self, monkeypatch, g, n, seed):
+        m = build_marking(g, n)
+        rng = np.random.default_rng(seed)
+        x = point(m, rng.uniform(0.5, 3.0, m.ncurves),
+                  rng.uniform(-2.0, 2.0, m.ncurves), rng.uniform(0.5, 2.0, n))
+        far = point(m, rng.uniform(800.0, 900.0, m.ncurves), [0.0] * m.ncurves,
+                    x.boundary)
+        cusp = point(m, x.lengths, x.twists, (0.0,) + x.boundary[1:])
+        want = [(between_reference if a.kind == "between"
+                 else self_reference)(*arc_inputs(x, m, a)) for a in m.arcs]
+        want_far = arc_by_arc(far, m)
+        assert isinstance(want_far, str) and "leaves double range" in want_far
+
+        def entry_point(*args):
+            raise RuntimeError("entry point called")
+
+        monkeypatch.setattr(pants_trig, "orthogeodesic_between", entry_point)
+        monkeypatch.setattr(pants_trig, "orthogeodesic_self", entry_point)
+        assert hexagon_lengths(x, m.arc_forms) == want
+        assert outcome(hexagon_lengths, far, m.arc_forms) == want_far
+        with pytest.raises(RuntimeError, match="entry point called"):
+            hexagon_lengths(cusp, m.arc_forms)
 
     def test_cusp_as_third_boundary_of_a_between_arc(self):
         m = build_marking(0, 3)

@@ -215,18 +215,19 @@ class TestVerifyArcConstruction:
 
 def verify_arcs_reference(pairs, m):
     """The arc check with each arc length through its checked entry point,
-    arc by arc and ``x1`` before ``x2``, and each neighbourhood length
-    through ``m.slot_length``."""
+    every arc of ``x1`` before those of ``x2``, and each neighbourhood
+    length through ``m.slot_length``."""
     constants = gap_constants(pairs[0][0].boundary)
     for x1, x2 in pairs:
         try:
+            lens1, lens2 = ([(orthogeodesic_between if arc.kind == "between"
+                              else orthogeodesic_self)(
+                                 *(m.slot_length(x, (arc.pants, s))
+                                   for s in arc.slots + arc.neighbour_slots))
+                             for arc in m.arcs]
+                            for x in (x1, x2))
             rows = []
-            for arc in m.arcs:
-                form = (orthogeodesic_between if arc.kind == "between"
-                        else orthogeodesic_self)
-                l1, l2 = (form(*(m.slot_length(x, (arc.pants, s))
-                                 for s in arc.slots + arc.neighbour_slots))
-                          for x in (x1, x2))
+            for arc, l1, l2 in zip(m.arcs, lens1, lens2):
                 ratio = l2 / l1
                 row = {"arc": arc.label(), "l1": l1, "l2": l2, "ratio": ratio}
                 if ratio <= 1.0:
@@ -275,8 +276,8 @@ class TestVerifyArcs:
 
     def test_error_is_the_first_failing_arcs(self):
         # A cuff of 1500 fails the self-arc of pants 4 (the fourth arc) at
-        # x1 and that of pants 1 (the first arc) at x2: the arc-by-arc
-        # order names x2's lengths.
+        # x1 and that of pants 1 (the first arc) at x2: x1 is evaluated
+        # first, so its failing arc is named.
         m = build_marking(1, 6)
         x1, x2 = (FNPoint(g=1, n=6, lengths=[1500.0 if k == bad else 1.0
                                              for k in range(6)],
@@ -289,7 +290,7 @@ class TestVerifyArcs:
             next(verify_arcs([(x1, x2)], m))
         assert str(got.value) == str(ref.value)
         assert str(got.value).startswith(
-            "orthogeodesic_self(0.5, 1500.0, 1.0) leaves double range")
+            "orthogeodesic_self(1.25, 1.0, 1500.0) leaves double range")
         assert got.value.witness == {"x1": x1.to_dict(), "x2": x2.to_dict()}
 
     @pytest.mark.parametrize("g,n,boundary", [
@@ -604,6 +605,20 @@ class TestCli:
             cli.main([*argv, *config, "--out", str(out)])
         assert not out.exists()
 
+    def test_module_entry_point_matches_main(self, tmp_path, capsys):
+        paths = []
+        for name, lengths in (("x1", [2.0]), ("x2", [2.5])):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(FNPoint(g=1, n=1, lengths=lengths, twists=[0.3],
+                                         boundary=[1.0]).to_json())
+        for argv in (["constants", "--boundary", "1.0,1.5"],
+                     ["distance", "--x1", str(paths[0]), "--x2", str(paths[1])]):
+            run = subprocess.run([sys.executable, "-m", "teichspace", *argv],
+                                 capture_output=True, check=True)
+            assert cli.main(argv) == run.returncode == 0
+            assert run.stdout == capsys.readouterr().out.encode()
+            assert run.stderr == b""
+
     def test_distance_subcommand(self, tmp_path):
         x1 = FNPoint(g=1, n=1, lengths=[2.0], twists=[0.0], boundary=[1.0])
         x2 = FNPoint(g=1, n=1, lengths=[2.5], twists=[0.3], boundary=[1.0])
@@ -757,6 +772,10 @@ class TestCli:
         ("verify-arcs", {"length_range": [800, 900]}, "leaves double range", "pair"),
         ("compare", {"boundary": [1e-200, 1.0]}, "double range, got 1e-200", "pair"),
         ("verify-arcs", {"boundary": [1e-200, 1.0]}, "double range, got 1e-200", "pair"),
+        # sinh(L/2)^2 of a cuff below about 1e-161 underflows to 0.
+        *((subcommand, {"length_range": [1e-200, 1e-190]},
+           "length of mu0 is not finite", "table")
+          for subcommand in ("compare", "report", "phi-experiment")),
     ])
     def test_out_of_range_raises_with_witness(self, tmp_path, subcommand,
                                               config, message, witness):
