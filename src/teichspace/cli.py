@@ -28,6 +28,7 @@ from .harness import (
     PHI_COLUMNS,
     phi_experiment,
     sample_point,
+    sample_points,
     verify_arcs,
 )
 from .metrics import arc_of, teich_of, thurston_of
@@ -124,8 +125,9 @@ def _cmd_distance(args) -> None:
 
 
 def _paired_samples(cfg: ExperimentConfig):
-    for i in range(cfg.samples):
-        yield sample_point(cfg, 2 * i), sample_point(cfg, 2 * i + 1)
+    # Points 2i and 2i + 1 form pair i; zip draws them in turn, lazily.
+    points = sample_points(cfg, range(2 * cfg.samples))
+    return zip(points, points)
 
 
 def _cmd_compare(args) -> None:
@@ -187,7 +189,7 @@ def _cmd_phi_experiment(args) -> None:
 def _cmd_report(args) -> None:
     cfg = _load_config(args)
     m = cfg.marking()
-    samples = [sample_point(cfg, i) for i in range(cfg.samples)]
+    samples = list(sample_points(cfg, range(cfg.samples)))
     rep = almost_isometry_report(samples, m, cfg.depth, metric=args.metric)
     payload = {"config": _config_echo(cfg), "report": rep}
     _emit(json.dumps(payload, indent=2), cfg.out)

@@ -141,6 +141,16 @@ class Marking:
                   for s in arc.slots + arc.neighbour_slots))
 
 
+def _check_surface(g: int, n: int) -> None:
+    """Raise :class:`DomainError` unless ``g, n >= 0`` and ``2 - 2g - n < 0``."""
+    if g < 0:
+        raise DomainError(f"genus must be nonnegative, got g={g!r}")
+    if n < 0:
+        raise DomainError(f"boundary count must be nonnegative, got n={n!r}")
+    if 2 - 2 * g - n >= 0:
+        raise DomainError(f"unsupported surface: chi(S) = {2 - 2*g - n} >= 0")
+
+
 def build_marking(g: int, n: int) -> Marking:
     """Canonical deterministic pants decomposition of the (g, n) surface.
 
@@ -152,10 +162,10 @@ def build_marking(g: int, n: int) -> Marking:
     quantities are marking-dependent only through the naming of curve and
     arc classes, not through any metric value.
     """
-    if n < 1:
+    # A negative genus is named first, by _check_surface.
+    if g >= 0 and n < 1:
         raise DomainError(f"need at least one boundary component, got n={n!r}")
-    if 2 - 2 * g - n >= 0:
-        raise DomainError(f"unsupported surface: chi(S) = {2 - 2*g - n} >= 0")
+    _check_surface(g, n)
     m = g + n - 2
     edges = []
     if m == 0:
@@ -215,7 +225,15 @@ def build_marking(g: int, n: int) -> Marking:
 
 @dataclass(frozen=True)
 class FNPoint:
-    """Fenchel-Nielsen coordinates: cuff lengths, twists, boundary lengths."""
+    """Fenchel-Nielsen coordinates: cuff lengths, twists, boundary lengths.
+
+    Construction stores every coordinate as a float and raises
+    :class:`DomainError` for, in this order: a surface with ``g < 0``,
+    ``n < 0`` or ``chi(S) >= 0``; counts that do not fit ``(g, n)``; a cuff
+    length that is not positive and finite, a twist that is not finite and
+    a boundary length that is not nonnegative and finite.  ``n = 0`` (the
+    closed doubles of :func:`teichspace.surface.double`) is accepted.
+    """
 
     g: int
     n: int
@@ -224,23 +242,30 @@ class FNPoint:
     boundary: tuple
 
     def __post_init__(self):
-        ncurves = 3 * self.g - 3 + self.n
-        object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
-        object.__setattr__(self, "twists", tuple(float(v) for v in self.twists))
-        object.__setattr__(self, "boundary", tuple(float(v) for v in self.boundary))
-        if len(self.lengths) != ncurves or len(self.twists) != ncurves:
+        g, n = self.g, self.n
+        _check_surface(g, n)
+        lengths = tuple(map(float, self.lengths))
+        twists = tuple(map(float, self.twists))
+        boundary = tuple(map(float, self.boundary))
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "twists", twists)
+        object.__setattr__(self, "boundary", boundary)
+        ncurves = 3 * g - 3 + n
+        if len(lengths) != ncurves or len(twists) != ncurves:
             raise DomainError(
-                f"expected {ncurves} lengths/twists for (g, n)=({self.g},{self.n})")
-        if len(self.boundary) != self.n:
-            raise DomainError(f"expected {self.n} boundary lengths")
-        for v in self.lengths:
-            if not (v > 0.0 and math.isfinite(v)):
+                f"expected {ncurves} lengths/twists for (g, n)=({g},{n})")
+        if len(boundary) != n:
+            raise DomainError(f"expected {n} boundary lengths")
+        # Chained comparisons with the infinities: NaN fails every one.
+        inf = math.inf
+        for v in lengths:
+            if not 0.0 < v < inf:
                 raise DomainError(f"cuff lengths must be positive, got {v!r}")
-        for v in self.twists:
-            if not math.isfinite(v):
+        for v in twists:
+            if not -inf < v < inf:
                 raise DomainError(f"twists must be finite, got {v!r}")
-        for v in self.boundary:
-            if v < 0.0 or not math.isfinite(v):
+        for v in boundary:
+            if not 0.0 <= v < inf:
                 raise DomainError(f"boundary lengths must be nonnegative, got {v!r}")
 
     def is_punctured(self) -> bool:

@@ -243,7 +243,9 @@ def hexagon_lengths(fn: FNPoint, forms) -> list:
     """Hexagon lengths at ``fn`` of the arcs resolved by
     :meth:`~teichspace.coords.Marking.arc_form`, aligned with ``forms``.
 
-    ``cosh(l/2)`` is taken once per curve and fed to the checked core of
+    ``cosh(l/2)`` is taken once per curve (``inf`` where it overflows,
+    which only the rare point with a curve longer than about 1420 pays for
+    twice) and fed to the checked core of
     :func:`~teichspace.pants_trig.orthogeodesic_between` or
     :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths, and
     the :class:`DomainError` naming the lengths of the first arc that
@@ -256,7 +258,10 @@ def hexagon_lengths(fn: FNPoint, forms) -> list:
         return [(pants_trig.orthogeodesic_between if between
                  else pants_trig.orthogeodesic_self)(ell[i], ell[j], ell[k])
                 for between, i, j, k in forms]
-    ch = [pants_trig._cosh_half(v) for v in ell]
+    try:
+        ch = [math.cosh(v / 2) for v in ell]
+    except OverflowError:
+        ch = [pants_trig._cosh_half(v) for v in ell]
     return [pants_trig._between(ell[i], ell[j], ell[k], ch[k]) if between
             else pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], ch[i])
             for between, i, j, k in forms]

@@ -1,9 +1,9 @@
 """Experiment runner: sampling, inequality checks, and report generation.
 
 Every operation here is deterministic given the experiment configuration:
-point ``index`` is drawn from a ``random.Random`` keyed by ``(seed, index)``
-(see :func:`sample_point`).  Reports are plain dicts with fixed key order so
-identical runs serialize to identical bytes.
+point ``index`` is drawn from a ``random.Random`` stream keyed by ``(seed,
+index)`` (see :func:`sample_points`).  Reports are plain dicts with fixed
+key order so identical runs serialize to identical bytes.
 
 The checks are boundedness reports, not proofs: the estimators are lower
 bounds, so an observed difference exceeding a theoretical ceiling indicates
@@ -35,6 +35,7 @@ __all__ = [
     "csv_line",
     "phi_experiment",
     "sample_point",
+    "sample_points",
     "verify_arc_construction",
     "verify_arcs",
     "COMPARE_COLUMNS",
@@ -125,33 +126,49 @@ class ExperimentConfig:
 _M64 = 2 ** 64 - 1
 
 
-def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
-    """Point number ``index`` of the experiment: deterministic in
-    ``(cfg.seed, index)``, lengths log-uniform, twists uniform.
+def sample_points(cfg: ExperimentConfig, indices):
+    """Points number ``indices`` of the experiment, in order: each
+    deterministic in ``(cfg.seed, index)``, lengths log-uniform, twists
+    uniform.
 
-    The draws come from one ``random.Random`` per point, seeded with the
+    Point ``index`` takes its draws from the ``random.Random`` stream of the
     integer ``(cfg.seed mod 2**64) * 2**64 + index``, which is injective
     over the accepted range: first the logs of the ``ncurves`` lengths,
     uniform over the logs of ``length_range`` and taken through
     ``math.exp``, then the ``ncurves`` twists, uniform over
-    ``twist_range``.  Python keeps ``random()`` the same for the same
+    ``twist_range``.  One generator serves the whole run and is reseeded
+    with that key before each point, which gives the stream of a fresh
+    ``random.Random(key)``, so a point depends only on its own index, not
+    on the order or repetition of ``indices``; the per-config terms are
+    worked out once.  Python keeps ``random()`` the same for the same
     integer seed in every release, so the points do not depend on the
     interpreter or the host.  An ``index`` below 0 or at or above 2**64
-    would collide with another key and raises :class:`DomainError`.
+    would collide with another key and raises :class:`DomainError` when
+    it is reached, after the points before it have been yielded.
     """
-    if not 0 <= index <= _M64:
-        raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
-    draw = random.Random((cfg.seed & _M64) << 64 | index).random
-    ncurves = 3 * cfg.g - 3 + cfg.n
+    g, n, boundary = cfg.g, cfg.n, cfg.boundary
+    draws = range(3 * g - 3 + n)
     # lo + (hi - lo) * random() is what Random.uniform(lo, hi) returns.
     lo = math.log(cfg.length_range[0])
     width = math.log(cfg.length_range[1]) - lo
-    lengths = [math.exp(lo + width * draw()) for _ in range(ncurves)]
-    lo, hi = cfg.twist_range
-    width = hi - lo
-    twists = [lo + width * draw() for _ in range(ncurves)]
-    return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths, twists=twists,
-                   boundary=cfg.boundary)
+    twist_lo, twist_hi = cfg.twist_range
+    twist_width = twist_hi - twist_lo
+    key = (cfg.seed & _M64) << 64
+    rng = random.Random()
+    seed, draw, exp = rng.seed, rng.random, math.exp
+    for index in indices:
+        if not 0 <= index <= _M64:
+            raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
+        seed(key | index)
+        lengths = [exp(lo + width * draw()) for _ in draws]
+        twists = [twist_lo + twist_width * draw() for _ in draws]
+        yield FNPoint(g, n, lengths, twists, boundary)
+
+
+def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
+    """Point number ``index`` of the experiment: the one-index case of
+    :func:`sample_points`, so the same point whichever way it is drawn."""
+    return next(sample_points(cfg, (index,)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +193,17 @@ def verify_arcs(pairs, m: Marking):
     The constants, the arcs and their neighbourhood curves depend only on
     the boundary and the marking, so they are gathered once per run, from
     the first pair, before its report: the gap constants, each arc's label
-    and resolved form (:attr:`~teichspace.coords.Marking.arc_forms`), and
-    each neighbourhood curve's label and
-    :meth:`~teichspace.coords.Marking.curve_index`.  Every point of every
-    pair must share that boundary.  Per point, one
-    :func:`~teichspace.curves.hexagon_lengths` pass gives every arc
-    length; the neighbourhood ratios are read through the same indices.
-    The seed arcs are the same at every family depth, so there is no
-    depth.  A pair's DomainError is that of the first failing arc of
-    ``x1``, or of ``x2`` if every arc of ``x1`` has a length, and carries
-    the witness ``{"x1", "x2"}``.
+    and resolved form (:attr:`~teichspace.coords.Marking.arc_forms`), each
+    neighbourhood curve's label and
+    :meth:`~teichspace.coords.Marking.curve_index`, and per arc the indices
+    of its essential neighbourhood curves and the count of its
+    boundary-parallel ones.  Every point of every pair must share that
+    boundary.  Per point, one :func:`~teichspace.curves.hexagon_lengths`
+    pass gives every arc length; the neighbourhood ratios are read through
+    the same indices.  The seed arcs are the same at every family depth, so
+    there is no depth.  A pair's DomainError is that of the first failing
+    arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a length, and
+    carries the witness ``{"x1", "x2"}``.
     """
     plan = None
     for x1, x2 in pairs:
@@ -196,42 +214,44 @@ def verify_arcs(pairs, m: Marking):
                     raise DomainError("arc check needs positive boundary lengths")
                 constants = gap_constants(boundary)
                 arcs, forms = enumerate_arcs(m), m.arc_forms
-                plan = [(arc.label(),
-                         [(m.curve_index((arc.pants, s)),
-                           c.label() + ("" if c.essential else "(boundary)"),
-                           c.essential)
-                          for s, c in zip(arc.neighbour_slots,
-                                          pants_neighborhood_boundaries(arc, m))])
-                        for arc in arcs]
+                plan = []
+                for arc in arcs:
+                    neighbours = [(m.curve_index((arc.pants, s)),
+                                   nb.label() + ("" if nb.essential else "(boundary)"),
+                                   nb.essential)
+                                  for s, nb in zip(arc.neighbour_slots,
+                                                   pants_neighborhood_boundaries(arc, m))]
+                    essential = [i for i, _, e in neighbours if e]
+                    plan.append((arc.label(), neighbours, essential,
+                                 len(neighbours) - len(essential)))
             if x1.boundary != boundary or x2.boundary != boundary:
                 raise DomainError("arc check needs equal boundary lengths")
             lens1, lens2 = hexagon_lengths(x1, forms), hexagon_lengths(x2, forms)
             ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
             rows = []
-            for (label, neighbours), l1, l2 in zip(plan, lens1, lens2):
+            checked = passed = 0
+            for (label, neighbours, essential, excluded), l1, l2 in zip(
+                    plan, lens1, lens2):
                 ratio = l2 / l1
-                row = {"arc": label, "l1": l1, "l2": l2, "ratio": ratio}
                 if ratio <= 1.0:
-                    row["checked"] = False
-                    rows.append(row)
+                    rows.append({"arc": label, "l1": l1, "l2": l2,
+                                 "ratio": ratio, "checked": False})
                     continue
-                curves = []
-                for index, nb_label, essential in neighbours:
-                    c1, c2 = ell1[index], ell2[index]
-                    curves.append({"curve": nb_label, "l1": c1, "l2": c2,
-                                   "ratio": c2 / c1, "essential": essential})
-                best = max(c["ratio"] for c in curves if c["essential"])
+                best = max(ell2[i] / ell1[i] for i in essential)
                 bound = constants.c * ratio
-                row.update({"checked": True, "curves": curves,
-                            "excluded_boundary_parallel":
-                                sum(not c["essential"] for c in curves),
-                            "max_curve_ratio": best, "bound": bound,
-                            "passed": best >= bound})
-                rows.append(row)
+                ok = best >= bound
+                checked += 1
+                passed += ok
+                rows.append({
+                    "arc": label, "l1": l1, "l2": l2, "ratio": ratio,
+                    "checked": True,
+                    "curves": [{"curve": nb_label, "l1": ell1[i], "l2": ell2[i],
+                                "ratio": ell2[i] / ell1[i], "essential": e}
+                               for i, nb_label, e in neighbours],
+                    "excluded_boundary_parallel": excluded,
+                    "max_curve_ratio": best, "bound": bound, "passed": ok})
         except DomainError as err:
             raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
-        checked = sum(r["checked"] for r in rows)
-        passed = sum(r["checked"] and r["passed"] for r in rows)
         yield {
             "x1": x1.to_dict(),
             "x2": x2.to_dict(),

@@ -489,6 +489,29 @@ class TestHexagonLengths:
         with pytest.raises(RuntimeError, match="entry point called"):
             hexagon_lengths(cusp, m.arc_forms)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overflowing_cosh_of_one_cuff(self, seed):
+        # cosh(750) overflows, so cosh(l/2) of a cuff of 1500 is inf.
+        with pytest.raises(OverflowError):
+            math.cosh(750.0)
+        m = build_marking(1, 6)
+        # The handle cuff 0 bounds no boundary-adjacent pants; cuff 1 does.
+        assert all(0 not in form[1:] for form in m.arc_forms)
+        assert any(1 in form[1:] for form in m.arc_forms)
+        rng = np.random.default_rng(seed)
+        lengths = rng.uniform(0.5, 3.0, m.ncurves)
+        twists, boundary = rng.uniform(-2.0, 2.0, m.ncurves), rng.uniform(0.5, 2.0, 6)
+        lengths[0] = 1500.0
+        x = point(m, lengths, twists, boundary)
+        want = arc_by_arc(x, m)
+        assert isinstance(want, list)
+        assert hexagon_lengths(x, m.arc_forms) == want
+        lengths[1] = 1500.0
+        y = point(m, lengths, twists, boundary)
+        want = arc_by_arc(y, m)
+        assert isinstance(want, str) and "leaves double range" in want
+        assert outcome(hexagon_lengths, y, m.arc_forms) == want
+
     def test_cusp_as_third_boundary_of_a_between_arc(self):
         m = build_marking(0, 3)
         x = point(m, (), (), (1.0, 1.5, 0.0))

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from teichspace.harness import (
     csv_line,
     phi_experiment,
     sample_point,
+    sample_points,
     verify_arc_construction,
     verify_arcs,
 )
@@ -109,6 +111,59 @@ class TestExperimentConfig:
             cfg_12(samples=0)
         with pytest.raises(DomainError):
             cfg_12(format="xml")
+
+
+def reference_sample_point(cfg, index):
+    """The sampler written out with a fresh ``random.Random`` per point."""
+    m64 = 2 ** 64 - 1
+    if not 0 <= index <= m64:
+        raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
+    draw = random.Random((cfg.seed & m64) << 64 | index).random
+    ncurves = 3 * cfg.g - 3 + cfg.n
+    lo = math.log(cfg.length_range[0])
+    width = math.log(cfg.length_range[1]) - lo
+    lengths = [math.exp(lo + width * draw()) for _ in range(ncurves)]
+    lo, hi = cfg.twist_range
+    width = hi - lo
+    twists = [lo + width * draw() for _ in range(ncurves)]
+    return FNPoint(g=cfg.g, n=cfg.n, lengths=lengths, twists=twists,
+                   boundary=cfg.boundary)
+
+
+def point_hex(x):
+    return [v.hex() for v in x.lengths + x.twists + x.boundary]
+
+
+class TestSamplePoints:
+    LAST = 2 ** 64 - 1
+    ORDERS = {
+        "ascending": [0, 1, 2, 3, 4, 5, LAST],
+        "descending": [LAST, 5, 4, 3, 2, 1, 0],
+        "repeated": [3, 3, 0, 3, LAST, 0, LAST, 3],
+    }
+
+    @pytest.mark.parametrize("g,n", [(1, 6), (2, 2), (0, 4)])
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2 ** 64 - 1])
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_matches_a_fresh_generator_per_point(self, g, n, seed, order):
+        cfg = ExperimentConfig(g=g, n=n, boundary=(1.0,) * n, seed=seed,
+                               length_range=(0.3, 5.0), twist_range=(-3.0, 1.0))
+        indices = self.ORDERS[order]
+        points = list(sample_points(cfg, indices))
+        assert len(points) == len(indices)
+        for index, x in zip(indices, points):
+            assert point_hex(x) == point_hex(reference_sample_point(cfg, index))
+            assert point_hex(x) == point_hex(sample_point(cfg, index))
+
+    @pytest.mark.parametrize("bad", [-1, 2 ** 64])
+    def test_bad_index_raises_after_earlier_points(self, bad):
+        cfg = cfg_12()
+        points = sample_points(cfg, [0, 1, bad, 2])
+        assert point_hex(next(points)) == point_hex(reference_sample_point(cfg, 0))
+        assert point_hex(next(points)) == point_hex(reference_sample_point(cfg, 1))
+        with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\), got "
+                           + re.escape(str(bad))):
+            next(points)
 
 
 class TestSamplePoint:
@@ -793,6 +848,13 @@ class TestCli:
         assert err.value.witness == want
         assert str(err.value).endswith("\nwitness: " + json.dumps(want))
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["compare", "verify-arcs", "report"])
+    def test_negative_genus_is_named(self, tmp_path, subcommand):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"g": -1, "n": 6, "boundary": [1.0] * 6}))
+        with pytest.raises(DomainError, match=r"genus must be nonnegative, got g=-1$"):
+            cli.main([subcommand, "--config", str(cfg_path)])
 
     def test_report_subcommand_deterministic(self, tmp_path):
         cfg = cfg_12(samples=3, depth=1)

@@ -7,6 +7,7 @@ numerically assembled holonomy of the doubled surface on the other.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,9 +155,17 @@ class TestBuildMarking:
     def test_deterministic(self):
         assert build_marking(2, 2) == build_marking(2, 2)
 
-    @pytest.mark.parametrize("g,n", [(0, 1), (0, 2), (0, 0), (1, 0)])
-    def test_rejects_unsupported(self, g, n):
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("g,n,match", [
+        (0, 1, "unsupported surface: chi(S) = 1 >= 0"),
+        (0, 2, "unsupported surface: chi(S) = 0 >= 0"),
+        (0, 0, "need at least one boundary component, got n=0"),
+        (1, 0, "need at least one boundary component, got n=0"),
+        (2, 0, "need at least one boundary component, got n=0"),
+        (-1, 6, "genus must be nonnegative, got g=-1"),
+        (-2, 0, "genus must be nonnegative, got g=-2"),
+    ])
+    def test_rejects_unsupported(self, g, n, match):
+        with pytest.raises(DomainError, match=re.escape(match) + "$"):
             build_marking(g, n)
 
     def test_pants_arc_seeds(self):
@@ -192,8 +201,57 @@ class TestFNPoint:
             FNPoint(g=1, n=1, lengths=[1, 2], twists=[0, 0], boundary=[1])
 
     def test_rejects_nonpositive_length(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="cuff lengths must be positive"):
             FNPoint(g=1, n=1, lengths=[0.0], twists=[0.0], boundary=[1])
+
+    # (g, n, lengths, twists, boundary) and the exact message: the surface
+    # first, then the counts, then lengths, twists and boundary in turn.
+    @pytest.mark.parametrize("args,message", [
+        ((1, 1, [0.0], [0.0], [1.0]), "cuff lengths must be positive, got 0.0"),
+        ((1, 1, [-1], [0.0], [1.0]), "cuff lengths must be positive, got -1.0"),
+        ((1, 1, [math.nan], [0.0], [1.0]), "cuff lengths must be positive, got nan"),
+        ((1, 1, [math.inf], [0.0], [1.0]), "cuff lengths must be positive, got inf"),
+        ((1, 1, [-math.inf], [0.0], [1.0]),
+         "cuff lengths must be positive, got -inf"),
+        ((1, 1, [1.0], [0.0], [-1]), "boundary lengths must be nonnegative, got -1.0"),
+        ((1, 1, [1.0], [0.0], [math.nan]),
+         "boundary lengths must be nonnegative, got nan"),
+        ((1, 1, [1.0], [0.0], [math.inf]),
+         "boundary lengths must be nonnegative, got inf"),
+        ((1, 2, [1.0, 0.0], [math.nan, 0.0], [-1.0, 1.0]),
+         "cuff lengths must be positive, got 0.0"),
+        ((1, 2, [1.0, 2.0], [0.0, math.nan], [-1.0, 1.0]),
+         "twists must be finite, got nan"),
+        ((1, 1, [math.nan, 1.0], [0.0, 0.0], [-1.0]),
+         "expected 1 lengths/twists for (g, n)=(1,1)"),
+        ((1, 1, [math.nan], [0.0, 0.0], [-1.0]),
+         "expected 1 lengths/twists for (g, n)=(1,1)"),
+        ((1, 1, [math.nan], [0.0], [-1.0, 1.0]), "expected 1 boundary lengths"),
+        ((-1, 6, [], [], [1.0] * 6), "genus must be nonnegative, got g=-1"),
+        ((-1, -1, [], [], []), "genus must be nonnegative, got g=-1"),
+        ((2, -1, [1.0] * 2, [0.0] * 2, []),
+         "boundary count must be nonnegative, got n=-1"),
+        ((0, 2, [], [], [1.0, 1.0]), "unsupported surface: chi(S) = 0 >= 0"),
+        ((0, 1, [], [], [1.0]), "unsupported surface: chi(S) = 1 >= 0"),
+        ((1, 0, [1.0], [0.0], []), "unsupported surface: chi(S) = 0 >= 0"),
+        ((0, 0, [math.nan], [], [-1.0]), "unsupported surface: chi(S) = 2 >= 0"),
+    ])
+    def test_rejects_with_message_in_order(self, args, message):
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            FNPoint(*args)
+
+    def test_accepts_negative_zero_boundary_and_ints(self):
+        x = FNPoint(g=1, n=2, lengths=[2, 1], twists=[0, -3], boundary=[-0.0, 1])
+        assert x.is_punctured() is False
+        assert math.copysign(1.0, x.boundary[0]) == -1.0
+        for vector, want in ((x.lengths, (2.0, 1.0)), (x.twists, (0.0, -3.0)),
+                             (x.boundary, (0.0, 1.0))):
+            assert type(vector) is tuple and vector == want
+            assert all(type(v) is float for v in vector)
+
+    def test_accepts_closed_surfaces(self):
+        x = FNPoint(g=2, n=0, lengths=[1.0] * 3, twists=[0.0] * 3, boundary=[])
+        assert x.boundary == ()
 
     @pytest.mark.parametrize("twist", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_twist(self, twist):
