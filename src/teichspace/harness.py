@@ -353,8 +353,8 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
     points with the estimate between their punctured images, plus the
     quasiconformal intervals against the coordinate bound ``log(n+3)``.
     If ``ceiling`` is not ``None`` and any difference exceeds it the run
-    fails with a replay witness; a ceiling that is not finite raises
-    :class:`DomainError`.
+    fails with a replay witness; a step or ceiling that is not finite
+    raises :class:`DomainError`.
     """
     if any(v == 0.0 for v in x.boundary):
         raise DomainError("ray experiment starts from a bordered point")
@@ -362,8 +362,9 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
         raise DomainError(f"no cuff with index {curve_index}")
     if count < 1:
         raise DomainError("need at least one ray point")
-    if ceiling is not None and not math.isfinite(ceiling):
-        raise DomainError(f"ceiling must be finite, got {ceiling!r}")
+    for name, value in (("ray step", step), ("ceiling", ceiling)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     base = length_table(x, m, depth)
     base_image = length_table(phi_gamma(x), m, depth)
     bound = math.log(x.n + 3)

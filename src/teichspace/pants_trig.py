@@ -70,8 +70,8 @@ its own :class:`DomainError`.  The public forms and
 :func:`teichspace.curves.hexagon_lengths` both call it, so they give the
 same lengths and the same errors.  For boundary lengths in ``[1e-4, 40]``
 they match a 50-digit mpmath evaluation of the identities above to 1e-14
-relative, and traces of the doubled-arc words in the holonomy of the
-arc's own pants, doubled, to 1e-8.  Where an intermediate or the result
+relative, and the doubled-arc traces of the 40-digit holonomy of the
+doubled surface to 1e-12 on the ranges the tests sample.  Where an intermediate or the result
 leaves double range, both forms, the inverse of the between-arc form, the
 self-arc floor and bracket and the constants raise :class:`DomainError`
 naming the lengths.

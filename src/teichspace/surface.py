@@ -39,10 +39,17 @@ Words are tuples of ``(token, exponent)`` pairs; a token is ``("slot",
 pants, slot)``, the boundary word of a slot, or ``("conn", edge_index)``,
 the connector of a non-tree edge.  :func:`gamma_word`, :func:`mu_word` and
 :func:`boundary_word` spell the seed curves of a marking this way.
+
+Matrix entries are 40-digit ``decimal.Decimal`` numbers (``_DPS``) in 2x2
+numpy object arrays, computed from the exact values of the coordinates
+under a private decimal context; lengths and residuals come back as
+floats.  :mod:`decimal` is imported on the first call, not with this
+module, which the benchmark's timed set-up imports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,8 +74,11 @@ __all__ = [
     "mu_word",
 ]
 
-_ID = np.eye(2)
-_SWAP = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# Working precision of every matrix entry, in significant decimal digits.
+_DPS = 40
+
+_ID = np.array([[1, 0], [0, 1]], dtype=object)
+_SWAP = np.array([[0, 1], [-1, 0]], dtype=object)
 
 # Positive twist direction; fixed so that the positive Dehn twist along a
 # cuff appends the positive cuff letter to the dual word (and so evaluating
@@ -76,21 +86,14 @@ _SWAP = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # doubling with negated mirror twists is an isometry.
 _TWIST_SIGN = -1.0
 
-# Accepted scale-relative deviation of a gluing relation from +-identity,
-# and the band of |trace| around 2 read as parabolic (length 0).
-_RESIDUAL_TOL = 1e-9
-_PARABOLIC_TOL = 1e-9
-# Rounding noise of a determinant (64 eps max|entry|^2) above which
-# _renorm leaves the matrix alone: the determinant carries no information.
-_RENORM_NOISE_TOL = 1e-6
-# The same noise above which the determinant residual skips a matrix.
-_DET_NOISE_TOL = 1e-12
-# |w1| / |w0| below which a neighbouring axis endpoint is read as sitting
-# on the cuff endpoint at infinity, so the frame's foot is undefined.
-_FOOT_TOL = 1e-13
-# Trace discriminant and eigenbasis determinant below which a matrix is
-# read as parabolic: its two fixed directions coincide.
-_DEGENERATE_TOL = 1e-14
+# Ten digits short of the working precision: the accepted scale-relative
+# deviation of a gluing relation from +-identity, and the band of
+# |trace| - 2 read as parabolic (length 0).  Five digits short: |w1| / |w0|
+# below which a neighbouring axis endpoint sits on the cuff endpoint at
+# infinity (no frame foot), and the trace discriminant and eigenbasis
+# determinant below which a matrix is read as parabolic.
+_RESIDUAL_TOL = _PARABOLIC_TOL = 10.0 ** (10 - _DPS)
+_FOOT_TOL = _DEGENERATE_TOL = 10.0 ** (5 - _DPS)
 
 
 class HolonomyError(RuntimeError):
@@ -101,43 +104,46 @@ class NotGeodesicError(ValueError):
     """Raised for words whose holonomy is elliptic (no geodesic length)."""
 
 
+def _working_precision(f):
+    """Run ``f`` with a private ``_DPS``-digit decimal context as the
+    thread's current one, and restore the caller's context after."""
+    @functools.wraps(f)
+    def run(*args, **kwargs):
+        import decimal
+        with decimal.localcontext(decimal.Context(prec=_DPS)):
+            return f(*args, **kwargs)
+    return run
+
+
+def _dec(x):
+    """The exact decimal value of a number."""
+    from decimal import Decimal
+    return Decimal(x)
+
+
+def _mat(a, b, c, d) -> np.ndarray:
+    return np.array([[_dec(a), _dec(b)], [_dec(c), _dec(d)]], dtype=object)
+
+
 def _inv(m: np.ndarray) -> np.ndarray:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    return _mat(m[1, 1], -m[0, 1], -m[1, 0], m[0, 0])
 
 
-def _translation(t: float) -> np.ndarray:
-    e = math.exp(t / 2.0)
-    return np.array([[e, 0.0], [0.0, 1.0 / e]])
+def _translation(t) -> np.ndarray:
+    e = _dec(t / 2).exp()
+    return _mat(e, 0, 0, 1 / e)
 
 
-def _det(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def _det(m: np.ndarray):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _renorm(m: np.ndarray) -> np.ndarray:
-    """Rescale to determinant 1 when the determinant is well conditioned.
-
-    For matrices with large entries the determinant is a catastrophically
-    cancelled difference and carries no information; products of det-1
-    factors keep determinant 1 to machine precision anyway, so those are
-    left untouched.
-    """
-    scale = float(np.abs(m).max())
-    noise = 64.0 * np.finfo(float).eps * scale * scale
-    if noise > _RENORM_NOISE_TOL:
-        return m
-    d = _det(m)
-    if d <= 0:
-        raise HolonomyError(f"matrix determinant collapsed: {d!r}")
-    return m / math.sqrt(d)
-
-
-def _eigen_direction(m: np.ndarray, lam: float) -> np.ndarray:
-    v1 = np.array([m[0, 1], lam - m[0, 0]])
-    v2 = np.array([lam - m[1, 1], m[1, 0]])
+def _eigen_direction(m: np.ndarray, lam) -> np.ndarray:
+    v1 = np.array([m[0, 1], lam - m[0, 0]], dtype=object)
+    v2 = np.array([lam - m[1, 1], m[1, 0]], dtype=object)
     v = v1 if np.dot(v1, v1) >= np.dot(v2, v2) else v2
-    norm = math.sqrt(np.dot(v, v))
-    if norm == 0.0:
+    norm = np.dot(v, v).sqrt()
+    if norm == 0:
         raise HolonomyError("degenerate eigenvector")
     return v / norm
 
@@ -146,29 +152,26 @@ def _fixed_directions(m: np.ndarray):
     """Eigen-directions (attracting, repelling) of a hyperbolic matrix, or a
     single repeated direction for a parabolic one."""
     tr = m[0, 0] + m[1, 1]
-    disc = tr * tr - 4.0
+    disc = tr * tr - 4
     if disc <= _DEGENERATE_TOL:
-        lam = math.copysign(1.0, tr)
-        v = _eigen_direction(m, lam)
+        v = _eigen_direction(m, 1 if tr > 0 else -1)
         return v, v
-    s = math.sqrt(disc)
-    dominant = (tr + s) / 2.0 if tr > 0 else (tr - s) / 2.0
-    other = 1.0 / dominant
-    return _eigen_direction(m, dominant), _eigen_direction(m, other)
+    s = disc.sqrt()
+    dominant = (tr + s) / 2 if tr > 0 else (tr - s) / 2
+    return _eigen_direction(m, dominant), _eigen_direction(m, 1 / dominant)
 
 
 def _normalizer(m: np.ndarray) -> np.ndarray:
     """Det-1 matrix N with ``N m N^-1 = +-diag(e^(l/2), e^(-l/2))``."""
     ep, em = _fixed_directions(m)
     v = np.column_stack([ep, em])
-    d = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+    d = _det(v)
     if abs(d) < _DEGENERATE_TOL:
         raise HolonomyError("cannot normalize a parabolic element to the axis")
     if d < 0:
         v = np.column_stack([ep, -em])
         d = -d
-    v = v / math.sqrt(d)
-    return _inv(v)
+    return _inv(v / d.sqrt())
 
 
 def _frame(slot_mat: np.ndarray, neighbor_mat: np.ndarray) -> np.ndarray:
@@ -178,14 +181,13 @@ def _frame(slot_mat: np.ndarray, neighbor_mat: np.ndarray) -> np.ndarray:
     pts = []
     for v in _fixed_directions(neighbor_mat):
         w = n @ v
-        if abs(w[1]) < _FOOT_TOL * abs(w[0]):
+        if abs(w[1]) < _dec(_FOOT_TOL) * abs(w[0]):
             raise HolonomyError("neighbouring cuff axis touches the cuff endpoint")
         pts.append(w[0] / w[1])
     p, q = pts
     if p * q <= 0:
         raise HolonomyError("neighbouring cuff axis crosses the cuff")
-    f = 0.5 * math.log(abs(p * q))
-    return _translation(-f) @ n
+    return _translation(-abs(p * q).ln() / 2) @ n
 
 
 def _pants_generators(l0: float, l1: float, l2: float):
@@ -193,22 +195,23 @@ def _pants_generators(l0: float, l1: float, l2: float):
     for l in (l0, l1, l2):
         if l < 0 or not math.isfinite(l):
             raise DomainError(f"cuff lengths must be nonnegative, got {l!r}")
-    x, y, z = (math.cosh(v / 2.0) for v in (l0, l1, l2))
+    # cosh(l/2) = (e + 1/e) / 2 with e = exp(l/2).
+    x, y, z = ((e + 1 / e) / 2 for e in (_dec(v / 2).exp() for v in (l0, l1, l2)))
     if l0 == 0.0:
-        a = np.array([[1.0, -1.0], [0.0, 1.0]])
-        c_low = 2.0 * (z + y)
-        b = np.array([[y, (y * y - 1.0) / c_low], [c_low, y]])
+        a = _mat(1, -1, 0, 1)
+        c_low = 2 * (z + y)
+        b = _mat(y, (y * y - 1) / c_low, c_low, y)
     else:
-        a = np.array([[x, 1.0], [x * x - 1.0, x]])
+        a = _mat(x, 1, x * x - 1, x)
         if l1 == 0.0:
             # The l1 -> 0 limit of the generic root below.
-            b = np.array([[1.0, -2.0 * (z + x) / (x * x - 1.0)], [0.0, 1.0]])
+            b = _mat(1, -2 * (z + x) / (x * x - 1), 0, 1)
         else:
             # (x^2-1) b^2 + 2(z+xy) b + (y^2-1) = 0; both roots negative.
             p = z + x * y
-            disc = p * p - (x * x - 1.0) * (y * y - 1.0)
-            root = (-p - math.sqrt(disc)) / (x * x - 1.0)
-            b = np.array([[y, root], [(y * y - 1.0) / root, y]])
+            disc = p * p - (x * x - 1) * (y * y - 1)
+            root = (-p - disc.sqrt()) / (x * x - 1)
+            b = _mat(y, root, (y * y - 1) / root, y)
     c = _inv(a @ b)
     return a, b, c
 
@@ -242,6 +245,7 @@ class Holonomy:
             return self.conn_mats[token[1]]
         raise DomainError(f"unknown generator token {token!r}")
 
+    @_working_precision
     def evaluate(self, word) -> np.ndarray:
         out = _ID
         for token, exp in word:
@@ -281,24 +285,22 @@ def boundary_word(m: Marking, i: int):
 def _transition(frames: dict, a: tuple, b: tuple, twist: float) -> np.ndarray:
     """``inv(F_a) @ translation(t) @ SWAP @ F_b`` across a cuff glued at
     ``twist``; swapping the slots gives the inverse up to sign."""
-    return _renorm(_inv(frames[a]) @ _translation(_TWIST_SIGN * twist)
-                   @ _SWAP @ frames[b])
+    return _inv(frames[a]) @ _translation(_TWIST_SIGN * twist) @ _SWAP @ frames[b]
 
 
+@_working_precision
 def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
     """Assemble the holonomy representation for ``fn`` on marking ``m``.
 
     Pants groups are positioned along the spanning tree of the pants graph;
     every remaining cuff contributes a connector matrix.  Raises
     :class:`HolonomyError` if any defining relation deviates from plus or
-    minus the identity by more than ``_RESIDUAL_TOL`` (in scale-relative
-    transition form), or if a cuff frame degenerates.  This catches
-    gluings that double precision cannot close, such as every cuff at 20
-    on genus 2 or 3.  It does not bound length accuracy: on (2, 2) with
-    every cuff at 1e-4 the relations hold to 2e-12 or better, yet the cuff
-    lengths read back up to 9e-4 off (relative), since ``2 acosh(|tr|/2)``
-    cancels near trace 2.  An enforced accuracy envelope is an open
-    ROADMAP item.
+    minus the identity by more than ``_RESIDUAL_TOL`` (1e-30, in
+    scale-relative transition form), or if a cuff frame degenerates.  The
+    check does not bound length accuracy: the tests hold seed words to
+    1e-12 relative with cuffs as short as 1e-4 or as long as 40, but with
+    cuffs and boundaries spread over ``[1e-4, 40]`` some whole doubles of
+    (1, 6) pass it with a doubled arc far off (an open ROADMAP item).
     """
     local = {p: _pants_generators(*(m.slot_length(fn, (p, s)) for s in range(3)))
              for p in range(m.pants_count)}
@@ -323,7 +325,7 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
     for (parent, pslot), (child, cslot), k in steps:
         trans = _transition(frames, (parent, pslot), (child, cslot),
                             fn.twists[k])
-        g_mat[child] = _renorm(g_mat[parent] @ trans)
+        g_mat[child] = g_mat[parent] @ trans
         # Gluing relation in transition form: V_child equals the
         # transition-conjugate of V_parent^-1 (checked without forming
         # ill-conditioned global conjugates).
@@ -345,7 +347,7 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
             continue
         (pa, sa), (pb, sb) = e.left, e.right
         trans = _transition(frames, e.left, e.right, fn.twists[e.index])
-        conn_mats[e.index] = _renorm(g_mat[pa] @ trans @ _inv(g_mat[pb]))
+        conn_mats[e.index] = g_mat[pa] @ trans @ _inv(g_mat[pb])
         placed_resids.append(_relation_residual(
             trans @ local[pb][sb], _inv(local[pa][sa]) @ trans))
 
@@ -353,20 +355,11 @@ def holonomy(fn: FNPoint, m: Marking) -> Holonomy:
         a, b, c = local[p]
         placed_resids.append(_relation_residual(a @ b, _inv(c)))
 
-    # Determinant drift is only measurable where the determinant itself is
-    # well conditioned; on large-entry conjugates the true value stays 1
-    # through products of det-1 factors but float64 cannot verify it.
-    det_resid = 0.0
-    for mat in list(slot_mats.values()) + list(conn_mats.values()):
-        scale = float(np.abs(mat).max())
-        if 64.0 * np.finfo(float).eps * scale * scale > _DET_NOISE_TOL:
-            continue
-        det_resid = max(det_resid, abs(_det(mat) - 1.0))
-    for p in range(m.pants_count):
-        for mat in local[p]:
-            det_resid = max(det_resid, abs(_det(mat) - 1.0))
+    mats = [*slot_mats.values(), *conn_mats.values(),
+            *(mat for p in range(m.pants_count) for mat in local[p])]
+    det_resid = float(max(abs(_det(mat) - 1) for mat in mats))
 
-    residual = max(placed_resids) if placed_resids else 0.0
+    residual = max(placed_resids)
     if residual > _RESIDUAL_TOL:
         raise HolonomyError(
             f"gluing relations failed: residual {residual:.3e} > {_RESIDUAL_TOL:.1e}")
@@ -412,11 +405,12 @@ def _tree_walk(m: Marking):
 def _relation_residual(got: np.ndarray, want: np.ndarray) -> float:
     # Relative to the matrix scale: entries grow like exp of the cuff
     # lengths, and only the relative deviation controls length accuracy.
-    scale = max(1.0, float(np.abs(got).max()), float(np.abs(want).max()))
+    scale = max(1, np.abs(got).max(), np.abs(want).max())
     dev = min(np.abs(got - want).max(), np.abs(got + want).max())
-    return float(dev) / scale
+    return float(dev / scale)
 
 
+@_working_precision
 def curve_length(h: Holonomy, word) -> float:
     """Geodesic length of the free homotopy class of ``word``.
 
@@ -425,12 +419,16 @@ def curve_length(h: Holonomy, word) -> float:
     """
     if not word:
         raise DomainError("empty word has no geodesic class")
-    tr = abs(float(np.trace(h.evaluate(word))))
-    if tr >= 2.0 + _PARABOLIC_TOL:
-        return 2.0 * math.acosh(tr / 2.0)
-    if tr >= 2.0 - _PARABOLIC_TOL:
+    tr = abs(np.trace(h.evaluate(word)))
+    # Compare tr - 2: the float 2.0 + _PARABOLIC_TOL rounds to 2.0.
+    if tr - 2 >= _PARABOLIC_TOL:
+        # 2 acosh(y) with y = |tr| / 2.
+        y = _dec(tr) / 2
+        return float(2 * (y + ((y - 1) * (y + 1)).sqrt()).ln())
+    if tr - 2 >= -_PARABOLIC_TOL:
         return 0.0
-    raise NotGeodesicError(f"elliptic word (|trace| = {tr!r} < 2): not a geodesic class")
+    raise NotGeodesicError(
+        f"elliptic word (|trace| = {float(tr)!r} < 2): not a geodesic class")
 
 
 # ---------------------------------------------------------------------------

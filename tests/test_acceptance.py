@@ -71,7 +71,7 @@ def random_fn(m, rng, boundary=None):
 
 def test_01_holonomy_trace_consistency():
     """200 random points per surface type; every cuff and boundary word
-    reproduces its assigned length within 1e-9, in under 10 seconds."""
+    reproduces its assigned length within 1e-12, in under 10 seconds."""
     start = time.time()
     rng = np.random.default_rng(101)
     for (g, n) in [(1, 1), (0, 3), (1, 2), (2, 1)]:
@@ -80,9 +80,9 @@ def test_01_holonomy_trace_consistency():
             fn = random_fn(m, rng)
             h = holonomy(fn, m)
             for k in range(m.ncurves):
-                assert abs(curve_length(h, gamma_word(m, k)) - fn.lengths[k]) < 1e-9
+                assert abs(curve_length(h, gamma_word(m, k)) - fn.lengths[k]) < 1e-12
             for i in range(n):
-                assert abs(curve_length(h, boundary_word(m, i)) - fn.boundary[i]) < 1e-9
+                assert abs(curve_length(h, boundary_word(m, i)) - fn.boundary[i]) < 1e-12
     elapsed = time.time() - start
     assert elapsed < 10.0, f"trace consistency took {elapsed:.1f}s"
     report("01 holonomy-trace-consistency")
@@ -90,7 +90,7 @@ def test_01_holonomy_trace_consistency():
 
 def test_02_formula_holonomy_cross_validation():
     """On 100 random pants, both hexagon closed forms agree with the
-    doubled-geodesic arc length within 1e-8."""
+    doubled-geodesic arc length within 1e-12."""
     rng = np.random.default_rng(202)
     m = build_marking(0, 3)
     for _ in range(100):
@@ -107,7 +107,7 @@ def test_02_formula_holonomy_cross_validation():
                 (i,) = arc.boundaries
                 j, k = (x for x in range(3) if x != i)
                 want = orthogeodesic_self(lam[i], lam[j], lam[k])
-            assert abs(arc_length(d, arc, h) - want) < 1e-8
+            assert abs(arc_length(d, arc, h) - want) < 1e-12
     report("02 formula-holonomy-cross-validation")
 
 

@@ -102,7 +102,7 @@ class TestCurveLengthAt:
             c = CurveClass(seed=("mu", 0), power=k)
             word = mu_word(m, 0) + ((("slot", 0, 0), k),)
             assert family_lengths(x, m, [c])[0] == pytest.approx(
-                curve_length(h, word), abs=1e-9)
+                curve_length(h, word), rel=1e-12)
 
     def test_family_lengths_alignment(self):
         m = build_marking(1, 2)
@@ -180,7 +180,7 @@ class TestFrameLocalDuals:
             got = family_lengths(x, m, classes)
             for c, l in zip(classes, got):
                 want = twist_shift_length(x, m, c)
-                assert l == pytest.approx(want, rel=1e-8), c.label()
+                assert l == pytest.approx(want, rel=1e-12), c.label()
 
     @pytest.mark.parametrize("gn", [(1, 2), (2, 2), (3, 2), (1, 6)])
     def test_handle_duals_match_one_holed_torus(self, gn):
@@ -199,7 +199,7 @@ class TestFrameLocalDuals:
                     twist = x.twists[k] - power * x.lengths[k]
                     y = point(m11, [x.lengths[k]], [twist], [x.lengths[attach]])
                     want = curve_length(holonomy(y, m11), mu_word(m11, 0))
-                    assert length == pytest.approx(want, rel=1e-10)
+                    assert length == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("gn", [(0, 5), (1, 3), (2, 2), (3, 3)])
     def test_chain_duals_match_four_holed_sphere(self, gn):
@@ -220,7 +220,7 @@ class TestFrameLocalDuals:
                     twist = x.twists[k] - power * x.lengths[k]
                     y = point(m04, [x.lengths[k]], [twist], boundary)
                     want = curve_length(holonomy(y, m04), mu_word(m04, 0))
-                    assert length == pytest.approx(want, rel=1e-10)
+                    assert length == pytest.approx(want, rel=1e-12)
 
 
 def mp_dual_length(x, m, k, power):

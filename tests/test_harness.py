@@ -649,6 +649,8 @@ class TestCli:
          "--cusps must be at least 1"),
         (["phi-experiment", "--ceiling", "nan"], "ceiling must be finite"),
         (["phi-experiment", "--ceiling", "inf"], "ceiling must be finite"),
+        (["phi-experiment", "--ray-step", "nan"], "ray step must be finite, got nan"),
+        (["phi-experiment", "--ray-step", "inf"], "ray step must be finite, got inf"),
     ])
     def test_bad_flag_value_rejected_before_output(self, tmp_path, argv,
                                                    message):
@@ -775,9 +777,10 @@ class TestCli:
                 ["distance", "--x1", str(x_path), "--x2", str(x_path),
                  "--out", out],
                 ["constants", "--boundary", "1.0,1.0", "--out", out]]
-        # A None entry makes every import of numpy raise ImportError.
+        # A None entry makes every import of numpy or mpmath raise
+        # ImportError.
         code = ("import sys\n"
-                "sys.modules['numpy'] = None\n"
+                "sys.modules['numpy'] = sys.modules['mpmath'] = None\n"
                 "import teichspace\n"
                 "from teichspace import cli\n"
                 f"for argv in {runs!r}:\n"
