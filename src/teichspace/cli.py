@@ -5,16 +5,24 @@ Subcommands: ``constants``, ``distance``, ``compare``, ``verify-arcs``,
 whose fields match :class:`teichspace.harness.ExperimentConfig`; the flags
 ``--seed``, ``--out`` and, where read, ``--depth`` and ``--format`` override
 it.  Identical configurations produce byte-identical output files.
+
+One table, ``_COMMANDS``, holds every subcommand's flags with their types or
+choices, defaults and help, and ``_parse`` reads ``argv`` against it in one
+pass.  Flags are given as ``--flag value`` or ``--flag=value`` and by their
+exact names only: a prefix such as ``--conf`` is an unrecognized argument.
+``-h``/``--help`` prints the flags and exits 0; a usage error prints the
+usage line and ``<prog>: error: <message>`` to standard error and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 from . import asymptotics, pants_trig
 from .coords import FNPoint, build_marking
@@ -195,61 +203,163 @@ def _cmd_report(args) -> None:
     _emit(json.dumps(payload, indent=2), cfg.out)
 
 
+# Every subcommand maps to its handler, its help line and its flags in the
+# order help lists them.  Every flag maps to its kind (``int``, ``float``,
+# ``str``, a tuple of choices, or ``bool`` for a switch), its default
+# (``_REQUIRED`` for none) and its help.
+_REQUIRED = object()
+_CONFIG = {"--config": (str, _REQUIRED, "experiment config JSON path"),
+           "--seed": (int, None, "override the config's seed")}
+_DEPTH = {"--depth": (int, None, "override the config's depth")}
+_FORMAT = {"--format": (("csv", "json"), None, "override the config's format")}
+_CONFIG_OUT = {"--out": (str, None, "override the config's output path")}
+_OUT = {"--out": (str, None, "output path (default: standard output)")}
+
+_COMMANDS = {
+    "constants": (_cmd_constants, "dump closed-form constants as JSON", {
+        "--boundary": (str, _REQUIRED, "comma-separated boundary lengths"),
+        "--eps": (float, 1e-4, "horocycle length"),
+        "--cusps": (int, 1, "number of cusps"),
+        **_OUT}),
+    "distance": (_cmd_distance, "metric estimates between two points", {
+        "--x1": (str, _REQUIRED, "FN point JSON path"),
+        "--x2": (str, _REQUIRED, "FN point JSON path"),
+        "--depth": (int, 2, "curve family depth"),
+        **_OUT}),
+    "compare": (_cmd_compare, "metric comparison rows over sampled pairs",
+                {**_CONFIG, **_DEPTH, **_FORMAT, **_CONFIG_OUT}),
+    "verify-arcs": (_cmd_verify_arcs, "constructive arc/curve check", {
+        **_CONFIG, **_CONFIG_OUT,
+        "--summary-only": (bool, False, "leave out the per-pair reports")}),
+    "phi-experiment": (
+        _cmd_phi_experiment,
+        "twist-ray comparison under forgetting boundary lengths", {
+            **_CONFIG, **_DEPTH, **_FORMAT, **_CONFIG_OUT,
+            "--ray-curve": (int, 0, "index of the cuff whose twist moves"),
+            "--ray-step": (float, 0.5, "twist added per ray point"),
+            "--ray-count": (int, 11, "number of ray points"),
+            "--ceiling": (float, None, "fail if a difference exceeds it")}),
+    "report": (_cmd_report, "almost-isometry distortion report", {
+        **_CONFIG, **_DEPTH, **_CONFIG_OUT,
+        "--metric": (("arc", "thurston"), "arc", "metric of the report")}),
+}
+
+
+def _invocation(flag: str, kind) -> str:
+    if kind is bool:
+        return flag
+    if isinstance(kind, tuple):
+        return f"{flag} {{{','.join(kind)}}}"
+    return f"{flag} {flag[2:].upper().replace('-', '_')}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: teichspace [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = ["usage: teichspace", command, "[-h]"]
+    for flag, (kind, default, _) in _COMMANDS[command][2].items():
+        word = _invocation(flag, kind)
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command: str | None):
+    if command is None:
+        lines = ["Numerics for Teichmueller spaces of bordered surfaces", "",
+                 "subcommands:"]
+        lines += [f"  {name:16s}{entry[1]}" for name, entry in _COMMANDS.items()]
+    else:
+        lines = [_COMMANDS[command][1], "", "options:",
+                 f"  {'-h, --help':24s}show this help and exit"]
+        for flag, (kind, default, text) in _COMMANDS[command][2].items():
+            if default is _REQUIRED:
+                text += " (required)"
+            elif default is not None and kind is not bool:
+                text += f" (default: {default})"
+            lines.append(f"  {_invocation(flag, kind):24s}{text}")
+    sys.stdout.write("\n".join([_usage(command), "", *lines, ""]))
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str):
+    prog = "teichspace" if command is None else f"teichspace {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _invalid_choice(value: str, choices) -> str:
+    return (f"invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, choices))})")
+
+
+def _is_value(token: str) -> bool:
+    # A token after a flag is its value unless it looks like a flag itself;
+    # negative numbers are values.
+    return (not token.startswith("-") or token == "-" or " " in token
+            or re.fullmatch(r"-\d+|-\d*\.\d+", token) is not None)
+
+
+def _parse(argv):
+    """Return the handler of ``argv``'s subcommand and its flags.
+
+    Flags are given as ``--flag value`` or ``--flag=value``, by their exact
+    names; the namespace holds every flag of the subcommand under its name
+    with ``_`` for ``-``.  ``-h``/``--help`` prints help and exits 0; a usage
+    error prints the usage and the error to standard error and exits 2.
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, *tokens = argv
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        _fail(None, "argument command: " + _invalid_choice(command, _COMMANDS))
+    handler, _, flags = _COMMANDS[command]
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    unknown = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, explicit, value = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        kind = flags[flag][0]
+        if kind is bool:
+            if explicit:
+                _fail(command, f"argument {flag}: ignored explicit argument "
+                               f"{value!r}")
+            values[flag] = True
+            continue
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                _fail(command, f"argument {flag}: expected one argument")
+        if isinstance(kind, tuple):
+            if value not in kind:
+                _fail(command, f"argument {flag}: "
+                               + _invalid_choice(value, kind))
+        elif kind is not str:
+            try:
+                value = kind(value)
+            except ValueError:
+                _fail(command, f"argument {flag}: invalid {kind.__name__} "
+                               f"value: {value!r}")
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        _fail(command, "the following arguments are required: "
+                       + ", ".join(missing))
+    if unknown:
+        _fail(command, "unrecognized arguments: " + " ".join(unknown))
+    return handler, SimpleNamespace(
+        **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="teichspace",
-        description="Numerics for Teichmueller spaces of bordered surfaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *read):
-        p.add_argument("--config", required=True, help="experiment config JSON path")
-        p.add_argument("--seed", type=int, default=None)
-        if "depth" in read:
-            p.add_argument("--depth", type=int, default=None)
-        if "format" in read:
-            p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("constants", help="dump closed-form constants as JSON")
-    p.add_argument("--boundary", required=True,
-                   help="comma-separated boundary lengths")
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--cusps", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("distance", help="metric estimates between two points")
-    p.add_argument("--x1", required=True, help="FN point JSON path")
-    p.add_argument("--x2", required=True, help="FN point JSON path")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_distance)
-
-    p = sub.add_parser("compare", help="metric comparison rows over sampled pairs")
-    common(p, "depth", "format")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("verify-arcs", help="constructive arc/curve check")
-    common(p)
-    p.add_argument("--summary-only", action="store_true")
-    p.set_defaults(func=_cmd_verify_arcs)
-
-    p = sub.add_parser("phi-experiment", help="twist-ray comparison under "
-                                              "forgetting boundary lengths")
-    common(p, "depth", "format")
-    p.add_argument("--ray-curve", type=int, default=0)
-    p.add_argument("--ray-step", type=float, default=0.5)
-    p.add_argument("--ray-count", type=int, default=11)
-    p.add_argument("--ceiling", type=float, default=None)
-    p.set_defaults(func=_cmd_phi_experiment)
-
-    p = sub.add_parser("report", help="almost-isometry distortion report")
-    common(p, "depth")
-    p.add_argument("--metric", choices=("arc", "thurston"), default="arc")
-    p.set_defaults(func=_cmd_report)
-
-    args = parser.parse_args(argv)
-    args.func(args)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    handler(args)
     return 0
 
 

@@ -299,14 +299,14 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     d_th = thurston_of(t1, t2)
     d_a = arc_of(t1, t2)
     teich = teich_of(t1, t2)
-    witness = {"x1": x1.to_dict(), "x2": x2.to_dict(),
-               "depth": depth, "d_th": d_th.value, "d_a": d_a.value,
-               "d_th_witness": d_th.witness, "d_a_witness": d_a.witness}
-    if not (d_a.value >= d_th.value):
-        raise HarnessCheckError("arc estimate fell below curve estimate", witness)
-    if not (d_th.value >= 0.0):
-        raise HarnessCheckError(
-            "curve-ratio estimate negative: family missed its witness", witness)
+    if not (d_a.value >= d_th.value >= 0.0):
+        message = ("arc estimate fell below curve estimate"
+                   if not (d_a.value >= d_th.value) else
+                   "curve-ratio estimate negative: family missed its witness")
+        raise HarnessCheckError(message, {
+            "x1": x1.to_dict(), "x2": x2.to_dict(), "depth": depth,
+            "d_th": d_th.value, "d_a": d_a.value,
+            "d_th_witness": d_th.witness, "d_a_witness": d_a.witness})
     try:
         gap = gap_constants(x1.boundary).gap
     except DomainError as err:

@@ -1,6 +1,5 @@
 """Tests for the experiment harness and the CLI."""
 
-import argparse
 import hashlib
 import json
 import math
@@ -8,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -91,8 +91,8 @@ class TestExperimentConfig:
     def test_config_echo_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"g": 1, "n": 2, "boundary": [1, 1]}')
-        args = argparse.Namespace(config=str(path), seed=3, depth=1,
-                                  format="csv", out="rows.csv")
+        args = SimpleNamespace(config=str(path), seed=3, depth=1,
+                               format="csv", out="rows.csv")
         cfg = cli._load_config(args)
         assert cfg.out == "rows.csv"
         assert json.dumps(cli._config_echo(cfg)) == (
@@ -611,6 +611,27 @@ class TestReplayWitness:
         assert str(err.value).endswith("\nwitness: " + json.dumps(witness))
         assert "is not finite in double precision" in str(err.value)
 
+    def test_failed_ordering_check_carries_witness(self):
+        # A (1,1) pair on which the family estimate d_th is negative; the
+        # check stops the row and names both points and both estimates.
+        x1 = FNPoint(g=1, n=1, lengths=[3.943768666190351],
+                     twists=[-1.6463440623860075], boundary=[1.0])
+        x2 = FNPoint(g=1, n=1, lengths=[3.1718232642179864],
+                     twists=[-1.372480618933241], boundary=[1.0])
+        with pytest.raises(HarnessCheckError) as err:
+            compare_metrics(x1, x2, build_marking(1, 1), 2)
+        witness = {
+            "x1": {"g": 1, "n": 1, "lengths": [3.943768666190351],
+                   "twists": [-1.6463440623860075], "boundary": [1.0]},
+            "x2": {"g": 1, "n": 1, "lengths": [3.1718232642179864],
+                   "twists": [-1.372480618933241], "boundary": [1.0]},
+            "depth": 2, "d_th": -0.06692330445267751, "d_a": 0.0,
+            "d_th_witness": "mu0", "d_a_witness": "beta0"}
+        assert err.value.witness == witness
+        assert str(err.value) == (
+            "curve-ratio estimate negative: family missed its witness\n"
+            "witness: " + json.dumps(witness))
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -777,10 +798,12 @@ class TestCli:
                 ["distance", "--x1", str(x_path), "--x2", str(x_path),
                  "--out", out],
                 ["constants", "--boundary", "1.0,1.0", "--out", out]]
-        # A None entry makes every import of numpy or mpmath raise
-        # ImportError.
+        # A None entry makes every import of the module raise ImportError.
+        # The CLI parses its flags without argparse, and so never imports
+        # locale on the way to a result.
         code = ("import sys\n"
                 "sys.modules['numpy'] = sys.modules['mpmath'] = None\n"
+                "sys.modules['argparse'] = sys.modules['locale'] = None\n"
                 "import teichspace\n"
                 "from teichspace import cli\n"
                 f"for argv in {runs!r}:\n"
@@ -792,6 +815,14 @@ class TestCli:
         (["verify-arcs", "--format", "csv"], "unrecognized arguments: --format"),
         (["report", "--format", "csv"], "unrecognized arguments: --format"),
         (["compare"], "the following arguments are required: --config"),
+        (["compare", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["compare", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["report", "--metric", "l2"], "argument --metric: invalid choice: 'l2'"),
+        (["compare", "--out"], "argument --out: expected one argument"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        # Flags are matched by their exact names, never by a prefix.
+        (["compare", "--conf", "cfg.json"],
+         "unrecognized arguments: --conf cfg.json"),
     ])
     def test_flags_a_subcommand_does_not_read_are_rejected(
             self, tmp_path, capsys, argv, message):
@@ -799,9 +830,56 @@ class TestCli:
         cfg_path.write_text(cfg_12().to_json())
         config = [] if argv == ["compare"] else ["--config", str(cfg_path)]
         with pytest.raises(SystemExit) as exit_:
-            cli.main([*argv, *config])
+            cli.main([argv[0], *config, *argv[1:]])
         assert exit_.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert ": error: " + message in err
+
+    def test_flag_value_after_equals_sign(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_12(samples=2).to_json())
+        outs = tmp_path / "a.json", tmp_path / "b.json"
+        cli.main(["compare", f"--config={cfg_path}", "--depth=1",
+                  f"--out={outs[0]}"])
+        cli.main(["compare", "--config", str(cfg_path), "--depth", "1",
+                  "--out", str(outs[1])])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["config"]["depth"] == 1
+
+    def test_negative_numbers_are_values(self, capsys):
+        handler, args = cli._parse(["phi-experiment", "--config", "c.json",
+                                    "--seed", "-3", "--ray-step", "-.5",
+                                    "--ray-count=-1"])
+        assert handler is cli._cmd_phi_experiment
+        assert (args.seed, args.ray_step, args.ray_count) == (-3, -0.5, -1)
+        # As in argparse, only integers and plain decimals read as numbers.
+        with pytest.raises(SystemExit) as exit_:
+            cli._parse(["phi-experiment", "--config", "c.json",
+                        "--ray-step", "-1e-3"])
+        assert exit_.value.code == 2
+        assert "argument --ray-step: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["constants"], ["--boundary", "--eps", "--cusps", "--out"]),
+        (["distance"], ["--x1", "--x2", "--depth", "--out"]),
+        (["compare"], ["--config", "--seed", "--depth", "--format", "--out"]),
+        (["verify-arcs"], ["--config", "--seed", "--out", "--summary-only"]),
+        (["phi-experiment"], ["--config", "--seed", "--depth", "--format",
+                              "--out", "--ray-curve", "--ray-step",
+                              "--ray-count", "--ceiling"]),
+        (["report"], ["--config", "--seed", "--depth", "--out", "--metric"]),
+        ([], ["constants", "distance", "compare", "verify-arcs",
+              "phi-experiment", "report"]),
+    ])
+    def test_help_names_every_flag(self, capsys, argv, flags):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, "--help"])
+        assert exit_.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for flag in flags:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", out), flag
 
     def test_json_outputs_are_strict_json(self, tmp_path):
         def reject(name):
