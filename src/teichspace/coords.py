@@ -76,8 +76,9 @@ class Marking:
     Construction checks that every slot of every pants carries exactly one
     edge side or boundary and keeps the resulting slot table, which
     :meth:`slot_assignment`, :meth:`slot_length` and :meth:`curve_index`
-    read.  It also resolves each seed arc once: ``arc_forms[i]`` is
-    :meth:`arc_form` of ``arcs[i]``.
+    read.  It also resolves each seed arc and each dual once:
+    ``arc_forms[i]`` is :meth:`arc_form` of ``arcs[i]`` and
+    ``orbit_forms[k]`` is :meth:`orbit_form` of edge ``k``.
     """
 
     genus: int
@@ -88,6 +89,7 @@ class Marking:
     arcs: tuple
     _slots: dict = field(init=False, repr=False, compare=False)
     arc_forms: tuple = field(init=False, repr=False, compare=False)
+    orbit_forms: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def ncurves(self) -> int:
@@ -114,6 +116,8 @@ class Marking:
         object.__setattr__(self, "_slots", used)
         object.__setattr__(self, "arc_forms",
                            tuple(self.arc_form(a) for a in self.arcs))
+        object.__setattr__(self, "orbit_forms",
+                           tuple(self.orbit_form(k) for k in range(self.ncurves)))
 
     def slot_assignment(self):
         """Read-only map ``(pants, slot) -> ("edge", k)`` or
@@ -139,6 +143,18 @@ class Marking:
         return (arc.kind == "between",
                 *(self.curve_index((arc.pants, s))
                   for s in arc.slots + arc.neighbour_slots))
+
+    def orbit_form(self, k: int) -> tuple:
+        """The :meth:`curve_index` of the curves the length of the dual
+        ``mu_k`` reads besides cuff ``k``: ``(b,)``, the third slot of a
+        handle loop, or ``(a+, a-, b+, b-)``, the slots after the glued one
+        in its left and right pants."""
+        (pa, sa), (pb, sb) = self.edges[k].left, self.edges[k].right
+        if pa == pb:
+            return (self.curve_index((pa, 3 - sa - sb)),)
+        return tuple(self.curve_index(side) for side in
+                     ((pa, (sa + 1) % 3), (pa, (sa + 2) % 3),
+                      (pb, (sb + 1) % 3), (pb, (sb + 2) % 3)))
 
 
 def _check_surface(g: int, n: int) -> None:

@@ -28,21 +28,29 @@ cancel.  Along an orbit only ``tau`` changes, so :func:`family_lengths`
 evaluates the twist-free terms of cuff ``k`` (``s^2``, and ``cosh(d/2) - 1``
 or the ``c(L)`` cross terms, ``Q Q`` and the constant tail) once per cuff
 per point; each member then costs one ``cosh``/``sinh`` of ``tau`` and one
-``acosh``.  The family itself is built once per ``(ncurves, nboundary,
-depth)``.  The holonomy of :mod:`teichspace.surface` is their independent
-check.
+``acosh``.  The terms read ``c(x)`` from one vector per point, ``cosh(l/2)``
+of every curve of ``lengths + boundary`` (``inf`` where it overflows, which
+makes the terms of an orbit reading it NaN, so its members are rejected; a
+cusp's entry is ``cosh(0) = 1``), through the curves each orbit reads, resolved
+once per marking (:attr:`~teichspace.coords.Marking.orbit_forms`).  The
+family itself, and the mask of its essential classes, are built once per
+``(ncurves, nboundary, depth)``.  The holonomy of :mod:`teichspace.surface`
+is their independent check.
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
 are convex, so these lengths do not depend on the twists.  The curves
 each seed arc's form reads are resolved once per marking
 (:attr:`~teichspace.coords.Marking.arc_forms`); :func:`hexagon_lengths`
-takes ``cosh(l/2)`` once per curve of a point and feeds every form's
-checked core in :mod:`teichspace.pants_trig`, the one path by which a
-length is evaluated or rejected.
+reads the same ``cosh(l/2)`` vector and feeds every form's checked core in
+:mod:`teichspace.pants_trig`, the one path by which a length is evaluated
+or rejected.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
-point is evaluated once however many estimators and partners use it.
+point is evaluated once however many estimators and partners use it.  It
+takes the ``cosh(l/2)`` vector once for both, and selects once the views
+the pair reductions read: the essential classes with their lengths, and
+the curve lengths followed by the arc lengths.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from . import pants_trig
 from .coords import ArcClass, FNPoint, Marking
@@ -119,39 +128,55 @@ def _family(ncurves: int, nboundary: int, depth: int) -> tuple:
     return tuple(out)
 
 
-def family_lengths(fn: FNPoint, m: Marking, classes):
+@functools.lru_cache(maxsize=16)
+def _essential_view(ncurves: int, nboundary: int, depth: int) -> tuple:
+    """``(mask, classes)``: which classes of :func:`_family` are essential,
+    and those classes."""
+    family = _family(ncurves, nboundary, depth)
+    mask = tuple(c.essential for c in family)
+    return mask, tuple(compress(family, mask))
+
+
+def family_lengths(fn: FNPoint, m: Marking, classes, ch=None):
     """Lengths of many curve classes at one point, aligned with ``classes``.
 
     Pants and boundary lengths are read off the point; a dual class is the
     one-holed torus or four-holed sphere identity of the module docstring
     (scalar work, no holonomy).  The twist-free terms of cuff ``k`` are
-    evaluated once, when the first class of its orbit appears; each member
-    then costs one function of its twist ``tau``.  Raises
+    evaluated once, when the first class of its orbit appears, from ``ch``,
+    the ``cosh(l/2)`` of the point's curves (:func:`_cosh_halves`, taken
+    here when not given); each member then costs one function of its twist
+    ``tau``.  Raises
     :class:`DomainError` when a length is not finite in double precision
     (such as at twists of 2000, at cuffs of 1500, and at cuffs below about
     1e-154, whose duals are too long; below about 1e-161 ``sinh(L/2)^2``
     underflows to 0).
     """
+    if ch is None:
+        ch = _cosh_halves(fn.lengths + fn.boundary)
+    cosh, sinh, log1p, sqrt = math.cosh, math.sinh, math.log1p, math.sqrt
+    lengths, twists = fn.lengths, fn.twists
+    orbits = [None] * len(lengths)
     out = []
-    orbits = {}
     for c in classes:
         kind, k = c.seed
         if kind == "gamma":
-            out.append(fn.lengths[k])
+            out.append(lengths[k])
         elif kind == "beta":
             out.append(fn.boundary[k])
         else:
             try:
-                orbit = orbits.get(k)
+                orbit = orbits[k]
                 if orbit is None:
-                    orbit = orbits[k] = _orbit_terms(fn, m, k)
+                    orbit = orbits[k] = _orbit_terms(fn, m, k, ch)
                 cuff, h, head, qq, tail, s2 = orbit
-                tau = fn.twists[k] - c.power * cuff
+                tau = twists[k] - c.power * cuff
                 if h is not None:
-                    u = h * math.cosh(tau / 2.0) + 2.0 * math.sinh(tau / 4.0) ** 2
+                    u = h * cosh(tau / 2.0) + 2.0 * sinh(tau / 4.0) ** 2
                 else:
-                    u = (head + 2.0 * math.sinh(tau / 2.0) ** 2 * qq + tail) / s2
-                length = 2.0 * pants_trig._acosh1p(u)
+                    u = (head + 2.0 * sinh(tau / 2.0) ** 2 * qq + tail) / s2
+                # acosh(1 + u), as pants_trig._acosh1p.
+                length = 2.0 * log1p(u + sqrt(u) * sqrt(u + 2.0))
             except (OverflowError, ZeroDivisionError):
                 length = math.inf
             if not math.isfinite(length):
@@ -161,21 +186,21 @@ def family_lengths(fn: FNPoint, m: Marking, classes):
     return out
 
 
-def _orbit_terms(fn: FNPoint, m: Marking, k: int) -> tuple:
+def _orbit_terms(fn: FNPoint, m: Marking, k: int, ch) -> tuple:
     """Twist-free terms ``(L, h, head, qq, tail, s2)`` of the orbit of
-    ``mu_k``: on a handle loop ``h = cosh(d/2) - 1`` and ``None`` for
-    ``head``, ``qq`` and ``tail``; on other cuffs ``h`` is ``None``."""
-    (pa, sa), (pb, sb) = m.edges[k].left, m.edges[k].right
-    cuff = fn.lengths[k]
+    ``mu_k``, reading ``cosh(l/2)`` from ``ch`` on the curves of
+    :attr:`~teichspace.coords.Marking.orbit_forms`: on a handle loop ``h =
+    cosh(d/2) - 1`` and ``None`` for ``head``, ``qq`` and ``tail``; on other
+    cuffs ``h`` is ``None``.  An ``inf`` in ``ch`` (a ``cosh`` that
+    overflows) makes ``h`` or ``tail`` NaN, so every member is rejected."""
+    cuff, form = fn.lengths[k], m.orbit_forms[k]
     s2 = math.sinh(cuff / 2.0) ** 2
-    if pa == pb:
+    if len(form) == 1:
         # w = cosh d - 1; cosh(d/2) - 1 = (w/2) / (sqrt(1 + w/2) + 1).
-        w = (math.cosh(m.slot_length(fn, (pa, 3 - sa - sb)) / 2.0) + 1.0) / s2
+        w = (ch[form[0]] + 1.0) / s2
         return cuff, 0.5 * w / (math.sqrt(1.0 + 0.5 * w) + 1.0), None, None, None, s2
-    cl = math.cosh(cuff / 2.0)
-    ap, am, bp, bm = (math.cosh(m.slot_length(fn, side) / 2.0) for side in
-                      ((pa, (sa + 1) % 3), (pa, (sa + 2) % 3),
-                       (pb, (sb + 1) % 3), (pb, (sb + 2) % 3)))
+    cl = ch[k]
+    ap, am, bp, bm = map(ch.__getitem__, form)
     # Q(a+, a-)^2 = s2 + qa and Q(b+, b-)^2 = s2 + qb, so
     # Q Q - s2 = (s2 (qa + qb) + qa qb) / (Q Q + s2) without cancelling.
     qa = ap * ap + am * am + 2.0 * ap * am * cl
@@ -183,6 +208,17 @@ def _orbit_terms(fn: FNPoint, m: Marking, k: int) -> tuple:
     qq = math.sqrt((s2 + qa) * (s2 + qb))
     head = cl * (ap * bm + am * bp) + ap * bp + am * bm
     return cuff, None, head, qq, (s2 * (qa + qb) + qa * qb) / (qq + s2), s2
+
+
+def _cosh_halves(ell) -> list:
+    """``cosh(l/2)`` of every length of ``ell`` (a point's ``lengths +
+    boundary``), ``inf`` where it overflows (only the rare point with a
+    curve longer than about 1420 pays for the vector twice); a cusp's entry
+    is ``cosh(0) = 1``."""
+    try:
+        return [math.cosh(v / 2) for v in ell]
+    except OverflowError:
+        return [pants_trig._cosh_half(v) for v in ell]
 
 
 @dataclass(frozen=True)
@@ -193,6 +229,12 @@ class LengthTable:
     ``lengths`` their lengths, aligned.  When every boundary length is
     positive, ``arcs`` holds the seed arcs and ``arc_lengths`` their
     hexagon lengths; otherwise both are empty.
+
+    Two views are selected once per table, for the reductions of
+    :mod:`teichspace.metrics` over every partner: ``essential`` and
+    ``essential_lengths`` are the essential classes and their lengths, and
+    ``members`` and ``member_lengths`` are ``classes + arcs`` and
+    ``lengths + arc_lengths``.
     """
 
     point: FNPoint
@@ -201,29 +243,39 @@ class LengthTable:
     lengths: tuple
     arcs: tuple
     arc_lengths: tuple
+    essential: tuple
+    essential_lengths: tuple
+    members: tuple
+    member_lengths: tuple
 
 
 def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     """Evaluate the length table of ``fn`` at family depth ``depth``.
 
-    The curve lengths come from one :func:`family_lengths` call over the
-    whole family.  A :class:`DomainError` of that call or of an arc length
-    (a length that is not finite) is re-raised with the replay witness
-    ``{"x": <point JSON>, "depth": depth}`` appended to its message and
-    kept in its ``witness`` attribute.
+    ``cosh(l/2)`` of every curve is taken once (:func:`_cosh_halves`) and
+    read by one :func:`family_lengths` call over the whole family and by
+    :func:`hexagon_lengths`.  A :class:`DomainError` of either (a length
+    that is not finite) is re-raised with the replay witness ``{"x": <point
+    JSON>, "depth": depth}`` appended to its message and kept in its
+    ``witness`` attribute.
     """
     if (fn.g, fn.n) != (m.genus, m.nboundary):
         raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
                           f"of ({m.genus},{m.nboundary})")
     classes = tuple(enumerate_curves(m, depth))
+    mask, essential = _essential_view(m.ncurves, m.nboundary, depth)
     arcs = m.arcs if m.nboundary and all(fn.boundary) else ()
+    ch = _cosh_halves(fn.lengths + fn.boundary)
     try:
-        lengths = tuple(family_lengths(fn, m, classes))
-        arc_lengths = tuple(hexagon_lengths(fn, m.arc_forms)) if arcs else ()
+        lengths = tuple(family_lengths(fn, m, classes, ch))
+        arc_lengths = tuple(hexagon_lengths(fn, m.arc_forms, ch)) if arcs else ()
     except DomainError as err:
         raise err.with_witness({"x": fn.to_dict(), "depth": depth}) from err
     return LengthTable(point=fn, depth=depth, classes=classes, lengths=lengths,
-                       arcs=arcs, arc_lengths=arc_lengths)
+                       arcs=arcs, arc_lengths=arc_lengths, essential=essential,
+                       essential_lengths=tuple(compress(lengths, mask)),
+                       members=classes + arcs,
+                       member_lengths=lengths + arc_lengths)
 
 
 def enumerate_arcs(m: Marking):
@@ -239,13 +291,12 @@ def arc_length_formula(fn: FNPoint, m: Marking, arc: ArcClass) -> float:
     return hexagon_lengths(fn, [m.arc_form(arc)])[0]
 
 
-def hexagon_lengths(fn: FNPoint, forms) -> list:
+def hexagon_lengths(fn: FNPoint, forms, ch=None) -> list:
     """Hexagon lengths at ``fn`` of the arcs resolved by
     :meth:`~teichspace.coords.Marking.arc_form`, aligned with ``forms``.
 
-    ``cosh(l/2)`` is taken once per curve (``inf`` where it overflows,
-    which only the rare point with a curve longer than about 1420 pays for
-    twice) and fed to the checked core of
+    ``ch``, the ``cosh(l/2)`` of the point's curves (:func:`_cosh_halves`,
+    taken here when not given), is fed to the checked core of
     :func:`~teichspace.pants_trig.orthogeodesic_between` or
     :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths, and
     the :class:`DomainError` naming the lengths of the first arc that
@@ -258,10 +309,8 @@ def hexagon_lengths(fn: FNPoint, forms) -> list:
         return [(pants_trig.orthogeodesic_between if between
                  else pants_trig.orthogeodesic_self)(ell[i], ell[j], ell[k])
                 for between, i, j, k in forms]
-    try:
-        ch = [math.cosh(v / 2) for v in ell]
-    except OverflowError:
-        ch = [pants_trig._cosh_half(v) for v in ell]
+    if ch is None:
+        ch = _cosh_halves(ell)
     return [pants_trig._between(ell[i], ell[j], ell[k], ch[k]) if between
             else pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], ch[i])
             for between, i, j, k in forms]

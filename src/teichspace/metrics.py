@@ -24,12 +24,21 @@ build the two tables and reduce.  Callers that compare one point with
 several others, or run several estimators on one pair, build each table
 once and call the reductions: one comparison row then costs two length
 tables, scalar closed forms with no holonomy assembly.
+
+A report reduces every ordered pair of its tables, so the reductions read
+the views each table selected once (:class:`~teichspace.curves.LengthTable`),
+and the log-ratio supremum logs only the ratios ``b / a`` of at least
+``1 - 2**-38`` times the largest.  That is exact: every ``|log|`` of a
+double is below ``2**11``, so a ``log`` within 1 ulp errs by less than
+``2**-41``, and a smaller ratio has a strictly smaller computed log.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import truediv
 
 from .coords import FNPoint, Marking
 from .curves import LengthTable, length_table
@@ -76,22 +85,29 @@ def _require_comparable(t1: LengthTable, t2: LengthTable) -> None:
 
 
 def _essential(t1: LengthTable, t2: LengthTable):
-    """``(class, length at t1, length at t2)`` over the essential classes."""
-    triples = [(c, a, b) for c, a, b in zip(t1.classes, t1.lengths, t2.lengths)
-               if c.essential]
-    if not triples:
+    """The essential classes with their lengths at ``t1`` and at ``t2``."""
+    if not t1.essential:
         raise DomainError("a pair of pants has no essential curve to compare")
-    return triples
+    return t1.essential, t1.essential_lengths, t2.essential_lengths
 
 
-def _sup_log_ratio(triples):
-    """Largest ``log(b / a)`` over ``(member, a, b)`` and the member
-    attaining it; the first of equal values wins."""
+_SCREEN = 1.0 - 2.0 ** -38
+
+
+def _sup_log_ratio(members, a, b):
+    """Largest ``log(b / a)`` over aligned ``members``, ``a`` and ``b``, and
+    the member attaining it; the first of equal values wins.
+
+    Only ratios of at least ``_SCREEN`` times the largest are logged; the
+    module docstring shows that this gives the same result.
+    """
+    r = list(map(truediv, b, a))
+    screen = max(r) * _SCREEN
     best, witness = None, None
-    for member, a, b in triples:
-        val = math.log(b / a)
+    for i in compress(range(len(r)), map(screen.__le__, r)):
+        val = math.log(r[i])
         if best is None or val > best:
-            best, witness = val, member
+            best, witness = val, members[i]
     return best, witness
 
 
@@ -103,10 +119,10 @@ def thurston_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
     zero is allowed).
     """
     _require_comparable(t1, t2)
-    triples = _essential(t1, t2)
-    best, witness = _sup_log_ratio(triples)
+    members, a, b = _essential(t1, t2)
+    best, witness = _sup_log_ratio(members, a, b)
     return MetricEstimate(value=best, depth=t1.depth, witness=witness.label(),
-                          family_size=len(triples))
+                          family_size=len(members))
 
 
 def arc_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
@@ -119,11 +135,10 @@ def arc_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
     _require_comparable(t1, t2)
     if not t1.arcs:
         raise DomainError("arc metric needs strictly positive boundary lengths")
-    members = t1.classes + t1.arcs
-    best, witness = _sup_log_ratio(zip(members, t1.lengths + t1.arc_lengths,
-                                       t2.lengths + t2.arc_lengths))
+    best, witness = _sup_log_ratio(t1.members, t1.member_lengths,
+                                   t2.member_lengths)
     return MetricEstimate(value=best, depth=t1.depth, witness=witness.label(),
-                          family_size=len(members))
+                          family_size=len(t1.members))
 
 
 def thurston_lower(x1: FNPoint, x2: FNPoint, m: Marking,
@@ -215,11 +230,11 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     punctured = x1.is_punctured()
     if not punctured and any(v == 0.0 for v in x1.boundary):
         raise DomainError("points must be fully punctured or fully bordered")
-    triples = _essential(t1, t2)
+    members, lengths1, lengths2 = _essential(t1, t2)
     kappa = 0.5 if punctured else 1.0
     s_lo = 0.0
     s_hi, witness, wit_width = None, None, 0.0
-    for c, a, b in triples:
+    for c, a, b in zip(members, lengths1, lengths2):
         la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
         la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
         v_lo = 0.5 * max(0.0, la2 - lb1, la1 - lb2)
@@ -232,7 +247,7 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     return TeichIntervalReport(interval=Interval(s_lo, s_hi + defect),
                                depth=t1.depth, witness=witness,
                                witness_max_log_width=wit_width,
-                               family_size=len(triples))
+                               family_size=len(members))
 
 
 def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,

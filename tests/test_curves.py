@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teichspace import pants_trig
+from teichspace import curves, pants_trig
 from teichspace.coords import FNPoint, build_marking
 from teichspace.curves import (
     CurveClass,
@@ -386,6 +386,68 @@ class TestOrbitTerms:
         assert family_lengths(x, m, shuffled) == [by_class[c] for c in shuffled]
         assert [family_lengths(x, m, [c])[0] for c in classes] == got
 
+
+class TestSharedCoshVector:
+    """Overflow of ``cosh(l/2)``, read by the orbits from one vector per
+    point, names the same first class as taking each ``cosh`` within its
+    orbit's terms, which gave the expected labels."""
+
+    # First failing class when curve i of lengths + boundary is 1500-1600
+    # long, the others 1.0: the first orbit whose terms read that curve.
+    FIRST_FAILING = {
+        (1, 1): ["mu0", "mu0"],
+        (0, 4): ["mu0"] * 5,
+        (1, 2): ["mu0", "mu0", "mu1", "mu1"],
+        (2, 2): ["mu0", "mu1", "mu0", "mu1", "mu2", "mu4", "mu4"],
+        (0, 5): ["mu0", "mu0", "mu0", "mu0", "mu0", "mu1", "mu1"],
+        (3, 2): ["mu0", "mu1", "mu2", "mu0", "mu1", "mu2", "mu3", "mu5",
+                 "mu7", "mu7"],
+    }
+
+    @staticmethod
+    def assert_rejects(x, m, label):
+        message = f"length of {label} is not finite in double precision"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            family_lengths(x, m, enumerate_curves(m, 2))
+        with pytest.raises(DomainError) as err:
+            length_table(x, m, 2)
+        assert str(err.value).startswith(message + "\nwitness: ")
+        assert err.value.witness == {"x": x.to_dict(), "depth": 2}
+
+    @pytest.mark.parametrize("gn", list(FIRST_FAILING))
+    @pytest.mark.parametrize("long", [1500.0, 1550.0, 1600.0])
+    @pytest.mark.parametrize("punctured", [False, True])
+    def test_long_curve_names_the_first_orbit_reading_it(self, gn, long,
+                                                         punctured):
+        m = build_marking(*gn)
+        ncurves = m.ncurves
+        for i, label in enumerate(self.FIRST_FAILING[gn]):
+            if punctured and i >= ncurves:
+                continue  # the image of a long boundary is a cusp
+            ell = [long if j == i else 1.0 for j in range(ncurves + m.nboundary)]
+            boundary = [0.0] * m.nboundary if punctured else ell[ncurves:]
+            x = point(m, ell[:ncurves], [0.3] * ncurves, boundary)
+            self.assert_rejects(x, m, label)
+
+    @pytest.mark.parametrize("gn", [(1, 1), (0, 4), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("punctured", [False, True])
+    def test_twist_of_2000_names_its_own_orbit(self, gn, punctured):
+        m = build_marking(*gn)
+        for k in range(m.ncurves):
+            twists = [2000.0 if j == k else 0.3 for j in range(m.ncurves)]
+            x = point(m, [1.0] * m.ncurves, twists,
+                      [0.0 if punctured else 1.0] * m.nboundary)
+            self.assert_rejects(x, m, f"mu{k}")
+
+    def test_pants_and_boundary_classes_evaluate_no_orbit(self, monkeypatch):
+        def no_orbit(*args):
+            raise AssertionError("an orbit was evaluated")
+
+        monkeypatch.setattr(curves, "_orbit_terms", no_orbit)
+        m = build_marking(2, 2)
+        x = point(m, [1550.0] * 5, [2000.0] * 5, [1600.0, 1.0])
+        classes = [c for c in enumerate_curves(m, 2) if c.seed[0] != "mu"]
+        assert family_lengths(x, m, classes) == [1550.0] * 5 + [1600.0, 1.0]
 
 class TestEnumerateArcs:
     def test_pants_has_six_arcs(self):

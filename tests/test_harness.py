@@ -947,3 +947,91 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         payload = json.loads(out1.read_text())
         assert payload["report"]["a_bound"] == 0.0
+
+
+
+GOLDEN_CONFIGS = {
+    "g2n2": ExperimentConfig(g=2, n=2, boundary=(1.0, 1.5), seed=5, depth=2,
+                             samples=3),
+    "g1n1": ExperimentConfig(g=1, n=1, boundary=(0.8,), seed=7, depth=3,
+                             samples=4),
+    "g0n4": ExperimentConfig(g=0, n=4, boundary=(0.5, 1.0, 1.5, 2.0), seed=11,
+                             depth=2, samples=4),
+}
+GOLDEN_COMMANDS = {
+    "compare-csv": ["compare", "--format", "csv"],
+    "compare-json": ["compare", "--format", "json"],
+    "report-arc": ["report", "--metric", "arc"],
+    "report-thurston": ["report", "--metric", "thurston"],
+    "phi-csv": ["phi-experiment", "--format", "csv", "--ray-count", "3"],
+    "distance": ["distance"],
+}
+
+
+def golden_cli_digest(tmp_path, config, command):
+    """SHA-256 of the bytes ``cli.main`` writes for ``GOLDEN_COMMANDS[command]``
+    on ``GOLDEN_CONFIGS[config]``; ``distance`` compares samples 0 and 1."""
+    cfg, argv = GOLDEN_CONFIGS[config], GOLDEN_COMMANDS[command]
+    if argv[0] == "distance":
+        paths = []
+        for index in (0, 1):
+            paths.append(tmp_path / f"x{index}.json")
+            paths[-1].write_text(sample_point(cfg, index).to_json())
+        argv = [*argv, "--x1", str(paths[0]), "--x2", str(paths[1])]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        argv = [argv[0], "--config", str(cfg_path), *argv[1:]]
+    out = tmp_path / "out"
+    cli.main([*argv, "--out", str(out)])
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    # SHA-256 of each output file, recorded before the length tables took
+    # their per-table views and shared cosh(l/2) vector; those changes
+    # leave every output byte as it was.
+    GOLDEN = {
+        ("g2n2", "compare-csv"):
+            "7f198b09abbf608ed6f6d4f3e1a8b5e6eab01a314e76b86e989cb28a7d308a9e",
+        ("g2n2", "compare-json"):
+            "1f97a79100fa156b3b9eb0850220596d70f29b3229f0b7a5c7519ef9bf029767",
+        ("g2n2", "report-arc"):
+            "3d977cf91a0fc819585cbd897db700f6b2f40c3ef69267f1b0a167aa44e8b304",
+        ("g2n2", "report-thurston"):
+            "5c94f5ceb63406482358713c2168f4fefefa28559b9eabe3d6d74d6fc213f3d2",
+        ("g2n2", "phi-csv"):
+            "93ba958fd0f6c76ea85cfac17b2a49321a33bf587ebc6db92c4c46f9b95c645f",
+        ("g2n2", "distance"):
+            "0b3326a52923fd47f02e057809d5a1e1c2b9f353a1b5ac9ebe4a6a2eb4e646e5",
+        ("g1n1", "compare-csv"):
+            "401ccb902736ba77b7df4093cca9bdde86ce63e705616a67cce9d8f162210147",
+        ("g1n1", "compare-json"):
+            "fbd0be6e7f3c7e75f79daaec2f062061af34e03e11da32168e076f6f0e4a560a",
+        ("g1n1", "report-arc"):
+            "cdd844a1cd79c6009e82ebbf9b66f2c2354a7e81322bea6be6a19fc1e5ccd9c0",
+        ("g1n1", "report-thurston"):
+            "15af4477b7b8268db8bc6bc11f3fd027c4f7077e2be18344e93ced93a310099a",
+        ("g1n1", "phi-csv"):
+            "46899ec6e7183678c1c27dfeadc7461530c2f5e467fd099b6fdf4cc63ff8599e",
+        ("g1n1", "distance"):
+            "5d961c73f3c2a27371b245f581e11f9f231fb7ce5adf9d6c11b540bae80130cf",
+        ("g0n4", "compare-csv"):
+            "f0b4a4b7d951f91362fb1c64f32f23f2a3043e091a64b7dbfc0885d1b3648f63",
+        ("g0n4", "compare-json"):
+            "673f46a2753eeee0f7a2baa7c5ef560339d7d7c0b56caa3db29156521bac49a5",
+        ("g0n4", "report-arc"):
+            "f90656f65e489955c92fc3bfb611fb15622c2043e964a502964d9221d87b81b5",
+        ("g0n4", "report-thurston"):
+            "2e24618a3846c2123ee1af8651b669f87ea960f77f07c4c840e82cd1276eec46",
+        ("g0n4", "phi-csv"):
+            "d3b0da5a7fbc2f7d715ff7b9de5c636a84b33b2dc26731fd223a6d47c5e33bd1",
+        ("g0n4", "distance"):
+            "ea9c1cf270439542a443b9819c5a7268179f63e9823279e6e53cbf33f8d99886",
+    }
+
+    @pytest.mark.parametrize("config,command", [
+        (c, k) for c in GOLDEN_CONFIGS for k in GOLDEN_COMMANDS])
+    def test_output_digest(self, tmp_path, config, command):
+        assert golden_cli_digest(tmp_path, config, command) == self.GOLDEN[
+            config, command]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.curves import enumerate_curves, family_lengths, length_table
 from teichspace.metrics import (
+    _sup_log_ratio,
     arc_lower,
     arc_of,
     bordered_ext_bracket,
@@ -260,8 +261,13 @@ class TestReductions:
         assert len(t.lengths) == len(t.classes)
         assert t.arcs == tuple(self.m.arcs)
         assert len(t.arc_lengths) == len(t.arcs)
+        essential = [(c, v) for c, v in zip(t.classes, t.lengths) if c.essential]
+        assert list(zip(t.essential, t.essential_lengths)) == essential
+        assert t.members == t.classes + t.arcs
+        assert t.member_lengths == t.lengths + t.arc_lengths
         image = length_table(phi_gamma(self.x1), self.m, 1)
         assert image.arcs == () and image.arc_lengths == ()
+        assert image.members == image.classes
 
     def test_rejects_mismatched_tables(self):
         t1 = length_table(self.x1, self.m, 1)
@@ -274,3 +280,59 @@ class TestReductions:
                    length_table(phi_gamma(self.x2), self.m, 1))
         with pytest.raises(DomainError):
             length_table(self.x1, build_marking(1, 2), 1)
+
+
+def plain_sup_log_ratio(members, a, b):
+    """The reduction without the screen: one log per member."""
+    best, witness = None, None
+    for member, x, y in zip(members, a, b):
+        val = math.log(y / x)
+        if best is None or val > best:
+            best, witness = val, member
+    return best, witness
+
+
+_TABLE_LENGTH = st.floats(math.log(1e-160), math.log(1500.0)).map(math.exp)
+
+
+@st.composite
+def screened_members(draw):
+    """Length pairs drawn over the range a table holds, with pairs planted
+    at the largest ratio (``k = 0``) and ``k`` = 1 to 8 ulps below it, at
+    drawn places before and after it.  A planted pair is ``(2**-x, f)``
+    for the ratio ``f * 2**x``, so its ratio is exact."""
+    pairs = draw(st.lists(st.tuples(_TABLE_LENGTH, _TABLE_LENGTH),
+                          min_size=1, max_size=30))
+    top = max(b / a for a, b in pairs)
+    for k in draw(st.lists(st.integers(0, 8), max_size=8)):
+        ratio = top
+        for _ in range(k):
+            ratio = math.nextafter(ratio, 0.0)
+        f, x = math.frexp(ratio)
+        pairs.insert(draw(st.integers(0, len(pairs))), (math.ldexp(1.0, -x), f))
+    return pairs
+
+
+class TestSupLogRatio:
+    """The screened reduction logs only ratios near the largest and gives
+    the value and witness of logging every member."""
+
+    @given(pairs=screened_members())
+    @settings(max_examples=400, deadline=None)
+    def test_screen_matches_plain_loop(self, pairs):
+        members = [f"m{i}" for i in range(len(pairs))]
+        a, b = zip(*pairs)
+        assert _sup_log_ratio(members, a, b) == plain_sup_log_ratio(members, a, b)
+
+    def test_near_miss_before_the_largest_wins_a_tied_log(self):
+        # Near 1e153 one ulp of the ratio is far below one ulp of its log,
+        # so the pair one ulp below the largest ratio ties it in log and,
+        # coming first, is the witness.
+        top = 1000.0 / 1e-150
+        near = math.nextafter(top, 0.0)
+        assert math.log(near) == math.log(top)
+        f, x = math.frexp(near)
+        a, b = (math.ldexp(1.0, -x), 1e-150, 1.0), (f, 1000.0, 1.0)
+        members = ["near", "top", "one"]
+        assert _sup_log_ratio(members, a, b) == (math.log(top), "near")
+        assert _sup_log_ratio(members[::-1], a[::-1], b[::-1]) == (math.log(top), "top")
