@@ -14,7 +14,6 @@ from teichspace import (
     orthogeodesic_between,
     orthogeodesic_self,
     self_arc_constant,
-    third_boundary_from_arc,
 )
 
 # The arc joining two boundaries of lengths 2 and 2, in a pants whose third
@@ -30,12 +29,9 @@ for la in (0.0, 2.0, 4.0, 8.0):
     print(f"  third boundary {la:>3}: arc length",
           orthogeodesic_between(2.0, 2.0, la))
 
-# Inverting the formula recovers the third boundary from the arc length;
-# arcs shorter than the feasibility threshold do not bound a pants.
-lg = orthogeodesic_between(2.0, 2.0, 2.0)
-print("roundtrip third boundary:", third_boundary_from_arc(2.0, 2.0, lg))
-# The minimal feasible arc length is the arc length at a cusp (third
-# boundary 0).
+# Since the length increases with the third boundary, an arc shorter than
+# the arc at a cusp (third boundary 0) bounds no pants: that length is the
+# minimal feasible arc length.
 print("minimal feasible arc length for (2, 2):", orthogeodesic_between(2.0, 2.0, 0.0))
 
 # An arc from a boundary back to itself, with the two other boundary curves

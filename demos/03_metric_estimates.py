@@ -14,7 +14,6 @@ from teichspace import (
     arc_lower,
     build_marking,
     gap_constants,
-    maskit_bracket,
     teich_interval_report,
     thurston_lower,
 )
@@ -51,11 +50,13 @@ print("symmetrised      :", max(d_th.value, back.value))
 # The quasiconformal metric cannot be evaluated exactly without extremal
 # metrics; it is reported as an interval from two-sided extremal-length
 # bounds.  At equal points the interval starts at zero.
-print("\nquasiconformal interval for (x, y):",
-      teich_interval_report(x, y, m, 2).interval)
+rep = teich_interval_report(x, y, m, 2)
+print("\nquasiconformal interval for (x, y):", rep.interval)
 print("quasiconformal interval for (x, x):",
       teich_interval_report(x, x, m, 2).interval)
 
-# The per-curve ingredient: hyperbolic length brackets the extremal length.
-print("\nextremal-length bracket for a curve of hyperbolic length 2:",
-      maskit_bracket(2.0))
+# The per-curve ingredient: on a bordered surface a curve of hyperbolic
+# length l has log(l/pi) <= log Ext <= log(l/2) + l, a bracket of log width
+# log(pi/2) + l.  The wider bracket of the upper end's witness is reported.
+print(f"\nupper-end witness {rep.witness}: widest log bracket "
+      f"{rep.witness_max_log_width:.6f}")

@@ -40,7 +40,6 @@ from .metrics import (
     MetricEstimate,
     arc_lower,
     arc_of,
-    maskit_bracket,
     teich_interval_report,
     teich_of,
     thurston_lower,
@@ -56,7 +55,6 @@ from .pants_trig import (
     orthogeodesic_between,
     orthogeodesic_self,
     self_arc_constant,
-    third_boundary_from_arc,
 )
 
 __version__ = "0.1.0"

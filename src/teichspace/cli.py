@@ -79,7 +79,13 @@ def _cmd_constants(args) -> None:
     if args.cusps < 1:
         raise pants_trig.DomainError(
             f"--cusps must be at least 1, got {args.cusps!r}")
-    boundary = [float(v) for v in args.boundary.split(",") if v]
+    boundary = []
+    for v in filter(None, args.boundary.split(",")):
+        try:
+            boundary.append(float(v))
+        except ValueError:
+            raise pants_trig.DomainError(
+                f"--boundary entries must be numbers, got {v!r}") from None
     between = pants_trig.between_arc_constants(boundary)
     gaps = pants_trig.gap_constants(boundary)
     try:

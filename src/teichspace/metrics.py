@@ -7,15 +7,17 @@ certified lower bounds, monotone nondecreasing in the family depth.  Each
 estimate carries the witness class attaining it.
 
 Exact extremal lengths are out of reach without quadratic differentials,
-so the quasiconformal-deformation metric is reported as an interval only:
-two-sided bounds for the extremal length of a closed geodesic in terms of
-its hyperbolic length (Maskit's inequalities on cusped surfaces, doubled
-across the boundary for bordered ones) are combined conservatively over
-the curve family, and the upper end absorbs the additive defect
-``log(n + 2)`` of restricting the supremum to simple closed curves.  The
-brackets enter in closed log form, ``log(l/pi) <= log Ext <= log(l/2) +
-kappa l`` with ``kappa = 1/2`` punctured and ``1`` bordered, so the interval
-is finite for every length a table can hold (no ``exp(l)`` is formed).
+so the quasiconformal-deformation metric is reported as an interval only.
+Maskit's inequalities bound the extremal length of a closed geodesic of
+hyperbolic length ``l`` on a cusped surface by ``l/pi <= Ext <= (l/2)
+exp(l/2)``.  Doubling a bordered surface across its boundary doubles both
+``l`` and ``Ext``, so a bordered curve has half the bracket of its double,
+``l/pi <= Ext <= (l/2) exp(l)``.  The brackets enter in log form,
+``log(l/pi) <= log Ext <= log(l/2) + kappa l`` with ``kappa = 1/2``
+punctured and ``1`` bordered, so the interval is finite for every length a
+table can hold (no ``exp(l)`` is formed).  They are combined conservatively
+over the curve family, and the upper end absorbs the additive defect
+``log(n + 2)`` of restricting the supremum to simple closed curves.
 
 Every estimator is a pure reduction over the :class:`~teichspace.curves.LengthTable`
 of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`);
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import truediv
+from operator import sub, truediv
 
 from .coords import FNPoint, Marking
 from .curves import LengthTable, length_table
@@ -49,8 +51,6 @@ __all__ = [
     "TeichIntervalReport",
     "arc_lower",
     "arc_of",
-    "bordered_ext_bracket",
-    "maskit_bracket",
     "teich_interval_report",
     "teich_of",
     "thurston_lower",
@@ -153,45 +153,6 @@ def arc_lower(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> MetricEstimat
 
 
 # ---------------------------------------------------------------------------
-# extremal-length brackets
-
-
-def _ext_bracket(l: float, kappa: float) -> Interval:
-    """``[l/pi, (l/2) exp(kappa l)]``; the upper end must be finite."""
-    if not (l > 0.0) or not math.isfinite(l):
-        raise DomainError(f"length must be positive, got {l!r}")
-    try:
-        hi = 0.5 * l * math.exp(kappa * l)
-    except OverflowError:
-        hi = math.inf
-    if hi == math.inf:
-        raise DomainError(
-            f"the upper bracket end at length {l!r} is not finite in double "
-            f"precision; teich_of works with its log, log(l/2) + kappa l")
-    return Interval(l / math.pi, hi)
-
-
-def maskit_bracket(l: float) -> Interval:
-    """Two-sided bound ``[l/pi, (l/2) exp(l/2)]`` for the extremal length
-    of a closed geodesic of hyperbolic length ``l`` on a cusped surface.
-    Raises :class:`DomainError` where the upper end overflows (``l`` above
-    about 1406)."""
-    return _ext_bracket(l, 0.5)
-
-
-def bordered_ext_bracket(l: float) -> Interval:
-    """Extremal-length bound for a closed geodesic on a bordered surface.
-
-    Doubling halves both the extremal length and the doubled geodesic
-    length, so the bordered bracket is half the bracket of the doubled
-    curve: ``maskit_bracket(2 l) / 2 = [l/pi, (l/2) exp(l)]``.  Raises
-    :class:`DomainError` where the upper end overflows (``l`` above about
-    704).
-    """
-    return _ext_bracket(l, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # bracketed quasiconformal metric
 
 
@@ -212,18 +173,23 @@ class TeichIntervalReport:
                 "family_size": self.family_size}
 
 
+def _log_brackets(lengths, kappa: float):
+    """``[log(l/pi)]`` and ``[log(l/2) + kappa l]`` over ``lengths``: the
+    log extremal-length bracket of each curve (module docstring)."""
+    return ([math.log(l / math.pi) for l in lengths],
+            [math.log(0.5 * l) + kappa * l for l in lengths])
+
+
 def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     """Interval bracketing the quasiconformal metric between two points.
 
     Both points must be punctured, or both bordered with equal boundary
     lengths.  For every essential curve the extremal-length ratio is
-    bracketed through the hyperbolic-length brackets; the lower end pairs
-    bracket ends so the value can only shrink, the upper end so it can
-    only grow, and the additive defect ``log(n+2)`` of the simple-curve
-    restriction widens the top.  The brackets are the logs of
-    :func:`maskit_bracket` (punctured) and :func:`bordered_ext_bracket`,
-    ``[log(l/pi), log(l/2) + kappa l]`` with ``kappa`` 1/2 and 1, taken in
-    that form so that no ``exp(l)`` is formed.
+    bracketed through the log brackets of :func:`_log_brackets`; the lower
+    end pairs bracket ends so the value can only shrink, the upper end so
+    it can only grow, and the additive defect ``log(n+2)`` of the
+    simple-curve restriction widens the top.  The upper end's witness is
+    the first class attaining it.
     """
     _require_comparable(t1, t2)
     x1 = t1.point
@@ -232,21 +198,19 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
         raise DomainError("points must be fully punctured or fully bordered")
     members, lengths1, lengths2 = _essential(t1, t2)
     kappa = 0.5 if punctured else 1.0
-    s_lo = 0.0
-    s_hi, witness, wit_width = None, None, 0.0
-    for c, a, b in zip(members, lengths1, lengths2):
-        la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
-        la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
-        v_lo = 0.5 * max(0.0, la2 - lb1, la1 - lb2)
-        v_hi = 0.5 * max(lb2 - la1, lb1 - la2)
-        s_lo = max(s_lo, v_lo)
-        if s_hi is None or v_hi > s_hi:
-            s_hi, witness = v_hi, c.label()
-            wit_width = max(lb1 - la1, lb2 - la2)
+    lo1, hi1 = _log_brackets(lengths1, kappa)
+    lo2, hi2 = _log_brackets(lengths2, kappa)
+    # Halving after the max gives the largest halved difference, since
+    # rounding is monotone; the upper differences are above log(pi/2), so
+    # halving them is exact and keeps the first argmax.
+    s_lo = 0.5 * max(0.0, max(map(sub, lo2, hi1)), max(map(sub, lo1, hi2)))
+    up = list(map(max, map(sub, hi2, lo1), map(sub, hi1, lo2)))
+    i = up.index(max(up))
     defect = math.log(x1.n + 2)
-    return TeichIntervalReport(interval=Interval(s_lo, s_hi + defect),
-                               depth=t1.depth, witness=witness,
-                               witness_max_log_width=wit_width,
+    return TeichIntervalReport(interval=Interval(s_lo, 0.5 * up[i] + defect),
+                               depth=t1.depth, witness=members[i].label(),
+                               witness_max_log_width=max(hi1[i] - lo1[i],
+                                                         hi2[i] - lo2[i]),
                                family_size=len(members))
 
 

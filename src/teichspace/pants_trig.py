@@ -72,9 +72,8 @@ same lengths and the same errors.  For boundary lengths in ``[1e-4, 40]``
 they match a 50-digit mpmath evaluation of the identities above to 1e-14
 relative, and the doubled-arc traces of the 40-digit holonomy of the
 doubled surface to 1e-12 on the ranges the tests sample.  Where an intermediate or the result
-leaves double range, both forms, the inverse of the between-arc form, the
-self-arc floor and bracket and the constants raise :class:`DomainError`
-naming the lengths.
+leaves double range, both forms, the self-arc floor and bracket and the
+constants raise :class:`DomainError` naming the lengths.
 Boundary components of length 0 (cusps) are rejected here: the hexagon
 identities degenerate, and cusped surfaces only ever need closed-curve
 lengths.
@@ -161,38 +160,6 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     if la < 0 or not math.isfinite(la):
         raise DomainError(f"la must be a nonnegative finite length, got {la!r}")
     return _between(li, lj, la, _cosh_half(la))
-
-
-def third_boundary_from_arc(li: float, lj: float, lg: float) -> float:
-    """Invert :func:`orthogeodesic_between`: third boundary from arc length.
-
-    Returns ``la >= 0`` with ``orthogeodesic_between(li, lj, la) == lg``,
-    from the forward identity solved as ``cosh(la/2) = 2 sinh^2(lg/2)
-    sinh(li/2) sinh(lj/2) - cosh((li - lj)/2)``, which does not cancel for
-    long boundaries.  Raises :class:`DomainError` when ``lg`` is shorter
-    than the minimal feasible arc length for the given pair, reporting that
-    minimum, ``orthogeodesic_between(li, lj, 0.0)``: the arc length as the
-    third boundary shrinks to a cusp.
-    """
-    _require_positive(li=li, lj=lj, lg=lg)
-    try:
-        arg = (2.0 * math.sinh(lg / 2) ** 2 * math.sinh(li / 2) * math.sinh(lj / 2)
-               - math.cosh((li - lj) / 2))
-    except OverflowError:
-        arg = math.inf
-    if arg < 1.0:
-        # Tolerate roundoff at the boundary of the feasible region.
-        if arg > 1.0 - 1e-12:
-            arg = 1.0
-        else:
-            lo = orthogeodesic_between(li, lj, 0.0)
-            raise DomainError(
-                f"arc too short for these boundaries: lg={lg!r} but the "
-                f"minimal feasible arc length for ({li!r}, {lj!r}) is {lo!r}")
-    length = 2.0 * math.acosh(arg)
-    if not length < math.inf:
-        raise DomainError(f"third_boundary_from_arc{(li, lj, lg)} leaves double range")
-    return length
 
 
 def orthogeodesic_self(li: float, la: float, ld: float) -> float:

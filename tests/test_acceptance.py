@@ -35,7 +35,7 @@ from teichspace.harness import (
     sample_point,
     verify_arc_construction,
 )
-from teichspace.metrics import arc_lower, maskit_bracket, thurston_lower
+from teichspace.metrics import _log_brackets, arc_lower, thurston_lower
 from teichspace.metrics import teich_interval_report
 from teichspace.pants_trig import (
     DomainError,
@@ -135,20 +135,18 @@ def test_03_arc_brackets_hold():
 
 
 def test_04_maskit_sandwich_and_limit():
-    """Extremal-length brackets are nonempty for all sampled lengths and
-    the endpoint ratio follows (pi/2) exp(l/2) down to l -> 0."""
+    """Log extremal-length brackets are nonempty for all sampled lengths and
+    their width is log(pi/2) + l/2 down to l -> 0."""
     rng = np.random.default_rng(404)
-    for l in rng.uniform(1e-3, 10.0, 2000):
-        iv = maskit_bracket(l)
-        assert iv.lo < iv.hi
-    ratios = []
-    for l in (1e-1, 1e-2, 1e-3):
-        iv = maskit_bracket(l)
-        ratio = iv.hi / iv.lo
-        assert ratio == pytest.approx(math.pi / 2 * math.exp(l / 2), rel=1e-9)
-        ratios.append(ratio)
-    assert ratios[0] > ratios[1] > ratios[2] > math.pi / 2
-    assert ratios[2] == pytest.approx(math.pi / 2, rel=1e-3)
+    lo, hi = _log_brackets(rng.uniform(1e-3, 10.0, 2000).tolist(), 0.5)
+    assert all(a < b for a, b in zip(lo, hi))
+    small = (1e-1, 1e-2, 1e-3, 1e-6)
+    lo, hi = _log_brackets(small, 0.5)
+    widths = [b - a for a, b in zip(lo, hi)]
+    for l, w in zip(small, widths):
+        assert w == pytest.approx(math.log(math.pi / 2) + l / 2, rel=1e-9)
+    assert widths[0] > widths[1] > widths[2] > widths[3] > math.log(math.pi / 2)
+    assert widths[3] == pytest.approx(math.log(math.pi / 2), rel=1e-5)
     report("04 maskit-sandwich-and-limit")
 
 

@@ -1,5 +1,6 @@
 """Tests for the metric estimators and extremal-length brackets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,17 +11,17 @@ from hypothesis import strategies as st
 from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.curves import enumerate_curves, family_lengths, length_table
 from teichspace.metrics import (
+    TeichIntervalReport,
+    _log_brackets,
     _sup_log_ratio,
     arc_lower,
     arc_of,
-    bordered_ext_bracket,
-    maskit_bracket,
     teich_interval_report,
     teich_of,
     thurston_lower,
     thurston_of,
 )
-from teichspace.pants_trig import DomainError
+from teichspace.pants_trig import DomainError, Interval
 
 lengths = st.floats(min_value=0.05, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
@@ -32,44 +33,42 @@ def point(m, lengths_, twists, boundary):
 
 
 class TestMaskitBracket:
+    """The log brackets ``log(l/pi) <= log Ext <= log(l/2) + kappa l``."""
+
     def test_reference(self):
-        iv = maskit_bracket(2.0)
-        assert iv.lo == pytest.approx(2 / math.pi)
-        assert iv.hi == pytest.approx(math.e)
+        assert _log_brackets([2.0], 0.5) == ([math.log(2 / math.pi)], [1.0])
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            maskit_bracket(0.0)
-
-    @given(l=lengths)
+    @given(l=lengths, kappa=st.sampled_from([0.5, 1.0]))
     @settings(max_examples=200)
-    def test_nonempty_never_degenerate(self, l):
-        iv = maskit_bracket(l)
-        assert iv.lo < iv.hi
+    def test_nonempty_never_degenerate(self, l, kappa):
+        (lo,), (hi,) = _log_brackets([l], kappa)
+        assert lo < hi
 
     def test_endpoint_ratio_limit(self):
-        # hi/lo = (pi/2) exp(l/2) -> pi/2 as l -> 0.
-        ratios = [maskit_bracket(l).hi / maskit_bracket(l).lo
-                  for l in (1e-1, 1e-2, 1e-3)]
-        assert all(b < a for a, b in zip(ratios, ratios[1:]))
-        for l, r in zip((1e-1, 1e-2, 1e-3), ratios):
-            assert r == pytest.approx(math.pi / 2 * math.exp(l / 2), rel=1e-12)
-        assert ratios[-1] == pytest.approx(math.pi / 2, rel=1e-3)
+        # hi - lo = log(pi/2) + l/2 -> log(pi/2) as l -> 0.
+        ls = (1e-1, 1e-2, 1e-3)
+        lo, hi = _log_brackets(ls, 0.5)
+        widths = [b - a for a, b in zip(lo, hi)]
+        assert all(b < a for a, b in zip(widths, widths[1:]))
+        for l, w in zip(ls, widths):
+            assert w == pytest.approx(math.log(math.pi / 2) + l / 2, rel=1e-12)
+        assert widths[-1] == pytest.approx(math.log(math.pi / 2), abs=1e-3)
 
-    @pytest.mark.parametrize("bracket,finite,overflow", [
-        (bordered_ext_bracket, 700.0, 800.0), (maskit_bracket, 1400.0, 1500.0)])
-    def test_overflowing_upper_end_raises(self, bracket, finite, overflow):
-        assert math.isfinite(bracket(finite).hi)
-        with pytest.raises(DomainError, match=f"at length {overflow!r}.*teich_of"):
-            bracket(overflow)
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    def test_upper_end_finite_at_1500(self, kappa):
+        # (l/2) exp(kappa l) overflows here; its log does not.
+        (lo,), (hi,) = _log_brackets([1500.0], kappa)
+        assert lo == math.log(1500.0 / math.pi)
+        assert hi == pytest.approx(math.log(750.0) + kappa * 1500.0, rel=1e-15)
 
     def test_bordered_bracket_is_half_of_doubled(self):
-        for l in (0.5, 1.0, 2.7):
-            direct = bordered_ext_bracket(l)
-            doubled = maskit_bracket(2 * l)
-            assert direct.lo == pytest.approx(doubled.lo / 2)
-            assert direct.hi == pytest.approx(doubled.hi / 2)
-            assert direct.hi == pytest.approx(0.5 * l * math.exp(l))
+        ls = (0.5, 1.0, 2.7)
+        lo, hi = _log_brackets(ls, 1.0)
+        lo2, hi2 = _log_brackets([2 * l for l in ls], 0.5)
+        for l, a, b, a2, b2 in zip(ls, lo, hi, lo2, hi2):
+            assert a == pytest.approx(a2 - math.log(2))
+            assert b == pytest.approx(b2 - math.log(2))
+            assert b == pytest.approx(math.log(0.5 * l * math.exp(l)))
 
 
 class TestThurstonLower:
@@ -198,11 +197,11 @@ class TestTeichInterval:
         with pytest.raises(DomainError):
             teich_interval_report(self.x, phi_gamma(self.x), self.m, 1)
 
-    @pytest.mark.parametrize("boundary,bb", [(1.0, bordered_ext_bracket),
-                                             (0.0, maskit_bracket)])
-    def test_scaled_single_curve_against_direct_brackets(self, boundary, bb):
+    @pytest.mark.parametrize("boundary,kappa", [(1.0, 1.0), (0.0, 0.5)])
+    def test_scaled_single_curve_against_direct_brackets(self, boundary, kappa):
         # One-holed torus with only the cuff length scaled: compare against
-        # a direct evaluation of the bracket ends over the same family.
+        # a direct evaluation of the exp-form bracket ends
+        # [l/pi, (l/2) exp(kappa l)] over the same family.
         m = build_marking(1, 1)
         x = point(m, [1.0], [0.0], [boundary])
         y = point(m, [2.0], [0.0], [boundary])
@@ -213,13 +212,86 @@ class TestTeichInterval:
             if not c.essential:
                 continue
             (l1,), (l2,) = family_lengths(x, m, [c]), family_lengths(y, m, [c])
-            b1, b2 = bb(l1), bb(l2)
-            v_lo = 0.5 * max(0.0, math.log(b2.lo / b1.hi), math.log(b1.lo / b2.hi))
-            v_hi = 0.5 * max(math.log(b2.hi / b1.lo), math.log(b1.hi / b2.lo))
+            (lo1, hi1), (lo2, hi2) = ((l / math.pi, 0.5 * l * math.exp(kappa * l))
+                                      for l in (l1, l2))
+            v_lo = 0.5 * max(0.0, math.log(lo2 / hi1), math.log(lo1 / hi2))
+            v_hi = 0.5 * max(math.log(hi2 / lo1), math.log(hi1 / lo2))
             lo = max(lo, v_lo)
             hi = v_hi if hi is None else max(hi, v_hi)
         assert rep.interval.lo == pytest.approx(lo, abs=1e-12)
         assert rep.interval.hi == pytest.approx(hi + math.log(3), abs=1e-12)
+
+
+def per_class_teich_of(t1, t2):
+    """The reduction of :func:`teich_of` written as a running loop over the
+    classes, keeping the first class of the largest upper end."""
+    x1 = t1.point
+    members = t1.essential
+    lengths1, lengths2 = t1.essential_lengths, t2.essential_lengths
+    kappa = 0.5 if x1.is_punctured() else 1.0
+    s_lo = 0.0
+    s_hi, witness, wit_width = None, None, 0.0
+    for c, a, b in zip(members, lengths1, lengths2):
+        la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
+        la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
+        v_lo = 0.5 * max(0.0, la2 - lb1, la1 - lb2)
+        v_hi = 0.5 * max(lb2 - la1, lb1 - la2)
+        s_lo = max(s_lo, v_lo)
+        if s_hi is None or v_hi > s_hi:
+            s_hi, witness = v_hi, c.label()
+            wit_width = max(lb1 - la1, lb2 - la2)
+    defect = math.log(x1.n + 2)
+    return TeichIntervalReport(interval=Interval(s_lo, s_hi + defect),
+                               depth=t1.depth, witness=witness,
+                               witness_max_log_width=wit_width,
+                               family_size=len(members))
+
+
+def _teich_tables():
+    m = build_marking(1, 2)
+    x1 = point(m, [1.0, 2.0], [0.1, 0.2], [1.0, 1.5])
+    x2 = point(m, [1.5, 0.7], [-0.4, 0.9], [1.0, 1.5])
+    bordered = (length_table(x1, m, 2), length_table(x2, m, 2))
+    punctured = (length_table(phi_gamma(x1), m, 2), length_table(phi_gamma(x2), m, 2))
+    return {"bordered": bordered, "punctured": punctured}
+
+
+_TEICH_TABLES = _teich_tables()
+_BRACKET_LENGTH = st.floats(1e-6, 1500.0)
+
+
+def with_lengths(tables, pairs):
+    """The two tables with their essential lengths replaced by ``pairs``."""
+    a, b = zip(*pairs)
+    return (dataclasses.replace(tables[0], essential_lengths=a),
+            dataclasses.replace(tables[1], essential_lengths=b))
+
+
+class TestTeichOfOnePass:
+    """teich_of brackets each table once and reduces in one pass, with the
+    per-class loop's interval, witness and witness width."""
+
+    @pytest.mark.parametrize("kind", ["bordered", "punctured"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_class_loop(self, kind, data):
+        tables = _TEICH_TABLES[kind]
+        labels = [c.label() for c in tables[0].essential]
+        n = len(labels)
+        pairs = data.draw(st.lists(st.tuples(_BRACKET_LENGTH, _BRACKET_LENGTH),
+                                   min_size=n, max_size=n))
+        top = labels.index(per_class_teich_of(*with_lengths(tables, pairs)).witness)
+        # Ties in the upper end: a copy of the largest pair, or the pair
+        # swapped (the upper end is symmetric in the two lengths).
+        planted = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                                     max_size=3))
+        a, b = pairs[top]
+        for i, swap in planted:
+            pairs[i] = (b, a) if swap else (a, b)
+        t1, t2 = with_lengths(tables, pairs)
+        rep = teich_of(t1, t2)
+        assert repr(rep) == repr(per_class_teich_of(t1, t2))
+        assert rep.witness == labels[min([top] + [i for i, _ in planted])]
 
 
 class TestReductions:

@@ -24,7 +24,6 @@ from teichspace.pants_trig import (
     self_arc_bracket,
     self_arc_constant,
     self_arc_floor,
-    third_boundary_from_arc,
 )
 
 lengths = st.floats(min_value=0.05, max_value=8.0,
@@ -82,37 +81,6 @@ class TestOrthogeodesicBetween:
                                        (37.43, 39.31)])
     def test_long_boundaries(self, li, lj):
         assert 0.0 < orthogeodesic_between(li, lj, 0.0) < math.inf
-
-
-class TestThirdBoundaryFromArc:
-    @pytest.mark.parametrize("li,lj,la", [(2, 2, 2), (40, 40, 5), (36, 36, 5)])
-    def test_roundtrip_identity(self, li, lj, la):
-        lg = orthogeodesic_between(li, lj, la)
-        assert third_boundary_from_arc(li, lj, lg) == pytest.approx(la, abs=1e-12)
-
-    @pytest.mark.parametrize("li,lj,lg", [(1, 3, 5), (40, 40, 5), (36, 36, 5)])
-    def test_roundtrip_through_formula(self, li, lj, lg):
-        la = third_boundary_from_arc(li, lj, lg)
-        assert orthogeodesic_between(li, lj, la) == pytest.approx(lg, abs=1e-12)
-
-    def test_minimal_arc_maps_to_zero(self):
-        # At the feasibility threshold the acosh argument is exactly 1.
-        lg = orthogeodesic_between(2, 2, 0.0)
-        assert third_boundary_from_arc(2, 2, lg) == pytest.approx(0.0, abs=1e-6)
-
-    def test_below_threshold_rejected_with_minimum(self):
-        # The pairwise arc floor acosh(cc/ss) sits strictly below the
-        # feasibility threshold acosh((cc+1)/ss), so it must be rejected.
-        r0 = between_arc_constants([2, 2]).arc_floor
-        with pytest.raises(DomainError) as err:
-            third_boundary_from_arc(2, 2, r0)
-        assert "minimal feasible arc length" in str(err.value)
-
-    @given(li=lengths, lj=lengths, la=lengths)
-    @settings(max_examples=200)
-    def test_inverse_roundtrip_random(self, li, lj, la):
-        lg = orthogeodesic_between(li, lj, la)
-        assert third_boundary_from_arc(li, lj, lg) == pytest.approx(la, abs=1e-8)
 
 
 class TestOrthogeodesicSelf:
@@ -206,15 +174,14 @@ class TestBetweenArcConstants:
         c = between_arc_constants(lams)
         assert c.curve_cap > 0
 
-    @given(li=lengths, lj=lengths, lg=st.floats(min_value=0.05, max_value=20.0))
+    @given(li=lengths, lj=lengths, la=st.floats(min_value=0.05, max_value=60.0))
     @settings(max_examples=300)
-    def test_long_arc_ratio_window(self, li, lj, lg):
-        # For lg >= 2 * threshold, the third boundary satisfies
+    def test_long_arc_ratio_window(self, li, lj, la):
+        # An arc of length lg >= 2 * threshold has a third boundary with
         # 1 <= la/lg <= 3.  (The bracket gives la within 2*lg +- 2*threshold.)
-        c = between_arc_constants([li, lj])
-        if lg < 2 * c.threshold or lg <= orthogeodesic_between(li, lj, 0.0):
+        lg = orthogeodesic_between(li, lj, la)
+        if lg < 2 * between_arc_constants([li, lj]).threshold:
             return
-        la = third_boundary_from_arc(li, lj, lg)
         assert 1.0 - 1e-9 <= la / lg <= 3.0 + 1e-9
 
 
@@ -284,9 +251,6 @@ class TestDoubleRange:
         (orthogeodesic_between, (1e-200, 1e-200, 1),
          "orthogeodesic_between(1e-200, 1e-200, 1)"),
         (gap_constants, ([1e-300, 1.0],), "double range, got 1e-300"),
-        (third_boundary_from_arc, (1, 1, 800), "third_boundary_from_arc(1, 1, 800)"),
-        (third_boundary_from_arc, (1, 1, 1500),
-         "third_boundary_from_arc(1, 1, 1500)"),
         (self_arc_floor, (1e-320,), "self_arc_floor(1e-320)"),
         (self_arc_bracket, (1e-320,), "self_arc_bracket(1e-320)"),
         (gap_constants, ([700.0],), "between_arc_constants((700.0,))"),
