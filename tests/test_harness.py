@@ -668,14 +668,14 @@ class TestCli:
         (["constants", "--boundary", "1.0", "--eps", "inf"], "--eps must be finite"),
         (["constants", "--boundary", "1.0", "--cusps", "0"],
          "--cusps must be at least 1"),
-        (["constants", "--boundary", "abc"],
-         "--boundary entries must be numbers, got 'abc'"),
-        (["constants", "--boundary", "1.0,x,2.0"],
-         "--boundary entries must be numbers, got 'x'"),
         (["phi-experiment", "--ceiling", "nan"], "ceiling must be finite"),
         (["phi-experiment", "--ceiling", "inf"], "ceiling must be finite"),
         (["phi-experiment", "--ray-step", "nan"], "ray step must be finite, got nan"),
         (["phi-experiment", "--ray-step", "inf"], "ray step must be finite, got inf"),
+        (["constants", "--boundary", "abc"],
+         "--boundary entries must be numbers, got 'abc'"),
+        (["constants", "--boundary", "1.0,x,2.0"],
+         "--boundary entries must be numbers, got 'x'"),
     ])
     def test_bad_flag_value_rejected_before_output(self, tmp_path, argv,
                                                    message):

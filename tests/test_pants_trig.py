@@ -83,6 +83,51 @@ class TestOrthogeodesicBetween:
         assert 0.0 < orthogeodesic_between(li, lj, 0.0) < math.inf
 
 
+def arc_inverse(li, lj, lg):
+    """The third boundary ``la`` with ``orthogeodesic_between(li, lj, la) ==
+    lg``, from ``cosh(la/2) = 2 sinh^2(lg/2) sinh(li/2) sinh(lj/2) -
+    cosh((li - lj)/2)`` at 50 digits; None below the minimal feasible arc,
+    where the right side is under 1."""
+    with mpmath.workdps(50):
+        a, b, g = (mpmath.mpf(v) / 2 for v in (li, lj, lg))
+        arg = 2 * mpmath.sinh(g) ** 2 * mpmath.sinh(a) * mpmath.sinh(b) - mpmath.cosh(a - b)
+        return None if arg < 1 else float(2 * mpmath.acosh(arg))
+
+
+class TestArcInverse:
+    """orthogeodesic_between against its closed-form inverse in the third
+    boundary, computed independently at 50 digits."""
+
+    @pytest.mark.parametrize("li,lj,la", [(2, 2, 2), (40, 40, 5), (36, 36, 5)])
+    def test_roundtrip_identity(self, li, lj, la):
+        lg = orthogeodesic_between(li, lj, la)
+        assert arc_inverse(li, lj, lg) == pytest.approx(la, abs=1e-12)
+
+    @pytest.mark.parametrize("li,lj,lg", [(1, 3, 5), (40, 40, 5), (36, 36, 5)])
+    def test_roundtrip_through_formula(self, li, lj, lg):
+        la = arc_inverse(li, lj, lg)
+        assert orthogeodesic_between(li, lj, la) == pytest.approx(lg, abs=1e-12)
+
+    def test_minimal_arc_maps_to_zero(self):
+        # At the cusp the inverse's acosh argument is 1 up to the roundoff
+        # of lg, and acosh is steep there.
+        lg = orthogeodesic_between(2, 2, 0.0)
+        assert arc_inverse(2, 2, lg) == pytest.approx(0.0, abs=1e-6)
+
+    def test_arc_floor_below_minimal_arc(self):
+        # The pairwise arc floor acosh(cc/ss) sits strictly below the
+        # minimal feasible arc acosh((cc+1)/ss), where no pants exists.
+        r0 = between_arc_constants([2, 2]).arc_floor
+        assert r0 < orthogeodesic_between(2, 2, 0.0)
+        assert arc_inverse(2, 2, r0) is None
+
+    @given(li=lengths, lj=lengths, la=lengths)
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_roundtrip_random(self, li, lj, la):
+        lg = orthogeodesic_between(li, lj, la)
+        assert arc_inverse(li, lj, lg) == pytest.approx(la, abs=1e-8)
+
+
 class TestOrthogeodesicSelf:
     def test_symmetric_in_other_boundaries(self):
         assert orthogeodesic_self(1, 2, 3) == pytest.approx(
@@ -255,6 +300,8 @@ class TestDoubleRange:
         (self_arc_bracket, (1e-320,), "self_arc_bracket(1e-320)"),
         (gap_constants, ([700.0],), "between_arc_constants((700.0,))"),
         (gap_constants, ([2e-154],), "between_arc_constants((2e-154,))"),
+        (orthogeodesic_between, (1, 1, 1440), "orthogeodesic_between(1, 1, 1440)"),
+        (orthogeodesic_between, (1, 1, 1500), "orthogeodesic_between(1, 1, 1500)"),
     ])
     def test_rejected_naming_the_lengths(self, form, args, named):
         with pytest.raises(DomainError, match=re.escape(named)):
