@@ -163,7 +163,8 @@ def _cmd_verify_arcs(args) -> None:
     m = cfg.marking()
     pairs = checked = passed = 0
     failures, reports = [], []
-    for r in verify_arcs(_paired_samples(cfg), m):
+    for r in verify_arcs(_paired_samples(cfg), m,
+                         summary_only=args.summary_only):
         pairs += 1
         checked += r["checked"]
         passed += r["passed"]

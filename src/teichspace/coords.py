@@ -239,7 +239,7 @@ def build_marking(g: int, n: int) -> Marking:
 # Fenchel-Nielsen points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FNPoint:
     """Fenchel-Nielsen coordinates: cuff lengths, twists, boundary lengths.
 
@@ -249,6 +249,7 @@ class FNPoint:
     length that is not positive and finite, a twist that is not finite and
     a boundary length that is not nonnegative and finite.  ``n = 0`` (the
     closed doubles of :func:`teichspace.surface.double`) is accepted.
+    Each field is converted, checked and stored once, by ``__init__``.
     """
 
     g: int
@@ -257,15 +258,11 @@ class FNPoint:
     twists: tuple
     boundary: tuple
 
-    def __post_init__(self):
-        g, n = self.g, self.n
+    def __init__(self, g, n, lengths, twists, boundary):
         _check_surface(g, n)
-        lengths = tuple(map(float, self.lengths))
-        twists = tuple(map(float, self.twists))
-        boundary = tuple(map(float, self.boundary))
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "twists", twists)
-        object.__setattr__(self, "boundary", boundary)
+        lengths = tuple(map(float, lengths))
+        twists = tuple(map(float, twists))
+        boundary = tuple(map(float, boundary))
         ncurves = 3 * g - 3 + n
         if len(lengths) != ncurves or len(twists) != ncurves:
             raise DomainError(
@@ -283,6 +280,10 @@ class FNPoint:
         for v in boundary:
             if not 0.0 <= v < inf:
                 raise DomainError(f"boundary lengths must be nonnegative, got {v!r}")
+        # Frozen: the instance dict is written directly, as
+        # object.__setattr__ would.
+        self.__dict__.update(g=g, n=n, lengths=lengths, twists=twists,
+                             boundary=boundary)
 
     def is_punctured(self) -> bool:
         return all(v == 0.0 for v in self.boundary)

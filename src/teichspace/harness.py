@@ -175,7 +175,7 @@ def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
 # constructive arc check
 
 
-def verify_arcs(pairs, m: Marking):
+def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     """Check the constructive arc-to-curve comparison on every seed arc of
     each pair ``(x1, x2)``; yield one report per pair, in order.
 
@@ -184,7 +184,9 @@ def verify_arcs(pairs, m: Marking):
     ``max length-ratio >= c * arc-ratio`` with the certified constant
     ``c = gap_constants(boundary).c``.  Boundary-parallel neighbourhood
     curves are excluded from the maximum and noted.  Each report carries
-    full replay witnesses.
+    full replay witnesses.  With ``summary_only``, a pair whose checked
+    arcs all pass yields only ``{"checked", "passed", "all_passed"}``; a
+    failing pair still yields its full report.
 
     Every checked arc has an essential neighbourhood curve: only the pants
     alone has none, and there both points share all three cuff lengths,
@@ -200,8 +202,10 @@ def verify_arcs(pairs, m: Marking):
     boundary-parallel ones.  Every point of every pair must share that
     boundary.  Per point, one :func:`~teichspace.curves.hexagon_lengths`
     pass gives every arc length; the neighbourhood ratios are read through
-    the same indices.  The seed arcs are the same at every family depth, so
-    there is no depth.  A pair's DomainError is that of the first failing
+    the same indices.  Each arc's ratio, best curve ratio, bound and verdict
+    are computed once; the report's rows are built from them only when the
+    report is yielded.  The seed arcs are the same at every family depth,
+    so there is no depth.  A pair's DomainError is that of the first failing
     arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a length, and
     carries the witness ``{"x1", "x2"}``.
     """
@@ -213,6 +217,7 @@ def verify_arcs(pairs, m: Marking):
                 if any(v == 0.0 for v in boundary):
                     raise DomainError("arc check needs positive boundary lengths")
                 constants = gap_constants(boundary)
+                c = constants.c
                 arcs, forms = enumerate_arcs(m), m.arc_forms
                 plan = []
                 for arc in arcs:
@@ -228,34 +233,44 @@ def verify_arcs(pairs, m: Marking):
                 raise DomainError("arc check needs equal boundary lengths")
             lens1, lens2 = hexagon_lengths(x1, forms), hexagon_lengths(x2, forms)
             ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
-            rows = []
+            # (ratio, best, bound, ok) of each arc; best is None if unchecked.
+            verdicts = []
             checked = passed = 0
-            for (label, neighbours, essential, excluded), l1, l2 in zip(
-                    plan, lens1, lens2):
+            for (_, _, essential, _), l1, l2 in zip(plan, lens1, lens2):
                 ratio = l2 / l1
                 if ratio <= 1.0:
-                    rows.append({"arc": label, "l1": l1, "l2": l2,
-                                 "ratio": ratio, "checked": False})
+                    verdicts.append((ratio, None, None, None))
                     continue
                 best = max(ell2[i] / ell1[i] for i in essential)
-                bound = constants.c * ratio
+                bound = c * ratio
                 ok = best >= bound
                 checked += 1
                 passed += ok
-                rows.append({
-                    "arc": label, "l1": l1, "l2": l2, "ratio": ratio,
-                    "checked": True,
-                    "curves": [{"curve": nb_label, "l1": ell1[i], "l2": ell2[i],
-                                "ratio": ell2[i] / ell1[i], "essential": e}
-                               for i, nb_label, e in neighbours],
-                    "excluded_boundary_parallel": excluded,
-                    "max_curve_ratio": best, "bound": bound, "passed": ok})
+                verdicts.append((ratio, best, bound, ok))
         except DomainError as err:
             raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
+        if summary_only and passed == checked:
+            yield {"checked": checked, "passed": passed, "all_passed": True}
+            continue
+        rows = []
+        for (label, neighbours, _, excluded), l1, l2, (ratio, best, bound, ok) in zip(
+                plan, lens1, lens2, verdicts):
+            if best is None:
+                rows.append({"arc": label, "l1": l1, "l2": l2,
+                             "ratio": ratio, "checked": False})
+                continue
+            rows.append({
+                "arc": label, "l1": l1, "l2": l2, "ratio": ratio,
+                "checked": True,
+                "curves": [{"curve": nb_label, "l1": ell1[i], "l2": ell2[i],
+                            "ratio": ell2[i] / ell1[i], "essential": e}
+                           for i, nb_label, e in neighbours],
+                "excluded_boundary_parallel": excluded,
+                "max_curve_ratio": best, "bound": bound, "passed": ok})
         yield {
             "x1": x1.to_dict(),
             "x2": x2.to_dict(),
-            "constant": constants.c,
+            "constant": c,
             "constant_between": constants.c_between,
             "constant_self": constants.c_self,
             "gap": constants.gap,

@@ -382,6 +382,48 @@ class TestVerifyArcs:
         assert len(payload.pop("reports")) == 5
         assert json.loads(summary.read_text()) == payload
 
+    # A constant of 1.6, which GapConstants itself rejects (it needs c <= 1),
+    # makes 145 of these 300 pairs fail.
+    FAILING = SimpleNamespace(c=1.6, c_between=1.6, c_self=1.6, gap=-0.47)
+
+    def failing_pairs(self, monkeypatch):
+        monkeypatch.setattr(harness, "gap_constants", lambda b: self.FAILING)
+        cfg = ExperimentConfig(g=1, n=6, boundary=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75),
+                               seed=1, samples=300)
+        points = [sample_point(cfg, i) for i in range(2 * cfg.samples)]
+        return cfg, list(zip(points[::2], points[1::2]))
+
+    def test_failing_pairs_through_cli(self, tmp_path, monkeypatch):
+        cfg, pairs = self.failing_pairs(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        full, summary = tmp_path / "full.json", tmp_path / "summary.json"
+        cli.main(["verify-arcs", "--config", str(cfg_path), "--out", str(full)])
+        cli.main(["verify-arcs", "--config", str(cfg_path), "--summary-only",
+                  "--out", str(summary)])
+        payload = json.loads(full.read_text())
+        reports = payload.pop("reports")
+        assert json.loads(summary.read_text()) == payload
+        failing = [r for r in verify_arcs(pairs, cfg.marking())
+                   if not r["all_passed"]]
+        assert len(failing) == 145
+        assert payload["failures"] == failing
+        assert failing == [r for r in reports if not r["all_passed"]]
+        assert payload["pass_rate"] < 1.0
+
+    def test_summary_only_yields_compact_passing_pairs(self, monkeypatch):
+        cfg, pairs = self.failing_pairs(monkeypatch)
+        m = cfg.marking()
+        full = list(verify_arcs(pairs, m))
+        compact = list(verify_arcs(pairs, m, summary_only=True))
+        assert len(compact) == len(full)
+        for f, c in zip(full, compact):
+            if f["all_passed"]:
+                assert c == {"checked": f["checked"], "passed": f["passed"],
+                             "all_passed": True}
+            else:
+                assert c == f
+
     def test_boundary_mismatch_mid_batch_raises(self):
         cfg = cfg_12()
         m = cfg.marking()
@@ -969,6 +1011,8 @@ GOLDEN_COMMANDS = {
     "report-thurston": ["report", "--metric", "thurston"],
     "phi-csv": ["phi-experiment", "--format", "csv", "--ray-count", "3"],
     "distance": ["distance"],
+    "verify-arcs": ["verify-arcs"],
+    "verify-arcs-summary": ["verify-arcs", "--summary-only"],
 }
 
 
@@ -994,7 +1038,8 @@ def golden_cli_digest(tmp_path, config, command):
 class TestGoldenOutputs:
     # SHA-256 of each output file, recorded before the length tables took
     # their per-table views and shared cosh(l/2) vector; those changes
-    # leave every output byte as it was.
+    # leave every output byte as it was.  The verify-arcs digests were
+    # recorded while the summary still built every pair's full report.
     GOLDEN = {
         ("g2n2", "compare-csv"):
             "7f198b09abbf608ed6f6d4f3e1a8b5e6eab01a314e76b86e989cb28a7d308a9e",
@@ -1008,6 +1053,10 @@ class TestGoldenOutputs:
             "93ba958fd0f6c76ea85cfac17b2a49321a33bf587ebc6db92c4c46f9b95c645f",
         ("g2n2", "distance"):
             "0b3326a52923fd47f02e057809d5a1e1c2b9f353a1b5ac9ebe4a6a2eb4e646e5",
+        ("g2n2", "verify-arcs"):
+            "f565cfeebd7471d6a2ef2619f2aadd8fd619e09588a2c35110e4135052ff872a",
+        ("g2n2", "verify-arcs-summary"):
+            "ad25519b96f608e846499f3fec2628c5281a8617247d65ceffb91bc1a31dfc71",
         ("g1n1", "compare-csv"):
             "401ccb902736ba77b7df4093cca9bdde86ce63e705616a67cce9d8f162210147",
         ("g1n1", "compare-json"):
@@ -1020,6 +1069,10 @@ class TestGoldenOutputs:
             "46899ec6e7183678c1c27dfeadc7461530c2f5e467fd099b6fdf4cc63ff8599e",
         ("g1n1", "distance"):
             "5d961c73f3c2a27371b245f581e11f9f231fb7ce5adf9d6c11b540bae80130cf",
+        ("g1n1", "verify-arcs"):
+            "ca6357e893a34e6bbbcd4ff5ce689c44cb6b6effb3512987d679c80661e4ed7f",
+        ("g1n1", "verify-arcs-summary"):
+            "5e80b3a2c853612c378fd06764b3172c821356866f1e7ec32de8a8311246d86d",
         ("g0n4", "compare-csv"):
             "f0b4a4b7d951f91362fb1c64f32f23f2a3043e091a64b7dbfc0885d1b3648f63",
         ("g0n4", "compare-json"):
@@ -1032,6 +1085,10 @@ class TestGoldenOutputs:
             "d3b0da5a7fbc2f7d715ff7b9de5c636a84b33b2dc26731fd223a6d47c5e33bd1",
         ("g0n4", "distance"):
             "ea9c1cf270439542a443b9819c5a7268179f63e9823279e6e53cbf33f8d99886",
+        ("g0n4", "verify-arcs"):
+            "79e9e22617f3bc61b8861a34d0517cce61b0b2d23c55965be8f1a952dc9963ae",
+        ("g0n4", "verify-arcs-summary"):
+            "22fa647a6fdb3a1241ae5e8e4a09d06e2479b63d707a1038dc948c3c3e5e31e1",
     }
 
     @pytest.mark.parametrize("config,command", [

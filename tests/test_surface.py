@@ -5,6 +5,7 @@ closed-form hexagon trigonometry on one side, and traces of words in the
 numerically assembled holonomy of the doubled surface on the other.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -255,6 +256,36 @@ class TestFNPoint:
     def test_accepts_closed_surfaces(self):
         x = FNPoint(g=2, n=0, lengths=[1.0] * 3, twists=[0.0] * 3, boundary=[])
         assert x.boundary == ()
+
+    def test_frozen(self):
+        x = FNPoint(1, 1, [1.0], [0.0], [1.0])
+        for name, value in (("g", 2), ("lengths", (2.0,)), ("extra", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del x.twists
+        assert x.lengths == (1.0,) and not hasattr(x, "extra")
+
+    def test_eq_hash_repr_and_construction_forms(self):
+        x = FNPoint(1, 2, [1.5, 2], [0.25, -1], (1, 0.5))
+        y = FNPoint(g=1, n=2, lengths=(1.5, 2.0), twists=[0.25, -1.0],
+                    boundary=[1.0, 0.5])
+        z = FNPoint(1, 2, boundary=[1.0, 0.5], twists=[0.25, -1.0],
+                    lengths=[1.5, 2.0])
+        assert x == y == z and hash(x) == hash(y) == hash(z)
+        assert x != FNPoint(1, 2, [1.5, 2.0], [0.25, -1.0], [1.0, 0.75])
+        assert repr(x) == ("FNPoint(g=1, n=2, lengths=(1.5, 2.0), "
+                           "twists=(0.25, -1.0), boundary=(1.0, 0.5))")
+        assert [f.name for f in dataclasses.fields(FNPoint)] == [
+            "g", "n", "lengths", "twists", "boundary"]
+
+    def test_replace_checks_like_construction(self):
+        x = FNPoint(1, 1, [1.0], [0.0], [1.0])
+        with pytest.raises(DomainError,
+                           match=r"^cuff lengths must be positive, got 0\.0$"):
+            dataclasses.replace(x, lengths=[0.0])
+        y = dataclasses.replace(x, twists=[2])
+        assert y == FNPoint(1, 1, [1.0], [2.0], [1.0]) and type(y.twists[0]) is float
 
     @pytest.mark.parametrize("twist", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_twist(self, twist):
