@@ -78,7 +78,10 @@ class Marking:
     :meth:`slot_assignment`, :meth:`slot_length` and :meth:`curve_index`
     read.  It also resolves each seed arc and each dual once:
     ``arc_forms[i]`` is :meth:`arc_form` of ``arcs[i]`` and
-    ``orbit_forms[k]`` is :meth:`orbit_form` of edge ``k``.
+    ``orbit_forms[k]`` is :meth:`orbit_form` of edge ``k``.  These are the
+    one place an arc's or a dual's slots are mapped to curves: the hexagon
+    lengths, the neighbourhood curves of an arc and the arc check read the
+    forms.
     """
 
     genus: int
@@ -121,7 +124,8 @@ class Marking:
 
     def slot_assignment(self):
         """Read-only map ``(pants, slot) -> ("edge", k)`` or
-        ``("boundary", m)``: the curve on each slot."""
+        ``("boundary", m)``: the curve on each slot.  Kept for the
+        benchmark, which reads it; the package reads :meth:`curve_index`."""
         return MappingProxyType(self._slots)
 
     def slot_length(self, fn: FNPoint, side: tuple) -> float:
@@ -139,7 +143,10 @@ class Marking:
     def arc_form(self, arc: ArcClass) -> tuple:
         """``(between, i, j, k)``: whether ``arc`` joins two distinct
         boundaries, then the :meth:`curve_index` of the curves on its
-        ``slots + neighbour_slots``; the curves its hexagon form reads."""
+        ``slots + neighbour_slots``; the curves its hexagon form reads.
+        ``form[1 + len(arc.slots):]`` are the curves bounding its
+        neighbourhood pants: ``form[3:]`` of a between-arc, ``form[2:]``
+        of a self-arc."""
         return (arc.kind == "between",
                 *(self.curve_index((arc.pants, s))
                   for s in arc.slots + arc.neighbour_slots))

@@ -33,14 +33,15 @@ of every curve of ``lengths + boundary`` (``inf`` where it overflows, which
 makes the terms of an orbit reading it NaN, so its members are rejected; a
 cusp's entry is ``cosh(0) = 1``), through the curves each orbit reads, resolved
 once per marking (:attr:`~teichspace.coords.Marking.orbit_forms`).  The
-family itself, and the mask of its essential classes, are built once per
-``(ncurves, nboundary, depth)``.  The holonomy of :mod:`teichspace.surface`
-is their independent check.
+family, and its essential classes (all but its ``beta`` block), are built
+once per ``(ncurves, nboundary, depth)``.  The holonomy of
+:mod:`teichspace.surface` is their independent check.
 
 Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
 are convex, so these lengths do not depend on the twists.  The curves
-each seed arc's form reads are resolved once per marking
-(:attr:`~teichspace.coords.Marking.arc_forms`); :func:`hexagon_lengths`
+each seed arc reads are resolved once per marking, and only there
+(:attr:`~teichspace.coords.Marking.arc_forms`): its own boundaries, then
+the curves bounding its neighbourhood pants.  :func:`hexagon_lengths`
 reads the same ``cosh(l/2)`` vector and feeds every form's checked core in
 :mod:`teichspace.pants_trig`, the one path by which a length is evaluated
 or rejected.
@@ -48,9 +49,9 @@ or rejected.
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
 point is evaluated once however many estimators and partners use it.  It
-takes the ``cosh(l/2)`` vector once for both, and selects once the views
+takes the ``cosh(l/2)`` vector once for both, and keeps only the two views
 the pair reductions read: the essential classes with their lengths, and
-the curve lengths followed by the arc lengths.
+the family followed by the arcs with theirs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 from . import pants_trig
 from .coords import ArcClass, FNPoint, Marking
@@ -111,13 +111,17 @@ def enumerate_curves(m: Marking, depth: int):
     ``(m.ncurves, m.nboundary, depth)`` and is built once per such key; each
     call returns a new list of the same classes.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth!r}")
-    return list(_family(m.ncurves, m.nboundary, depth))
+    return list(_family(m.ncurves, m.nboundary, depth)[0])
 
 
 @functools.lru_cache(maxsize=16)
 def _family(ncurves: int, nboundary: int, depth: int) -> tuple:
+    """``(family, essential)``: the classes of :func:`enumerate_curves` and
+    its essential ones, which are all but the ``beta`` block
+    ``family[2 * ncurves:2 * ncurves + nboundary]``.  A negative ``depth``
+    raises :class:`DomainError`."""
+    if depth < 0:
+        raise DomainError(f"depth must be nonnegative, got {depth!r}")
     out = [CurveClass(seed=("gamma", k), power=0) for k in range(ncurves)]
     out += [CurveClass(seed=("mu", k), power=0) for k in range(ncurves)]
     out += [CurveClass(seed=("beta", i), power=0) for i in range(nboundary)]
@@ -125,16 +129,8 @@ def _family(ncurves: int, nboundary: int, depth: int) -> tuple:
         for k in range(ncurves):
             for power in (-radius, radius):
                 out.append(CurveClass(seed=("mu", k), power=power))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=16)
-def _essential_view(ncurves: int, nboundary: int, depth: int) -> tuple:
-    """``(mask, classes)``: which classes of :func:`_family` are essential,
-    and those classes."""
-    family = _family(ncurves, nboundary, depth)
-    mask = tuple(c.essential for c in family)
-    return mask, tuple(compress(family, mask))
+    b = 2 * ncurves
+    return tuple(out), tuple(out[:b] + out[b + nboundary:])
 
 
 def family_lengths(fn: FNPoint, m: Marking, classes, ch=None):
@@ -223,26 +219,20 @@ def _cosh_halves(ell) -> list:
 
 @dataclass(frozen=True)
 class LengthTable:
-    """Every length the metric estimators read at one point.
+    """Every length the metric estimators read at one point, in the two
+    views their reductions over every partner read.
 
-    ``classes`` is the family of :func:`enumerate_curves` at ``depth`` and
-    ``lengths`` their lengths, aligned.  When every boundary length is
-    positive, ``arcs`` holds the seed arcs and ``arc_lengths`` their
-    hexagon lengths; otherwise both are empty.
-
-    Two views are selected once per table, for the reductions of
-    :mod:`teichspace.metrics` over every partner: ``essential`` and
-    ``essential_lengths`` are the essential classes and their lengths, and
-    ``members`` and ``member_lengths`` are ``classes + arcs`` and
-    ``lengths + arc_lengths``.
+    ``members`` is the family of :func:`enumerate_curves` at ``depth``
+    followed by ``arcs``, and ``member_lengths`` their lengths, aligned.
+    ``arcs`` holds the seed arcs, with their hexagon lengths, when no
+    boundary is a cusp, and is empty otherwise.  ``essential`` and
+    ``essential_lengths`` are the essential classes of the family (all but
+    its ``beta`` block) and their lengths.
     """
 
     point: FNPoint
     depth: int
-    classes: tuple
-    lengths: tuple
     arcs: tuple
-    arc_lengths: tuple
     essential: tuple
     essential_lengths: tuple
     members: tuple
@@ -262,25 +252,28 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     if (fn.g, fn.n) != (m.genus, m.nboundary):
         raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
                           f"of ({m.genus},{m.nboundary})")
-    classes = tuple(enumerate_curves(m, depth))
-    mask, essential = _essential_view(m.ncurves, m.nboundary, depth)
-    arcs = m.arcs if m.nboundary and all(fn.boundary) else ()
+    family, essential = _family(m.ncurves, m.nboundary, depth)
+    arcs = () if 0.0 in fn.boundary else m.arcs
     ch = _cosh_halves(fn.lengths + fn.boundary)
     try:
-        lengths = tuple(family_lengths(fn, m, classes, ch))
-        arc_lengths = tuple(hexagon_lengths(fn, m.arc_forms, ch)) if arcs else ()
+        lengths = family_lengths(fn, m, family, ch)
+        arc_lengths = hexagon_lengths(fn, m.arc_forms, ch) if arcs else []
     except DomainError as err:
         raise err.with_witness({"x": fn.to_dict(), "depth": depth}) from err
-    return LengthTable(point=fn, depth=depth, classes=classes, lengths=lengths,
-                       arcs=arcs, arc_lengths=arc_lengths, essential=essential,
-                       essential_lengths=tuple(compress(lengths, mask)),
-                       members=classes + arcs,
-                       member_lengths=lengths + arc_lengths)
+    beta = 2 * m.ncurves
+    return LengthTable(point=fn, depth=depth, arcs=arcs, essential=essential,
+                       essential_lengths=tuple(lengths[:beta]
+                                               + lengths[beta + m.nboundary:]),
+                       members=family + arcs,
+                       member_lengths=tuple(lengths + arc_lengths))
 
 
 def enumerate_arcs(m: Marking):
     """Seed arcs of every boundary-adjacent pants: one arc per boundary
-    pair within a pants plus one self-arc per boundary slot."""
+    pair within a pants plus one self-arc per boundary slot.
+
+    Kept for the benchmark, which reads it; the package reads ``m.arcs``.
+    """
     if m.nboundary < 1:
         raise DomainError("arc families need at least one boundary component")
     return list(m.arcs)
@@ -319,16 +312,15 @@ def hexagon_lengths(fn: FNPoint, forms, ch=None) -> list:
 def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):
     """Boundary curves of the tubular neighbourhood pants of an arc.
 
-    The seed curves on the arc's ``neighbour_slots``: one for an arc
-    joining two distinct boundaries (the third cuff of its pants), two for
-    a self-arc (the other two cuffs, which coincide on a handle block).
-    A curve on a boundary slot is the seed ``("beta", i)``, which is not
-    essential.
+    The seed curves that :meth:`~teichspace.coords.Marking.arc_form` reads
+    after the arc's own slots: one for an arc joining two distinct
+    boundaries (the third cuff of its pants), two for a self-arc (the other
+    two cuffs, which coincide on a handle block).  Curve index ``i`` is
+    ``("gamma", i)`` below ``m.ncurves`` and the boundary seed ``("beta", i
+    - m.ncurves)``, which is not essential, above.  Kept for the benchmark,
+    which traces it; :func:`~teichspace.harness.verify_arcs` reads the
+    forms directly.
     """
-    slots = m.slot_assignment()
-    out = []
-    for s in arc.neighbour_slots:
-        kind, idx = slots[(arc.pants, s)]
-        out.append(CurveClass(seed=("gamma" if kind == "edge" else "beta", idx),
-                              power=0))
-    return out
+    nc = m.ncurves
+    return [CurveClass(seed=("gamma", i) if i < nc else ("beta", i - nc), power=0)
+            for i in m.arc_form(arc)[1 + len(arc.slots):]]

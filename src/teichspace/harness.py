@@ -8,6 +8,11 @@ key order so identical runs serialize to identical bytes.
 The checks are boundedness reports, not proofs: the estimators are lower
 bounds, so an observed difference exceeding a theoretical ceiling indicates
 a bug, while staying below it is evidence of consistency only.
+
+The metric rows reduce the length tables of :mod:`teichspace.curves`; the
+arc check builds no table and reads each seed arc's curves, its own
+boundaries and then its neighbourhood curves, from the forms the marking
+resolved once (:attr:`~teichspace.coords.Marking.arc_forms`).
 """
 
 from __future__ import annotations
@@ -18,12 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .coords import FNPoint, Marking, build_marking, json_fields, phi_gamma
-from .curves import (
-    enumerate_arcs,
-    hexagon_lengths,
-    length_table,
-    pants_neighborhood_boundaries,
-)
+from .curves import hexagon_lengths, length_table
 from .metrics import arc_of, teich_of, thurston_of
 from .pants_trig import DomainError, gap_constants
 
@@ -192,14 +192,15 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     alone has none, and there both points share all three cuff lengths,
     so no arc changes length.
 
-    The constants, the arcs and their neighbourhood curves depend only on
-    the boundary and the marking, so they are gathered once per run, from
-    the first pair, before its report: the gap constants, each arc's label
-    and resolved form (:attr:`~teichspace.coords.Marking.arc_forms`), each
-    neighbourhood curve's label and
-    :meth:`~teichspace.coords.Marking.curve_index`, and per arc the indices
-    of its essential neighbourhood curves and the count of its
-    boundary-parallel ones.  Every point of every pair must share that
+    The arcs and their neighbourhood curves depend only on the marking, so
+    the per-run plan is read off ``m.arcs`` and
+    :attr:`~teichspace.coords.Marking.arc_forms` before the first pair: per
+    arc its label, and the curves its form reads after its own boundaries
+    (index ``i`` of ``x.lengths + x.boundary`` is ``gamma<i>`` below
+    ``m.ncurves`` and a boundary above), with the indices of the essential
+    ones and the count of the boundary-parallel ones.  The gap constants
+    depend only on the boundary, so they are taken once, from the first
+    pair, before its report; every point of every pair must share that
     boundary.  Per point, one :func:`~teichspace.curves.hexagon_lengths`
     pass gives every arc length; the neighbourhood ratios are read through
     the same indices.  Each arc's ratio, best curve ratio, bound and verdict
@@ -209,26 +210,24 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a length, and
     carries the witness ``{"x1", "x2"}``.
     """
-    plan = None
+    nc, forms = m.ncurves, m.arc_forms
+    plan = []
+    for arc, form in zip(m.arcs, forms):
+        curves = form[1 + len(arc.slots):]
+        neighbours = [(i, f"gamma{i}" if i < nc else f"beta{i - nc}(boundary)",
+                       i < nc) for i in curves]
+        essential = [i for i in curves if i < nc]
+        plan.append((arc.label(), neighbours, essential,
+                     len(curves) - len(essential)))
+    constants = None
     for x1, x2 in pairs:
         try:
-            if plan is None:
+            if constants is None:
                 boundary = x1.boundary
-                if any(v == 0.0 for v in boundary):
+                if 0.0 in boundary:
                     raise DomainError("arc check needs positive boundary lengths")
                 constants = gap_constants(boundary)
                 c = constants.c
-                arcs, forms = enumerate_arcs(m), m.arc_forms
-                plan = []
-                for arc in arcs:
-                    neighbours = [(m.curve_index((arc.pants, s)),
-                                   nb.label() + ("" if nb.essential else "(boundary)"),
-                                   nb.essential)
-                                  for s, nb in zip(arc.neighbour_slots,
-                                                   pants_neighborhood_boundaries(arc, m))]
-                    essential = [i for i, _, e in neighbours if e]
-                    plan.append((arc.label(), neighbours, essential,
-                                 len(neighbours) - len(essential)))
             if x1.boundary != boundary or x2.boundary != boundary:
                 raise DomainError("arc check needs equal boundary lengths")
             lens1, lens2 = hexagon_lengths(x1, forms), hexagon_lengths(x2, forms)
@@ -371,7 +370,7 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
     fails with a replay witness; a step or ceiling that is not finite
     raises :class:`DomainError`.
     """
-    if any(v == 0.0 for v in x.boundary):
+    if 0.0 in x.boundary:
         raise DomainError("ray experiment starts from a bordered point")
     if not (0 <= curve_index < m.ncurves):
         raise DomainError(f"no cuff with index {curve_index}")

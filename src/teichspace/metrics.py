@@ -194,7 +194,7 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     _require_comparable(t1, t2)
     x1 = t1.point
     punctured = x1.is_punctured()
-    if not punctured and any(v == 0.0 for v in x1.boundary):
+    if not punctured and 0.0 in x1.boundary:
         raise DomainError("points must be fully punctured or fully bordered")
     members, lengths1, lengths2 = _essential(t1, t2)
     kappa = 0.5 if punctured else 1.0

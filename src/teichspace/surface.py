@@ -464,7 +464,7 @@ def double(fn: FNPoint, m: Marking) -> DoubleData:
     All boundary lengths must be positive; doubling across a cusp is not
     defined.
     """
-    if any(v == 0.0 for v in fn.boundary):
+    if 0.0 in fn.boundary:
         raise DomainError("double of punctured boundary undefined")
     p_count, n_edges, n = m.pants_count, m.ncurves, m.nboundary
 

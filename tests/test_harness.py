@@ -26,7 +26,6 @@ from teichspace.harness import (
     verify_arc_construction,
     verify_arcs,
 )
-from teichspace.curves import pants_neighborhood_boundaries
 from teichspace.pants_trig import (
     DomainError,
     gap_constants,
@@ -271,7 +270,8 @@ class TestVerifyArcConstruction:
 def verify_arcs_reference(pairs, m):
     """The arc check with each arc length through its checked entry point,
     every arc of ``x1`` before those of ``x2``, and each neighbourhood
-    length through ``m.slot_length``."""
+    curve named through ``m.slot_assignment`` and measured through
+    ``m.slot_length``, independently of ``m.arc_forms``."""
     constants = gap_constants(pairs[0][0].boundary)
     for x1, x2 in pairs:
         try:
@@ -290,14 +290,14 @@ def verify_arcs_reference(pairs, m):
                     rows.append(row)
                     continue
                 curves = []
-                for s, c in zip(arc.neighbour_slots,
-                                pants_neighborhood_boundaries(arc, m)):
+                for s in arc.neighbour_slots:
+                    kind, idx = m.slot_assignment()[(arc.pants, s)]
                     c1 = m.slot_length(x1, (arc.pants, s))
                     c2 = m.slot_length(x2, (arc.pants, s))
-                    curves.append({"curve": c.label() + ("" if c.essential
-                                                         else "(boundary)"),
+                    curves.append({"curve": (f"gamma{idx}" if kind == "edge"
+                                             else f"beta{idx}(boundary)"),
                                    "l1": c1, "l2": c2, "ratio": c2 / c1,
-                                   "essential": c.essential})
+                                   "essential": kind == "edge"})
                 best = max(c["ratio"] for c in curves if c["essential"])
                 bound = constants.c * ratio
                 row.update({"checked": True, "curves": curves,
@@ -318,8 +318,12 @@ def verify_arcs_reference(pairs, m):
 
 
 class TestVerifyArcs:
+    # (0, 3): every neighbourhood curve is boundary-parallel; (1, 1): the
+    # self-arc reads the handle loop twice; (0, 4) and (3, 2): chain cuffs.
     @pytest.mark.parametrize("g,n,boundary", [
-        (1, 6, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)), (2, 2, (1.0, 1.5))])
+        (1, 6, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)), (2, 2, (1.0, 1.5)),
+        (0, 3, (0.5, 1.0, 2.0)), (1, 1, (0.8,)), (0, 4, (0.5, 1.0, 1.5, 2.0)),
+        (3, 2, (1.0, 1.5))])
     def test_reports_match_arc_by_arc_reference(self, g, n, boundary):
         cfg = ExperimentConfig(g=g, n=n, boundary=boundary, seed=11)
         m = cfg.marking()
@@ -327,7 +331,8 @@ class TestVerifyArcs:
                  for i in range(50)]
         reports = list(verify_arcs(pairs, m))
         assert reports == list(verify_arcs_reference(pairs, m))
-        assert any(r["checked"] for r in reports)
+        # The pants alone has no cuff to vary, so no arc changes length.
+        assert any(r["checked"] for r in reports) == (m.ncurves > 0)
 
     def test_error_is_the_first_failing_arcs(self):
         # A cuff of 1500 fails the self-arc of pants 4 (the fourth arc) at
@@ -1010,6 +1015,7 @@ GOLDEN_COMMANDS = {
     "report-arc": ["report", "--metric", "arc"],
     "report-thurston": ["report", "--metric", "thurston"],
     "phi-csv": ["phi-experiment", "--format", "csv", "--ray-count", "3"],
+    "phi-json": ["phi-experiment", "--format", "json", "--ray-count", "3"],
     "distance": ["distance"],
     "verify-arcs": ["verify-arcs"],
     "verify-arcs-summary": ["verify-arcs", "--summary-only"],
@@ -1039,7 +1045,9 @@ class TestGoldenOutputs:
     # SHA-256 of each output file, recorded before the length tables took
     # their per-table views and shared cosh(l/2) vector; those changes
     # leave every output byte as it was.  The verify-arcs digests were
-    # recorded while the summary still built every pair's full report.
+    # recorded while the summary still built every pair's full report, and
+    # the phi-json digests before the length tables dropped their unread
+    # fields.
     GOLDEN = {
         ("g2n2", "compare-csv"):
             "7f198b09abbf608ed6f6d4f3e1a8b5e6eab01a314e76b86e989cb28a7d308a9e",
@@ -1051,6 +1059,8 @@ class TestGoldenOutputs:
             "5c94f5ceb63406482358713c2168f4fefefa28559b9eabe3d6d74d6fc213f3d2",
         ("g2n2", "phi-csv"):
             "93ba958fd0f6c76ea85cfac17b2a49321a33bf587ebc6db92c4c46f9b95c645f",
+        ("g2n2", "phi-json"):
+            "3e18d267bfd3d95d3378f946bfd8c7690ae262a4e2a85d0874a3fef6c7751d97",
         ("g2n2", "distance"):
             "0b3326a52923fd47f02e057809d5a1e1c2b9f353a1b5ac9ebe4a6a2eb4e646e5",
         ("g2n2", "verify-arcs"):
@@ -1067,6 +1077,8 @@ class TestGoldenOutputs:
             "15af4477b7b8268db8bc6bc11f3fd027c4f7077e2be18344e93ced93a310099a",
         ("g1n1", "phi-csv"):
             "46899ec6e7183678c1c27dfeadc7461530c2f5e467fd099b6fdf4cc63ff8599e",
+        ("g1n1", "phi-json"):
+            "ec7d6905fd24db0e34ab12872ca6756bba663046a47a72777f432c3550bb9698",
         ("g1n1", "distance"):
             "5d961c73f3c2a27371b245f581e11f9f231fb7ce5adf9d6c11b540bae80130cf",
         ("g1n1", "verify-arcs"):
@@ -1083,6 +1095,8 @@ class TestGoldenOutputs:
             "2e24618a3846c2123ee1af8651b669f87ea960f77f07c4c840e82cd1276eec46",
         ("g0n4", "phi-csv"):
             "d3b0da5a7fbc2f7d715ff7b9de5c636a84b33b2dc26731fd223a6d47c5e33bd1",
+        ("g0n4", "phi-json"):
+            "1fbb95efa29394db27b04d5af7cbee2d28765b8d9d1b1970bc0665a8ea07c5c5",
         ("g0n4", "distance"):
             "ea9c1cf270439542a443b9819c5a7268179f63e9823279e6e53cbf33f8d99886",
         ("g0n4", "verify-arcs"):

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teichspace.coords import FNPoint, build_marking, phi_gamma
-from teichspace.curves import enumerate_curves, family_lengths, length_table
+from teichspace.curves import (
+    enumerate_curves,
+    family_lengths,
+    hexagon_lengths,
+    length_table,
+)
 from teichspace.metrics import (
     TeichIntervalReport,
     _log_brackets,
@@ -329,17 +334,20 @@ class TestReductions:
 
     def test_table_layout(self):
         t = length_table(self.x1, self.m, 1)
-        assert t.classes == tuple(enumerate_curves(self.m, 1))
-        assert len(t.lengths) == len(t.classes)
+        family = tuple(enumerate_curves(self.m, 1))
         assert t.arcs == tuple(self.m.arcs)
-        assert len(t.arc_lengths) == len(t.arcs)
-        essential = [(c, v) for c, v in zip(t.classes, t.lengths) if c.essential]
+        assert t.members == family + t.arcs
+        assert len(t.member_lengths) == len(t.members)
+        assert t.member_lengths[len(family):] == tuple(
+            hexagon_lengths(self.x1, self.m.arc_forms))
+        # The essential view is the family without its beta block, in order.
+        essential = [(c, v) for c, v in zip(family, t.member_lengths)
+                     if c.seed[0] != "beta"]
         assert list(zip(t.essential, t.essential_lengths)) == essential
-        assert t.members == t.classes + t.arcs
-        assert t.member_lengths == t.lengths + t.arc_lengths
         image = length_table(phi_gamma(self.x1), self.m, 1)
-        assert image.arcs == () and image.arc_lengths == ()
-        assert image.members == image.classes
+        assert image.arcs == ()
+        assert image.members == family
+        assert len(image.member_lengths) == len(family)
 
     def test_rejects_mismatched_tables(self):
         t1 = length_table(self.x1, self.m, 1)
