@@ -24,6 +24,7 @@ from .curves import (
     enumerate_curves,
     family_lengths,
     hexagon_lengths,
+    image_table,
     length_table,
     pants_neighborhood_boundaries,
 )

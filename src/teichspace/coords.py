@@ -81,7 +81,10 @@ class Marking:
     ``orbit_forms[k]`` is :meth:`orbit_form` of edge ``k``.  These are the
     one place an arc's or a dual's slots are mapped to curves: the hexagon
     lengths, the neighbourhood curves of an arc and the arc check read the
-    forms.
+    forms.  ``boundary_orbits`` lists, in order, the edges ``k`` whose
+    ``orbit_forms[k]`` reads a boundary (an index ``>= ncurves``): the
+    dual orbits whose lengths change when the boundary lengths are
+    forgotten.
     """
 
     genus: int
@@ -93,6 +96,7 @@ class Marking:
     _slots: dict = field(init=False, repr=False, compare=False)
     arc_forms: tuple = field(init=False, repr=False, compare=False)
     orbit_forms: tuple = field(init=False, repr=False, compare=False)
+    boundary_orbits: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def ncurves(self) -> int:
@@ -121,6 +125,16 @@ class Marking:
                            tuple(self.arc_form(a) for a in self.arcs))
         object.__setattr__(self, "orbit_forms",
                            tuple(self.orbit_form(k) for k in range(self.ncurves)))
+        object.__setattr__(self, "boundary_orbits", tuple(
+            k for k, form in enumerate(self.orbit_forms)
+            if max(form) >= self.ncurves))
+
+    def require_fit(self, fn: FNPoint) -> None:
+        """Raise :class:`DomainError` unless ``fn`` lives on the surface
+        ``(genus, nboundary)`` of this marking."""
+        if (fn.g, fn.n) != (self.genus, self.nboundary):
+            raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
+                              f"of ({self.genus},{self.nboundary})")
 
     def slot_assignment(self):
         """Read-only map ``(pants, slot) -> ("edge", k)`` or

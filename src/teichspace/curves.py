@@ -51,7 +51,11 @@ point (the curve family and, on bordered points, the seed arcs) so that a
 point is evaluated once however many estimators and partners use it.  It
 takes the ``cosh(l/2)`` vector once for both, and keeps only the two views
 the pair reductions read: the essential classes with their lengths, and
-the family followed by the arcs with theirs.
+the family followed by the arcs with theirs.  Forgetting the boundary
+lengths changes only the orbits whose terms read a boundary
+(:attr:`~teichspace.coords.Marking.boundary_orbits`), so
+:func:`image_table` derives the table of a point's punctured image from
+the point's own table and evaluates only those orbits again.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import math
 from dataclasses import dataclass
 
 from . import pants_trig
-from .coords import ArcClass, FNPoint, Marking
+from .coords import ArcClass, FNPoint, Marking, phi_gamma
 from .pants_trig import DomainError
 
 __all__ = [
@@ -72,6 +76,7 @@ __all__ = [
     "family_lengths",
     "arc_length_formula",
     "hexagon_lengths",
+    "image_table",
     "length_table",
     "pants_neighborhood_boundaries",
 ]
@@ -249,9 +254,7 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     JSON>, "depth": depth}`` appended to its message and kept in its
     ``witness`` attribute.
     """
-    if (fn.g, fn.n) != (m.genus, m.nboundary):
-        raise DomainError(f"point on ({fn.g},{fn.n}) does not fit the marking "
-                          f"of ({m.genus},{m.nboundary})")
+    m.require_fit(fn)
     family, essential = _family(m.ncurves, m.nboundary, depth)
     arcs = () if 0.0 in fn.boundary else m.arcs
     ch = _cosh_halves(fn.lengths + fn.boundary)
@@ -266,6 +269,49 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
                                                + lengths[beta + m.nboundary:]),
                        members=family + arcs,
                        member_lengths=tuple(lengths + arc_lengths))
+
+
+def image_table(t: LengthTable, m: Marking) -> LengthTable:
+    """The length table of the punctured image ``phi_gamma(t.point)``,
+    derived from the table ``t`` of the bordered point.
+
+    It is ``length_table(phi_gamma(t.point), m, t.depth)`` bit for bit,
+    and raises the same :class:`DomainError`, with the same witness
+    ``{"x": <image JSON>, "depth": depth}``.  Forgetting the boundary keeps
+    every cuff length and every dual orbit that reads no boundary
+    (:attr:`~teichspace.coords.Marking.boundary_orbits`), so their lengths
+    are copied from ``t``; the ``beta`` block becomes 0.0 and the arcs are
+    dropped.  Only the members of the orbits that read a boundary are
+    evaluated again, in family order, by :func:`family_lengths`; on a
+    surface where every orbit reads one, that is every dual member.
+    """
+    x = phi_gamma(t.point)
+    m.require_fit(x)
+    depth, nb = t.depth, m.nboundary
+    family, essential = _family(m.ncurves, nb, depth)
+    positions, classes = _orbit_members(m.ncurves, nb, depth, m.boundary_orbits)
+    lengths = list(t.member_lengths[:len(family)])
+    beta = 2 * m.ncurves
+    lengths[beta:beta + nb] = (0.0,) * nb
+    try:
+        for i, v in zip(positions, family_lengths(x, m, classes)):
+            lengths[i] = v
+    except DomainError as err:
+        raise err.with_witness({"x": x.to_dict(), "depth": depth}) from err
+    return LengthTable(point=x, depth=depth, arcs=(), essential=essential,
+                       essential_lengths=tuple(lengths[:beta] + lengths[beta + nb:]),
+                       members=family, member_lengths=tuple(lengths))
+
+
+@functools.lru_cache(maxsize=16)
+def _orbit_members(ncurves: int, nboundary: int, depth: int, orbits: tuple) -> tuple:
+    """``(positions, classes)``: the positions in the family of
+    :func:`_family` of the members of the dual orbits ``orbits``, in family
+    order, and those classes."""
+    family = _family(ncurves, nboundary, depth)[0]
+    positions = tuple(i for i, c in enumerate(family)
+                      if c.seed[0] == "mu" and c.seed[1] in orbits)
+    return positions, tuple(family[i] for i in positions)
 
 
 def enumerate_arcs(m: Marking):

@@ -10,21 +10,26 @@ bounds, so an observed difference exceeding a theoretical ceiling indicates
 a bug, while staying below it is evidence of consistency only.
 
 The metric rows reduce the length tables of :mod:`teichspace.curves`; the
-arc check builds no table and reads each seed arc's curves, its own
-boundaries and then its neighbourhood curves, from the forms the marking
-resolved once (:attr:`~teichspace.coords.Marking.arc_forms`).
+punctured images of the coordinate-forgetting experiment and of the
+almost-isometry report are derived from their bordered points' tables
+(:func:`~teichspace.curves.image_table`), and the report reduces each pair
+to its two values only.  The arc check builds no table and reads each
+seed arc's curves, its own boundaries and then its neighbourhood curves,
+from the forms the marking resolved once
+(:attr:`~teichspace.coords.Marking.arc_forms`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass
 
-from .coords import FNPoint, Marking, build_marking, json_fields, phi_gamma
-from .curves import hexagon_lengths, length_table
-from .metrics import arc_of, teich_of, thurston_of
+from .coords import FNPoint, Marking, build_marking, json_fields
+from .curves import hexagon_lengths, image_table, length_table
+from .metrics import arc_of, arc_sup, teich_of, thurston_of, thurston_sup
 from .pants_trig import DomainError, gap_constants
 
 __all__ = [
@@ -206,9 +211,11 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     the same indices.  Each arc's ratio, best curve ratio, bound and verdict
     are computed once; the report's rows are built from them only when the
     report is yielded.  The seed arcs are the same at every family depth,
-    so there is no depth.  A pair's DomainError is that of the first failing
-    arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a length, and
-    carries the witness ``{"x1", "x2"}``.
+    so there is no depth.  A point that does not fit the marking raises the
+    :class:`DomainError` of :meth:`~teichspace.coords.Marking.require_fit`
+    before anything else of its pair.  Otherwise a pair's DomainError is
+    that of the first failing arc of ``x1``, or of ``x2`` if every arc of
+    ``x1`` has a length.  Each carries the witness ``{"x1", "x2"}``.
     """
     nc, forms = m.ncurves, m.arc_forms
     plan = []
@@ -220,8 +227,12 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
         plan.append((arc.label(), neighbours, essential,
                      len(curves) - len(essential)))
     constants = None
+    fit = (m.genus, m.nboundary) * 2
     for x1, x2 in pairs:
         try:
+            if (x1.g, x1.n, x2.g, x2.n) != fit:
+                m.require_fit(x1)
+                m.require_fit(x2)
             if constants is None:
                 boundary = x1.boundary
                 if 0.0 in boundary:
@@ -308,6 +319,8 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     :class:`HarnessCheckError` with a replay witness if the ordering
     ``d_a >= d_th >= 0`` fails on the evaluated family; a
     :class:`DomainError` of the gap constant gets the witness ``{"x1", "x2"}``.
+    The gap constant depends only on the boundary and is taken once per
+    boundary tuple.
     """
     t1, t2 = length_table(x1, m, depth), length_table(x2, m, depth)
     d_th = thurston_of(t1, t2)
@@ -322,7 +335,7 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
             "d_th": d_th.value, "d_a": d_a.value,
             "d_th_witness": d_th.witness, "d_a_witness": d_a.witness})
     try:
-        gap = gap_constants(x1.boundary).gap
+        gap = _gap(x1.boundary)
     except DomainError as err:
         raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
     return {
@@ -337,6 +350,14 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
         "d_a_witness": d_a.witness,
         "teich_witness": teich.witness,
     }
+
+
+@functools.lru_cache(maxsize=16)
+def _gap(boundary: tuple) -> float:
+    """``gap_constants(boundary).gap``, taken once per boundary tuple; a
+    :class:`DomainError` is not cached, so every row that meets it raises
+    it."""
+    return gap_constants(boundary).gap
 
 
 def csv_line(row: dict, columns) -> str:
@@ -368,7 +389,9 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
     quasiconformal intervals against the coordinate bound ``log(n+3)``.
     If ``ceiling`` is not ``None`` and any difference exceeds it the run
     fails with a replay witness; a step or ceiling that is not finite
-    raises :class:`DomainError`.
+    raises :class:`DomainError`.  Each ray point is evaluated once, into
+    its length table, and its image's table is derived from it
+    (:func:`~teichspace.curves.image_table`).
     """
     if 0.0 in x.boundary:
         raise DomainError("ray experiment starts from a bordered point")
@@ -380,7 +403,7 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
     base = length_table(x, m, depth)
-    base_image = length_table(phi_gamma(x), m, depth)
+    base_image = image_table(base, m)
     bound = math.log(x.n + 3)
     rows = []
     max_diff = 0.0
@@ -390,7 +413,7 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
         xs = FNPoint(g=x.g, n=x.n, lengths=x.lengths, twists=twists,
                      boundary=x.boundary)
         ray = length_table(xs, m, depth)
-        ray_image = length_table(phi_gamma(xs), m, depth)
+        ray_image = image_table(ray, m)
         d_b = thurston_of(base, ray).value
         d_p = thurston_of(base_image, ray_image).value
         t_b = teich_of(base, ray).interval
@@ -442,25 +465,30 @@ def almost_isometry_report(samples, m: Marking, depth: int,
     x, f y) - d1(x, y)|`` over sampled ordered pairs and ``worst_pair``
     the first pair attaining it, also when it is zero.  Targets are the
     images of the samples, so the coarse-density bound ``a_bound`` is
-    exactly zero.  Each sample and each image is evaluated once, into its
-    length table.
+    exactly zero.  Each sample is evaluated once, into its length table,
+    and each image's table is derived from its sample's
+    (:func:`~teichspace.curves.image_table`).  A pair is reduced to its two
+    values only, through the checked cores
+    :func:`~teichspace.metrics.arc_sup` and
+    :func:`~teichspace.metrics.thurston_sup`, which raise as the estimators
+    do.
     """
     samples = list(samples)
     if len(samples) < 2:
         raise DomainError("need at least two samples")
     if metric not in ("arc", "thurston"):
         raise DomainError(f"unknown metric selector {metric!r}")
-    d1_of = arc_of if metric == "arc" else thurston_of
+    d1_of = arc_sup if metric == "arc" else thurston_sup
     tables = [length_table(x, m, depth) for x in samples]
-    images = [length_table(phi_gamma(x), m, depth) for x in samples]
+    images = [image_table(t, m) for t in tables]
     b_bound, worst = None, []
     pairs = 0
     for i in range(len(samples)):
         for j in range(len(samples)):
             if i == j:
                 continue
-            d1 = d1_of(tables[i], tables[j]).value
-            d2 = thurston_of(images[i], images[j]).value
+            d1 = d1_of(tables[i], tables[j])[0]
+            d2 = thurston_sup(images[i], images[j])[0]
             pairs += 1
             if b_bound is None or abs(d2 - d1) > b_bound:
                 b_bound, worst = abs(d2 - d1), [i, j]

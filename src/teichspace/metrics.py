@@ -20,7 +20,9 @@ over the curve family, and the upper end absorbs the additive defect
 ``log(n + 2)`` of restricting the supremum to simple closed curves.
 
 Every estimator is a pure reduction over the :class:`~teichspace.curves.LengthTable`
-of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`);
+of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`;
+:func:`thurston_sup` and :func:`arc_sup` are the checked cores of the first
+two, which give the value and the class attaining it without a label);
 :func:`thurston_lower`, :func:`arc_lower` and :func:`teich_interval_report`
 build the two tables and reduce.  Callers that compare one point with
 several others, or run several estimators on one pair, build each table
@@ -51,10 +53,12 @@ __all__ = [
     "TeichIntervalReport",
     "arc_lower",
     "arc_of",
+    "arc_sup",
     "teich_interval_report",
     "teich_of",
     "thurston_lower",
     "thurston_of",
+    "thurston_sup",
 ]
 
 
@@ -111,6 +115,13 @@ def _sup_log_ratio(members, a, b):
     return best, witness
 
 
+def thurston_sup(t1: LengthTable, t2: LengthTable):
+    """The checked core of :func:`thurston_of`: its value and the class
+    attaining it, with no label or :class:`MetricEstimate` built."""
+    _require_comparable(t1, t2)
+    return _sup_log_ratio(*_essential(t1, t2))
+
+
 def thurston_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
     """Best log length ratio over the essential curve family.
 
@@ -118,11 +129,18 @@ def thurston_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
     ``t2.point``; both points must have identical boundary lengths (all
     zero is allowed).
     """
-    _require_comparable(t1, t2)
-    members, a, b = _essential(t1, t2)
-    best, witness = _sup_log_ratio(members, a, b)
+    best, witness = thurston_sup(t1, t2)
     return MetricEstimate(value=best, depth=t1.depth, witness=witness.label(),
-                          family_size=len(members))
+                          family_size=len(t1.essential))
+
+
+def arc_sup(t1: LengthTable, t2: LengthTable):
+    """The checked core of :func:`arc_of`: its value and the member
+    attaining it, with no label or :class:`MetricEstimate` built."""
+    _require_comparable(t1, t2)
+    if not t1.arcs:
+        raise DomainError("arc metric needs strictly positive boundary lengths")
+    return _sup_log_ratio(t1.members, t1.member_lengths, t2.member_lengths)
 
 
 def arc_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
@@ -132,11 +150,7 @@ def arc_of(t1: LengthTable, t2: LengthTable) -> MetricEstimate:
     Always at least :func:`thurston_of` on the same tables, since the
     family is a superset.
     """
-    _require_comparable(t1, t2)
-    if not t1.arcs:
-        raise DomainError("arc metric needs strictly positive boundary lengths")
-    best, witness = _sup_log_ratio(t1.members, t1.member_lengths,
-                                   t2.member_lengths)
+    best, witness = arc_sup(t1, t2)
     return MetricEstimate(value=best, depth=t1.depth, witness=witness.label(),
                           family_size=len(t1.members))
 

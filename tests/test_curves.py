@@ -1,6 +1,7 @@
 """Tests for curve/arc family enumeration and closed-form dual lengths."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teichspace import curves, pants_trig
-from teichspace.coords import FNPoint, build_marking
+from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.curves import (
     CurveClass,
     arc_length_formula,
@@ -17,6 +18,7 @@ from teichspace.curves import (
     enumerate_curves,
     family_lengths,
     hexagon_lengths,
+    image_table,
     length_table,
     pants_neighborhood_boundaries,
 )
@@ -448,6 +450,92 @@ class TestSharedCoshVector:
         x = point(m, [1550.0] * 5, [2000.0] * 5, [1600.0, 1.0])
         classes = [c for c in enumerate_curves(m, 2) if c.seed[0] != "mu"]
         assert family_lengths(x, m, classes) == [1550.0] * 5 + [1600.0, 1.0]
+
+_IMAGE_MARKINGS = ((0, 3), (1, 1), (0, 4), (1, 2), (2, 2), (3, 2), (1, 6))
+_IMAGE_LENGTH = st.floats(math.log(1e-3), math.log(40.0)).map(math.exp)
+# Cuffs whose duals leave double range: cosh(l/2) overflows above about
+# 1420, and sinh(L/2)^2 underflows to 0 below about 1e-161.
+_OUT_OF_RANGE = {"long": st.floats(1500.0, 1600.0),
+                 "tiny": st.floats(math.log(1e-200), math.log(1e-162)).map(math.exp)}
+
+
+@st.composite
+def image_inputs(draw):
+    m = build_marking(*draw(st.sampled_from(_IMAGE_MARKINGS)))
+    lengths = draw(st.lists(_IMAGE_LENGTH, min_size=m.ncurves, max_size=m.ncurves))
+    regime = draw(st.sampled_from(("in range", "in range", "long", "tiny")))
+    if regime in _OUT_OF_RANGE and lengths:
+        lengths[draw(st.integers(0, m.ncurves - 1))] = draw(_OUT_OF_RANGE[regime])
+    twists = draw(st.lists(st.floats(-50.0, 50.0), min_size=m.ncurves,
+                           max_size=m.ncurves))
+    boundary = draw(st.lists(_IMAGE_LENGTH, min_size=m.nboundary,
+                             max_size=m.nboundary))
+    return m, point(m, lengths, twists, boundary), draw(st.integers(0, 3))
+
+
+def table_outcome(f, *args):
+    """``f(*args)``, or the message and witness of the DomainError it raises."""
+    try:
+        return f(*args)
+    except DomainError as err:
+        return str(err).split("\nwitness: ")[0], err.witness
+
+
+class TestImageTable:
+    """The table of a punctured image derived from its bordered table is
+    the table of the image evaluated from scratch."""
+
+    @given(mxd=image_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_table_of_the_image(self, mxd):
+        m, x, depth = mxd
+        image = phi_gamma(x)
+        want = table_outcome(length_table, image, m, depth)
+        bordered = table_outcome(length_table, x, m, depth)
+        if isinstance(bordered, tuple):
+            # Out of double range: the bordered table raises before any
+            # image is derived, with the same text as the image's own table.
+            assert isinstance(want, tuple)
+            assert bordered[0] == want[0]
+            assert bordered[1] == {"x": x.to_dict(), "depth": depth}
+            assert want[1] == {"x": image.to_dict(), "depth": depth}
+            return
+        got = table_outcome(image_table, bordered, m)
+        assert got.point == image and got.depth == depth
+        assert got.arcs == () == want.arcs
+        assert got.members == want.members
+        assert got.essential == want.essential
+        assert got.essential_lengths == want.essential_lengths
+        assert got.member_lengths == want.member_lengths
+
+    @pytest.mark.parametrize("gn,orbits", [
+        ((0, 3), ()), ((1, 1), (0,)), ((0, 4), (0,)), ((1, 2), (1,)),
+        ((2, 2), (4,)), ((3, 2), (7,)), ((1, 6), (1, 2, 3, 4, 5))])
+    def test_reevaluates_only_the_orbits_reading_a_boundary(self, gn, orbits,
+                                                            monkeypatch):
+        m = build_marking(*gn)
+        assert m.boundary_orbits == orbits
+        x = point(m, [1.3] * m.ncurves, [0.4] * m.ncurves, [0.9] * m.nboundary)
+        t = length_table(x, m, 2)
+        seen = []
+        family = curves.family_lengths
+        monkeypatch.setattr(curves, "family_lengths",
+                            lambda fn, m, classes: seen.append(classes)
+                            or family(fn, m, classes))
+        image_table(t, m)
+        (classes,) = seen
+        assert list(classes) == [c for c in enumerate_curves(m, 2)
+                                 if c.seed[0] == "mu" and c.seed[1] in orbits]
+
+    def test_point_must_fit_the_marking(self):
+        x = point(build_marking(0, 4), [1.0], [0.0], [1.0] * 4)
+        t = length_table(x, build_marking(0, 4), 1)
+        message = "point on (0,4) does not fit the marking of (1,2)"
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            length_table(phi_gamma(x), build_marking(1, 2), 1)
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            image_table(t, build_marking(1, 2))
+
 
 class TestEnumerateArcs:
     def test_pants_has_six_arcs(self):

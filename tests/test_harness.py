@@ -7,12 +7,14 @@ import random
 import re
 import subprocess
 import sys
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
 
 from teichspace import cli, harness, metrics, surface
 from teichspace.coords import FNPoint, build_marking, phi_gamma
+from teichspace.curves import length_table
 from teichspace.harness import (
     COMPARE_COLUMNS,
     ExperimentConfig,
@@ -26,6 +28,7 @@ from teichspace.harness import (
     verify_arc_construction,
     verify_arcs,
 )
+from teichspace.metrics import arc_of, thurston_of
 from teichspace.pants_trig import (
     DomainError,
     gap_constants,
@@ -440,6 +443,24 @@ class TestVerifyArcs:
         with pytest.raises(DomainError, match="equal boundary lengths"):
             next(reports)
 
+    def test_points_must_fit_the_marking(self):
+        cfg = ExperimentConfig(g=0, n=4, boundary=(0.5, 1.0, 1.5, 2.0), seed=2)
+        x1, x2 = sample_point(cfg, 0), sample_point(cfg, 1)
+        m = build_marking(1, 2)
+        message = "point on (0,4) does not fit the marking of (1,2)"
+        with pytest.raises(DomainError) as table_err:
+            length_table(x1, m, 2)
+        assert str(table_err.value) == message
+        with pytest.raises(DomainError) as err:
+            next(verify_arcs([(x1, x2)], m))
+        witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
+        assert err.value.witness == witness
+        assert str(err.value) == message + "\nwitness: " + json.dumps(witness)
+        # The second point of a pair is checked too.
+        y = sample_point(cfg_12(), 0)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            next(verify_arcs([(y, x2)], m))
+
     def test_zero_boundary_raises_before_any_report(self):
         cfg = cfg_12()
         x = phi_gamma(sample_point(cfg, 0))
@@ -518,6 +539,35 @@ class TestCompareMetrics:
         for lo, hi in ((iv.lo, iv.hi), (row["teich_lo"], row["teich_hi"])):
             assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi
 
+    def test_gap_constants_once_per_boundary(self, monkeypatch):
+        calls = []
+        gap_constants = harness.gap_constants
+        monkeypatch.setattr(harness, "gap_constants",
+                            lambda b: calls.append(b) or gap_constants(b))
+        harness._gap.cache_clear()
+        try:
+            for boundary in ((1.0, 1.0), (1.0, 1.25), (1.0, 1.0)):
+                cfg = cfg_12(boundary=boundary)
+                rows = [compare_metrics(sample_point(cfg, 2 * i),
+                                        sample_point(cfg, 2 * i + 1),
+                                        cfg.marking(), 1) for i in range(3)]
+                assert {row["gap_constant"] for row in rows} == {
+                    gap_constants(boundary).gap}
+        finally:
+            harness._gap.cache_clear()
+        assert calls == [(1.0, 1.0), (1.0, 1.25)]
+
+    def test_gap_error_is_raised_by_every_row(self):
+        # sinh(l/2)^2 of a boundary of 1e-200 underflows: the gap constant
+        # fails, and each row names its own pair.
+        cfg = cfg_12(boundary=(1e-200, 1.0))
+        m = cfg.marking()
+        for i in range(2):
+            x1, x2 = sample_point(cfg, 2 * i), sample_point(cfg, 2 * i + 1)
+            with pytest.raises(DomainError, match="got 1e-200") as err:
+                compare_metrics(x1, x2, m, 1)
+            assert err.value.witness == {"x1": x1.to_dict(), "x2": x2.to_dict()}
+
     def test_punctured_pair_raises(self):
         cfg = cfg_12()
         x1, x2 = (phi_gamma(sample_point(cfg, i)) for i in (0, 1))
@@ -584,7 +634,76 @@ class TestPhiExperiment:
                            ceiling=None)
 
 
+def report_reference(samples, m, depth, metric):
+    """``b_bound``, ``pairs`` and ``worst_pair`` of the report as a loop of
+    the estimators over tables that evaluate every image from scratch."""
+    d1_of = arc_of if metric == "arc" else thurston_of
+    tables = [length_table(x, m, depth) for x in samples]
+    images = [length_table(phi_gamma(x), m, depth) for x in samples]
+    b_bound, worst, pairs = None, [], 0
+    for i, j in permutations(range(len(samples)), 2):
+        d = abs(thurston_of(images[i], images[j]).value
+                - d1_of(tables[i], tables[j]).value)
+        pairs += 1
+        if b_bound is None or d > b_bound:
+            b_bound, worst = d, [i, j]
+    return {"b_bound": b_bound, "pairs": pairs, "worst_pair": worst}
+
+
+def report_outcome(f, *args):
+    """The three reference fields of ``f(*args)``, or the type and text
+    (with its witness) of the DomainError it raises."""
+    try:
+        rep = f(*args)
+    except DomainError as err:
+        return type(err).__name__, str(err)
+    return {k: rep[k] for k in ("b_bound", "pairs", "worst_pair")}
+
+
 class TestAlmostIsometryReport:
+    @pytest.mark.parametrize("metric", ["arc", "thurston"])
+    @pytest.mark.parametrize("g,n,boundary", [
+        (0, 3, (0.5, 1.0, 2.0)), (1, 1, (0.8,)), (0, 4, (0.5, 1.0, 1.5, 2.0)),
+        (1, 2, (1.0, 1.5)), (2, 2, (1.0, 1.5)), (3, 2, (1.0, 1.5)),
+        (1, 6, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75))])
+    def test_matches_reference_loop(self, metric, g, n, boundary):
+        for seed, depth in ((0, 0), (3, 2), (7, 3)):
+            cfg = ExperimentConfig(g=g, n=n, boundary=boundary, seed=seed,
+                                   twist_range=(-50.0, 50.0))
+            m = cfg.marking()
+            samples = list(sample_points(cfg, range(5)))
+            got = report_outcome(almost_isometry_report, samples, m, depth, metric)
+            # The pants alone has no essential curve to compare.
+            assert isinstance(got, dict) == (m.ncurves > 0)
+            assert got == report_outcome(report_reference, samples, m, depth,
+                                         metric)
+
+    @pytest.mark.parametrize("metric", ["arc", "thurston"])
+    @pytest.mark.parametrize("case", ["cusp first", "cusp everywhere",
+                                      "other boundary later", "long cuff later"])
+    def test_first_error_matches_reference_loop(self, metric, case):
+        cfg = ExperimentConfig(g=2, n=2, boundary=(1.0, 1.5), seed=4)
+        m = cfg.marking()
+        samples = list(sample_points(cfg, range(4)))
+
+        def rebound(x, boundary, lengths=None):
+            return FNPoint(x.g, x.n, lengths or x.lengths, x.twists, boundary)
+
+        if case == "cusp first":
+            samples[0] = rebound(samples[0], (0.0, 1.5))
+        elif case == "cusp everywhere":
+            samples = [rebound(x, (1.0, 0.0)) for x in samples]
+        elif case == "other boundary later":
+            samples[2] = rebound(samples[2], (1.0, 2.0))
+        else:
+            samples[3] = rebound(samples[3], (1.0, 1.5), [1550.0] * m.ncurves)
+        got = report_outcome(almost_isometry_report, samples, m, 2, metric)
+        assert got == report_outcome(report_reference, samples, m, 2, metric)
+        if case == "cusp everywhere" and metric == "thurston":
+            assert isinstance(got, dict)
+        else:
+            assert got[0] == "DomainError"
+
     def test_repeated_sample_zero_distortion(self):
         cfg = cfg_12()
         m = cfg.marking()
@@ -1008,6 +1127,9 @@ GOLDEN_CONFIGS = {
                              samples=4),
     "g0n4": ExperimentConfig(g=0, n=4, boundary=(0.5, 1.0, 1.5, 2.0), seed=11,
                              depth=2, samples=4),
+    # Five of its six dual orbits read a boundary.
+    "g1n6": ExperimentConfig(g=1, n=6, boundary=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75),
+                             seed=3, depth=2, samples=3),
 }
 GOLDEN_COMMANDS = {
     "compare-csv": ["compare", "--format", "csv"],
@@ -1047,7 +1169,8 @@ class TestGoldenOutputs:
     # leave every output byte as it was.  The verify-arcs digests were
     # recorded while the summary still built every pair's full report, and
     # the phi-json digests before the length tables dropped their unread
-    # fields.
+    # fields.  The g1n6 digests were recorded before the punctured images'
+    # tables were derived from their bordered tables.
     GOLDEN = {
         ("g2n2", "compare-csv"):
             "7f198b09abbf608ed6f6d4f3e1a8b5e6eab01a314e76b86e989cb28a7d308a9e",
@@ -1103,10 +1226,15 @@ class TestGoldenOutputs:
             "79e9e22617f3bc61b8861a34d0517cce61b0b2d23c55965be8f1a952dc9963ae",
         ("g0n4", "verify-arcs-summary"):
             "22fa647a6fdb3a1241ae5e8e4a09d06e2479b63d707a1038dc948c3c3e5e31e1",
+        ("g1n6", "report-arc"):
+            "a527a104ad776bfe9319ee2f371fe1ee1cca765c11666989ad6aaf857a0f7ca2",
+        ("g1n6", "report-thurston"):
+            "c8851e64e6d6ea6d0ec4d4e549a5d3d61ac4498e48fc13d567f8d2560a43a091",
+        ("g1n6", "phi-json"):
+            "15e5b2abcdbb3f529631e338c5714e0ed6d21c6e96ce6053bc14117fc446fe29",
     }
 
-    @pytest.mark.parametrize("config,command", [
-        (c, k) for c in GOLDEN_CONFIGS for k in GOLDEN_COMMANDS])
+    @pytest.mark.parametrize("config,command", list(GOLDEN))
     def test_output_digest(self, tmp_path, config, command):
         assert golden_cli_digest(tmp_path, config, command) == self.GOLDEN[
             config, command]

@@ -21,10 +21,12 @@ from teichspace.metrics import (
     _sup_log_ratio,
     arc_lower,
     arc_of,
+    arc_sup,
     teich_interval_report,
     teich_of,
     thurston_lower,
     thurston_of,
+    thurston_sup,
 )
 from teichspace.pants_trig import DomainError, Interval
 
@@ -320,6 +322,20 @@ class TestReductions:
             s1, s2 = length_table(p1, m, d), length_table(p2, m, d)
             assert thurston_of(s1, s2) == thurston_lower(p1, p2, m, d)
             assert teich_of(s1, s2) == teich_interval_report(p1, p2, m, d)
+
+    def test_sup_cores_give_the_estimates(self):
+        m, d = self.m, 2
+        t1, t2 = length_table(self.x1, m, d), length_table(self.x2, m, d)
+        for core, estimate in ((thurston_sup, thurston_of), (arc_sup, arc_of)):
+            value, witness = core(t1, t2)
+            est = estimate(t1, t2)
+            assert (value, witness.label()) == (est.value, est.witness)
+        image = length_table(phi_gamma(self.x2), m, d)
+        for core in (thurston_sup, arc_sup):
+            with pytest.raises(DomainError, match="boundary lengths differ"):
+                core(t1, image)
+        with pytest.raises(DomainError, match="strictly positive boundary"):
+            arc_sup(image, image)
 
     def test_thurston_is_max_over_essential_family(self):
         m = self.m
