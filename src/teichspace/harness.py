@@ -315,6 +315,11 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     """One comparison row: curve-ratio and arc estimates, their gap, the
     certified gap constant, and the quasiconformal interval.
 
+    ``teich_lo`` is a lower bound on the Teichmüller distance; ``teich_hi``
+    is the upper end of the family-restricted bracket at ``depth``
+    (:func:`~teichspace.metrics.teich_of`), which grows without limit in
+    ``depth`` and is not a certified bound on it.
+
     The three estimators reduce over the same two length tables.  Raises
     :class:`HarnessCheckError` with a replay witness if the ordering
     ``d_a >= d_th >= 0`` fails on the evaluated family; a
@@ -387,6 +392,10 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
     ``s * step``), comparing the curve-ratio estimate between bordered
     points with the estimate between their punctured images, plus the
     quasiconformal intervals against the coordinate bound ``log(n+3)``.
+    The intervals' upper ends, and ``teich_diff_hi``, which reads them, are
+    upper ends of the family-restricted brackets at ``depth``
+    (:func:`~teichspace.metrics.teich_of`): they grow without limit in
+    ``depth`` and are not certified bounds on the Teichmüller distance.
     If ``ceiling`` is not ``None`` and any difference exceeds it the run
     fails with a replay witness; a step or ceiling that is not finite
     raises :class:`DomainError`.  Each ray point is evaluated once, into

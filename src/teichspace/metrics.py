@@ -17,7 +17,10 @@ exp(l/2)``.  Doubling a bordered surface across its boundary doubles both
 punctured and ``1`` bordered, so the interval is finite for every length a
 table can hold (no ``exp(l)`` is formed).  They are combined conservatively
 over the curve family, and the upper end absorbs the additive defect
-``log(n + 2)`` of restricting the supremum to simple closed curves.
+``log(n + 2)`` of restricting the supremum to simple closed curves.  The
+lower end is then a lower bound on the Teichmüller distance; the upper end
+is the bracket's over the finite family only, which grows with the depth
+and is not a certified upper bound (:func:`teich_of`).
 
 Every estimator is a pure reduction over the :class:`~teichspace.curves.LengthTable`
 of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`;
@@ -35,6 +38,31 @@ and the log-ratio supremum logs only the ratios ``b / a`` of at least
 ``1 - 2**-38`` times the largest.  That is exact: every ``|log|`` of a
 double is below ``2**11``, so a ``log`` within 1 ulp errs by less than
 ``2**-41``, and a smaller ratio has a strictly smaller computed log.
+
+The quasiconformal interval is screened the same way.  Write ``c =
+log(pi/2)``, ``r = l2/l1`` and ``M = max(l1, l2)`` for a class of lengths
+``l1`` and ``l2``.  In exact arithmetic its upper difference ``hi2 - lo1``
+or ``hi1 - lo2``, whichever is larger, is ``c + kappa M + |log r|``, and
+its lower differences are ``log r - c - kappa l1`` and ``-log r - c -
+kappa l2``.  So ``D+ = log max r`` and ``D- = -log min r`` (two logs per
+pair) bound every ``|log r|``: a class attains the upper end only if
+``kappa M >= kappa max M - max(D+, D-)``, and has a positive lower
+difference only if ``kappa l1 < D+ - c`` or ``kappa l2 < D- - c``.
+:func:`teich_of` brackets only the classes that pass these tests widened
+by ``slack = 2**-30 (1 + kappa max M + max(D+, D-))``, and the result is
+bit for bit that of bracketing every class.  The lengths are positive
+normal doubles, so each term of a difference is a ``log`` below ``2**10``
+in magnitude within 1 ulp, of an argument within 1 ulp, or the exact
+``kappa l``; a computed difference then errs by less than ``2**-39 (1 +
+kappa M)``, ``D+`` and ``D-`` by less than ``2**-41``, and the tests
+round by less than ``2**-50 (1 + kappa max M + max(D+, D-))``.  The slack
+is more than a hundred times all of these together.  So a class screened
+out has a computed upper difference strictly below that of the longest
+class, which always passes, and both computed lower differences strictly
+below 0.  It can neither tie with the upper end nor move the lower end
+off 0.  Every class attaining the upper end passes; the candidates keep
+their order, so the first of them is the first class overall, and its
+brackets give ``witness_max_log_width``.
 """
 
 from __future__ import annotations
@@ -172,7 +200,14 @@ def arc_lower(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> MetricEstimat
 
 @dataclass(frozen=True)
 class TeichIntervalReport:
-    """Interval estimate with the witness of its upper end."""
+    """The family-restricted bracket of the quasiconformal metric, with the
+    witness of its upper end.
+
+    ``interval.lo`` is a lower bound on the Teichmüller distance ``d_T``.
+    ``interval.hi`` is the upper end of the bracket over the family at
+    ``depth``: it grows without limit in ``depth`` and is not a certified
+    bound on ``d_T`` (:func:`teich_of`).
+    """
 
     interval: Interval
     depth: int
@@ -187,6 +222,10 @@ class TeichIntervalReport:
                 "family_size": self.family_size}
 
 
+_TEICH_SLACK = 2.0 ** -30
+_LOG_HALF_PI = math.log(math.pi / 2)
+
+
 def _log_brackets(lengths, kappa: float):
     """``[log(l/pi)]`` and ``[log(l/2) + kappa l]`` over ``lengths``: the
     log extremal-length bracket of each curve (module docstring)."""
@@ -195,15 +234,22 @@ def _log_brackets(lengths, kappa: float):
 
 
 def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
-    """Interval bracketing the quasiconformal metric between two points.
+    """The family-restricted bracket of the quasiconformal metric between
+    two points.
 
     Both points must be punctured, or both bordered with equal boundary
-    lengths.  For every essential curve the extremal-length ratio is
-    bracketed through the log brackets of :func:`_log_brackets`; the lower
-    end pairs bracket ends so the value can only shrink, the upper end so
-    it can only grow, and the additive defect ``log(n+2)`` of the
-    simple-curve restriction widens the top.  The upper end's witness is
-    the first class attaining it.
+    lengths.  For every essential curve of the family at ``depth`` the
+    extremal-length ratio is bracketed through the log brackets of
+    :func:`_log_brackets`; the lower end pairs bracket ends so the value
+    can only shrink, the upper end so it can only grow, and the additive
+    defect ``log(n+2)`` of the simple-curve restriction widens the top.
+    The lower end is a lower bound on the Teichmüller distance ``d_T``.
+    The upper end is only the upper end of this bracket over the family:
+    each class's upper bracket is about ``kappa l`` wide and the deepest
+    twists are the longest classes, so it grows without limit in
+    ``depth``, and it is not a certified bound on ``d_T``.  The upper
+    end's witness is the first class attaining it.  Only the classes that
+    can attain an end are bracketed (the screen of the module docstring).
     """
     _require_comparable(t1, t2)
     x1 = t1.point
@@ -212,8 +258,21 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
         raise DomainError("points must be fully punctured or fully bordered")
     members, lengths1, lengths2 = _essential(t1, t2)
     kappa = 0.5 if punctured else 1.0
-    lo1, hi1 = _log_brackets(lengths1, kappa)
-    lo2, hi2 = _log_brackets(lengths2, kappa)
+    # The screen of the module docstring, in length units (dividing by
+    # kappa is exact): a class is bracketed unless both of its lengths lie
+    # in [low, upper).
+    r = list(map(truediv, lengths2, lengths1))
+    d_plus, d_minus = math.log(max(r)), -math.log(min(r))
+    d = max(d_plus, d_minus)
+    top = max(max(lengths1), max(lengths2))
+    slack = _TEICH_SLACK * (1.0 + kappa * top + d)
+    upper = top - (d + slack) / kappa
+    low1 = (d_plus - _LOG_HALF_PI + slack) / kappa
+    low2 = (d_minus - _LOG_HALF_PI + slack) / kappa
+    kept = [i for i, a, b in zip(range(len(members)), lengths1, lengths2)
+            if not (low1 <= a < upper and low2 <= b < upper)]
+    lo1, hi1 = _log_brackets([lengths1[i] for i in kept], kappa)
+    lo2, hi2 = _log_brackets([lengths2[i] for i in kept], kappa)
     # Halving after the max gives the largest halved difference, since
     # rounding is monotone; the upper differences are above log(pi/2), so
     # halving them is exact and keeps the first argmax.
@@ -222,7 +281,7 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     i = up.index(max(up))
     defect = math.log(x1.n + 2)
     return TeichIntervalReport(interval=Interval(s_lo, 0.5 * up[i] + defect),
-                               depth=t1.depth, witness=members[i].label(),
+                               depth=t1.depth, witness=members[kept[i]].label(),
                                witness_max_log_width=max(hi1[i] - lo1[i],
                                                          hi2[i] - lo2[i]),
                                family_size=len(members))

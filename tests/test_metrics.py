@@ -1,13 +1,16 @@
 """Tests for the metric estimators and extremal-length brackets."""
 
 import dataclasses
+import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teichspace import metrics
 from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.curves import (
     enumerate_curves,
@@ -15,6 +18,7 @@ from teichspace.curves import (
     hexagon_lengths,
     length_table,
 )
+from teichspace.harness import ExperimentConfig, sample_points
 from teichspace.metrics import (
     TeichIntervalReport,
     _log_brackets,
@@ -229,6 +233,15 @@ class TestTeichInterval:
         assert rep.interval.hi == pytest.approx(hi + math.log(3), abs=1e-12)
 
 
+def _class_ends(a, b, kappa):
+    """The halved lower and upper differences of the class with lengths
+    ``a`` and ``b``, and the wider of its two bracket widths."""
+    la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
+    la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
+    return (0.5 * max(0.0, la2 - lb1, la1 - lb2), 0.5 * max(lb2 - la1, lb1 - la2),
+            max(lb1 - la1, lb2 - la2))
+
+
 def per_class_teich_of(t1, t2):
     """The reduction of :func:`teich_of` written as a running loop over the
     classes, keeping the first class of the largest upper end."""
@@ -239,14 +252,10 @@ def per_class_teich_of(t1, t2):
     s_lo = 0.0
     s_hi, witness, wit_width = None, None, 0.0
     for c, a, b in zip(members, lengths1, lengths2):
-        la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
-        la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
-        v_lo = 0.5 * max(0.0, la2 - lb1, la1 - lb2)
-        v_hi = 0.5 * max(lb2 - la1, lb1 - la2)
+        v_lo, v_hi, width = _class_ends(a, b, kappa)
         s_lo = max(s_lo, v_lo)
         if s_hi is None or v_hi > s_hi:
-            s_hi, witness = v_hi, c.label()
-            wit_width = max(lb1 - la1, lb2 - la2)
+            s_hi, witness, wit_width = v_hi, c.label(), width
     defect = math.log(x1.n + 2)
     return TeichIntervalReport(interval=Interval(s_lo, s_hi + defect),
                                depth=t1.depth, witness=witness,
@@ -265,6 +274,86 @@ def _teich_tables():
 
 _TEICH_TABLES = _teich_tables()
 _BRACKET_LENGTH = st.floats(1e-6, 1500.0)
+# Lengths near the smallest the brackets are drawn at and near the length
+# tables' ceiling, where cosh(l/2) leaves double range.
+_EXTREME_LENGTH = st.floats(1e-6, 2e-6) | st.floats(1390.0, 1410.0)
+
+
+def _pairs_of(length):
+    return lambda n, kappa: st.lists(st.tuples(length, length), min_size=n, max_size=n)
+
+
+def _equal_pairs(n, kappa):
+    """Every pair the same length twice: every upper difference ties and
+    both log-ratio bounds are 0."""
+    return _BRACKET_LENGTH.map(lambda l: [(l, l)] * n)
+
+
+def _lopsided_pairs(n, kappa):
+    """Pairs with one side much shorter, so the lower end is positive."""
+    pair = st.tuples(st.floats(1e-6, 1e-2), _BRACKET_LENGTH, st.booleans()).map(
+        lambda p: (p[1], p[0]) if p[2] else p[:2])
+    return st.lists(pair, min_size=n, max_size=n)
+
+
+@st.composite
+def _edge_pairs(draw, n, kappa):
+    """Equal pairs ``(T, T)`` with one pair moved onto each edge of the
+    screen (:func:`_onto_screen_edge`): pair 0 onto the upper edge, so
+    that it comes first among the classes that tie there."""
+    pairs = [(draw(st.floats(10.0, 1500.0)),) * 2] * n
+    k = draw(st.integers(1, n - 1))
+    _onto_screen_edge(pairs, kappa, 0, draw(st.floats(1.0, 1.01)), False,
+                      draw(st.booleans()))
+    _onto_screen_edge(pairs, kappa, k, draw(st.floats(1e-3, 1.0)), True,
+                      draw(st.booleans()))
+    return pairs
+
+
+_PAIR_SHAPES = {"any": _pairs_of(_BRACKET_LENGTH), "equal": _equal_pairs,
+                "extreme": _pairs_of(_EXTREME_LENGTH), "lopsided": _lopsided_pairs,
+                "edges": _edge_pairs}
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` ulps, up for ``k > 0``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _onto_screen_edge(pairs, kappa, i, x, lower, swap):
+    """Put pair ``i``, among pairs of ratio 1 and longest ``(T, T)``, just
+    outside an edge of :func:`teich_of`'s screen: at the last double,
+    found in at most 64 ulp steps, at which the identity behind that edge
+    (the ``metrics`` module docstring), evaluated in double, says the pair
+    does not reach an end.  Only the screen's slack keeps such a pair in.
+
+    The upper edge: pair ``i`` gets the ratio ``x`` and the longer length
+    ``b`` just below which ``kappa b + log(x)`` reaches ``kappa T``.  The
+    lower edge: pair ``i`` gets the lengths ``x`` and ``b`` just below
+    which ``log(b/x) - log(pi/2) - kappa x`` turns positive.  ``swap``
+    swaps the two lengths of pair ``i``.
+    """
+    if lower:
+        a = x
+        b = a * (math.pi / 2) * math.exp(kappa * a)
+        def reached(b):
+            return math.log(b / a) - math.log(math.pi / 2) - kappa * a > 0.0
+    else:
+        t = max(map(max, pairs))
+        b = t - math.log(x) / kappa
+        a = b / x
+        def reached(b):
+            return kappa * b + math.log(b / a) >= kappa * t
+    for _ in range(64):
+        if reached(b):
+            b = math.nextafter(b, 0.0)
+        elif not reached(above := math.nextafter(b, math.inf)):
+            b = above
+        else:
+            break
+    pairs[i] = (b, a) if swap else (a, b)
 
 
 def with_lengths(tables, pairs):
@@ -275,7 +364,7 @@ def with_lengths(tables, pairs):
 
 
 class TestTeichOfOnePass:
-    """teich_of brackets each table once and reduces in one pass, with the
+    """teich_of brackets only the classes its screen keeps, with the
     per-class loop's interval, witness and witness width."""
 
     @pytest.mark.parametrize("kind", ["bordered", "punctured"])
@@ -283,22 +372,54 @@ class TestTeichOfOnePass:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_class_loop(self, kind, data):
         tables = _TEICH_TABLES[kind]
+        kappa = 0.5 if kind == "punctured" else 1.0
         labels = [c.label() for c in tables[0].essential]
         n = len(labels)
-        pairs = data.draw(st.lists(st.tuples(_BRACKET_LENGTH, _BRACKET_LENGTH),
-                                   min_size=n, max_size=n))
+        shape = data.draw(st.sampled_from(sorted(_PAIR_SHAPES)))
+        pairs = data.draw(_PAIR_SHAPES[shape](n, kappa))
         top = labels.index(per_class_teich_of(*with_lengths(tables, pairs)).witness)
         # Ties in the upper end: a copy of the largest pair, or the pair
-        # swapped (the upper end is symmetric in the two lengths).
+        # swapped (the upper end is symmetric in the two lengths); and
+        # near-ties, the largest pair with one length a few ulps off.
         planted = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
                                      max_size=3))
+        near = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans(),
+                                            st.integers(-4, 4)), max_size=3))
         a, b = pairs[top]
         for i, swap in planted:
             pairs[i] = (b, a) if swap else (a, b)
+        for i, first, k in near:
+            if i not in {top} | {j for j, _ in planted}:
+                pairs[i] = (_ulps(a, k), b) if first else (a, _ulps(b, k))
         t1, t2 = with_lengths(tables, pairs)
         rep = teich_of(t1, t2)
         assert repr(rep) == repr(per_class_teich_of(t1, t2))
-        assert rep.witness == labels[min([top] + [i for i, _ in planted])]
+        if not near:
+            assert rep.witness == labels[min([top] + [i for i, _ in planted])]
+
+
+class TestTeichOfLogCount:
+    """A count that does not depend on the machine: the ``math.log`` calls
+    of one :func:`teich_of` on the first pair of the compare-g3n2 config.
+    Bracketing all 64 essential classes took 4 logs each, and one more for
+    the defect: 257."""
+
+    def test_first_compare_g3n2_pair(self, monkeypatch):
+        cfg = ExperimentConfig.from_json(json.dumps(
+            {"g": 3, "n": 2, "boundary": [1.0, 1.5], "depth": 3, "seed": 7}))
+        m = cfg.marking()
+        t1, t2 = (length_table(x, m, cfg.depth) for x in sample_points(cfg, range(2)))
+        calls = []
+
+        def log(x):
+            calls.append(x)
+            return math.log(x)
+
+        monkeypatch.setattr(metrics, "math", types.SimpleNamespace(**{**vars(math), "log": log}))
+        assert len(t1.essential) == 64
+        rep = teich_of(t1, t2)
+        assert repr(rep) == repr(per_class_teich_of(t1, t2))
+        assert len(calls) == 39
 
 
 class TestReductions:
