@@ -41,15 +41,19 @@ Pants-local arcs are evaluated by the hexagon closed forms; geodesic pants
 are convex, so these lengths do not depend on the twists.  The curves
 each seed arc reads are resolved once per marking, and only there
 (:attr:`~teichspace.coords.Marking.arc_forms`): its own boundaries, then
-the curves bounding its neighbourhood pants.  :func:`hexagon_lengths`
-reads the same ``cosh(l/2)`` vector and feeds every form's checked core in
-:mod:`teichspace.pants_trig`, the one path by which a length is evaluated
-or rejected.
+the curves bounding its neighbourhood pants.  A seed arc's own curves are
+always boundaries, so the terms its form reads of them alone, and the
+boundary block of the ``cosh(l/2)`` vector, depend only on the boundary
+lengths: :func:`hexagon_terms` takes them once per boundary.
+:func:`hexagon_lengths` reads them and the same ``cosh(l/2)`` vector, and
+feeds every form's checked core in :mod:`teichspace.pants_trig`, the one
+path by which a length is evaluated or rejected.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
 point is evaluated once however many estimators and partners use it.  It
-takes the ``cosh(l/2)`` vector once for both, and keeps only the two views
+takes the ``cosh(l/2)`` vector once for both, its cuff block per point and
+its boundary block per boundary, and keeps only the two views
 the pair reductions read: the essential classes with their lengths, and
 the family followed by the arcs with theirs.  Forgetting the boundary
 lengths changes only the orbits whose terms read a boundary
@@ -76,6 +80,7 @@ __all__ = [
     "family_lengths",
     "arc_length_formula",
     "hexagon_lengths",
+    "hexagon_terms",
     "image_table",
     "length_table",
     "pants_neighborhood_boundaries",
@@ -212,10 +217,10 @@ def _orbit_terms(fn: FNPoint, m: Marking, k: int, ch) -> tuple:
 
 
 def _cosh_halves(ell) -> list:
-    """``cosh(l/2)`` of every length of ``ell`` (a point's ``lengths +
-    boundary``), ``inf`` where it overflows (only the rare point with a
-    curve longer than about 1420 pays for the vector twice); a cusp's entry
-    is ``cosh(0) = 1``."""
+    """``cosh(l/2)`` of every length of ``ell`` (a point's ``lengths``, or
+    its ``lengths + boundary``), ``inf`` where it overflows (only the rare
+    point with a curve longer than about 1420 pays for the vector twice); a
+    cusp's entry is ``cosh(0) = 1``."""
     try:
         return [math.cosh(v / 2) for v in ell]
     except OverflowError:
@@ -247,8 +252,10 @@ class LengthTable:
 def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     """Evaluate the length table of ``fn`` at family depth ``depth``.
 
-    ``cosh(l/2)`` of every curve is taken once (:func:`_cosh_halves`) and
-    read by one :func:`family_lengths` call over the whole family and by
+    ``cosh(l/2)`` of every curve is taken once, the cuffs' here
+    (:func:`_cosh_halves`) and the boundaries' with the arcs' boundary
+    terms once per boundary (:func:`hexagon_terms`), and read by one
+    :func:`family_lengths` call over the whole family and by
     :func:`hexagon_lengths`.  A :class:`DomainError` of either (a length
     that is not finite) is re-raised with the replay witness ``{"x": <point
     JSON>, "depth": depth}`` appended to its message and kept in its
@@ -257,10 +264,12 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     m.require_fit(fn)
     family, essential = _family(m.ncurves, m.nboundary, depth)
     arcs = () if 0.0 in fn.boundary else m.arcs
-    ch = _cosh_halves(fn.lengths + fn.boundary)
+    terms = hexagon_terms(m.arc_forms, m.ncurves, fn.boundary)
+    ch = _cosh_halves(fn.lengths)
+    ch += terms[0]
     try:
         lengths = family_lengths(fn, m, family, ch)
-        arc_lengths = hexagon_lengths(fn, m.arc_forms, ch) if arcs else []
+        arc_lengths = hexagon_lengths(fn, m.arc_forms, ch, terms) if arcs else []
     except DomainError as err:
         raise err.with_witness({"x": fn.to_dict(), "depth": depth}) from err
     beta = 2 * m.ncurves
@@ -330,12 +339,16 @@ def arc_length_formula(fn: FNPoint, m: Marking, arc: ArcClass) -> float:
     return hexagon_lengths(fn, [m.arc_form(arc)])[0]
 
 
-def hexagon_lengths(fn: FNPoint, forms, ch=None) -> list:
+def hexagon_lengths(fn: FNPoint, forms, ch=None, terms=None) -> list:
     """Hexagon lengths at ``fn`` of the arcs resolved by
     :meth:`~teichspace.coords.Marking.arc_form`, aligned with ``forms``.
 
-    ``ch``, the ``cosh(l/2)`` of the point's curves (:func:`_cosh_halves`,
-    taken here when not given), is fed to the checked core of
+    ``terms`` is :func:`hexagon_terms` of ``forms`` at ``fn.boundary`` and
+    ``ch`` the ``cosh(l/2)`` of the point's curves, whose boundary block is
+    ``terms[0]``; both are taken here when not given, ``ch`` from the cuffs
+    (:func:`_cosh_halves`) and that block.  Each form's neighbourhood
+    ``cosh(l/2)`` from ``ch`` and its boundary terms from ``terms`` are fed
+    to the checked core of
     :func:`~teichspace.pants_trig.orthogeodesic_between` or
     :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths, and
     the :class:`DomainError` naming the lengths of the first arc that
@@ -348,11 +361,44 @@ def hexagon_lengths(fn: FNPoint, forms, ch=None) -> list:
         return [(pants_trig.orthogeodesic_between if between
                  else pants_trig.orthogeodesic_self)(ell[i], ell[j], ell[k])
                 for between, i, j, k in forms]
+    if terms is None:
+        terms = hexagon_terms(tuple(forms), len(fn.lengths), fn.boundary)
     if ch is None:
-        ch = _cosh_halves(ell)
-    return [pants_trig._between(ell[i], ell[j], ell[k], ch[k]) if between
-            else pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], ch[i])
-            for between, i, j, k in forms]
+        ch = _cosh_halves(fn.lengths)
+        ch += terms[0]
+    return [pants_trig._between(ell[i], ell[j], ell[k], ch[k], p, q) if between
+            else pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], p, q)
+            for (between, i, j, k), (p, q) in zip(forms, terms[1])]
+
+
+@functools.lru_cache(maxsize=16)
+def hexagon_terms(forms, ncurves: int, boundary: tuple) -> tuple:
+    """``(ch, arcs)``: the terms of the hexagon forms ``forms`` (see
+    :func:`hexagon_lengths`) that read only the boundary lengths
+    ``boundary``, taken once per ``(forms, ncurves, boundary)``.
+
+    ``ch`` is ``cosh(b/2)`` of every boundary, the boundary block of a
+    point's ``cosh(l/2)`` vector (``1.0`` on a cusp).  A seed arc's own
+    curves are boundaries, so ``arcs`` holds, aligned with ``forms``, the
+    pair of terms its core reads of them: ``(cosh((li - lj)/2), sinh(li/2)
+    sinh(lj/2))`` of a between-arc and ``(cosh(li/2), sinh(li/2))`` of a
+    self-arc, the same expressions the entry points take.  A ``cosh`` or
+    ``sinh`` that overflows is ``inf``, which takes the core out of double
+    range as the overflow itself would; a ``sinh`` of 0 still divides by
+    zero inside the core.
+    """
+    ch = tuple(map(pants_trig._cosh_half, boundary))
+    sh = tuple(map(pants_trig._sinh_half, boundary))
+    arcs = []
+    for between, i, j, _ in forms:
+        i -= ncurves
+        if between:
+            j -= ncurves
+            arcs.append((pants_trig._cosh_half(boundary[i] - boundary[j]),
+                         sh[i] * sh[j]))
+        else:
+            arcs.append((ch[i], sh[i]))
+    return ch, tuple(arcs)
 
 
 def pants_neighborhood_boundaries(arc: ArcClass, m: Marking):

@@ -16,7 +16,8 @@ almost-isometry report are derived from their bordered points' tables
 to its two values only.  The arc check builds no table and reads each
 seed arc's curves, its own boundaries and then its neighbourhood curves,
 from the forms the marking resolved once
-(:attr:`~teichspace.coords.Marking.arc_forms`).
+(:attr:`~teichspace.coords.Marking.arc_forms`); it takes the terms of
+those forms that read only the boundary once per run.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .coords import FNPoint, Marking, build_marking, json_fields
-from .curves import hexagon_lengths, image_table, length_table
+from .curves import hexagon_lengths, hexagon_terms, image_table, length_table
 from .metrics import arc_of, arc_sup, teich_of, thurston_of, thurston_sup
 from .pants_trig import DomainError, gap_constants
 
@@ -142,11 +143,14 @@ def sample_points(cfg: ExperimentConfig, indices):
     uniform over the logs of ``length_range`` and taken through
     ``math.exp``, then the ``ncurves`` twists, uniform over
     ``twist_range``.  One generator serves the whole run and is reseeded
-    with that key before each point, which gives the stream of a fresh
-    ``random.Random(key)``, so a point depends only on its own index, not
-    on the order or repetition of ``indices``; the per-config terms are
-    worked out once.  Python keeps ``random()`` the same for the same
-    integer seed in every release, so the points do not depend on the
+    with that key before each point, through the ``seed`` of its base
+    class ``_random.Random``: for an int, ``Random.seed`` only checks the
+    type, calls that method and clears ``gauss_next``, which ``random()``
+    never reads, so this gives the stream of a fresh
+    ``random.Random(key)``.  A point therefore depends only on its own
+    index, not on the order or repetition of ``indices``; the per-config
+    terms are worked out once.  Python keeps ``random()`` the same for the
+    same integer seed in every release, so the points do not depend on the
     interpreter or the host.  An ``index`` below 0 or at or above 2**64
     would collide with another key and raises :class:`DomainError` when
     it is reached, after the points before it have been yielded.
@@ -160,7 +164,7 @@ def sample_points(cfg: ExperimentConfig, indices):
     twist_width = twist_hi - twist_lo
     key = (cfg.seed & _M64) << 64
     rng = random.Random()
-    seed, draw, exp = rng.seed, rng.random, math.exp
+    seed, draw, exp = super(random.Random, rng).seed, rng.random, math.exp
     for index in indices:
         if not 0 <= index <= _M64:
             raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
@@ -204,16 +208,22 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     (index ``i`` of ``x.lengths + x.boundary`` is ``gamma<i>`` below
     ``m.ncurves`` and a boundary above), with the indices of the essential
     ones and the count of the boundary-parallel ones.  The gap constants
+    and the hexagon forms' boundary terms
+    (:func:`~teichspace.curves.hexagon_terms`: the arcs' own ``cosh`` and
+    ``sinh`` terms and the boundary block of the ``cosh(l/2)`` vector)
     depend only on the boundary, so they are taken once, from the first
     pair, before its report; every point of every pair must share that
     boundary.  Per point, one :func:`~teichspace.curves.hexagon_lengths`
-    pass gives every arc length; the neighbourhood ratios are read through
-    the same indices.  Each arc's ratio, best curve ratio, bound and verdict
-    are computed once; the report's rows are built from them only when the
-    report is yielded.  The seed arcs are the same at every family depth,
-    so there is no depth.  A point that does not fit the marking raises the
-    :class:`DomainError` of :meth:`~teichspace.coords.Marking.require_fit`
-    before anything else of its pair.  Otherwise a pair's DomainError is
+    pass gives every arc length, taking ``cosh(l/2)`` of the cuffs only.
+    Essential neighbourhood curves are cuffs, so one pass per pair over the
+    cuff ratios ``x2.lengths[i] / x1.lengths[i]``, taken once, counts the
+    checked and passed arcs.  The rows (ratio, best curve ratio, bound and
+    verdict of each arc, with its curves) are computed with the same
+    expressions only for a report that is yielded in full.  The seed arcs
+    are the same at every family depth, so there is no depth.  A point
+    that does not fit the marking raises the :class:`DomainError` of
+    :meth:`~teichspace.coords.Marking.require_fit` before anything else of
+    its pair.  Otherwise a pair's DomainError is
     that of the first failing arc of ``x1``, or of ``x2`` if every arc of
     ``x1`` has a length.  Each carries the witness ``{"x1", "x2"}``.
     """
@@ -226,6 +236,7 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
         essential = [i for i in curves if i < nc]
         plan.append((arc.label(), neighbours, essential,
                      len(curves) - len(essential)))
+    essentials = [essential for _, _, essential, _ in plan]
     constants = None
     fit = (m.genus, m.nboundary) * 2
     for x1, x2 in pairs:
@@ -239,36 +250,34 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
                     raise DomainError("arc check needs positive boundary lengths")
                 constants = gap_constants(boundary)
                 c = constants.c
+                terms = hexagon_terms(forms, nc, boundary)
             if x1.boundary != boundary or x2.boundary != boundary:
                 raise DomainError("arc check needs equal boundary lengths")
-            lens1, lens2 = hexagon_lengths(x1, forms), hexagon_lengths(x2, forms)
-            ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
-            # (ratio, best, bound, ok) of each arc; best is None if unchecked.
-            verdicts = []
-            checked = passed = 0
-            for (_, _, essential, _), l1, l2 in zip(plan, lens1, lens2):
-                ratio = l2 / l1
-                if ratio <= 1.0:
-                    verdicts.append((ratio, None, None, None))
-                    continue
-                best = max(ell2[i] / ell1[i] for i in essential)
-                bound = c * ratio
-                ok = best >= bound
-                checked += 1
-                passed += ok
-                verdicts.append((ratio, best, bound, ok))
+            lens1 = hexagon_lengths(x1, forms, terms=terms)
+            lens2 = hexagon_lengths(x2, forms, terms=terms)
         except DomainError as err:
             raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
+        # Essential neighbours are cuffs, so their ratios are read from here.
+        cuffs = [b / a for a, b in zip(x1.lengths, x2.lengths)]
+        checked = passed = 0
+        for essential, l1, l2 in zip(essentials, lens1, lens2):
+            ratio = l2 / l1
+            if ratio > 1.0:
+                checked += 1
+                passed += max([cuffs[i] for i in essential]) >= c * ratio
         if summary_only and passed == checked:
             yield {"checked": checked, "passed": passed, "all_passed": True}
             continue
+        ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
         rows = []
-        for (label, neighbours, _, excluded), l1, l2, (ratio, best, bound, ok) in zip(
-                plan, lens1, lens2, verdicts):
-            if best is None:
+        for (label, neighbours, essential, excluded), l1, l2 in zip(plan, lens1, lens2):
+            ratio = l2 / l1
+            if ratio <= 1.0:
                 rows.append({"arc": label, "l1": l1, "l2": l2,
                              "ratio": ratio, "checked": False})
                 continue
+            best = max([cuffs[i] for i in essential])
+            bound = c * ratio
             rows.append({
                 "arc": label, "l1": l1, "l2": l2, "ratio": ratio,
                 "checked": True,
@@ -276,7 +285,7 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
                             "ratio": ell2[i] / ell1[i], "essential": e}
                            for i, nb_label, e in neighbours],
                 "excluded_boundary_parallel": excluded,
-                "max_curve_ratio": best, "bound": bound, "passed": ok})
+                "max_curve_ratio": best, "bound": bound, "passed": best >= bound})
         yield {
             "x1": x1.to_dict(),
             "x2": x2.to_dict(),

@@ -64,13 +64,20 @@ The exported constant is ``min(c_a, c_b, c_c)`` minimised over the boundary
 components, so the certified inequality holds in every zone.
 
 Both arc forms are evaluated in double precision as sums of positive
-terms, each by one private core (``_between``, ``_self``) that is passed
-the ``cosh(l/2)`` terms a point's arcs share, checks its range and raises
-its own :class:`DomainError`.  The public forms and
-:func:`teichspace.curves.hexagon_lengths` both call it, so they give the
-same lengths and the same errors.  For boundary lengths in ``[1e-4, 40]``
-they match a 50-digit mpmath evaluation of the identities above to 1e-14
-relative, and the doubled-arc traces of the 40-digit holonomy of the
+terms, each by one private core (``_between``, ``_self``) that checks its
+range and raises its own :class:`DomainError`.  A core is passed its terms,
+not its lengths' hyperbolic functions: the ``cosh(l/2)`` of the curves
+bounding the arc's neighbourhood, which a point's arcs share, and the terms
+that read only the arc's own boundaries (``cosh((li - lj)/2)`` and
+``sinh(li/2) sinh(lj/2)`` of a between-arc, ``cosh(li/2)`` and
+``sinh(li/2)`` of a self-arc), which every point with the same boundary
+shares.  A term that overflows is passed as ``inf`` (:func:`_cosh_half`,
+:func:`_sinh_half`), which takes the core out of double range as the
+overflow itself would.  The public forms and
+:func:`teichspace.curves.hexagon_lengths` both call the cores, so they give
+the same lengths and the same errors.  For boundary lengths in
+``[1e-4, 40]`` they match a 50-digit mpmath evaluation of the identities
+above to 1e-14 relative, and the doubled-arc traces of the 40-digit holonomy of the
 doubled surface to 1e-12 on the ranges the tests sample.  Where an intermediate or the result
 leaves double range, both forms, the self-arc floor and bracket and the
 constants raise :class:`DomainError` naming the lengths.
@@ -116,13 +123,22 @@ def _cosh_half(v: float) -> float:
         return math.inf
 
 
-def _between(li: float, lj: float, la: float, ca: float) -> float:
+def _sinh_half(v: float) -> float:
+    """``sinh(v/2)``, or ``inf`` where it overflows."""
+    try:
+        return math.sinh(v / 2)
+    except OverflowError:
+        return math.inf
+
+
+def _between(li: float, lj: float, la: float, ca: float, cd: float,
+             ss: float) -> float:
     """Between-arc form of positive ``li``, ``lj`` and ``la >= 0``, given
-    ``ca = cosh(la/2)``; raises :class:`DomainError` where it leaves double
+    ``ca = cosh(la/2)``, ``cd = cosh((li - lj)/2)`` and ``ss = sinh(li/2)
+    sinh(lj/2)``; raises :class:`DomainError` where it leaves double
     range."""
     try:
-        length = _acosh1p((math.cosh((li - lj) / 2) + ca)
-                          / (math.sinh(li / 2) * math.sinh(lj / 2)))
+        length = _acosh1p((cd + ca) / ss)
     except (OverflowError, ZeroDivisionError):
         length = math.inf
     if not 0.0 < length < math.inf:
@@ -130,13 +146,14 @@ def _between(li: float, lj: float, la: float, ca: float) -> float:
     return length
 
 
-def _self(li: float, la: float, ld: float, ca: float, cd: float, ci: float) -> float:
+def _self(li: float, la: float, ld: float, ca: float, cd: float, ci: float,
+          si: float) -> float:
     """Self-arc form of positive ``li``, ``la`` and ``ld``, given their
-    ``cosh(l/2)`` as ``ca``, ``cd`` and ``ci``; raises :class:`DomainError`
-    where it leaves double range."""
+    ``cosh(l/2)`` as ``ca``, ``cd`` and ``ci`` and ``si = sinh(li/2)``;
+    raises :class:`DomainError` where it leaves double range."""
     try:
         length = 2.0 * math.asinh(math.sqrt(ca * ca + 2.0 * ca * cd * ci + cd * cd)
-                                  / math.sinh(li / 2))
+                                  / si)
     except (OverflowError, ZeroDivisionError):
         length = math.inf
     if not 0.0 < length < math.inf:
@@ -159,7 +176,8 @@ def orthogeodesic_between(li: float, lj: float, la: float) -> float:
     _require_positive(li=li, lj=lj)
     if la < 0 or not math.isfinite(la):
         raise DomainError(f"la must be a nonnegative finite length, got {la!r}")
-    return _between(li, lj, la, _cosh_half(la))
+    return _between(li, lj, la, _cosh_half(la), _cosh_half(li - lj),
+                    _sinh_half(li) * _sinh_half(lj))
 
 
 def orthogeodesic_self(li: float, la: float, ld: float) -> float:
@@ -173,7 +191,8 @@ def orthogeodesic_self(li: float, la: float, ld: float) -> float:
     a sum of positive terms, so nothing cancels for long boundaries.
     """
     _require_positive(li=li, la=la, ld=ld)
-    return _self(li, la, ld, _cosh_half(la), _cosh_half(ld), _cosh_half(li))
+    return _self(li, la, ld, _cosh_half(la), _cosh_half(ld), _cosh_half(li),
+                 _sinh_half(li))
 
 
 def self_arc_floor(li: float) -> float:

@@ -690,10 +690,18 @@ class TestHexagonLengths:
         assert isinstance(want, str) and "leaves double range" in want
         assert outcome(hexagon_lengths, x, m.arc_forms) == want
 
+    # The boundary terms are taken once per boundary, also at both edges of
+    # double range: half of 5e-324 rounds to 0, so its sinh is 0, and the
+    # cosh and sinh of half of 1500 overflow.
     @pytest.mark.parametrize("g,n,boundary", [
         (0, 3, (1e-200, 1e-200, 1.0)), (0, 3, (1e-200, 1.0, 1.5)),
         (1, 2, (1e-200, 1e-200)), (2, 2, (1e-200, 1.0)),
-        (1, 6, (1e-200, 0.75, 1.0, 1.25, 1e-200, 1.75))])
+        (1, 6, (1e-200, 0.75, 1.0, 1.25, 1e-200, 1.75)),
+        (0, 3, (1e-300, 1.0, 1.5)), (1, 1, (1e-300,)),
+        (0, 3, (5e-324, 1.0, 1.5)), (0, 3, (5e-324, 5e-324, 1.0)), (1, 1, (5e-324,)),
+        (1, 2, (700.0, 1.0)), (0, 3, (700.0, 700.0, 1.0)),
+        (1, 6, (0.5, 1420.0, 1.0, 1.25, 1.5, 1.75)), (0, 3, (1420.0, 1.0, 1.5)),
+        (2, 2, (1500.0, 1.0)), (1, 1, (1500.0,))])
     def test_tiny_boundary_matches_the_entry_points(self, g, n, boundary):
         m = build_marking(g, n)
         x = point(m, [1.0] * m.ncurves, [0.0] * m.ncurves, boundary)
@@ -706,12 +714,13 @@ class TestHexagonLengths:
                 == "DomainError: orthogeodesic_between(1e-200, 1e-200, 1.0) "
                    "leaves double range")
 
-    def test_cosh_overflow_is_a_range_error(self):
+    @pytest.mark.parametrize("b", [1.0, 1e-300, 5e-324, 700.0, 1420.0, 1500.0])
+    def test_cosh_overflow_is_a_range_error(self, b):
         # cosh(l/2) itself overflows past l of about 1421.
         m = build_marking(1, 2)
-        x = point(m, [1.0, 1500.0], [0.0, 0.0], [1.0, 1.5])
+        x = point(m, [1.0, 1500.0], [0.0, 0.0], [b, 1.5])
         want = arc_by_arc(x, m)
-        assert want == ("DomainError: orthogeodesic_between(1.0, 1.5, 1500.0) "
+        assert want == (f"DomainError: orthogeodesic_between({b!r}, 1.5, 1500.0) "
                         "leaves double range")
         assert outcome(hexagon_lengths, x, m.arc_forms) == want
 

@@ -11,8 +11,10 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teichspace import cli, harness, metrics, surface
+from teichspace import cli, curves, harness, metrics, pants_trig, surface
 from teichspace.coords import FNPoint, build_marking, phi_gamma
 from teichspace.curves import length_table
 from teichspace.harness import (
@@ -503,6 +505,97 @@ class TestVerifyArcs:
             assert c["curve"].startswith("beta")
             assert c["curve"].endswith("(boundary)")
             assert c["l1"] == c["l2"]
+
+
+def tie_constant(best, ratio):
+    """A constant ``c`` with ``c * ratio == best`` exactly, found within four
+    ulps of ``best / ratio``, or ``best / ratio`` when none ties."""
+    c = up = down = best / ratio
+    candidates = [c]
+    for _ in range(4):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+        candidates += [up, down]
+    return next((k for k in candidates if k * ratio == best), c)
+
+
+@st.composite
+def arc_check_pairs(draw):
+    """A marking, a pair on it with boundaries in ``[1e-3, 30]``, cuffs in
+    ``[1e-3, 40]`` and twists to 50 in size, and which checked arc to tie
+    (none if negative)."""
+    m = build_marking(*draw(st.sampled_from([(0, 3), (1, 1), (0, 4), (1, 6), (3, 2)])))
+    boundary = draw(st.lists(st.floats(1e-3, 30.0), min_size=m.nboundary,
+                             max_size=m.nboundary))
+
+    def values(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=m.ncurves,
+                             max_size=m.ncurves))
+
+    x1, x2 = (FNPoint(g=m.genus, n=m.nboundary, lengths=values(1e-3, 40.0),
+                      twists=values(-50.0, 50.0), boundary=boundary)
+              for _ in range(2))
+    return m, x1, x2, draw(st.integers(-1, 6))
+
+
+class TestVerifyArcsPasses:
+    """The counting pass, which gives ``checked`` and ``passed``, and the
+    row pass, which gives each written arc's verdict, agree."""
+
+    @given(case=arc_check_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_summary_counts_match_the_full_rows(self, case):
+        m, x1, x2, tie = case
+        c = gap_constants(x1.boundary).c
+        checked = [r for r in next(verify_arcs([(x1, x2)], m))["arcs"] if r["checked"]]
+        if tie >= 0 and checked:
+            # A constant that puts one arc's bound exactly on its best curve
+            # ratio, where ">=" and ">" part; others pass or fail by it.
+            row = checked[tie % len(checked)]
+            c = tie_constant(row["max_curve_ratio"], row["ratio"])
+        constants = SimpleNamespace(c=c, c_between=c, c_self=c, gap=-math.log(c))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "gap_constants", lambda b: constants)
+            full = next(verify_arcs([(x1, x2)], m))
+            summary = next(verify_arcs([(x1, x2)], m, summary_only=True))
+        rows = [r for r in full["arcs"] if r["checked"]]
+        assert full["checked"] == len(rows)
+        assert full["passed"] == sum(r["passed"] for r in rows)
+        assert full["all_passed"] == (full["passed"] == full["checked"])
+        assert {k: summary[k] for k in ("checked", "passed", "all_passed")} == {
+            k: full[k] for k in ("checked", "passed", "all_passed")}
+        # A pair is written in the summary stream exactly when it fails.
+        assert (summary == full) == (not full["all_passed"])
+
+
+class TestVerifyArcsTrigCount:
+    """A count that does not depend on the machine: the ``math.cosh`` and
+    ``math.sinh`` calls per pair of :func:`verify_arcs` on the
+    verify-arcs-g1n6 config (seed 7), over the ten pairs after the first,
+    on one generator, so the terms taken once per run at the first pair
+    (the gap constants and the hexagon forms' boundary terms) are not
+    counted.  Taking every hexagon term per point took 42 (26 ``cosh``, 16
+    ``sinh``); a pair now takes ``cosh(l/2)`` of its two points' six cuffs
+    only: 12."""
+
+    def test_verify_arcs_g1n6_pairs(self, monkeypatch):
+        cfg = ExperimentConfig.from_json(json.dumps(
+            {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
+             "depth": 2, "samples": 5000, "seed": 7}))
+        points = sample_points(cfg, range(22))
+        reports = verify_arcs(zip(points, points), cfg.marking(), summary_only=True)
+        next(reports)
+        calls = []
+
+        def counted(name):
+            f = getattr(math, name)
+            return lambda v: calls.append(name) or f(v)
+
+        counting = SimpleNamespace(**{**vars(math), "cosh": counted("cosh"),
+                                      "sinh": counted("sinh")})
+        for module in (curves, harness, pants_trig):
+            monkeypatch.setattr(module, "math", counting)
+        assert len(list(reports)) == 10
+        assert (calls.count("cosh"), calls.count("sinh")) == (120, 0)
 
 
 class TestCompareMetrics:
