@@ -1,9 +1,11 @@
 """Experiment runner: sampling, inequality checks, and report generation.
 
 Every operation here is deterministic given the experiment configuration:
-point ``index`` is drawn from a ``random.Random`` stream keyed by ``(seed,
-index)`` (see :func:`sample_points`).  Reports are plain dicts with fixed
-key order so identical runs serialize to identical bytes.
+point ``index`` is drawn from the ``random.Random`` stream keyed by ``(seed,
+index // 64)``, after the draws of the points before it in that block of
+64, so it depends only on ``(seed, index)`` (see :func:`sample_points`).
+Reports are plain dicts with fixed key order so identical runs serialize to
+identical bytes.
 
 The checks are boundedness reports, not proofs: the estimators are lower
 bounds, so an observed difference exceeding a theoretical ceiling indicates
@@ -130,6 +132,8 @@ class ExperimentConfig:
 
 
 _M64 = 2 ** 64 - 1
+# Consecutive indices that share one generator stream (see sample_points).
+_BLOCK = 64
 
 
 def sample_points(cfg: ExperimentConfig, indices):
@@ -137,38 +141,50 @@ def sample_points(cfg: ExperimentConfig, indices):
     deterministic in ``(cfg.seed, index)``, lengths log-uniform, twists
     uniform.
 
-    Point ``index`` takes its draws from the ``random.Random`` stream of the
-    integer ``(cfg.seed mod 2**64) * 2**64 + index``, which is injective
-    over the accepted range: first the logs of the ``ncurves`` lengths,
-    uniform over the logs of ``length_range`` and taken through
+    The indices fall into blocks of 64, and block ``b`` reads the
+    ``random.Random`` stream of the integer ``(cfg.seed mod 2**64) * 2**64
+    + b``, which is injective over the accepted range.  Point ``index``
+    takes ``2 * ncurves`` draws of its block's stream after those of the
+    ``index % 64`` points before it: first the logs of the ``ncurves``
+    lengths, uniform over the logs of ``length_range`` and taken through
     ``math.exp``, then the ``ncurves`` twists, uniform over
-    ``twist_range``.  One generator serves the whole run and is reseeded
-    with that key before each point, through the ``seed`` of its base
-    class ``_random.Random``: for an int, ``Random.seed`` only checks the
-    type, calls that method and clears ``gauss_next``, which ``random()``
-    never reads, so this gives the stream of a fresh
-    ``random.Random(key)``.  A point therefore depends only on its own
-    index, not on the order or repetition of ``indices``; the per-config
-    terms are worked out once.  Python keeps ``random()`` the same for the
-    same integer seed in every release, so the points do not depend on the
-    interpreter or the host.  An ``index`` below 0 or at or above 2**64
-    would collide with another key and raises :class:`DomainError` when
-    it is reached, after the points before it have been yielded.
+    ``twist_range``.  A point therefore depends only on its own index, not
+    on the order or repetition of ``indices``.  A run of consecutive
+    indices seeds one generator per block and reads its stream straight
+    through; any other index seeds a fresh generator (a full MT19937
+    initialisation of its 624-word state) and skips the draws of the
+    points before it in its block, up to ``63 * 2 * ncurves``.  The
+    per-config terms are worked out once.  Python keeps ``random()`` and
+    ``getrandbits`` the same for the same integer seed in every release,
+    so the points do not depend on the interpreter or the host.  An
+    ``index`` below 0 or at or above 2**64 lies outside the sampler's
+    domain and raises :class:`DomainError` when it is reached, after the
+    points before it have been yielded.
     """
     g, n, boundary = cfg.g, cfg.n, cfg.boundary
     draws = range(3 * g - 3 + n)
+    # Each random() takes two 32-bit words of MT19937 and getrandbits(64 * k)
+    # takes 2k, so the latter skips k draws.
+    skip_bits = 64 * 2 * len(draws)
     # lo + (hi - lo) * random() is what Random.uniform(lo, hi) returns.
     lo = math.log(cfg.length_range[0])
     width = math.log(cfg.length_range[1]) - lo
     twist_lo, twist_hi = cfg.twist_range
     twist_width = twist_hi - twist_lo
     key = (cfg.seed & _M64) << 64
-    rng = random.Random()
-    seed, draw, exp = super(random.Random, rng).seed, rng.random, math.exp
+    exp = math.exp
+    block = drawn = None
     for index in indices:
         if not 0 <= index <= _M64:
             raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
-        seed(key | index)
+        b, position = divmod(index, _BLOCK)
+        if b != block or position < drawn:
+            rng = random.Random(key | b)
+            draw = rng.random
+            block, drawn = b, 0
+        if position > drawn:
+            rng.getrandbits((position - drawn) * skip_bits)
+        drawn = position + 1
         lengths = [exp(lo + width * draw()) for _ in draws]
         twists = [twist_lo + twist_width * draw() for _ in draws]
         yield FNPoint(g, n, lengths, twists, boundary)
@@ -176,7 +192,11 @@ def sample_points(cfg: ExperimentConfig, indices):
 
 def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
     """Point number ``index`` of the experiment: the one-index case of
-    :func:`sample_points`, so the same point whichever way it is drawn."""
+    :func:`sample_points`, so the same point whichever way it is drawn.
+
+    Each call seeds a generator and skips the draws of the ``index % 64``
+    points before it in its block; to draw many points, pass their indices
+    to :func:`sample_points` in one call."""
     return next(sample_points(cfg, (index,)))
 
 

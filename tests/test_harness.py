@@ -118,12 +118,16 @@ class TestExperimentConfig:
 
 
 def reference_sample_point(cfg, index):
-    """The sampler written out with a fresh ``random.Random`` per point."""
+    """The sampler written out: a fresh ``random.Random`` per point, keyed by
+    the point's block of 64, read after the draws of the points before it
+    in that block."""
     m64 = 2 ** 64 - 1
     if not 0 <= index <= m64:
         raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
-    draw = random.Random((cfg.seed & m64) << 64 | index).random
+    draw = random.Random((cfg.seed & m64) << 64 | index // 64).random
     ncurves = 3 * cfg.g - 3 + cfg.n
+    for _ in range(index % 64 * 2 * ncurves):
+        draw()
     lo = math.log(cfg.length_range[0])
     width = math.log(cfg.length_range[1]) - lo
     lengths = [math.exp(lo + width * draw()) for _ in range(ncurves)]
@@ -144,6 +148,8 @@ class TestSamplePoints:
         "ascending": [0, 1, 2, 3, 4, 5, LAST],
         "descending": [LAST, 5, 4, 3, 2, 1, 0],
         "repeated": [3, 3, 0, 3, LAST, 0, LAST, 3],
+        "block edges": [62, 63, 64, 65, 127, 128, LAST - 63, LAST - 62, LAST],
+        "back within a block": [70, 71, 72, 66, 67, 127, 64],
     }
 
     @pytest.mark.parametrize("g,n", [(1, 6), (2, 2), (0, 4)])
@@ -192,12 +198,13 @@ class TestSamplePoint:
         assert sample_point(cfg_12(seed=1), 0) != sample_point(cfg_12(seed=2), 0)
 
     # SHA-256 of the space-joined float.hex of the lengths, then the twists,
-    # of every point at seeds 0, 7, -1, 2**64 - 1 and indices 0, 1, 2**64 - 1,
-    # with the default ranges and boundary 1.0.
+    # of every point at seeds 0, 7, -1, 2**64 - 1 and indices 0, 1, 2**64 - 1
+    # (the last point of the last block of 64), with the default ranges and
+    # boundary 1.0.
     GOLDEN = {
-        (1, 6): "5abc73d425c5a4cfed5b8e4381bc10c151d46636809ea31d2a5cc4a886fb3cc8",
-        (2, 2): "d72559de0868eef8825907b9beed9690308584b112bf2b158321dfbb0fc242c4",
-        (0, 4): "ae7761364eb49ba8177520d83788a34818ffb48005b40469b6b1317a55b8b106",
+        (1, 6): "2fdf08d7a32bd9a82ec84aff7b8af03be0e2248db0c48271d5f92b3d69ef8048",
+        (2, 2): "0923aece51a24f6300e524c73df5a8e14bacf4099feeed925931ae0701930fe3",
+        (0, 4): "51d6eac3be8fde04382cb7d5e81d4a461126ef32e0c075bac8e979f1618c5e3d",
     }
 
     @pytest.mark.parametrize("g,n", list(GOLDEN))
@@ -214,11 +221,11 @@ class TestSamplePoint:
     def test_golden_point(self):
         x = sample_point(ExperimentConfig(g=2, n=2, boundary=(1.0, 1.0), seed=7), 1)
         assert [v.hex() for v in x.lengths] == [
-            "0x1.9c73b0e55a071p+1", "0x1.e783f24d06919p-1", "0x1.515651996f421p+1",
-            "0x1.3e941f9065274p+0", "0x1.9049a06e3535ep-1"]
+            "0x1.92e96e42fd2a1p+1", "0x1.785e8b78e58e8p-1", "0x1.762e05fc881ddp+1",
+            "0x1.09a91b63b2794p+1", "0x1.d800287c34bddp+1"]
         assert [v.hex() for v in x.twists] == [
-            "-0x1.b62312fc83d6ep+0", "0x1.efc8246d68c40p-1", "-0x1.faf0e85db4e80p+0",
-            "0x1.1a9fd79db3056p+0", "0x1.19fbc496ce29ap+0"]
+            "0x1.3f79ff03a0b5ep+0", "-0x1.69a70da04a740p-4", "0x1.7611bed60aa96p+0",
+            "-0x1.7ca95e7c0ed08p-2", "0x1.cb32482b1617cp+0"]
 
     def test_seed_taken_mod_2_to_64(self):
         cfg = cfg_12(seed=-1)
@@ -229,8 +236,8 @@ class TestSamplePoint:
             sample_point(cfg_12(), -1)
 
     def test_index_past_64_bits_raises(self):
-        # From 2**64 on, the key (seed << 64 | index) would equal that of
-        # another (seed, index) pair.
+        # The sampler's domain is the 64-bit indices; 2**64 lies past its
+        # last block.
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
             sample_point(cfg_12(), 2 ** 64)
 
@@ -393,7 +400,7 @@ class TestVerifyArcs:
         assert json.loads(summary.read_text()) == payload
 
     # A constant of 1.6, which GapConstants itself rejects (it needs c <= 1),
-    # makes 145 of these 300 pairs fail.
+    # makes 157 of these 300 pairs fail.
     FAILING = SimpleNamespace(c=1.6, c_between=1.6, c_self=1.6, gap=-0.47)
 
     def failing_pairs(self, monkeypatch):
@@ -416,7 +423,7 @@ class TestVerifyArcs:
         assert json.loads(summary.read_text()) == payload
         failing = [r for r in verify_arcs(pairs, cfg.marking())
                    if not r["all_passed"]]
-        assert len(failing) == 145
+        assert len(failing) == 157
         assert payload["failures"] == failing
         assert failing == [r for r in reports if not r["all_passed"]]
         assert payload["pass_rate"] < 1.0
@@ -596,6 +603,43 @@ class TestVerifyArcsTrigCount:
             monkeypatch.setattr(module, "math", counting)
         assert len(list(reports)) == 10
         assert (calls.count("cosh"), calls.count("sinh")) == (120, 0)
+
+
+class TestSamplerSeedCount:
+    """A count that does not depend on the machine: the MT19937 seedings
+    (``_random.Random.seed`` calls, seen as profiler ``c_call`` events) of
+    one CLI call on a benchmark config.  Seeding before every point took
+    10 001 and 17 (one per point and one to construct the generator); a run
+    of consecutive indices now takes one per block of 64."""
+
+    @staticmethod
+    def seedings(tmp_path, config, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "c_call" and getattr(arg, "__qualname__", None) == "Random.seed":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            cli.main([argv[0], "--config", str(cfg_path), *argv[1:],
+                      "--out", str(tmp_path / "out")])
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_verify_arcs_g1n6(self, tmp_path):
+        config = {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
+                  "depth": 2, "samples": 5000, "seed": 7}
+        assert self.seedings(tmp_path, config, ["verify-arcs", "--summary-only"]) == 157
+
+    def test_compare_g3n2(self, tmp_path):
+        config = {"g": 3, "n": 2, "boundary": [1.0, 1.5], "depth": 3,
+                  "samples": 8, "seed": 7}
+        assert self.seedings(tmp_path, config, ["compare", "--format", "csv"]) == 1
 
 
 class TestCompareMetrics:
@@ -1263,12 +1307,15 @@ class TestGoldenOutputs:
     # recorded while the summary still built every pair's full report, and
     # the phi-json digests before the length tables dropped their unread
     # fields.  The g1n6 digests were recorded before the punctured images'
-    # tables were derived from their bordered tables.
+    # tables were derived from their bordered tables.  Every digest that
+    # reads a sampled point other than point 0 was re-recorded when the
+    # sampler went from one stream per point to one per block of 64; the
+    # phi digests read point 0 only and kept their bytes.
     GOLDEN = {
         ("g2n2", "compare-csv"):
-            "7f198b09abbf608ed6f6d4f3e1a8b5e6eab01a314e76b86e989cb28a7d308a9e",
+            "e9bcfdeea5d75369c43a855d73e1511983265ed887bc6d5f5a60d87adfe2d598",
         ("g2n2", "compare-json"):
-            "1f97a79100fa156b3b9eb0850220596d70f29b3229f0b7a5c7519ef9bf029767",
+            "f8f6ca4d2f6fb49120030a86f0a19753a1d365d06ea993072a0f8344b15939b6",
         ("g2n2", "report-arc"):
             "3d977cf91a0fc819585cbd897db700f6b2f40c3ef69267f1b0a167aa44e8b304",
         ("g2n2", "report-thurston"):
@@ -1278,51 +1325,51 @@ class TestGoldenOutputs:
         ("g2n2", "phi-json"):
             "3e18d267bfd3d95d3378f946bfd8c7690ae262a4e2a85d0874a3fef6c7751d97",
         ("g2n2", "distance"):
-            "0b3326a52923fd47f02e057809d5a1e1c2b9f353a1b5ac9ebe4a6a2eb4e646e5",
+            "457243c373b088e2acd8ca8d3db3fb69ed86bc1e9b29c313c88d1df6eaee005c",
         ("g2n2", "verify-arcs"):
-            "f565cfeebd7471d6a2ef2619f2aadd8fd619e09588a2c35110e4135052ff872a",
+            "d3db00eefd8698c93b9cf734e8d9ba8ed58bc0b47c841cd54458f2959b18e035",
         ("g2n2", "verify-arcs-summary"):
-            "ad25519b96f608e846499f3fec2628c5281a8617247d65ceffb91bc1a31dfc71",
+            "b65ae221649bd8736d6ae970a02c85b729b3287795a75d6e7fe2a2b8238b8ff6",
         ("g1n1", "compare-csv"):
-            "401ccb902736ba77b7df4093cca9bdde86ce63e705616a67cce9d8f162210147",
+            "c76a42d1e3485c5a8f50b42dcbe0310a1eb680843bbe5639cf5ce7e51850a256",
         ("g1n1", "compare-json"):
-            "fbd0be6e7f3c7e75f79daaec2f062061af34e03e11da32168e076f6f0e4a560a",
+            "d7d7c4494f3a766add11915900d1aef2f4bef5d5c70e58618e0fb241ac184bbc",
         ("g1n1", "report-arc"):
-            "cdd844a1cd79c6009e82ebbf9b66f2c2354a7e81322bea6be6a19fc1e5ccd9c0",
+            "2efd5f5943a4ed9738cced7069e159323039df069444755fec8606b7c8d9e6f3",
         ("g1n1", "report-thurston"):
-            "15af4477b7b8268db8bc6bc11f3fd027c4f7077e2be18344e93ced93a310099a",
+            "03cf6f56e47c5e1b16d22558a5a519e8ed8f57b3ccc7cb09b7d0710a51b20a1d",
         ("g1n1", "phi-csv"):
             "46899ec6e7183678c1c27dfeadc7461530c2f5e467fd099b6fdf4cc63ff8599e",
         ("g1n1", "phi-json"):
             "ec7d6905fd24db0e34ab12872ca6756bba663046a47a72777f432c3550bb9698",
         ("g1n1", "distance"):
-            "5d961c73f3c2a27371b245f581e11f9f231fb7ce5adf9d6c11b540bae80130cf",
+            "734fa5096cff271c83ecaec3bc20d9afc93ef81ecc295d5903ff9cb68cd825f0",
         ("g1n1", "verify-arcs"):
-            "ca6357e893a34e6bbbcd4ff5ce689c44cb6b6effb3512987d679c80661e4ed7f",
+            "b06ffba7b83a4f3766dabaa5c7b62ce7696e02298c94fce8ab5a4ef8cff8f77b",
         ("g1n1", "verify-arcs-summary"):
-            "5e80b3a2c853612c378fd06764b3172c821356866f1e7ec32de8a8311246d86d",
+            "12f59aca303a0e99219e5c68f2e3f85f9dddbbc674f3f3f9a5ca87c564a89580",
         ("g0n4", "compare-csv"):
-            "f0b4a4b7d951f91362fb1c64f32f23f2a3043e091a64b7dbfc0885d1b3648f63",
+            "ab063e0d37c86acd872b1626f17e180e5b0299fe7c9416b48721a6a02acf74ba",
         ("g0n4", "compare-json"):
-            "673f46a2753eeee0f7a2baa7c5ef560339d7d7c0b56caa3db29156521bac49a5",
+            "97fff02dd04c19e98a5c163de6cab7e39e6d5d7ba9fdfc36bf0ea764f30b25ca",
         ("g0n4", "report-arc"):
-            "f90656f65e489955c92fc3bfb611fb15622c2043e964a502964d9221d87b81b5",
+            "50bc60b259a29172093e40e9385e3aec77b97b05f7dfefa4cde88b50d275a182",
         ("g0n4", "report-thurston"):
-            "2e24618a3846c2123ee1af8651b669f87ea960f77f07c4c840e82cd1276eec46",
+            "33d4f3c9fca0530d4387f82ff082f529e51366b6becb3014e11d3747b282044d",
         ("g0n4", "phi-csv"):
             "d3b0da5a7fbc2f7d715ff7b9de5c636a84b33b2dc26731fd223a6d47c5e33bd1",
         ("g0n4", "phi-json"):
             "1fbb95efa29394db27b04d5af7cbee2d28765b8d9d1b1970bc0665a8ea07c5c5",
         ("g0n4", "distance"):
-            "ea9c1cf270439542a443b9819c5a7268179f63e9823279e6e53cbf33f8d99886",
+            "c337fe50fc5d528f04b3758bb46342855dd0f427fc9b88e5524bffd73ff123a4",
         ("g0n4", "verify-arcs"):
-            "79e9e22617f3bc61b8861a34d0517cce61b0b2d23c55965be8f1a952dc9963ae",
+            "d6a8a62f8385f1fef9863033e9753c2b1b7f0323e4856f9e1b2cbcc9117a1653",
         ("g0n4", "verify-arcs-summary"):
-            "22fa647a6fdb3a1241ae5e8e4a09d06e2479b63d707a1038dc948c3c3e5e31e1",
+            "e1c817c9575ad814f27b4e128ac6695b433f639c9c3a39c56d56a6e38e8ded52",
         ("g1n6", "report-arc"):
-            "a527a104ad776bfe9319ee2f371fe1ee1cca765c11666989ad6aaf857a0f7ca2",
+            "351c3639791271215b05d7ff618aa6fec7cbda37ef961d5a87b30c0e576a288e",
         ("g1n6", "report-thurston"):
-            "c8851e64e6d6ea6d0ec4d4e549a5d3d61ac4498e48fc13d567f8d2560a43a091",
+            "ab41a7ef70e1a0862a47f360a9910d733660f62bf05488ee7f49ca24d64c1232",
         ("g1n6", "phi-json"):
             "15e5b2abcdbb3f529631e338c5714e0ed6d21c6e96ce6053bc14117fc446fe29",
     }

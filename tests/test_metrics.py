@@ -419,7 +419,7 @@ class TestTeichOfLogCount:
         assert len(t1.essential) == 64
         rep = teich_of(t1, t2)
         assert repr(rep) == repr(per_class_teich_of(t1, t2))
-        assert len(calls) == 39
+        assert len(calls) == 35
 
 
 class TestReductions:
