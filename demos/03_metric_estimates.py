@@ -48,8 +48,10 @@ print("backward estimate:", back.value)
 print("symmetrised      :", max(d_th.value, back.value))
 
 # The quasiconformal metric cannot be evaluated exactly without extremal
-# metrics; it is reported as an interval from two-sided extremal-length
-# bounds.  At equal points the interval starts at zero.
+# metrics; it is reported as an interval.  Its lower end is half the larger
+# curve-ratio estimate of the two directions (a K-quasiconformal map
+# stretches lengths by at most K), its upper end comes from extremal-length
+# brackets.  At equal points the interval starts at zero.
 rep = teich_interval_report(x, y, m, 2)
 print("\nquasiconformal interval for (x, y):", rep.interval)
 print("quasiconformal interval for (x, x):",

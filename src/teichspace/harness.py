@@ -344,7 +344,8 @@ def compare_metrics(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> dict:
     """One comparison row: curve-ratio and arc estimates, their gap, the
     certified gap constant, and the quasiconformal interval.
 
-    ``teich_lo`` is a lower bound on the Teichmüller distance; ``teich_hi``
+    ``teich_lo`` is half the larger curve-ratio estimate of the two
+    directions, a lower bound on the Teichmüller distance; ``teich_hi``
     is the upper end of the family-restricted bracket at ``depth``
     (:func:`~teichspace.metrics.teich_of`), which grows without limit in
     ``depth`` and is not a certified bound on it.
@@ -421,8 +422,10 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
     ``s * step``), comparing the curve-ratio estimate between bordered
     points with the estimate between their punctured images, plus the
     quasiconformal intervals against the coordinate bound ``log(n+3)``.
-    The intervals' upper ends, and ``teich_diff_hi``, which reads them, are
-    upper ends of the family-restricted brackets at ``depth``
+    The intervals' lower ends are half the larger curve-ratio estimate of
+    the two directions, lower bounds on the Teichmüller distance.  Their
+    upper ends, and ``teich_diff_hi``, which reads them, are upper ends of
+    the family-restricted brackets at ``depth``
     (:func:`~teichspace.metrics.teich_of`): they grow without limit in
     ``depth`` and are not certified bounds on the Teichmüller distance.
     If ``ceiling`` is not ``None`` and any difference exceeds it the run

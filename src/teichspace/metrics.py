@@ -8,19 +8,34 @@ estimate carries the witness class attaining it.
 
 Exact extremal lengths are out of reach without quadratic differentials,
 so the quasiconformal-deformation metric is reported as an interval only.
+Its lower end comes from Wolpert's lemma (1979, "The length spectra as
+moduli for compact Riemann surfaces"): a ``K``-quasiconformal map between
+finite-area hyperbolic surfaces stretches the length of every closed
+geodesic by at most ``K``.  On bordered points it is applied to the
+doubles: a ``K``-quasiconformal map ``X -> Y`` extends by reflection to a
+``K``-quasiconformal map ``DX -> DY``, and an interior closed geodesic of
+``X`` is a closed geodesic of ``DX`` of the same length, so ``l_Y <= K
+l_X`` on bordered points too, and the same holds for the inverse map.
+With ``d_T = (1/2) log K`` this gives ``d_T >= (1/2) max(d_th(x, y),
+d_th(y, x))``, read off the largest and the smallest length ratio of the
+family; the argument reads hyperbolic lengths only, never the brackets
+below.
+
 Maskit's inequalities bound the extremal length of a closed geodesic of
 hyperbolic length ``l`` on a cusped surface by ``l/pi <= Ext <= (l/2)
 exp(l/2)``.  Doubling a bordered surface across its boundary doubles both
 ``l`` and ``Ext``, so a bordered curve has half the bracket of its double,
 ``l/pi <= Ext <= (l/2) exp(l)``.  The brackets enter in log form,
 ``log(l/pi) <= log Ext <= log(l/2) + kappa l`` with ``kappa = 1/2``
-punctured and ``1`` bordered, so the interval is finite for every length a
-table can hold (no ``exp(l)`` is formed).  They are combined conservatively
-over the curve family, and the upper end absorbs the additive defect
-``log(n + 2)`` of restricting the supremum to simple closed curves.  The
-lower end is then a lower bound on the Teichmüller distance; the upper end
-is the bracket's over the finite family only, which grows with the depth
-and is not a certified upper bound (:func:`teich_of`).
+punctured and ``1`` bordered, so the upper end is finite for every length
+a table can hold (no ``exp(l)`` is formed).  It is the largest halved
+bracket difference over the curve family, widened by the additive defect
+``log(n + 2)`` of restricting the supremum to simple closed curves; it is
+the bracket's over the finite family only, which grows with the depth and
+is not a certified upper bound (:func:`teich_of`).  A bracket's lower
+difference, ``log r - log(pi/2) - kappa l1`` or ``-log r - log(pi/2) -
+kappa l2`` for a class of ratio ``r = l2/l1``, is below ``|log r|`` by
+more than ``log(pi/2)``, so the brackets never give a larger lower end.
 
 Every estimator is a pure reduction over the :class:`~teichspace.curves.LengthTable`
 of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`;
@@ -33,43 +48,37 @@ once and call the reductions: one comparison row then costs two length
 tables, scalar closed forms with no holonomy assembly.
 
 A report reduces every ordered pair of its tables, so the reductions read
-the views each table selected once (:class:`~teichspace.curves.LengthTable`),
-and the log-ratio supremum logs only the ratios ``b / a`` of at least
-``1 - 2**-38`` times the largest.  That is exact: every ``|log|`` of a
-double is below ``2**11``, so a ``log`` within 1 ulp errs by less than
-``2**-41``, and a smaller ratio has a strictly smaller computed log.
+the views each table selected once (:class:`~teichspace.curves.LengthTable`).
+A log-ratio supremum takes one ``log``, of the largest ratio ``b / a``, and
+its witness is the first member attaining that ratio.
 
-The quasiconformal interval is screened the same way.  Write ``c =
-log(pi/2)``, ``r = l2/l1`` and ``M = max(l1, l2)`` for a class of lengths
-``l1`` and ``l2``.  In exact arithmetic its upper difference ``hi2 - lo1``
-or ``hi1 - lo2``, whichever is larger, is ``c + kappa M + |log r|``, and
-its lower differences are ``log r - c - kappa l1`` and ``-log r - c -
-kappa l2``.  So ``D+ = log max r`` and ``D- = -log min r`` (two logs per
-pair) bound every ``|log r|``: a class attains the upper end only if
-``kappa M >= kappa max M - max(D+, D-)``, and has a positive lower
-difference only if ``kappa l1 < D+ - c`` or ``kappa l2 < D- - c``.
-:func:`teich_of` brackets only the classes that pass these tests widened
-by ``slack = 2**-30 (1 + kappa max M + max(D+, D-))``, and the result is
-bit for bit that of bracketing every class.  The lengths are positive
-normal doubles, so each term of a difference is a ``log`` below ``2**10``
-in magnitude within 1 ulp, of an argument within 1 ulp, or the exact
-``kappa l``; a computed difference then errs by less than ``2**-39 (1 +
-kappa M)``, ``D+`` and ``D-`` by less than ``2**-41``, and the tests
-round by less than ``2**-50 (1 + kappa max M + max(D+, D-))``.  The slack
-is more than a hundred times all of these together.  So a class screened
-out has a computed upper difference strictly below that of the longest
-class, which always passes, and both computed lower differences strictly
-below 0.  It can neither tie with the upper end nor move the lower end
-off 0.  Every class attaining the upper end passes; the candidates keep
-their order, so the first of them is the first class overall, and its
-brackets give ``witness_max_log_width``.
+The upper end of the quasiconformal interval is screened.  Write ``c =
+log(pi/2)`` and ``M = max(l1, l2)`` for a class of lengths ``l1`` and
+``l2``.  In exact arithmetic its upper difference ``hi2 - lo1`` or ``hi1
+- lo2``, whichever is larger, is ``c + kappa M + |log r|``.  So ``D+ =
+log max r`` and ``D- = -log min r``, the two logs the lower end takes,
+bound every ``|log r|``, and a class attains the upper end only if
+``kappa M >= kappa max M - max(D+, D-)``.  :func:`teich_of` brackets only
+the classes that pass this test widened by ``slack = 2**-30 (1 + kappa
+max M + max(D+, D-))``, and the upper end, its witness and
+``witness_max_log_width`` are bit for bit those of bracketing every class.
+The lengths are positive normal doubles, so each term of a difference is
+a ``log`` below ``2**10`` in magnitude within 1 ulp, of an argument within
+1 ulp, or the exact ``kappa l``; a computed difference then errs by less
+than ``2**-39 (1 + kappa M)``, ``D+`` and ``D-`` by less than ``2**-41``,
+and the test rounds by less than ``2**-50 (1 + kappa max M + max(D+,
+D-))``.  The slack is more than a hundred times all of these together.
+So a class screened out has a computed upper difference strictly below
+that of the longest class, which always passes, and cannot tie with the
+upper end.  Every class attaining the upper end passes; the candidates
+keep their order, so the first of them is the first class overall, and
+its brackets give ``witness_max_log_width``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from operator import sub, truediv
 
 from .coords import FNPoint, Marking
@@ -123,24 +132,12 @@ def _essential(t1: LengthTable, t2: LengthTable):
     return t1.essential, t1.essential_lengths, t2.essential_lengths
 
 
-_SCREEN = 1.0 - 2.0 ** -38
-
-
 def _sup_log_ratio(members, a, b):
-    """Largest ``log(b / a)`` over aligned ``members``, ``a`` and ``b``, and
-    the member attaining it; the first of equal values wins.
-
-    Only ratios of at least ``_SCREEN`` times the largest are logged; the
-    module docstring shows that this gives the same result.
-    """
+    """Largest ``log(b / a)`` over aligned ``members``, ``a`` and ``b``: the
+    log of the largest ratio, and the first member attaining that ratio."""
     r = list(map(truediv, b, a))
-    screen = max(r) * _SCREEN
-    best, witness = None, None
-    for i in compress(range(len(r)), map(screen.__le__, r)):
-        val = math.log(r[i])
-        if best is None or val > best:
-            best, witness = val, members[i]
-    return best, witness
+    best = max(r)
+    return math.log(best), members[r.index(best)]
 
 
 def thurston_sup(t1: LengthTable, t2: LengthTable):
@@ -200,10 +197,12 @@ def arc_lower(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> MetricEstimat
 
 @dataclass(frozen=True)
 class TeichIntervalReport:
-    """The family-restricted bracket of the quasiconformal metric, with the
+    """The family-restricted interval of the quasiconformal metric, with the
     witness of its upper end.
 
-    ``interval.lo`` is a lower bound on the Teichmüller distance ``d_T``.
+    ``interval.lo`` is half the larger curve-ratio estimate of the two
+    directions, a lower bound on the Teichmüller distance ``d_T`` by
+    Wolpert's lemma (:mod:`teichspace.metrics`).
     ``interval.hi`` is the upper end of the bracket over the family at
     ``depth``: it grows without limit in ``depth`` and is not a certified
     bound on ``d_T`` (:func:`teich_of`).
@@ -223,7 +222,6 @@ class TeichIntervalReport:
 
 
 _TEICH_SLACK = 2.0 ** -30
-_LOG_HALF_PI = math.log(math.pi / 2)
 
 
 def _log_brackets(lengths, kappa: float):
@@ -234,22 +232,24 @@ def _log_brackets(lengths, kappa: float):
 
 
 def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
-    """The family-restricted bracket of the quasiconformal metric between
+    """The family-restricted interval of the quasiconformal metric between
     two points.
 
     Both points must be punctured, or both bordered with equal boundary
-    lengths.  For every essential curve of the family at ``depth`` the
-    extremal-length ratio is bracketed through the log brackets of
-    :func:`_log_brackets`; the lower end pairs bracket ends so the value
-    can only shrink, the upper end so it can only grow, and the additive
+    lengths.  The lower end is ``(1/2) max(log max r, -log min r)`` over
+    the length ratios ``r = l2/l1`` of the essential curve family at
+    ``depth``: half the larger curve-ratio estimate of the two directions,
+    a lower bound on the Teichmüller distance ``d_T`` by Wolpert's lemma
+    (module docstring).  For the upper end each class's extremal-length
+    ratio is bracketed through the log brackets of :func:`_log_brackets`,
+    pairing bracket ends so the value can only grow, and the additive
     defect ``log(n+2)`` of the simple-curve restriction widens the top.
-    The lower end is a lower bound on the Teichmüller distance ``d_T``.
-    The upper end is only the upper end of this bracket over the family:
-    each class's upper bracket is about ``kappa l`` wide and the deepest
-    twists are the longest classes, so it grows without limit in
-    ``depth``, and it is not a certified bound on ``d_T``.  The upper
-    end's witness is the first class attaining it.  Only the classes that
-    can attain an end are bracketed (the screen of the module docstring).
+    It is only the upper end of this bracket over the family: each class's
+    upper bracket is about ``kappa l`` wide and the deepest twists are the
+    longest classes, so it grows without limit in ``depth``, and it is
+    not a certified bound on ``d_T``.  The upper end's witness is the
+    first class attaining it.  Only the classes that can attain it are
+    bracketed (the screen of the module docstring).
     """
     _require_comparable(t1, t2)
     x1 = t1.point
@@ -258,29 +258,24 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
         raise DomainError("points must be fully punctured or fully bordered")
     members, lengths1, lengths2 = _essential(t1, t2)
     kappa = 0.5 if punctured else 1.0
-    # The screen of the module docstring, in length units (dividing by
-    # kappa is exact): a class is bracketed unless both of its lengths lie
-    # in [low, upper).
     r = list(map(truediv, lengths2, lengths1))
+    # At equal points d_plus is 0.0 and d_minus -0.0; max keeps the first.
     d_plus, d_minus = math.log(max(r)), -math.log(min(r))
     d = max(d_plus, d_minus)
+    # The screen of the module docstring, in length units (dividing by
+    # kappa is exact): a class is bracketed only if a length reaches upper.
     top = max(max(lengths1), max(lengths2))
-    slack = _TEICH_SLACK * (1.0 + kappa * top + d)
-    upper = top - (d + slack) / kappa
-    low1 = (d_plus - _LOG_HALF_PI + slack) / kappa
-    low2 = (d_minus - _LOG_HALF_PI + slack) / kappa
+    upper = top - (d + _TEICH_SLACK * (1.0 + kappa * top + d)) / kappa
     kept = [i for i, a, b in zip(range(len(members)), lengths1, lengths2)
-            if not (low1 <= a < upper and low2 <= b < upper)]
+            if a >= upper or b >= upper]
     lo1, hi1 = _log_brackets([lengths1[i] for i in kept], kappa)
     lo2, hi2 = _log_brackets([lengths2[i] for i in kept], kappa)
-    # Halving after the max gives the largest halved difference, since
-    # rounding is monotone; the upper differences are above log(pi/2), so
-    # halving them is exact and keeps the first argmax.
-    s_lo = 0.5 * max(0.0, max(map(sub, lo2, hi1)), max(map(sub, lo1, hi2)))
+    # The upper differences are above log(pi/2), so halving them is exact
+    # and keeps the first argmax.
     up = list(map(max, map(sub, hi2, lo1), map(sub, hi1, lo2)))
     i = up.index(max(up))
     defect = math.log(x1.n + 2)
-    return TeichIntervalReport(interval=Interval(s_lo, 0.5 * up[i] + defect),
+    return TeichIntervalReport(interval=Interval(0.5 * d, 0.5 * up[i] + defect),
                                depth=t1.depth, witness=members[kept[i]].label(),
                                witness_max_log_width=max(hi1[i] - lo1[i],
                                                          hi2[i] - lo2[i]),

@@ -745,6 +745,16 @@ class TestPhiExperiment:
         assert first["difference"] == 0.0
         assert first["d_th_bordered"] == 0.0
 
+    def test_first_row_lower_ends_are_positive_zero(self):
+        # At equal points the two log-ratio bounds are 0.0 and -0.0, and the
+        # lower end keeps the first: step 0 writes 0.0, never -0.0.
+        cfg = cfg_12()
+        rep = phi_experiment(sample_point(cfg, 0), cfg.marking(), curve_index=1,
+                             step=0.5, count=2, depth=1, ceiling=None)
+        first = rep["rows"][0]
+        for key in ("teich_bordered_lo", "teich_punctured_lo"):
+            assert (first[key], math.copysign(1.0, first[key])) == (0.0, 1.0)
+
     def test_difference_bounded_and_reported(self):
         cfg = cfg_12()
         m = cfg.marking()
@@ -1310,58 +1320,61 @@ class TestGoldenOutputs:
     # tables were derived from their bordered tables.  Every digest that
     # reads a sampled point other than point 0 was re-recorded when the
     # sampler went from one stream per point to one per block of 64; the
-    # phi digests read point 0 only and kept their bytes.
+    # phi digests read point 0 only and kept their bytes.  The compare, phi
+    # and distance digests were re-recorded when the quasiconformal
+    # interval's lower end became half the larger curve-ratio estimate of
+    # the two directions; the report and verify-arcs digests kept theirs.
     GOLDEN = {
         ("g2n2", "compare-csv"):
-            "e9bcfdeea5d75369c43a855d73e1511983265ed887bc6d5f5a60d87adfe2d598",
+            "de161781dc3545d18e299c51a1a1acc634ecca6974031a5436afc0373de6b307",
         ("g2n2", "compare-json"):
-            "f8f6ca4d2f6fb49120030a86f0a19753a1d365d06ea993072a0f8344b15939b6",
+            "71fba6ca0ce6b81baf3fc33d395bc8b30e2c450ace7f638ecc256766d5ea46cf",
         ("g2n2", "report-arc"):
             "3d977cf91a0fc819585cbd897db700f6b2f40c3ef69267f1b0a167aa44e8b304",
         ("g2n2", "report-thurston"):
             "5c94f5ceb63406482358713c2168f4fefefa28559b9eabe3d6d74d6fc213f3d2",
         ("g2n2", "phi-csv"):
-            "93ba958fd0f6c76ea85cfac17b2a49321a33bf587ebc6db92c4c46f9b95c645f",
+            "ae8a4a59c75b689b48033fbd5e5b60f4568ec3a86669baf79b0b44d555184a04",
         ("g2n2", "phi-json"):
-            "3e18d267bfd3d95d3378f946bfd8c7690ae262a4e2a85d0874a3fef6c7751d97",
+            "eb54cfaa9675f8f3d01cb5dc09c0dbe97a3a76a560c8ebe4e0bcaa517fc52591",
         ("g2n2", "distance"):
-            "457243c373b088e2acd8ca8d3db3fb69ed86bc1e9b29c313c88d1df6eaee005c",
+            "dfc4e351f5bafd4c5ac28709b1185300821587d837a0d22c05039de42277fa0c",
         ("g2n2", "verify-arcs"):
             "d3db00eefd8698c93b9cf734e8d9ba8ed58bc0b47c841cd54458f2959b18e035",
         ("g2n2", "verify-arcs-summary"):
             "b65ae221649bd8736d6ae970a02c85b729b3287795a75d6e7fe2a2b8238b8ff6",
         ("g1n1", "compare-csv"):
-            "c76a42d1e3485c5a8f50b42dcbe0310a1eb680843bbe5639cf5ce7e51850a256",
+            "d7beeb808b70f68cfe0fa87ed9c1c474759d4489b9add4941476d9ccfdd26d1f",
         ("g1n1", "compare-json"):
-            "d7d7c4494f3a766add11915900d1aef2f4bef5d5c70e58618e0fb241ac184bbc",
+            "e7347f4712d88e7eeaa5c30ce00eb27deda6691290aae54c3815d7f1560a6763",
         ("g1n1", "report-arc"):
             "2efd5f5943a4ed9738cced7069e159323039df069444755fec8606b7c8d9e6f3",
         ("g1n1", "report-thurston"):
             "03cf6f56e47c5e1b16d22558a5a519e8ed8f57b3ccc7cb09b7d0710a51b20a1d",
         ("g1n1", "phi-csv"):
-            "46899ec6e7183678c1c27dfeadc7461530c2f5e467fd099b6fdf4cc63ff8599e",
+            "42af36a91b9b2c01b6867c1d9bdcf96c358ca5cf4de8064035c602df1db46536",
         ("g1n1", "phi-json"):
-            "ec7d6905fd24db0e34ab12872ca6756bba663046a47a72777f432c3550bb9698",
+            "52db26ca396a7f37cfdb64f3ad69a1ba846aa1e5aa2344e705a847e521aa2218",
         ("g1n1", "distance"):
-            "734fa5096cff271c83ecaec3bc20d9afc93ef81ecc295d5903ff9cb68cd825f0",
+            "628c63460d8ca28f39c0dab58960238835c61466e5d2f4085fdecea8f9bf24fb",
         ("g1n1", "verify-arcs"):
             "b06ffba7b83a4f3766dabaa5c7b62ce7696e02298c94fce8ab5a4ef8cff8f77b",
         ("g1n1", "verify-arcs-summary"):
             "12f59aca303a0e99219e5c68f2e3f85f9dddbbc674f3f3f9a5ca87c564a89580",
         ("g0n4", "compare-csv"):
-            "ab063e0d37c86acd872b1626f17e180e5b0299fe7c9416b48721a6a02acf74ba",
+            "4d03ca1436dff03d35c65f4021746c758d8838c9fdea9cbad480e353962ee56a",
         ("g0n4", "compare-json"):
-            "97fff02dd04c19e98a5c163de6cab7e39e6d5d7ba9fdfc36bf0ea764f30b25ca",
+            "ebe44581cb846c6406f5b09e094fff53fc6d5dd630ecb290dc7ba4944cb247d9",
         ("g0n4", "report-arc"):
             "50bc60b259a29172093e40e9385e3aec77b97b05f7dfefa4cde88b50d275a182",
         ("g0n4", "report-thurston"):
             "33d4f3c9fca0530d4387f82ff082f529e51366b6becb3014e11d3747b282044d",
         ("g0n4", "phi-csv"):
-            "d3b0da5a7fbc2f7d715ff7b9de5c636a84b33b2dc26731fd223a6d47c5e33bd1",
+            "3ae3c31e93d6face4387e39f391b5640ddcc12ef3f1dce9265526fa658efd398",
         ("g0n4", "phi-json"):
-            "1fbb95efa29394db27b04d5af7cbee2d28765b8d9d1b1970bc0665a8ea07c5c5",
+            "2ea25774e801ba845d1be810721d6309b0600167e9a87fd0f08373500eaaaf8a",
         ("g0n4", "distance"):
-            "c337fe50fc5d528f04b3758bb46342855dd0f427fc9b88e5524bffd73ff123a4",
+            "f54f66d85591ee1c42dc25cfec8ebbf6afb311c1ef234f4faf2b6a237bc23c3c",
         ("g0n4", "verify-arcs"):
             "d6a8a62f8385f1fef9863033e9753c2b1b7f0323e4856f9e1b2cbcc9117a1653",
         ("g0n4", "verify-arcs-summary"):
@@ -1371,7 +1384,7 @@ class TestGoldenOutputs:
         ("g1n6", "report-thurston"):
             "ab41a7ef70e1a0862a47f360a9910d733660f62bf05488ee7f49ca24d64c1232",
         ("g1n6", "phi-json"):
-            "15e5b2abcdbb3f529631e338c5714e0ed6d21c6e96ce6053bc14117fc446fe29",
+            "ec2bb0df860927f83ffd2bf86724e004c6ac26c83516ffd5677afbe89bf55dc9",
     }
 
     @pytest.mark.parametrize("config,command", list(GOLDEN))

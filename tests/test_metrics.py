@@ -33,6 +33,7 @@ from teichspace.metrics import (
     thurston_sup,
 )
 from teichspace.pants_trig import DomainError, Interval
+from test_curves import envelope_points
 
 lengths = st.floats(min_value=0.05, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
@@ -210,9 +211,10 @@ class TestTeichInterval:
 
     @pytest.mark.parametrize("boundary,kappa", [(1.0, 1.0), (0.0, 0.5)])
     def test_scaled_single_curve_against_direct_brackets(self, boundary, kappa):
-        # One-holed torus with only the cuff length scaled: compare against
-        # a direct evaluation of the exp-form bracket ends
-        # [l/pi, (l/2) exp(kappa l)] over the same family.
+        # One-holed torus with only the cuff length scaled: compare the upper
+        # end against a direct evaluation of the exp-form bracket ends
+        # [l/pi, (l/2) exp(kappa l)] over the same family, and the lower end
+        # against half the largest |log(l2/l1)| (Wolpert's lemma).
         m = build_marking(1, 1)
         x = point(m, [1.0], [0.0], [boundary])
         y = point(m, [2.0], [0.0], [boundary])
@@ -225,17 +227,19 @@ class TestTeichInterval:
             (l1,), (l2,) = family_lengths(x, m, [c]), family_lengths(y, m, [c])
             (lo1, hi1), (lo2, hi2) = ((l / math.pi, 0.5 * l * math.exp(kappa * l))
                                       for l in (l1, l2))
-            v_lo = 0.5 * max(0.0, math.log(lo2 / hi1), math.log(lo1 / hi2))
             v_hi = 0.5 * max(math.log(hi2 / lo1), math.log(hi1 / lo2))
-            lo = max(lo, v_lo)
+            lo = max(lo, 0.5 * abs(math.log(l2 / l1)))
             hi = v_hi if hi is None else max(hi, v_hi)
+        assert lo > 0.3
         assert rep.interval.lo == pytest.approx(lo, abs=1e-12)
         assert rep.interval.hi == pytest.approx(hi + math.log(3), abs=1e-12)
 
 
 def _class_ends(a, b, kappa):
     """The halved lower and upper differences of the class with lengths
-    ``a`` and ``b``, and the wider of its two bracket widths."""
+    ``a`` and ``b``, and the wider of its two bracket widths.  The lower
+    difference is the brackets' own lower bound on the distance, which the
+    interval's lower end must never fall below."""
     la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
     la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
     return (0.5 * max(0.0, la2 - lb1, la1 - lb2), 0.5 * max(lb2 - la1, lb1 - la2),
@@ -244,16 +248,17 @@ def _class_ends(a, b, kappa):
 
 def per_class_teich_of(t1, t2):
     """The reduction of :func:`teich_of` written as a running loop over the
-    classes, keeping the first class of the largest upper end."""
+    classes, keeping the first class of the largest upper end; the lower
+    end by its definition, ``(1/2) max(log max r, -log min r)``."""
     x1 = t1.point
     members = t1.essential
     lengths1, lengths2 = t1.essential_lengths, t2.essential_lengths
     kappa = 0.5 if x1.is_punctured() else 1.0
-    s_lo = 0.0
+    r = [b / a for a, b in zip(lengths1, lengths2)]
+    s_lo = 0.5 * max(math.log(max(r)), -math.log(min(r)))
     s_hi, witness, wit_width = None, None, 0.0
     for c, a, b in zip(members, lengths1, lengths2):
-        v_lo, v_hi, width = _class_ends(a, b, kappa)
-        s_lo = max(s_lo, v_lo)
+        _, v_hi, width = _class_ends(a, b, kappa)
         if s_hi is None or v_hi > s_hi:
             s_hi, witness, wit_width = v_hi, c.label(), width
     defect = math.log(x1.n + 2)
@@ -290,7 +295,7 @@ def _equal_pairs(n, kappa):
 
 
 def _lopsided_pairs(n, kappa):
-    """Pairs with one side much shorter, so the lower end is positive."""
+    """Pairs with one side much shorter, so a log-ratio bound is large."""
     pair = st.tuples(st.floats(1e-6, 1e-2), _BRACKET_LENGTH, st.booleans()).map(
         lambda p: (p[1], p[0]) if p[2] else p[:2])
     return st.lists(pair, min_size=n, max_size=n)
@@ -298,14 +303,11 @@ def _lopsided_pairs(n, kappa):
 
 @st.composite
 def _edge_pairs(draw, n, kappa):
-    """Equal pairs ``(T, T)`` with one pair moved onto each edge of the
-    screen (:func:`_onto_screen_edge`): pair 0 onto the upper edge, so
-    that it comes first among the classes that tie there."""
+    """Equal pairs ``(T, T)`` with pair 0 moved onto the edge of the
+    screen (:func:`_onto_screen_edge`), so that it comes first among the
+    classes that tie there."""
     pairs = [(draw(st.floats(10.0, 1500.0)),) * 2] * n
-    k = draw(st.integers(1, n - 1))
-    _onto_screen_edge(pairs, kappa, 0, draw(st.floats(1.0, 1.01)), False,
-                      draw(st.booleans()))
-    _onto_screen_edge(pairs, kappa, k, draw(st.floats(1e-3, 1.0)), True,
+    _onto_screen_edge(pairs, kappa, 0, draw(st.floats(1.0, 1.01)),
                       draw(st.booleans()))
     return pairs
 
@@ -322,30 +324,24 @@ def _ulps(x, k):
     return x
 
 
-def _onto_screen_edge(pairs, kappa, i, x, lower, swap):
+def _onto_screen_edge(pairs, kappa, i, x, swap):
     """Put pair ``i``, among pairs of ratio 1 and longest ``(T, T)``, just
-    outside an edge of :func:`teich_of`'s screen: at the last double,
-    found in at most 64 ulp steps, at which the identity behind that edge
+    outside the edge of :func:`teich_of`'s screen: at the last double,
+    found in at most 64 ulp steps, at which the identity behind the screen
     (the ``metrics`` module docstring), evaluated in double, says the pair
-    does not reach an end.  Only the screen's slack keeps such a pair in.
+    does not reach the upper end.  Only the screen's slack keeps it in.
 
-    The upper edge: pair ``i`` gets the ratio ``x`` and the longer length
-    ``b`` just below which ``kappa b + log(x)`` reaches ``kappa T``.  The
-    lower edge: pair ``i`` gets the lengths ``x`` and ``b`` just below
-    which ``log(b/x) - log(pi/2) - kappa x`` turns positive.  ``swap``
-    swaps the two lengths of pair ``i``.
+    Pair ``i`` gets the ratio ``x`` and the longer length ``b`` just below
+    which ``kappa b + log(x)`` reaches ``kappa T``.  ``swap`` swaps the two
+    lengths of pair ``i``.
     """
-    if lower:
-        a = x
-        b = a * (math.pi / 2) * math.exp(kappa * a)
-        def reached(b):
-            return math.log(b / a) - math.log(math.pi / 2) - kappa * a > 0.0
-    else:
-        t = max(map(max, pairs))
-        b = t - math.log(x) / kappa
-        a = b / x
-        def reached(b):
-            return kappa * b + math.log(b / a) >= kappa * t
+    t = max(map(max, pairs))
+    b = t - math.log(x) / kappa
+    a = b / x
+
+    def reached(b):
+        return kappa * b + math.log(b / a) >= kappa * t
+
     for _ in range(64):
         if reached(b):
             b = math.nextafter(b, 0.0)
@@ -365,7 +361,8 @@ def with_lengths(tables, pairs):
 
 class TestTeichOfOnePass:
     """teich_of brackets only the classes its screen keeps, with the
-    per-class loop's interval, witness and witness width."""
+    per-class loop's upper end, witness and witness width, and takes the
+    lower end from the extremes of the length ratios."""
 
     @pytest.mark.parametrize("kind", ["bordered", "punctured"])
     @given(data=st.data())
@@ -394,15 +391,58 @@ class TestTeichOfOnePass:
         t1, t2 = with_lengths(tables, pairs)
         rep = teich_of(t1, t2)
         assert repr(rep) == repr(per_class_teich_of(t1, t2))
+        half_log = 0.5 * max(abs(math.log(b / a)) for a, b in pairs)
+        assert abs(rep.interval.lo - half_log) <= math.ulp(half_log)
         if not near:
             assert rep.witness == labels[min([top] + [i for i, _ in planted])]
+
+
+@st.composite
+def envelope_pairs(draw):
+    """Two bordered points of the accuracy envelope on one marking, with
+    the boundary of the first."""
+    m, x1 = draw(envelope_points(cusps=False))
+    _, x2 = draw(envelope_points(((m.genus, m.nboundary),), cusps=False))
+    return m, x1, point(m, x2.lengths, x2.twists, x1.boundary)
+
+
+class TestTeichLowerEnd:
+    """The lower end is half the larger curve-ratio estimate of the two
+    directions (Wolpert's lemma), never below the bracket lower end."""
+
+    @pytest.mark.parametrize("punctured", [False, True])
+    @given(mxy=envelope_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_half_the_larger_curve_ratio(self, punctured, mxy):
+        m, x1, x2 = mxy
+        if punctured:
+            x1, x2 = phi_gamma(x1), phi_gamma(x2)
+        try:
+            t1, t2 = length_table(x1, m, 2), length_table(x2, m, 2)
+            rep = teich_of(t1, t2)
+        except DomainError:
+            return
+        lo, hi = rep.interval.lo, rep.interval.hi
+        forward = thurston_of(t1, t2).value
+        want = 0.5 * max(forward, thurston_of(t2, t1).value)
+        # The backward estimate divides l1 / l2 where teich_of takes
+        # -log(l2 / l1): the two logs differ by two roundings of a ratio,
+        # up to 2**-52 absolute, besides an ulp of each log.
+        assert abs(lo - want) <= 2 * math.ulp(want) + 2.0 ** -52
+        assert lo >= 0.5 * forward
+        kappa = 0.5 if punctured else 1.0
+        assert lo >= max(_class_ends(a, b, kappa)[0]
+                         for a, b in zip(t1.essential_lengths, t2.essential_lengths))
+        assert lo <= hi
 
 
 class TestTeichOfLogCount:
     """A count that does not depend on the machine: the ``math.log`` calls
     of one :func:`teich_of` on the first pair of the compare-g3n2 config.
     Bracketing all 64 essential classes took 4 logs each, and one more for
-    the defect: 257."""
+    the defect: 257.  The two log-ratio bounds, 4 logs for each of the 3
+    classes the screen keeps and 1 for the defect make 15; each log-ratio
+    supremum takes 1."""
 
     def test_first_compare_g3n2_pair(self, monkeypatch):
         cfg = ExperimentConfig.from_json(json.dumps(
@@ -419,7 +459,11 @@ class TestTeichOfLogCount:
         assert len(t1.essential) == 64
         rep = teich_of(t1, t2)
         assert repr(rep) == repr(per_class_teich_of(t1, t2))
-        assert len(calls) == 35
+        assert len(calls) == 15
+        for estimate in (thurston_of, arc_of):
+            calls.clear()
+            estimate(t1, t2)
+            assert len(calls) == 1
 
 
 class TestReductions:
@@ -500,7 +544,7 @@ class TestReductions:
 
 
 def plain_sup_log_ratio(members, a, b):
-    """The reduction without the screen: one log per member."""
+    """The reduction as a running loop: one log per member."""
     best, witness = None, None
     for member, x, y in zip(members, a, b):
         val = math.log(y / x)
@@ -531,25 +575,29 @@ def screened_members(draw):
 
 
 class TestSupLogRatio:
-    """The screened reduction logs only ratios near the largest and gives
-    the value and witness of logging every member."""
+    """The reduction logs the largest ratio once, and its witness is the
+    first member attaining that ratio."""
 
     @given(pairs=screened_members())
     @settings(max_examples=400, deadline=None)
-    def test_screen_matches_plain_loop(self, pairs):
+    def test_log_of_the_largest_ratio(self, pairs):
         members = [f"m{i}" for i in range(len(pairs))]
         a, b = zip(*pairs)
-        assert _sup_log_ratio(members, a, b) == plain_sup_log_ratio(members, a, b)
+        r = [y / x for x, y in pairs]
+        got = _sup_log_ratio(members, a, b)
+        assert got == (math.log(max(r)), members[r.index(max(r))])
+        plain, _ = plain_sup_log_ratio(members, a, b)
+        assert abs(got[0] - plain) <= math.ulp(plain)
 
-    def test_near_miss_before_the_largest_wins_a_tied_log(self):
+    def test_largest_ratio_wins_a_tied_log(self):
         # Near 1e153 one ulp of the ratio is far below one ulp of its log,
-        # so the pair one ulp below the largest ratio ties it in log and,
-        # coming first, is the witness.
+        # so the pair one ulp below the largest ratio ties it in log; the
+        # witness is the pair of the largest ratio in either order.
         top = 1000.0 / 1e-150
         near = math.nextafter(top, 0.0)
         assert math.log(near) == math.log(top)
         f, x = math.frexp(near)
         a, b = (math.ldexp(1.0, -x), 1e-150, 1.0), (f, 1000.0, 1.0)
         members = ["near", "top", "one"]
-        assert _sup_log_ratio(members, a, b) == (math.log(top), "near")
+        assert _sup_log_ratio(members, a, b) == (math.log(top), "top")
         assert _sup_log_ratio(members[::-1], a[::-1], b[::-1]) == (math.log(top), "top")
