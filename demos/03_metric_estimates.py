@@ -50,8 +50,11 @@ print("symmetrised      :", max(d_th.value, back.value))
 # The quasiconformal metric cannot be evaluated exactly without extremal
 # metrics; it is reported as an interval.  Its lower end is half the larger
 # curve-ratio estimate of the two directions (a K-quasiconformal map
-# stretches lengths by at most K), its upper end comes from extremal-length
-# brackets.  At equal points the interval starts at zero.
+# stretches lengths by at most K).  Its upper end is half the largest
+# log(pi/2) + l_max + log(l_max/l_min) over the family's classes, plus
+# log(n+2): the extremal-length brackets' over the finite family, which
+# grows with the depth and is not a certified bound.  At equal points the
+# interval starts at zero.
 rep = teich_interval_report(x, y, m, 2)
 print("\nquasiconformal interval for (x, y):", rep.interval)
 print("quasiconformal interval for (x, x):",
@@ -59,6 +62,7 @@ print("quasiconformal interval for (x, x):",
 
 # The per-curve ingredient: on a bordered surface a curve of hyperbolic
 # length l has log(l/pi) <= log Ext <= log(l/2) + l, a bracket of log width
-# log(pi/2) + l.  The wider bracket of the upper end's witness is reported.
+# log(pi/2) + l.  The upper end's witness is reported with its wider
+# bracket, log(pi/2) + l_max.
 print(f"\nupper-end witness {rep.witness}: widest log bracket "
       f"{rep.witness_max_log_width:.6f}")

@@ -1,4 +1,5 @@
-"""Metric estimators and extremal-length bracket arithmetic.
+"""Metric estimators and the extremal-length closed forms of the
+quasiconformal interval.
 
 The curve-ratio (Thurston) and arc metrics are suprema of length ratios
 over infinite families; this module evaluates the suprema over the finite
@@ -25,17 +26,21 @@ Maskit's inequalities bound the extremal length of a closed geodesic of
 hyperbolic length ``l`` on a cusped surface by ``l/pi <= Ext <= (l/2)
 exp(l/2)``.  Doubling a bordered surface across its boundary doubles both
 ``l`` and ``Ext``, so a bordered curve has half the bracket of its double,
-``l/pi <= Ext <= (l/2) exp(l)``.  The brackets enter in log form,
-``log(l/pi) <= log Ext <= log(l/2) + kappa l`` with ``kappa = 1/2``
-punctured and ``1`` bordered, so the upper end is finite for every length
-a table can hold (no ``exp(l)`` is formed).  It is the largest halved
-bracket difference over the curve family, widened by the additive defect
-``log(n + 2)`` of restricting the supremum to simple closed curves; it is
-the bracket's over the finite family only, which grows with the depth and
-is not a certified upper bound (:func:`teich_of`).  A bracket's lower
-difference, ``log r - log(pi/2) - kappa l1`` or ``-log r - log(pi/2) -
-kappa l2`` for a class of ratio ``r = l2/l1``, is below ``|log r|`` by
-more than ``log(pi/2)``, so the brackets never give a larger lower end.
+``l/pi <= Ext <= (l/2) exp(l)``.  In log form, ``log(l/pi) <= log Ext <=
+log(l/2) + kappa l`` with ``kappa = 1/2`` punctured and ``1`` bordered: a
+bracket ``c + kappa l`` wide, where ``c = log(pi/2)``.  For a class of
+lengths ``l1`` and ``l2`` write ``M >= m`` for the two.  The larger of its
+upper differences, ``log Ext`` at one point over ``log Ext`` at the other,
+is ``c + kappa M + log(M/m)``, and :func:`teich_of` evaluates this closed
+form, so the upper end is finite for every length a table can hold (no
+``exp(l)`` is formed).  The upper end is half the largest such value over
+the curve family, widened by the additive defect ``log(n + 2)`` of
+restricting the supremum to simple closed curves.  It is the bracket's
+over the finite family only: it is at least ``(c + kappa max M) / 2 +
+log(n + 2)``, so it grows with the longest class and with the depth, and
+it is not a certified upper bound.  A class's lower difference is
+``log(M/m) - c - kappa m``, below ``|log r|`` by more than ``c``, so the
+brackets never give a larger lower end.
 
 Every estimator is a pure reduction over the :class:`~teichspace.curves.LengthTable`
 of its two points (:func:`thurston_of`, :func:`arc_of`, :func:`teich_of`;
@@ -52,34 +57,33 @@ the views each table selected once (:class:`~teichspace.curves.LengthTable`).
 A log-ratio supremum takes one ``log``, of the largest ratio ``b / a``, and
 its witness is the first member attaining that ratio.
 
-The upper end of the quasiconformal interval is screened.  Write ``c =
-log(pi/2)`` and ``M = max(l1, l2)`` for a class of lengths ``l1`` and
-``l2``.  In exact arithmetic its upper difference ``hi2 - lo1`` or ``hi1
-- lo2``, whichever is larger, is ``c + kappa M + |log r|``.  So ``D+ =
-log max r`` and ``D- = -log min r``, the two logs the lower end takes,
-bound every ``|log r|``, and a class attains the upper end only if
-``kappa M >= kappa max M - max(D+, D-)``.  :func:`teich_of` brackets only
-the classes that pass this test widened by ``slack = 2**-30 (1 + kappa
-max M + max(D+, D-))``, and the upper end, its witness and
-``witness_max_log_width`` are bit for bit those of bracketing every class.
-The lengths are positive normal doubles, so each term of a difference is
-a ``log`` below ``2**10`` in magnitude within 1 ulp, of an argument within
-1 ulp, or the exact ``kappa l``; a computed difference then errs by less
-than ``2**-39 (1 + kappa M)``, ``D+`` and ``D-`` by less than ``2**-41``,
-and the test rounds by less than ``2**-50 (1 + kappa max M + max(D+,
-D-))``.  The slack is more than a hundred times all of these together.
-So a class screened out has a computed upper difference strictly below
-that of the longest class, which always passes, and cannot tie with the
-upper end.  Every class attaining the upper end passes; the candidates
-keep their order, so the first of them is the first class overall, and
-its brackets give ``witness_max_log_width``.
+The upper end of the quasiconformal interval is screened.  For a class
+with lengths ``a >= b`` write ``v = kappa a + log(a/b)``.  ``D+ = log max
+r`` and ``D- = -log min r``, the two logs the lower end takes, bound every
+``log(a/b)``, so a class attains the largest ``v`` only if ``kappa a >=
+kappa max M - max(D+, D-)``.  :func:`teich_of` takes ``v`` only for the
+classes that pass this test widened by ``slack = 2**-30 (1 + kappa max M +
+max(D+, D-))``, and the upper end, its witness and
+``witness_max_log_width`` are bit for bit those of taking every class.  In
+double, ``kappa a`` is exact and ``a/b`` and its ``log`` are each within 1
+ulp, so a computed ``v`` errs by less than about ``2**-50 (1 + kappa M +
+log(M/m))``, ``D+`` and ``D-`` by less than ``2**-41``, and the test
+rounds by less than ``2**-50 (1 + kappa max M + max(D+, D-))``.  The slack
+is far above all of these together.  So a class screened out has a
+computed ``v`` strictly below that of the longest class, which always
+passes and has ``v >= kappa max M``, and cannot tie with the largest.  The
+kept classes keep their order, so the first of them with the largest
+``v`` is the first class overall.  Each class's lengths are ordered so
+that ``a >= b`` before ``v`` is formed, which makes the upper end, its
+witness and ``witness_max_log_width`` bit for bit symmetric in the two
+points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub, truediv
+from operator import truediv
 
 from .coords import FNPoint, Marking
 from .curves import LengthTable, length_table
@@ -192,7 +196,7 @@ def arc_lower(x1: FNPoint, x2: FNPoint, m: Marking, depth: int) -> MetricEstimat
 
 
 # ---------------------------------------------------------------------------
-# bracketed quasiconformal metric
+# quasiconformal interval
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,10 @@ class TeichIntervalReport:
     ``interval.lo`` is half the larger curve-ratio estimate of the two
     directions, a lower bound on the Teichmüller distance ``d_T`` by
     Wolpert's lemma (:mod:`teichspace.metrics`).
-    ``interval.hi`` is the upper end of the bracket over the family at
-    ``depth``: it grows without limit in ``depth`` and is not a certified
-    bound on ``d_T`` (:func:`teich_of`).
+    ``interval.hi`` is the upper end of the extremal-length brackets over
+    the family at ``depth``: it grows without limit in ``depth`` and is not
+    a certified bound on ``d_T``.  ``witness_max_log_width`` is the wider
+    bracket of its witness, ``log(pi/2) + kappa M`` (:func:`teich_of`).
     """
 
     interval: Interval
@@ -222,13 +227,7 @@ class TeichIntervalReport:
 
 
 _TEICH_SLACK = 2.0 ** -30
-
-
-def _log_brackets(lengths, kappa: float):
-    """``[log(l/pi)]`` and ``[log(l/2) + kappa l]`` over ``lengths``: the
-    log extremal-length bracket of each curve (module docstring)."""
-    return ([math.log(l / math.pi) for l in lengths],
-            [math.log(0.5 * l) + kappa * l for l in lengths])
+_LOG_HALF_PI = math.log(0.5 * math.pi)
 
 
 def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
@@ -240,16 +239,15 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     the length ratios ``r = l2/l1`` of the essential curve family at
     ``depth``: half the larger curve-ratio estimate of the two directions,
     a lower bound on the Teichmüller distance ``d_T`` by Wolpert's lemma
-    (module docstring).  For the upper end each class's extremal-length
-    ratio is bracketed through the log brackets of :func:`_log_brackets`,
-    pairing bracket ends so the value can only grow, and the additive
-    defect ``log(n+2)`` of the simple-curve restriction widens the top.
-    It is only the upper end of this bracket over the family: each class's
-    upper bracket is about ``kappa l`` wide and the deepest twists are the
-    longest classes, so it grows without limit in ``depth``, and it is
-    not a certified bound on ``d_T``.  The upper end's witness is the
-    first class attaining it.  Only the classes that can attain it are
-    bracketed (the screen of the module docstring).
+    (module docstring).  The upper end is ``(1/2) (log(pi/2) + kappa M +
+    log(M/m)) + log(n+2)`` at the first class of lengths ``M >= m`` where
+    it is largest, its witness: the larger upper difference of the class's
+    log extremal-length brackets, widened by the defect ``log(n+2)`` of
+    the simple-curve restriction.  It grows with the longest class, so
+    without limit in ``depth``, and it is not a certified bound on
+    ``d_T``.  ``witness_max_log_width`` is ``log(pi/2) + kappa M``.  Only
+    the classes that can attain the upper end take a ``log`` (the screen
+    of the module docstring).
     """
     _require_comparable(t1, t2)
     x1 = t1.point
@@ -263,23 +261,23 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
     d_plus, d_minus = math.log(max(r)), -math.log(min(r))
     d = max(d_plus, d_minus)
     # The screen of the module docstring, in length units (dividing by
-    # kappa is exact): a class is bracketed only if a length reaches upper.
+    # kappa is exact): a class is kept only if its longer length reaches edge.
     top = max(max(lengths1), max(lengths2))
-    upper = top - (d + _TEICH_SLACK * (1.0 + kappa * top + d)) / kappa
-    kept = [i for i, a, b in zip(range(len(members)), lengths1, lengths2)
-            if a >= upper or b >= upper]
-    lo1, hi1 = _log_brackets([lengths1[i] for i in kept], kappa)
-    lo2, hi2 = _log_brackets([lengths2[i] for i in kept], kappa)
-    # The upper differences are above log(pi/2), so halving them is exact
-    # and keeps the first argmax.
-    up = list(map(max, map(sub, hi2, lo1), map(sub, hi1, lo2)))
-    i = up.index(max(up))
+    edge = top - (d + _TEICH_SLACK * (1.0 + kappa * top + d)) / kappa
+    v_max = -math.inf
+    for c, a, b in zip(members, lengths1, lengths2):
+        if a < b:
+            a, b = b, a
+        if a >= edge:
+            v = kappa * a + math.log(a / b)
+            if v > v_max:
+                v_max, a_max, witness = v, a, c
     defect = math.log(x1.n + 2)
-    return TeichIntervalReport(interval=Interval(0.5 * d, 0.5 * up[i] + defect),
-                               depth=t1.depth, witness=members[kept[i]].label(),
-                               witness_max_log_width=max(hi1[i] - lo1[i],
-                                                         hi2[i] - lo2[i]),
-                               family_size=len(members))
+    return TeichIntervalReport(
+        interval=Interval(0.5 * d, 0.5 * (_LOG_HALF_PI + v_max) + defect),
+        depth=t1.depth, witness=witness.label(),
+        witness_max_log_width=_LOG_HALF_PI + kappa * a_max,
+        family_size=len(members))
 
 
 def teich_interval_report(x1: FNPoint, x2: FNPoint, m: Marking,

@@ -10,6 +10,7 @@ Run with::
     python3 -m pytest tests/test_acceptance.py -v -s
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -28,15 +29,14 @@ from teichspace.asymptotics import (
     nielsen_truncation_index,
 )
 from teichspace.coords import FNPoint, build_marking
-from teichspace.curves import arc_length_formula, enumerate_arcs
+from teichspace.curves import arc_length_formula, enumerate_arcs, length_table
 from teichspace.harness import (
     ExperimentConfig,
     phi_experiment,
     sample_point,
     verify_arc_construction,
 )
-from teichspace.metrics import _log_brackets, arc_lower, thurston_lower
-from teichspace.metrics import teich_interval_report
+from teichspace.metrics import arc_lower, teich_interval_report, teich_of, thurston_lower
 from teichspace.pants_trig import (
     DomainError,
     between_arc_constants,
@@ -135,16 +135,33 @@ def test_03_arc_brackets_hold():
 
 
 def test_04_maskit_sandwich_and_limit():
-    """Log extremal-length brackets are nonempty for all sampled lengths and
-    their width is log(pi/2) + l/2 down to l -> 0."""
+    """Maskit's log extremal-length brackets log(l/pi) <= log Ext <= log(l/2)
+    + l/2 are nonempty for all sampled lengths; the quasiconformal upper
+    end's closed form log(pi/2) + l/2 + log(M/m) of each punctured class is
+    the larger upper difference of its brackets, and its width log(pi/2) +
+    l/2 tends to log(pi/2) as l -> 0."""
+    m = build_marking(1, 1)
+    t = length_table(FNPoint(g=1, n=1, lengths=[1.0], twists=[0.0], boundary=[0.0]),
+                     m, 0)
+
+    def one_class(a, b):
+        k = len(t.essential)
+        return teich_of(dataclasses.replace(t, essential_lengths=(a,) * k),
+                        dataclasses.replace(t, essential_lengths=(b,) * k))
+
     rng = np.random.default_rng(404)
-    lo, hi = _log_brackets(rng.uniform(1e-3, 10.0, 2000).tolist(), 0.5)
-    assert all(a < b for a, b in zip(lo, hi))
+    for a, b in rng.uniform(1e-3, 10.0, (1000, 2)).tolist():
+        (lo1, hi1), (lo2, hi2) = ((math.log(l / math.pi), math.log(0.5 * l) + 0.5 * l)
+                                  for l in (a, b))
+        assert lo1 < hi1 and lo2 < hi2
+        rep = one_class(a, b)
+        tol = 2.0 ** -46 * (1.0 + 0.5 * max(a, b) + abs(math.log(b / a)))
+        assert abs(rep.interval.hi - (0.5 * max(hi2 - lo1, hi1 - lo2) + math.log(3))) <= tol
+        assert abs(rep.witness_max_log_width - max(hi1 - lo1, hi2 - lo2)) <= tol
     small = (1e-1, 1e-2, 1e-3, 1e-6)
-    lo, hi = _log_brackets(small, 0.5)
-    widths = [b - a for a, b in zip(lo, hi)]
+    widths = [one_class(l, l).witness_max_log_width for l in small]
     for l, w in zip(small, widths):
-        assert w == pytest.approx(math.log(math.pi / 2) + l / 2, rel=1e-9)
+        assert w == pytest.approx(math.log(math.pi / 2) + l / 2, rel=1e-15)
     assert widths[0] > widths[1] > widths[2] > widths[3] > math.log(math.pi / 2)
     assert widths[3] == pytest.approx(math.log(math.pi / 2), rel=1e-5)
     report("04 maskit-sandwich-and-limit")

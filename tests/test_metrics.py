@@ -1,4 +1,5 @@
-"""Tests for the metric estimators and extremal-length brackets."""
+"""Tests for the metric estimators and the quasiconformal interval's
+extremal-length closed forms."""
 
 import dataclasses
 import json
@@ -21,7 +22,6 @@ from teichspace.curves import (
 from teichspace.harness import ExperimentConfig, sample_points
 from teichspace.metrics import (
     TeichIntervalReport,
-    _log_brackets,
     _sup_log_ratio,
     arc_lower,
     arc_of,
@@ -44,43 +44,86 @@ def point(m, lengths_, twists, boundary):
                    boundary=boundary)
 
 
-class TestMaskitBracket:
-    """The log brackets ``log(l/pi) <= log Ext <= log(l/2) + kappa l``."""
+C = math.log(math.pi / 2)
+
+
+def _log_bracket(l, kappa):
+    """Maskit's log extremal-length bracket ``log(l/pi) <= log Ext <=
+    log(l/2) + kappa l``, the reference for the closed forms."""
+    return math.log(l / math.pi), math.log(0.5 * l) + kappa * l
+
+
+def one_class(kind, a, b):
+    """:func:`teich_of` on the ``kind`` tables with every essential class
+    given the lengths ``a`` and ``b``: the closed form of that one class."""
+    tables = _TEICH_TABLES[kind]
+    return teich_of(*with_lengths(tables, [(a, b)] * len(tables[0].essential)))
+
+
+_DEFECT = math.log(4)  # log(n + 2) on the (1,2) tables of _TEICH_TABLES
+_KAPPA = {"bordered": 1.0, "punctured": 0.5}
+
+
+def _tolerance(a, b, kappa):
+    """How far the closed form of a class may be from its bracket form."""
+    return 2.0 ** -46 * (1.0 + kappa * max(a, b) + abs(math.log(b / a)))
+
+
+class TestClosedFormIsTheBracket:
+    """Each class's upper difference ``log(pi/2) + kappa M + log(M/m)`` and
+    width ``log(pi/2) + kappa M`` are those of the log brackets
+    ``log(l/pi) <= log Ext <= log(l/2) + kappa l``."""
 
     def test_reference(self):
-        assert _log_brackets([2.0], 0.5) == ([math.log(2 / math.pi)], [1.0])
+        assert _log_bracket(2.0, 0.5) == (math.log(2 / math.pi), 1.0)
+        rep = one_class("punctured", 2.0, 2.0)
+        assert rep.witness_max_log_width == C + 1.0
+        assert rep.interval.hi == 0.5 * (C + 1.0) + _DEFECT
 
-    @given(l=lengths, kappa=st.sampled_from([0.5, 1.0]))
-    @settings(max_examples=200)
-    def test_nonempty_never_degenerate(self, l, kappa):
-        (lo,), (hi,) = _log_brackets([l], kappa)
-        assert lo < hi
+    @pytest.mark.parametrize("kind", ["bordered", "punctured"])
+    @given(a=lengths, b=lengths)
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_equals_bracket_form(self, kind, a, b):
+        kappa = _KAPPA[kind]
+        (la1, lb1), (la2, lb2) = _log_bracket(a, kappa), _log_bracket(b, kappa)
+        rep = one_class(kind, a, b)
+        tol = _tolerance(a, b, kappa)
+        assert abs(rep.interval.hi - (0.5 * max(lb2 - la1, lb1 - la2) + _DEFECT)) <= tol
+        width = rep.witness_max_log_width
+        assert abs(width - max(lb1 - la1, lb2 - la2)) <= tol
+        assert width > C > 0.0
 
-    def test_endpoint_ratio_limit(self):
-        # hi - lo = log(pi/2) + l/2 -> log(pi/2) as l -> 0.
-        ls = (1e-1, 1e-2, 1e-3)
-        lo, hi = _log_brackets(ls, 0.5)
-        widths = [b - a for a, b in zip(lo, hi)]
+    @pytest.mark.parametrize("kind", ["bordered", "punctured"])
+    def test_width_tends_to_log_half_pi(self, kind):
+        # log(pi/2) + kappa l -> log(pi/2) as l -> 0.
+        kappa = _KAPPA[kind]
+        ls = (1e-1, 1e-2, 1e-3, 1e-6)
+        widths = [one_class(kind, l, l).witness_max_log_width for l in ls]
+        assert widths == [C + kappa * l for l in ls]
         assert all(b < a for a, b in zip(widths, widths[1:]))
-        for l, w in zip(ls, widths):
-            assert w == pytest.approx(math.log(math.pi / 2) + l / 2, rel=1e-12)
-        assert widths[-1] == pytest.approx(math.log(math.pi / 2), abs=1e-3)
+        assert widths[-1] > C
+        assert widths[-1] == pytest.approx(C, rel=1e-5)
 
-    @pytest.mark.parametrize("kappa", [0.5, 1.0])
-    def test_upper_end_finite_at_1500(self, kappa):
-        # (l/2) exp(kappa l) overflows here; its log does not.
-        (lo,), (hi,) = _log_brackets([1500.0], kappa)
-        assert lo == math.log(1500.0 / math.pi)
-        assert hi == pytest.approx(math.log(750.0) + kappa * 1500.0, rel=1e-15)
+    @pytest.mark.parametrize("kind", ["bordered", "punctured"])
+    def test_upper_end_finite_at_1500(self, kind):
+        # (l/2) exp(kappa l) overflows here; the closed form does not.
+        kappa = _KAPPA[kind]
+        rep = one_class(kind, 1500.0, 1500.0)
+        lo, hi = _log_bracket(1500.0, kappa)
+        assert rep.witness_max_log_width == C + kappa * 1500.0
+        assert rep.witness_max_log_width == pytest.approx(hi - lo, rel=1e-15)
+        assert math.isfinite(rep.interval.hi)
 
-    def test_bordered_bracket_is_half_of_doubled(self):
-        ls = (0.5, 1.0, 2.7)
-        lo, hi = _log_brackets(ls, 1.0)
-        lo2, hi2 = _log_brackets([2 * l for l in ls], 0.5)
-        for l, a, b, a2, b2 in zip(ls, lo, hi, lo2, hi2):
-            assert a == pytest.approx(a2 - math.log(2))
-            assert b == pytest.approx(b2 - math.log(2))
-            assert b == pytest.approx(math.log(0.5 * l * math.exp(l)))
+    @given(a=lengths, b=lengths)
+    @settings(max_examples=100, deadline=None)
+    def test_bordered_is_the_doubled_punctured(self, a, b):
+        # A bordered bracket is half the bracket of the doubled curve: both
+        # ends drop by log 2, so the differences and widths are those of the
+        # punctured class of lengths 2a and 2b, bit for bit.
+        bordered = one_class("bordered", a, b)
+        doubled = one_class("punctured", 2 * a, 2 * b)
+        assert bordered.interval.hi == doubled.interval.hi
+        assert bordered.witness_max_log_width == doubled.witness_max_log_width
 
 
 class TestThurstonLower:
@@ -236,36 +279,72 @@ class TestTeichInterval:
 
 
 def _class_ends(a, b, kappa):
-    """The halved lower and upper differences of the class with lengths
-    ``a`` and ``b``, and the wider of its two bracket widths.  The lower
-    difference is the brackets' own lower bound on the distance, which the
-    interval's lower end must never fall below."""
-    la1, lb1 = math.log(a / math.pi), math.log(0.5 * a) + kappa * a
-    la2, lb2 = math.log(b / math.pi), math.log(0.5 * b) + kappa * b
+    """The halved lower and upper differences of the brackets of the class
+    with lengths ``a`` and ``b``, and the wider of its two bracket widths.
+    The lower difference is the brackets' own lower bound on the distance,
+    which the interval's lower end must never fall below."""
+    la1, lb1 = _log_bracket(a, kappa)
+    la2, lb2 = _log_bracket(b, kappa)
     return (0.5 * max(0.0, la2 - lb1, la1 - lb2), 0.5 * max(lb2 - la1, lb1 - la2),
             max(lb1 - la1, lb2 - la2))
 
 
-def per_class_teich_of(t1, t2):
-    """The reduction of :func:`teich_of` written as a running loop over the
-    classes, keeping the first class of the largest upper end; the lower
-    end by its definition, ``(1/2) max(log max r, -log min r)``."""
+def _closed_form_ends(a, b, kappa):
+    """The class with lengths ``a`` and ``b`` in closed form, the longer
+    length first as in :func:`teich_of`: its ``v = kappa M + log(M/m)``,
+    halved upper difference and width."""
+    a, b = max(a, b), min(a, b)
+    v = kappa * a + math.log(a / b)
+    return v, 0.5 * (C + v), C + kappa * a
+
+
+def bracket_ends(a, b, kappa):
+    """The class with lengths ``a`` and ``b`` through its brackets: its
+    halved upper difference, twice, and its width."""
+    _, v_hi, width = _class_ends(a, b, kappa)
+    return v_hi, v_hi, width
+
+
+def per_class_teich_of(t1, t2, class_ends=_closed_form_ends):
+    """The reduction of :func:`teich_of` written as a running loop over
+    every class, keeping the first class of the largest key; the lower end
+    by its definition, ``(1/2) max(log max r, -log min r)``.
+    ``class_ends`` gives a class's key, halved upper difference and width:
+    the closed form by default, :func:`bracket_ends` for the brackets."""
     x1 = t1.point
     members = t1.essential
     lengths1, lengths2 = t1.essential_lengths, t2.essential_lengths
     kappa = 0.5 if x1.is_punctured() else 1.0
     r = [b / a for a, b in zip(lengths1, lengths2)]
     s_lo = 0.5 * max(math.log(max(r)), -math.log(min(r)))
-    s_hi, witness, wit_width = None, None, 0.0
+    key, s_hi, witness, wit_width = None, None, None, 0.0
     for c, a, b in zip(members, lengths1, lengths2):
-        _, v_hi, width = _class_ends(a, b, kappa)
-        if s_hi is None or v_hi > s_hi:
-            s_hi, witness, wit_width = v_hi, c.label(), width
+        k, v_hi, width = class_ends(a, b, kappa)
+        if key is None or k > key:
+            key, s_hi, witness, wit_width = k, v_hi, c.label(), width
     defect = math.log(x1.n + 2)
     return TeichIntervalReport(interval=Interval(s_lo, s_hi + defect),
                                depth=t1.depth, witness=witness,
                                witness_max_log_width=wit_width,
                                family_size=len(members))
+
+
+def assert_near_brackets(rep, t1, t2):
+    """``rep`` agrees with the bracket form of :func:`per_class_teich_of`
+    within ``2**-46 (1 + kappa M + |log r|)`` of the widest class, and a
+    witness that differs from the bracket form's is a near-tie there."""
+    kappa = 0.5 if t1.point.is_punctured() else 1.0
+    pairs = list(zip(t1.essential_lengths, t2.essential_lengths))
+    tol = max(_tolerance(a, b, kappa) for a, b in pairs)
+    ref = per_class_teich_of(t1, t2, bracket_ends)
+    assert rep.interval.lo == ref.interval.lo
+    assert abs(rep.interval.hi - ref.interval.hi) <= tol
+    if rep.witness == ref.witness:
+        assert abs(rep.witness_max_log_width - ref.witness_max_log_width) <= tol
+    else:
+        ups = [_class_ends(a, b, kappa)[1] for a, b in pairs]
+        labels = [c.label() for c in t1.essential]
+        assert max(ups) - ups[labels.index(rep.witness)] <= tol
 
 
 def _teich_tables():
@@ -360,9 +439,10 @@ def with_lengths(tables, pairs):
 
 
 class TestTeichOfOnePass:
-    """teich_of brackets only the classes its screen keeps, with the
-    per-class loop's upper end, witness and witness width, and takes the
-    lower end from the extremes of the length ratios."""
+    """teich_of takes the closed form of only the classes its screen
+    keeps, with the upper end, witness and witness width of the unscreened
+    closed-form loop bit for bit and near those of the brackets, and takes
+    the lower end from the extremes of the length ratios."""
 
     @pytest.mark.parametrize("kind", ["bordered", "punctured"])
     @given(data=st.data())
@@ -391,6 +471,7 @@ class TestTeichOfOnePass:
         t1, t2 = with_lengths(tables, pairs)
         rep = teich_of(t1, t2)
         assert repr(rep) == repr(per_class_teich_of(t1, t2))
+        assert_near_brackets(rep, t1, t2)
         half_log = 0.5 * max(abs(math.log(b / a)) for a, b in pairs)
         assert abs(rep.interval.lo - half_log) <= math.ulp(half_log)
         if not near:
@@ -436,13 +517,48 @@ class TestTeichLowerEnd:
         assert lo <= hi
 
 
+class TestTeichUpperEnd:
+    """The upper end is the brackets' over the finite family: symmetric in
+    the two points, at least the longest class's, and growing with the
+    depth, so it is not a bound on the Teichmüller distance."""
+
+    @pytest.mark.parametrize("punctured", [False, True])
+    @given(mxy=envelope_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_and_at_least_the_longest_class(self, punctured, mxy):
+        m, x1, x2 = mxy
+        if punctured:
+            x1, x2 = phi_gamma(x1), phi_gamma(x2)
+        try:
+            t1, t2 = length_table(x1, m, 2), length_table(x2, m, 2)
+            rep, back = teich_of(t1, t2), teich_of(t2, t1)
+        except DomainError:
+            return
+        assert (back.interval.hi, back.witness, back.witness_max_log_width) == (
+            rep.interval.hi, rep.witness, rep.witness_max_log_width)
+        kappa = 0.5 if punctured else 1.0
+        top = max(t1.essential_lengths + t2.essential_lengths)
+        assert rep.interval.hi >= 0.5 * (C + kappa * top) + math.log(m.nboundary + 2)
+
+    def test_grows_with_depth(self):
+        cfg = ExperimentConfig(g=1, n=1, boundary=(1.0,), seed=7)
+        m = cfg.marking()
+        x1, x2 = sample_points(cfg, range(2))
+        his = {}
+        for depth in (0, 2, 20, 100):
+            t1, t2 = length_table(x1, m, depth), length_table(x2, m, depth)
+            his[depth] = teich_of(t1, t2).interval.hi
+            top = max(t1.essential_lengths + t2.essential_lengths)
+            assert his[depth] >= 0.5 * (C + top) + math.log(3)
+        assert his[0] <= his[2] <= his[20] <= his[100]
+        assert his[100] > 5 * his[2]
+
+
 class TestTeichOfLogCount:
     """A count that does not depend on the machine: the ``math.log`` calls
     of one :func:`teich_of` on the first pair of the compare-g3n2 config.
-    Bracketing all 64 essential classes took 4 logs each, and one more for
-    the defect: 257.  The two log-ratio bounds, 4 logs for each of the 3
-    classes the screen keeps and 1 for the defect make 15; each log-ratio
-    supremum takes 1."""
+    The two log-ratio bounds, 1 log for each of the 3 classes the screen
+    keeps and 1 for the defect make 6; each log-ratio supremum takes 1."""
 
     def test_first_compare_g3n2_pair(self, monkeypatch):
         cfg = ExperimentConfig.from_json(json.dumps(
@@ -459,7 +575,7 @@ class TestTeichOfLogCount:
         assert len(t1.essential) == 64
         rep = teich_of(t1, t2)
         assert repr(rep) == repr(per_class_teich_of(t1, t2))
-        assert len(calls) == 15
+        assert len(calls) == 6
         for estimate in (thurston_of, arc_of):
             calls.clear()
             estimate(t1, t2)
