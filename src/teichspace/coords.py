@@ -270,7 +270,13 @@ class FNPoint:
     length that is not positive and finite, a twist that is not finite and
     a boundary length that is not nonnegative and finite.  ``n = 0`` (the
     closed doubles of :func:`teichspace.surface.double`) is accepted.
-    Each field is converted, checked and stored once, by ``__init__``.
+    Each field is converted once, by ``__init__``, which also checks the
+    surface, the counts and the boundary.  The cuffs and twists are checked
+    by the private constructor :meth:`_checked`, which ``__init__`` calls
+    and which alone builds the points whose surface, counts and boundary
+    are already checked: every sampled point after the first
+    (:func:`~teichspace.harness.sample_points`) and every
+    :func:`phi_gamma` image.
     """
 
     g: int
@@ -290,6 +296,20 @@ class FNPoint:
                 f"expected {ncurves} lengths/twists for (g, n)=({g},{n})")
         if len(boundary) != n:
             raise DomainError(f"expected {n} boundary lengths")
+        # _checked checks the cuffs and twists, before the boundary.
+        x = self._checked(g, n, lengths, twists, boundary)
+        for v in boundary:
+            if not 0.0 <= v < math.inf:
+                raise DomainError(f"boundary lengths must be nonnegative, got {v!r}")
+        self.__dict__.update(x.__dict__)
+
+    @classmethod
+    def _checked(cls, g, n, lengths, twists, boundary):
+        """The point of the float tuples ``lengths``, ``twists`` and
+        ``boundary`` on ``(g, n)``, whose surface, counts and boundary the
+        caller has checked; raises :class:`DomainError` for the first cuff
+        length that is not positive and finite, then the first twist that is
+        not finite."""
         # Chained comparisons with the infinities: NaN fails every one.
         inf = math.inf
         for v in lengths:
@@ -298,13 +318,12 @@ class FNPoint:
         for v in twists:
             if not -inf < v < inf:
                 raise DomainError(f"twists must be finite, got {v!r}")
-        for v in boundary:
-            if not 0.0 <= v < inf:
-                raise DomainError(f"boundary lengths must be nonnegative, got {v!r}")
         # Frozen: the instance dict is written directly, as
         # object.__setattr__ would.
-        self.__dict__.update(g=g, n=n, lengths=lengths, twists=twists,
-                             boundary=boundary)
+        x = object.__new__(cls)
+        x.__dict__.update(g=g, n=n, lengths=lengths, twists=twists,
+                          boundary=boundary)
+        return x
 
     def is_punctured(self) -> bool:
         return all(v == 0.0 for v in self.boundary)
@@ -359,6 +378,8 @@ def json_fields(cls, text: str, what: str) -> dict:
 
 
 def phi_gamma(x: FNPoint) -> FNPoint:
-    """Forget the boundary lengths: (L, T, Lambda) -> (L, T, 0).  Idempotent."""
-    return FNPoint(g=x.g, n=x.n, lengths=x.lengths, twists=x.twists,
-                   boundary=(0.0,) * x.n)
+    """Forget the boundary lengths: (L, T, Lambda) -> (L, T, 0).  Idempotent.
+
+    The image keeps the checked surface, cuffs and twists of ``x``, and
+    its boundary is zeros, so it is built by :meth:`FNPoint._checked`."""
+    return FNPoint._checked(x.g, x.n, x.lengths, x.twists, (0.0,) * x.n)

@@ -160,6 +160,13 @@ def sample_points(cfg: ExperimentConfig, indices):
     ``index`` below 0 or at or above 2**64 lies outside the sampler's
     domain and raises :class:`DomainError` when it is reached, after the
     points before it have been yielded.
+
+    The surface, the counts and the boundary are the same at every point,
+    so they are checked once per call, by :class:`FNPoint` at the first
+    point, after its index check: a config that fails them raises the
+    point's own :class:`DomainError` there.  Every later point is built on
+    them by :meth:`FNPoint._checked`, which checks its cuffs and twists,
+    and shares the first point's boundary tuple.
     """
     g, n, boundary = cfg.g, cfg.n, cfg.boundary
     draws = range(3 * g - 3 + n)
@@ -174,6 +181,7 @@ def sample_points(cfg: ExperimentConfig, indices):
     key = (cfg.seed & _M64) << 64
     exp = math.exp
     block = drawn = None
+    point = FNPoint
     for index in indices:
         if not 0 <= index <= _M64:
             raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
@@ -185,9 +193,12 @@ def sample_points(cfg: ExperimentConfig, indices):
         if position > drawn:
             rng.getrandbits((position - drawn) * skip_bits)
         drawn = position + 1
-        lengths = [exp(lo + width * draw()) for _ in draws]
-        twists = [twist_lo + twist_width * draw() for _ in draws]
-        yield FNPoint(g, n, lengths, twists, boundary)
+        lengths = tuple([exp(lo + width * draw()) for _ in draws])
+        twists = tuple([twist_lo + twist_width * draw() for _ in draws])
+        x = point(g, n, lengths, twists, boundary)
+        if point is FNPoint:
+            boundary, point = x.boundary, FNPoint._checked
+        yield x
 
 
 def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:

@@ -162,8 +162,12 @@ class TestSamplePoints:
         points = list(sample_points(cfg, indices))
         assert len(points) == len(indices)
         for index, x in zip(indices, points):
+            assert x == reference_sample_point(cfg, index)
             assert point_hex(x) == point_hex(reference_sample_point(cfg, index))
             assert point_hex(x) == point_hex(sample_point(cfg, index))
+            for vector in (x.lengths, x.twists, x.boundary):
+                assert type(vector) is tuple
+                assert all(type(v) is float for v in vector)
 
     @pytest.mark.parametrize("bad", [-1, 2 ** 64])
     def test_bad_index_raises_after_earlier_points(self, bad):
@@ -173,6 +177,50 @@ class TestSamplePoints:
         assert point_hex(next(points)) == point_hex(reference_sample_point(cfg, 1))
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\), got "
                            + re.escape(str(bad))):
+            next(points)
+
+    # The config takes a negative or NaN boundary entry (JSON's NaN literal
+    # included); the sampler raises FNPoint's own error at its first point,
+    # after that point's index check.
+    @pytest.mark.parametrize("entry", ["-1.0", "NaN"])
+    def test_bad_boundary_raises_at_first_point(self, entry):
+        cfg = ExperimentConfig.from_json(
+            '{"g": 1, "n": 2, "boundary": [1.5, %s], "samples": 3}' % entry)
+        with pytest.raises(DomainError) as want:
+            FNPoint(1, 2, [1.0, 1.0], [0.0, 0.0], cfg.boundary)
+        assert str(want.value) == f"boundary lengths must be nonnegative, got {float(entry)!r}"
+        for indices in ([0, 1], [5], [2 ** 64 - 1, 0]):
+            with pytest.raises(DomainError) as err:
+                next(sample_points(cfg, indices))
+            assert str(err.value) == str(want.value)
+        with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\), got -1$"):
+            next(sample_points(cfg, [-1, 0]))
+
+    # Only the surface, the counts and the boundary are checked once per
+    # call: a cuff or twist that is not finite still raises at its own point.
+    @pytest.mark.parametrize("draw,message", [
+        (8, "cuff lengths must be positive, got nan"),
+        (11, "twists must be finite, got nan"),
+    ])
+    def test_every_point_checks_its_cuffs_and_twists(self, monkeypatch, draw,
+                                                     message):
+        cfg = cfg_12()
+        want = [reference_sample_point(cfg, i) for i in (0, 1)]
+
+        class Spoiled(random.Random):
+            # Draw number ``draw`` (from 0) is NaN; point 2 of the (1, 2)
+            # config reads draws 8 and 9 for its cuffs, 10 and 11 for its
+            # twists.
+            taken = 0
+
+            def random(self):
+                self.taken += 1
+                return math.nan if self.taken == draw + 1 else super().random()
+
+        monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Spoiled))
+        points = sample_points(cfg, range(4))
+        assert [next(points), next(points)] == want
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
             next(points)
 
 
@@ -605,6 +653,26 @@ class TestVerifyArcsTrigCount:
         assert (calls.count("cosh"), calls.count("sinh")) == (120, 0)
 
 
+def profiled_count(tmp_path, config, argv, counted):
+    """The profiler events ``(frame, event, arg)`` of one CLI call on
+    ``config`` for which ``counted`` is true."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += counted(frame, event, arg)
+
+    sys.setprofile(profile)
+    try:
+        cli.main([argv[0], "--config", str(cfg_path), *argv[1:],
+                  "--out", str(tmp_path / "out")])
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 class TestSamplerSeedCount:
     """A count that does not depend on the machine: the MT19937 seedings
     (``_random.Random.seed`` calls, seen as profiler ``c_call`` events) of
@@ -614,22 +682,9 @@ class TestSamplerSeedCount:
 
     @staticmethod
     def seedings(tmp_path, config, argv):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            if event == "c_call" and getattr(arg, "__qualname__", None) == "Random.seed":
-                calls += 1
-
-        sys.setprofile(profile)
-        try:
-            cli.main([argv[0], "--config", str(cfg_path), *argv[1:],
-                      "--out", str(tmp_path / "out")])
-        finally:
-            sys.setprofile(None)
-        return calls
+        return profiled_count(
+            tmp_path, config, argv, lambda frame, event, arg: event == "c_call"
+            and getattr(arg, "__qualname__", None) == "Random.seed")
 
     def test_verify_arcs_g1n6(self, tmp_path):
         config = {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
@@ -640,6 +695,22 @@ class TestSamplerSeedCount:
         config = {"g": 3, "n": 2, "boundary": [1.0, 1.5], "depth": 3,
                   "samples": 8, "seed": 7}
         assert self.seedings(tmp_path, config, ["compare", "--format", "csv"]) == 1
+
+
+class TestPointCheckCount:
+    """A count that does not depend on the machine: the ``FNPoint.__init__``
+    calls (profiler ``call`` events of its code) of one CLI call on the
+    verify-arcs-g1n6 config.  Checking the surface, the counts and the
+    boundary at every sampled point took 10 000; the sampler now checks
+    them at its first point only."""
+
+    def test_verify_arcs_g1n6(self, tmp_path):
+        config = {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
+                  "depth": 2, "samples": 5000, "seed": 7}
+        code = FNPoint.__init__.__code__
+        assert profiled_count(
+            tmp_path, config, ["verify-arcs", "--summary-only"],
+            lambda frame, event, arg: event == "call" and frame.f_code is code) == 1
 
 
 class TestCompareMetrics:

@@ -329,6 +329,8 @@ class TestPhiGamma:
         y = phi_gamma(x)
         assert y.boundary == (0.0, 0.0)
         assert y.lengths == x.lengths and y.twists == x.twists
+        assert y == FNPoint(1, 2, [1, 2], [0.5, -0.5], [0, 0])
+        assert all(type(v) is float for v in y.lengths + y.twists + y.boundary)
 
     def test_idempotent(self):
         x = FNPoint(g=1, n=1, lengths=[2], twists=[1], boundary=[3])
