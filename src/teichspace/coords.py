@@ -275,8 +275,9 @@ class FNPoint:
     by the private constructor :meth:`_checked`, which ``__init__`` calls
     and which alone builds the points whose surface, counts and boundary
     are already checked: every sampled point after the first
-    (:func:`~teichspace.harness.sample_points`) and every
-    :func:`phi_gamma` image.
+    (:func:`~teichspace.harness.sample_points`), every ray point of
+    :func:`~teichspace.harness.phi_experiment` and every :func:`phi_gamma`
+    image.
     """
 
     g: int

@@ -47,7 +47,11 @@ boundary block of the ``cosh(l/2)`` vector, depend only on the boundary
 lengths: :func:`hexagon_terms` takes them once per boundary.
 :func:`hexagon_lengths` reads them and the same ``cosh(l/2)`` vector, and
 feeds every form's checked core in :mod:`teichspace.pants_trig`, the one
-path by which a length is evaluated or rejected.
+path by which a length is rejected.  The arc check evaluates its points a
+block at a time through the block form of the same expressions
+(:func:`teichspace.pants_trig._block`), which reads the same boundary
+terms, and takes a block that leaves double range point by point through
+:func:`hexagon_lengths`.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a

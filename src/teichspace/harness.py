@@ -19,7 +19,8 @@ to its two values only.  The arc check builds no table and reads each
 seed arc's curves, its own boundaries and then its neighbourhood curves,
 from the forms the marking resolved once
 (:attr:`~teichspace.coords.Marking.arc_forms`); it takes the terms of
-those forms that read only the boundary once per run.
+those forms that read only the boundary once per run, and evaluates the
+forms a block of pairs at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
+from . import pants_trig
 from .coords import FNPoint, Marking, build_marking, json_fields
 from .curves import hexagon_lengths, hexagon_terms, image_table, length_table
 from .metrics import arc_of, arc_sup, teich_of, thurston_of, thurston_sup
@@ -134,6 +137,8 @@ class ExperimentConfig:
 _M64 = 2 ** 64 - 1
 # Consecutive indices that share one generator stream (see sample_points).
 _BLOCK = 64
+# Pairs the arc check evaluates together: one sampler block of points.
+_ARC_BLOCK = _BLOCK // 2
 
 
 def sample_points(cfg: ExperimentConfig, indices):
@@ -244,19 +249,32 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     ``sinh`` terms and the boundary block of the ``cosh(l/2)`` vector)
     depend only on the boundary, so they are taken once, from the first
     pair, before its report; every point of every pair must share that
-    boundary.  Per point, one :func:`~teichspace.curves.hexagon_lengths`
-    pass gives every arc length, taking ``cosh(l/2)`` of the cuffs only.
-    Essential neighbourhood curves are cuffs, so one pass per pair over the
-    cuff ratios ``x2.lengths[i] / x1.lengths[i]``, taken once, counts the
+    boundary.
+
+    The pairs are taken in blocks of 32, the 64 points of one sampler
+    block.  A block's pairs are checked in order, then one call of the
+    block form :func:`~teichspace.pants_trig._block` gives every arc length
+    at every point of the block, one column per arc form, taking one
+    ``cosh(l/2)`` column per cuff.  Each pair's lengths, read from the
+    columns, become its report through one helper.  Essential
+    neighbourhood curves are cuffs, so one pass per pair over the cuff
+    ratios ``x2.lengths[i] / x1.lengths[i]``, taken once, counts the
     checked and passed arcs.  The rows (ratio, best curve ratio, bound and
     verdict of each arc, with its curves) are computed with the same
     expressions only for a report that is yielded in full.  The seed arcs
-    are the same at every family depth, so there is no depth.  A point
-    that does not fit the marking raises the :class:`DomainError` of
+    are the same at every family depth, so there is no depth.
+
+    A block in which a check fails, a length leaves double range or the
+    next pair cannot be taken is taken again one pair at a time, through
+    :func:`~teichspace.curves.hexagon_lengths` and the scalar cores, which
+    give the same lengths: the pairs before the failing one are yielded,
+    then its error is raised.  A point that does not fit the marking raises
+    the :class:`DomainError` of
     :meth:`~teichspace.coords.Marking.require_fit` before anything else of
-    its pair.  Otherwise a pair's DomainError is
-    that of the first failing arc of ``x1``, or of ``x2`` if every arc of
-    ``x1`` has a length.  Each carries the witness ``{"x1", "x2"}``.
+    its pair.  Otherwise a pair's DomainError is that of the first failing
+    arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a length.  Each
+    carries the witness ``{"x1", "x2"}``.  An error taking the next pair is
+    raised as it is, after the pairs before it.
     """
     nc, forms = m.ncurves, m.arc_forms
     plan = []
@@ -268,26 +286,25 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
         plan.append((arc.label(), neighbours, essential,
                      len(curves) - len(essential)))
     essentials = [essential for _, _, essential, _ in plan]
-    constants = None
+    boundary = constants = terms = None
     fit = (m.genus, m.nboundary) * 2
-    for x1, x2 in pairs:
-        try:
-            if (x1.g, x1.n, x2.g, x2.n) != fit:
-                m.require_fit(x1)
-                m.require_fit(x2)
-            if constants is None:
-                boundary = x1.boundary
-                if 0.0 in boundary:
-                    raise DomainError("arc check needs positive boundary lengths")
-                constants = gap_constants(boundary)
-                c = constants.c
-                terms = hexagon_terms(forms, nc, boundary)
-            if x1.boundary != boundary or x2.boundary != boundary:
-                raise DomainError("arc check needs equal boundary lengths")
-            lens1 = hexagon_lengths(x1, forms, terms=terms)
-            lens2 = hexagon_lengths(x2, forms, terms=terms)
-        except DomainError as err:
-            raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
+
+    def check(x1, x2):
+        nonlocal boundary, constants, terms
+        if (x1.g, x1.n, x2.g, x2.n) != fit:
+            m.require_fit(x1)
+            m.require_fit(x2)
+        if constants is None:
+            boundary = x1.boundary
+            if 0.0 in boundary:
+                raise DomainError("arc check needs positive boundary lengths")
+            constants = gap_constants(boundary)
+            terms = hexagon_terms(forms, nc, boundary)
+        if x1.boundary != boundary or x2.boundary != boundary:
+            raise DomainError("arc check needs equal boundary lengths")
+
+    def report(x1, x2, lens1, lens2):
+        c = constants.c
         # Essential neighbours are cuffs, so their ratios are read from here.
         cuffs = [b / a for a, b in zip(x1.lengths, x2.lengths)]
         checked = passed = 0
@@ -297,8 +314,7 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
                 checked += 1
                 passed += max([cuffs[i] for i in essential]) >= c * ratio
         if summary_only and passed == checked:
-            yield {"checked": checked, "passed": passed, "all_passed": True}
-            continue
+            return {"checked": checked, "passed": passed, "all_passed": True}
         ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
         rows = []
         for (label, neighbours, essential, excluded), l1, l2 in zip(plan, lens1, lens2):
@@ -317,7 +333,7 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
                            for i, nb_label, e in neighbours],
                 "excluded_boundary_parallel": excluded,
                 "max_curve_ratio": best, "bound": bound, "passed": best >= bound})
-        yield {
+        return {
             "x1": x1.to_dict(),
             "x2": x2.to_dict(),
             "constant": c,
@@ -330,6 +346,46 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
             "vacuous": len(rows) - checked,
             "all_passed": passed == checked,
         }
+
+    def one_by_one(block):
+        for x1, x2 in block:
+            try:
+                check(x1, x2)
+                lens1 = hexagon_lengths(x1, forms, terms=terms)
+                lens2 = hexagon_lengths(x2, forms, terms=terms)
+            except DomainError as err:
+                raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
+            yield report(x1, x2, lens1, lens2)
+
+    pairs = iter(pairs)
+    while True:
+        block, pulled, lengths = [], None, None
+        try:
+            for x1, x2 in islice(pairs, _ARC_BLOCK):
+                block.append((x1, x2))
+        except Exception as err:
+            pulled = err  # raised as it is, after the pairs before it
+        if pulled is None and block:
+            try:
+                for x1, x2 in block:
+                    check(x1, x2)
+            except DomainError:
+                pass  # one_by_one raises it again, after the pairs before it
+            else:
+                points = [x for pair in block for x in pair]
+                lengths = pants_trig._block(forms, terms,
+                                            list(zip(*[x.lengths for x in points])),
+                                            len(points))
+        if lengths is None:
+            yield from one_by_one(block)
+            if pulled is not None:
+                raise pulled
+        else:
+            lens = list(zip(*lengths))
+            for (x1, x2), lens1, lens2 in zip(block, lens[::2], lens[1::2]):
+                yield report(x1, x2, lens1, lens2)
+        if len(block) < _ARC_BLOCK:
+            return
 
 
 def verify_arc_construction(x1: FNPoint, x2: FNPoint, m: Marking,
@@ -441,8 +497,10 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
     ``depth`` and are not certified bounds on the Teichmüller distance.
     If ``ceiling`` is not ``None`` and any difference exceeds it the run
     fails with a replay witness; a step or ceiling that is not finite
-    raises :class:`DomainError`.  Each ray point is evaluated once, into
-    its length table, and its image's table is derived from it
+    raises :class:`DomainError`.  A ray point moves one twist of the
+    checked ``x``, taken as a float, so it is built by
+    :meth:`FNPoint._checked`, which checks it.  Each ray point is evaluated
+    once, into its length table, and its image's table is derived from it
     (:func:`~teichspace.curves.image_table`).
     """
     if 0.0 in x.boundary:
@@ -461,9 +519,8 @@ def phi_experiment(x: FNPoint, m: Marking, *, curve_index: int, step: float,
     max_diff = 0.0
     for s in range(count):
         twists = list(x.twists)
-        twists[curve_index] += s * step
-        xs = FNPoint(g=x.g, n=x.n, lengths=x.lengths, twists=twists,
-                     boundary=x.boundary)
+        twists[curve_index] = float(twists[curve_index] + s * step)
+        xs = FNPoint._checked(x.g, x.n, x.lengths, tuple(twists), x.boundary)
         ray = length_table(xs, m, depth)
         ray_image = image_table(ray, m)
         d_b = thurston_of(base, ray).value

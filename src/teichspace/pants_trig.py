@@ -65,7 +65,11 @@ components, so the certified inequality holds in every zone.
 
 Both arc forms are evaluated in double precision as sums of positive
 terms, each by one private core (``_between``, ``_self``) that checks its
-range and raises its own :class:`DomainError`.  A core is passed its terms,
+range and raises its own :class:`DomainError`.  The block form
+(``_block``) gives the same lengths at a block of points, one form at a
+time, with the cores' expressions in the cores' order; it raises nothing,
+and returns ``None`` where a core would raise, so that its caller takes
+the block point by point through the cores.  A core is passed its terms,
 not its lengths' hyperbolic functions: the ``cosh(l/2)`` of the curves
 bounding the arc's neighbourhood, which a point's arcs share, and the terms
 that read only the arc's own boundaries (``cosh((li - lj)/2)`` and
@@ -75,8 +79,9 @@ shares.  A term that overflows is passed as ``inf`` (:func:`_cosh_half`,
 :func:`_sinh_half`), which takes the core out of double range as the
 overflow itself would.  The public forms and
 :func:`teichspace.curves.hexagon_lengths` both call the cores, so they give
-the same lengths and the same errors.  For boundary lengths in
-``[1e-4, 40]`` they match a 50-digit mpmath evaluation of the identities
+the same lengths and the same errors; the arc check of
+:func:`teichspace.harness.verify_arcs` calls the block form.  For
+boundary lengths in ``[1e-4, 40]`` they match a 50-digit mpmath evaluation of the identities
 above to 1e-14 relative, and the doubled-arc traces of the 40-digit holonomy of the
 doubled surface to 1e-12 on the ranges the tests sample.  Where an intermediate or the result
 leaves double range, both forms, the self-arc floor and bracket and the
@@ -159,6 +164,43 @@ def _self(li: float, la: float, ld: float, ca: float, cd: float, ci: float,
     if not 0.0 < length < math.inf:
         raise DomainError(f"orthogeodesic_self{(li, la, ld)} leaves double range")
     return length
+
+
+def _block(forms, terms, cuffs, count: int):
+    """The lengths :func:`_between` and :func:`_self` give the forms
+    ``forms`` at a block of ``count`` points, one list per form, or ``None``
+    where any of them would raise.
+
+    ``cuffs`` holds one column per cuff, its length at each point of the
+    block, and ``terms`` the forms' boundary terms ``(ch, arcs)`` of
+    :func:`teichspace.curves.hexagon_terms`; index ``i`` of a form is cuff
+    ``i`` below ``len(cuffs)`` and boundary ``i - len(cuffs)`` above.  One
+    ``cosh(l/2)`` column is taken per cuff, then each form is one pass over
+    the block with its core's expressions in its core's order, so every
+    length is the core's bit for bit.  A ``cosh`` that overflows, a
+    division by zero or a length outside ``(0, inf)`` gives ``None``, and
+    the caller takes the points one at a time through the cores, which name
+    the failing lengths."""
+    cosh, sqrt, log1p, asinh = math.cosh, math.sqrt, math.log1p, math.asinh
+    ch, arcs = terms
+    try:
+        columns = [[cosh(v / 2) for v in column] for column in cuffs]
+        columns += [[c] * count for c in ch]
+        out = []
+        for (between, _, j, k), (p, q) in zip(forms, arcs):
+            if between:
+                lengths = [log1p(w + sqrt(w) * sqrt(w + 2.0))
+                           for ca in columns[k] for w in [(p + ca) / q]]
+            else:
+                lengths = [2.0 * asinh(sqrt(ca * ca + 2.0 * ca * cd * p + cd * cd) / q)
+                           for ca, cd in zip(columns[j], columns[k])]
+            # A NaN or inf makes the sum fail; a 0 makes the minimum fail.
+            if not (0.0 < min(lengths) and sum(lengths) < math.inf):
+                return None
+            out.append(lengths)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return out
 
 
 def orthogeodesic_between(li: float, lj: float, la: float) -> float:

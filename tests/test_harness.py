@@ -327,12 +327,13 @@ class TestVerifyArcConstruction:
             verify_arc_construction(x, y, m, 1)
 
 
-def verify_arcs_reference(pairs, m):
+def verify_arcs_reference(pairs, m, constants=None):
     """The arc check with each arc length through its checked entry point,
     every arc of ``x1`` before those of ``x2``, and each neighbourhood
     curve named through ``m.slot_assignment`` and measured through
-    ``m.slot_length``, independently of ``m.arc_forms``."""
-    constants = gap_constants(pairs[0][0].boundary)
+    ``m.slot_length``, independently of ``m.arc_forms``; ``constants`` are
+    the first point's gap constants unless given."""
+    constants = constants or gap_constants(pairs[0][0].boundary)
     for x1, x2 in pairs:
         try:
             lens1, lens2 = ([(orthogeodesic_between if arc.kind == "between"
@@ -562,6 +563,101 @@ class TestVerifyArcs:
             assert c["l1"] == c["l2"]
 
 
+G1N6 = ExperimentConfig(g=1, n=6, boundary=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75),
+                        seed=7)
+
+
+def stream_outcome(reports):
+    """The reports a stream yields before it stops, and the error it stops
+    with (``None`` at its end)."""
+    got = []
+    try:
+        for r in reports:
+            got.append(r)
+    except DomainError as err:
+        return got, err
+    return got, None
+
+
+def summary_of(report):
+    """The summary-only form of a full report."""
+    if not report["all_passed"]:
+        return report
+    return {"checked": report["checked"], "passed": report["passed"],
+            "all_passed": True}
+
+
+class TestVerifyArcsBlocks:
+    """Pairs are evaluated 32 at a time, and a block with a failure is taken
+    again pair by pair: either way the reports and errors are the
+    reference's, on either side of every block edge."""
+
+    @staticmethod
+    def pairs(count):
+        points = list(sample_points(G1N6, range(2 * count)))
+        return list(zip(points[::2], points[1::2]))
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("summary_only", [False, True])
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_counts_around_the_block_size(self, count, summary_only, failing,
+                                          monkeypatch):
+        pairs, m = self.pairs(count), G1N6.marking()
+        constants = None
+        if failing:
+            # Fails about half of the pairs (see TestVerifyArcs.FAILING).
+            constants = TestVerifyArcs.FAILING
+            monkeypatch.setattr(harness, "gap_constants", lambda b: constants)
+        want = list(verify_arcs_reference(pairs, m, constants))
+        if summary_only:
+            want = [summary_of(r) for r in want]
+        assert list(verify_arcs(iter(pairs), m, summary_only=summary_only)) == want
+
+    @pytest.mark.parametrize("bad,message", [
+        # Cuff 5 bounds four arcs' neighbourhoods; cosh(1500/2) overflows.
+        (lambda x1, x2: (FNPoint(g=1, n=6, lengths=x1.lengths[:5] + (1500.0,),
+                                 twists=x1.twists, boundary=x1.boundary), x2),
+         None),
+        (lambda x1, x2: (x1, sample_point(ExperimentConfig(
+            g=0, n=4, boundary=(0.5, 1.0, 1.5, 2.0), seed=2), 0)),
+         "point on (0,4) does not fit the marking of (1,6)"),
+        (lambda x1, x2: (FNPoint(g=1, n=6, lengths=x1.lengths, twists=x1.twists,
+                                 boundary=(1.0,) * 6), x2),
+         "arc check needs equal boundary lengths"),
+    ], ids=["cuff-1500", "fit", "boundary"])
+    def test_failure_in_mid_block(self, bad, message):
+        pairs, m = self.pairs(40), G1N6.marking()
+        pairs[17] = bad(*pairs[17])
+        got, err = stream_outcome(verify_arcs(iter(pairs), m))
+        assert got == list(verify_arcs_reference(pairs[:17], m))
+        if message is None:
+            want, ref = stream_outcome(verify_arcs_reference(pairs, m))
+            assert len(want) == 17
+            message = str(ref).split("\nwitness: ")[0]
+        x1, x2 = pairs[17]
+        witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
+        assert err.witness == witness
+        assert str(err) == message + "\nwitness: " + json.dumps(witness)
+
+    def test_unread_cuff_overflow_yields_every_pair(self):
+        # No arc reads cuff 0: the block is taken again pair by pair, and
+        # every pair has its lengths.
+        pairs, m = self.pairs(40), G1N6.marking()
+        x1, x2 = pairs[17]
+        pairs[17] = (FNPoint(g=1, n=6, lengths=(1500.0,) + x1.lengths[1:],
+                             twists=x1.twists, boundary=x1.boundary), x2)
+        assert list(verify_arcs(iter(pairs), m)) == list(
+            verify_arcs_reference(pairs, m))
+
+    def test_error_taking_a_pair_follows_the_pairs_before_it(self):
+        # Point 41 lies outside the sampler's domain: pair 20 cannot be taken.
+        points = sample_points(G1N6, [*range(41), 2 ** 64])
+        got, err = stream_outcome(verify_arcs(zip(points, points), G1N6.marking()))
+        assert got == list(verify_arcs_reference(self.pairs(20), G1N6.marking()))
+        assert str(err) == f"sample index must lie in [0, 2**64), got {2 ** 64}"
+        assert not hasattr(err, "witness")
+
+
 def tie_constant(best, ratio):
     """A constant ``c`` with ``c * ratio == best`` exactly, found within four
     ulps of ``best / ratio``, or ``best / ratio`` when none ties."""
@@ -625,21 +721,27 @@ class TestVerifyArcsPasses:
 class TestVerifyArcsTrigCount:
     """A count that does not depend on the machine: the ``math.cosh`` and
     ``math.sinh`` calls per pair of :func:`verify_arcs` on the
-    verify-arcs-g1n6 config (seed 7), over the ten pairs after the first,
-    on one generator, so the terms taken once per run at the first pair
-    (the gap constants and the hexagon forms' boundary terms) are not
-    counted.  Taking every hexagon term per point took 42 (26 ``cosh``, 16
-    ``sinh``); a pair now takes ``cosh(l/2)`` of its two points' six cuffs
+    verify-arcs-g1n6 config (seed 7), counted as a run of 33 pairs less a
+    run of 1 pair, so the terms taken once per run (the gap constants) and
+    the first pair's own terms cancel; a run before both takes the hexagon
+    forms' boundary terms, which are cached.  The 32 pairs between are one
+    block.  Taking every hexagon term per point took 42 (26 ``cosh``, 16
+    ``sinh``); a pair takes ``cosh(l/2)`` of its two points' six cuffs
     only: 12."""
 
     def test_verify_arcs_g1n6_pairs(self, monkeypatch):
         cfg = ExperimentConfig.from_json(json.dumps(
             {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
              "depth": 2, "samples": 5000, "seed": 7}))
-        points = sample_points(cfg, range(22))
-        reports = verify_arcs(zip(points, points), cfg.marking(), summary_only=True)
-        next(reports)
+        m = cfg.marking()
         calls = []
+
+        def run(count):
+            points = list(sample_points(cfg, range(2 * count)))
+            calls.clear()
+            assert len(list(verify_arcs(zip(points[::2], points[1::2]), m,
+                                        summary_only=True))) == count
+            return calls.count("cosh"), calls.count("sinh")
 
         def counted(name):
             f = getattr(math, name)
@@ -649,8 +751,9 @@ class TestVerifyArcsTrigCount:
                                       "sinh": counted("sinh")})
         for module in (curves, harness, pants_trig):
             monkeypatch.setattr(module, "math", counting)
-        assert len(list(reports)) == 10
-        assert (calls.count("cosh"), calls.count("sinh")) == (120, 0)
+        run(1)
+        (cosh33, sinh33), (cosh1, sinh1) = run(33), run(1)
+        assert (cosh33 - cosh1, sinh33 - sinh1) == (12 * 32, 0)
 
 
 def profiled_count(tmp_path, config, argv, counted):
@@ -697,20 +800,48 @@ class TestSamplerSeedCount:
         assert self.seedings(tmp_path, config, ["compare", "--format", "csv"]) == 1
 
 
-class TestPointCheckCount:
-    """A count that does not depend on the machine: the ``FNPoint.__init__``
-    calls (profiler ``call`` events of its code) of one CLI call on the
-    verify-arcs-g1n6 config.  Checking the surface, the counts and the
-    boundary at every sampled point took 10 000; the sampler now checks
-    them at its first point only."""
+class TestArcBlockCount:
+    """A count that does not depend on the machine: the calls of the block
+    form :func:`~teichspace.pants_trig._block` (profiler ``call`` events of
+    its code) of one CLI call on the verify-arcs-g1n6 config.  Evaluating
+    each point's arcs on its own took 10 000
+    :func:`~teichspace.curves.hexagon_lengths` calls; the 5000 pairs now
+    take one call per block of 32."""
 
     def test_verify_arcs_g1n6(self, tmp_path):
         config = {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
                   "depth": 2, "samples": 5000, "seed": 7}
-        code = FNPoint.__init__.__code__
+        code = pants_trig._block.__code__
         assert profiled_count(
             tmp_path, config, ["verify-arcs", "--summary-only"],
-            lambda frame, event, arg: event == "call" and frame.f_code is code) == 1
+            lambda frame, event, arg: event == "call" and frame.f_code is code) == 157
+
+
+class TestPointCheckCount:
+    """A count that does not depend on the machine: the ``FNPoint.__init__``
+    calls (profiler ``call`` events of its code) of one CLI call.  Checking
+    the surface, the counts and the boundary at every sampled point took
+    10 000 on the verify-arcs-g1n6 config, and at every ray point 12 on a
+    (2, 2) ``phi-experiment`` (1 sampled point and 11 ray points); the
+    sampler now checks them at its first point only, and a ray point only
+    its moved twist."""
+
+    @staticmethod
+    def checks(tmp_path, config, argv):
+        code = FNPoint.__init__.__code__
+        return profiled_count(
+            tmp_path, config, argv,
+            lambda frame, event, arg: event == "call" and frame.f_code is code)
+
+    def test_verify_arcs_g1n6(self, tmp_path):
+        config = {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
+                  "depth": 2, "samples": 5000, "seed": 7}
+        assert self.checks(tmp_path, config, ["verify-arcs", "--summary-only"]) == 1
+
+    def test_phi_experiment_g2n2(self, tmp_path):
+        config = {"g": 2, "n": 2, "boundary": [1.0, 1.5], "depth": 2,
+                  "samples": 3, "seed": 7}
+        assert self.checks(tmp_path, config, ["phi-experiment"]) == 1
 
 
 class TestCompareMetrics:

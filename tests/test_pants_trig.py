@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from teichspace import pants_trig
+from teichspace.curves import hexagon_terms
 from teichspace.pants_trig import (
     BetweenArcConstants,
     DomainError,
@@ -306,6 +308,59 @@ class TestDoubleRange:
     def test_rejected_naming_the_lengths(self, form, args, named):
         with pytest.raises(DomainError, match=re.escape(named)):
             form(*args)
+
+
+# Lengths at both ends of double range: 5e-324 halves to 0, sinh(l/2) of
+# 1e-300 squares to 0, and cosh(l/2) of 1500 overflows.
+extreme = st.sampled_from([1e-300, 5e-324, 700.0, 1420.0, 1500.0]) | envelope
+
+
+@st.composite
+def hexagon_blocks(draw):
+    """Forms over ``nc`` cuffs and ``nb`` boundaries, with a between-arc's
+    and a self-arc's own curves on the boundary, the boundary lengths, and
+    the cuff columns of a block of points."""
+    nc, nb = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    curve, own = st.integers(0, nc + nb - 1), st.integers(nc, nc + nb - 1)
+    forms = tuple(draw(st.lists(
+        st.tuples(st.just(True), own, own, curve)
+        | st.tuples(st.just(False), own, curve, curve), min_size=1, max_size=4)))
+    boundary = tuple(draw(st.lists(extreme, min_size=nb, max_size=nb)))
+    count = draw(st.integers(1, 5))
+    cuffs = [draw(st.lists(extreme, min_size=count, max_size=count))
+             for _ in range(nc)]
+    return forms, nc, boundary, cuffs, count
+
+
+class TestBlock:
+    """The block form gives the scalar cores' lengths bit for bit, and
+    ``None`` exactly where a core raises or a cuff's ``cosh(l/2)``
+    overflows."""
+
+    @given(case=hexagon_blocks())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_scalar_cores(self, case):
+        forms, nc, boundary, cuffs, count = case
+        terms = hexagon_terms(forms, nc, boundary)
+        got = pants_trig._block(forms, terms, cuffs, count)
+        try:
+            want = []
+            for (between, i, j, k), (p, q) in zip(forms, terms[1]):
+                column = []
+                for point in range(count):
+                    ell = [c[point] for c in cuffs] + list(boundary)
+                    ch = [pants_trig._cosh_half(v) for v in ell]
+                    column.append(
+                        pants_trig._between(ell[i], ell[j], ell[k], ch[k], p, q)
+                        if between else
+                        pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], p, q))
+                want.append(column)
+        except DomainError:
+            want = None
+        if any(pants_trig._cosh_half(v) == math.inf for c in cuffs for v in c):
+            assert got is None
+        else:
+            assert got == want
 
 
 class TestInterval:
