@@ -50,8 +50,8 @@ feeds every form's checked core in :mod:`teichspace.pants_trig`, the one
 path by which a length is rejected.  The arc check evaluates its points a
 block at a time through the block form of the same expressions
 (:func:`teichspace.pants_trig._block`), which reads the same boundary
-terms, and takes a block that leaves double range point by point through
-:func:`hexagon_lengths`.
+terms and gives the first point that leaves double range; only that
+point's pair goes through :func:`hexagon_lengths`, to name its error.
 
 :func:`length_table` gathers every length the metric estimators read at one
 point (the curve family and, on bordered points, the seed arcs) so that a
@@ -154,16 +154,16 @@ def family_lengths(fn: FNPoint, m: Marking, classes, ch=None):
     one-holed torus or four-holed sphere identity of the module docstring
     (scalar work, no holonomy).  The twist-free terms of cuff ``k`` are
     evaluated once, when the first class of its orbit appears, from ``ch``,
-    the ``cosh(l/2)`` of the point's curves (:func:`_cosh_halves`, taken
-    here when not given); each member then costs one function of its twist
-    ``tau``.  Raises
-    :class:`DomainError` when a length is not finite in double precision
+    the ``cosh(l/2)`` of the point's curves
+    (:func:`~teichspace.pants_trig._cosh_halves`, taken here when not
+    given); each member then costs one function of its twist ``tau``.
+    Raises :class:`DomainError` when a length is not finite in double precision
     (such as at twists of 2000, at cuffs of 1500, and at cuffs below about
     1e-154, whose duals are too long; below about 1e-161 ``sinh(L/2)^2``
     underflows to 0).
     """
     if ch is None:
-        ch = _cosh_halves(fn.lengths + fn.boundary)
+        ch = pants_trig._cosh_halves(fn.lengths + fn.boundary)
     cosh, sinh, log1p, sqrt = math.cosh, math.sinh, math.log1p, math.sqrt
     lengths, twists = fn.lengths, fn.twists
     orbits = [None] * len(lengths)
@@ -220,17 +220,6 @@ def _orbit_terms(fn: FNPoint, m: Marking, k: int, ch) -> tuple:
     return cuff, None, head, qq, (s2 * (qa + qb) + qa * qb) / (qq + s2), s2
 
 
-def _cosh_halves(ell) -> list:
-    """``cosh(l/2)`` of every length of ``ell`` (a point's ``lengths``, or
-    its ``lengths + boundary``), ``inf`` where it overflows (only the rare
-    point with a curve longer than about 1420 pays for the vector twice); a
-    cusp's entry is ``cosh(0) = 1``."""
-    try:
-        return [math.cosh(v / 2) for v in ell]
-    except OverflowError:
-        return [pants_trig._cosh_half(v) for v in ell]
-
-
 @dataclass(frozen=True)
 class LengthTable:
     """Every length the metric estimators read at one point, in the two
@@ -257,9 +246,9 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     """Evaluate the length table of ``fn`` at family depth ``depth``.
 
     ``cosh(l/2)`` of every curve is taken once, the cuffs' here
-    (:func:`_cosh_halves`) and the boundaries' with the arcs' boundary
-    terms once per boundary (:func:`hexagon_terms`), and read by one
-    :func:`family_lengths` call over the whole family and by
+    (:func:`~teichspace.pants_trig._cosh_halves`) and the boundaries' with
+    the arcs' boundary terms once per boundary (:func:`hexagon_terms`), and
+    read by one :func:`family_lengths` call over the whole family and by
     :func:`hexagon_lengths`.  A :class:`DomainError` of either (a length
     that is not finite) is re-raised with the replay witness ``{"x": <point
     JSON>, "depth": depth}`` appended to its message and kept in its
@@ -269,7 +258,7 @@ def length_table(fn: FNPoint, m: Marking, depth: int) -> LengthTable:
     family, essential = _family(m.ncurves, m.nboundary, depth)
     arcs = () if 0.0 in fn.boundary else m.arcs
     terms = hexagon_terms(m.arc_forms, m.ncurves, fn.boundary)
-    ch = _cosh_halves(fn.lengths)
+    ch = pants_trig._cosh_halves(fn.lengths)
     ch += terms[0]
     try:
         lengths = family_lengths(fn, m, family, ch)
@@ -350,9 +339,9 @@ def hexagon_lengths(fn: FNPoint, forms, ch=None, terms=None) -> list:
     ``terms`` is :func:`hexagon_terms` of ``forms`` at ``fn.boundary`` and
     ``ch`` the ``cosh(l/2)`` of the point's curves, whose boundary block is
     ``terms[0]``; both are taken here when not given, ``ch`` from the cuffs
-    (:func:`_cosh_halves`) and that block.  Each form's neighbourhood
-    ``cosh(l/2)`` from ``ch`` and its boundary terms from ``terms`` are fed
-    to the checked core of
+    (:func:`~teichspace.pants_trig._cosh_halves`) and that block.  Each
+    form's neighbourhood ``cosh(l/2)`` from ``ch`` and its boundary terms
+    from ``terms`` are fed to the checked core of
     :func:`~teichspace.pants_trig.orthogeodesic_between` or
     :func:`~teichspace.pants_trig.orthogeodesic_self`, so the lengths, and
     the :class:`DomainError` naming the lengths of the first arc that
@@ -368,7 +357,7 @@ def hexagon_lengths(fn: FNPoint, forms, ch=None, terms=None) -> list:
     if terms is None:
         terms = hexagon_terms(tuple(forms), len(fn.lengths), fn.boundary)
     if ch is None:
-        ch = _cosh_halves(fn.lengths)
+        ch = pants_trig._cosh_halves(fn.lengths)
         ch += terms[0]
     return [pants_trig._between(ell[i], ell[j], ell[k], ch[k], p, q) if between
             else pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], p, q)

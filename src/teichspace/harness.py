@@ -252,7 +252,7 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     boundary.
 
     The pairs are taken in blocks of 32, the 64 points of one sampler
-    block.  A block's pairs are checked in order, then one call of the
+    block, and each pair is checked as it is taken.  Then one call of the
     block form :func:`~teichspace.pants_trig._block` gives every arc length
     at every point of the block, one column per arc form, taking one
     ``cosh(l/2)`` column per cuff.  Each pair's lengths, read from the
@@ -264,17 +264,15 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     expressions only for a report that is yielded in full.  The seed arcs
     are the same at every family depth, so there is no depth.
 
-    A block in which a check fails, a length leaves double range or the
-    next pair cannot be taken is taken again one pair at a time, through
-    :func:`~teichspace.curves.hexagon_lengths` and the scalar cores, which
-    give the same lengths: the pairs before the failing one are yielded,
-    then its error is raised.  A point that does not fit the marking raises
-    the :class:`DomainError` of
-    :meth:`~teichspace.coords.Marking.require_fit` before anything else of
-    its pair.  Otherwise a pair's DomainError is that of the first failing
-    arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a length.  Each
-    carries the witness ``{"x1", "x2"}``.  An error taking the next pair is
-    raised as it is, after the pairs before it.
+    A failing pair ends the run: the pairs before it are yielded, then its
+    error is raised.  A point that does not fit the marking raises the
+    :class:`DomainError` of :meth:`~teichspace.coords.Marking.require_fit`
+    before anything else of its pair.  Otherwise a pair's DomainError is
+    that of the first failing arc of ``x1``, or of ``x2`` if every arc of
+    ``x1`` has a length, raised by :func:`~teichspace.curves.hexagon_lengths`
+    on the pair of the block form's first failing point.  Each carries the
+    witness ``{"x1", "x2"}``.  An error taking the next pair is raised as
+    it is, after the pairs before it.
     """
     nc, forms = m.ncurves, m.arc_forms
     plan = []
@@ -347,43 +345,40 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
             "all_passed": passed == checked,
         }
 
-    def one_by_one(block):
-        for x1, x2 in block:
-            try:
-                check(x1, x2)
-                lens1 = hexagon_lengths(x1, forms, terms=terms)
-                lens2 = hexagon_lengths(x2, forms, terms=terms)
-            except DomainError as err:
-                raise err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()}) from err
-            yield report(x1, x2, lens1, lens2)
-
     pairs = iter(pairs)
     while True:
-        block, pulled, lengths = [], None, None
+        block, error, lens = [], None, []
         try:
             for x1, x2 in islice(pairs, _ARC_BLOCK):
+                try:
+                    check(x1, x2)
+                except DomainError as err:
+                    error = err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()})
+                    break
                 block.append((x1, x2))
         except Exception as err:
-            pulled = err  # raised as it is, after the pairs before it
-        if pulled is None and block:
-            try:
-                for x1, x2 in block:
-                    check(x1, x2)
-            except DomainError:
-                pass  # one_by_one raises it again, after the pairs before it
-            else:
-                points = [x for pair in block for x in pair]
-                lengths = pants_trig._block(forms, terms,
-                                            list(zip(*[x.lengths for x in points])),
-                                            len(points))
-        if lengths is None:
-            yield from one_by_one(block)
-            if pulled is not None:
-                raise pulled
-        else:
+            error = err  # raised as it is, after the pairs before it
+        if block:
+            lengths, bad = pants_trig._block(
+                forms, terms, list(zip(*[x.lengths for pair in block for x in pair])),
+                2 * len(block))
             lens = list(zip(*lengths))
-            for (x1, x2), lens1, lens2 in zip(block, lens[::2], lens[1::2]):
-                yield report(x1, x2, lens1, lens2)
+            if bad is not None:
+                x1, x2 = block[bad // 2]
+                del block[bad // 2:]
+                witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
+                try:
+                    hexagon_lengths(x1, forms, terms=terms)
+                    hexagon_lengths(x2, forms, terms=terms)
+                except DomainError as err:
+                    error = err.with_witness(witness)
+                else:
+                    error = RuntimeError("the block form rejected a pair the cores "
+                                         "accept\nwitness: " + json.dumps(witness))
+        for (x1, x2), lens1, lens2 in zip(block, lens[::2], lens[1::2]):
+            yield report(x1, x2, lens1, lens2)
+        if error is not None:
+            raise error
         if len(block) < _ARC_BLOCK:
             return
 

@@ -136,12 +136,18 @@ def _essential(t1: LengthTable, t2: LengthTable):
     return t1.essential, t1.essential_lengths, t2.essential_lengths
 
 
+def _ratios(a, b):
+    """The length ratios ``r = b / a`` over aligned ``a`` and ``b``, and the
+    largest; each caller takes only the further extreme it reads."""
+    r = list(map(truediv, b, a))
+    return r, max(r)
+
+
 def _sup_log_ratio(members, a, b):
     """Largest ``log(b / a)`` over aligned ``members``, ``a`` and ``b``: the
     log of the largest ratio, and the first member attaining that ratio."""
-    r = list(map(truediv, b, a))
-    best = max(r)
-    return math.log(best), members[r.index(best)]
+    r, top = _ratios(a, b)
+    return math.log(top), members[r.index(top)]
 
 
 def thurston_sup(t1: LengthTable, t2: LengthTable):
@@ -256,9 +262,9 @@ def teich_of(t1: LengthTable, t2: LengthTable) -> TeichIntervalReport:
         raise DomainError("points must be fully punctured or fully bordered")
     members, lengths1, lengths2 = _essential(t1, t2)
     kappa = 0.5 if punctured else 1.0
-    r = list(map(truediv, lengths2, lengths1))
+    r, top = _ratios(lengths1, lengths2)
     # At equal points d_plus is 0.0 and d_minus -0.0; max keeps the first.
-    d_plus, d_minus = math.log(max(r)), -math.log(min(r))
+    d_plus, d_minus = math.log(top), -math.log(min(r))
     d = max(d_plus, d_minus)
     # The screen of the module docstring, in length units (dividing by
     # kappa is exact): a class is kept only if its longer length reaches edge.

@@ -68,16 +68,16 @@ terms, each by one private core (``_between``, ``_self``) that checks its
 range and raises its own :class:`DomainError`.  The block form
 (``_block``) gives the same lengths at a block of points, one form at a
 time, with the cores' expressions in the cores' order; it raises nothing,
-and returns ``None`` where a core would raise, so that its caller takes
-the block point by point through the cores.  A core is passed its terms,
+and gives the first point at which a core would raise, so that its caller
+asks the cores for that point's error only.  A core is passed its terms,
 not its lengths' hyperbolic functions: the ``cosh(l/2)`` of the curves
 bounding the arc's neighbourhood, which a point's arcs share, and the terms
 that read only the arc's own boundaries (``cosh((li - lj)/2)`` and
 ``sinh(li/2) sinh(lj/2)`` of a between-arc, ``cosh(li/2)`` and
 ``sinh(li/2)`` of a self-arc), which every point with the same boundary
 shares.  A term that overflows is passed as ``inf`` (:func:`_cosh_half`,
-:func:`_sinh_half`), which takes the core out of double range as the
-overflow itself would.  The public forms and
+:func:`_sinh_half`, :func:`_cosh_halves`), which takes the core out of
+double range as the overflow itself would.  The public forms and
 :func:`teichspace.curves.hexagon_lengths` both call the cores, so they give
 the same lengths and the same errors; the arc check of
 :func:`teichspace.harness.verify_arcs` calls the block form.  For
@@ -103,9 +103,9 @@ class DomainError(ValueError):
     """Raised when an input lies outside the validity domain of a formula."""
 
     def with_witness(self, witness: dict) -> "DomainError":
-        """This error with the replay ``witness`` in its message and attribute."""
+        """A replay of this error, its cause, with ``witness`` in message and attribute."""
         replay = DomainError(f"{self}\nwitness: {json.dumps(witness)}")
-        replay.witness = witness
+        replay.witness, replay.__cause__ = witness, self
         return replay
 
 
@@ -166,41 +166,50 @@ def _self(li: float, la: float, ld: float, ca: float, cd: float, ci: float,
     return length
 
 
+def _cosh_halves(ell) -> list:
+    """``cosh(l/2)`` of every length of ``ell``, ``inf`` where it overflows
+    (a list with a length above about 1420 pays twice); ``cosh(0) = 1``."""
+    try:
+        return [math.cosh(v / 2) for v in ell]
+    except OverflowError:
+        return [_cosh_half(v) for v in ell]
+
+
 def _block(forms, terms, cuffs, count: int):
-    """The lengths :func:`_between` and :func:`_self` give the forms
-    ``forms`` at a block of ``count`` points, one list per form, or ``None``
-    where any of them would raise.
+    """``(lengths, bad)``: the lengths :func:`_between` and :func:`_self`
+    give the forms ``forms`` at a block of ``count`` points, one list per
+    form, and the first point at which any of them would raise (``None``
+    if none would).
 
     ``cuffs`` holds one column per cuff, its length at each point of the
     block, and ``terms`` the forms' boundary terms ``(ch, arcs)`` of
     :func:`teichspace.curves.hexagon_terms`; index ``i`` of a form is cuff
     ``i`` below ``len(cuffs)`` and boundary ``i - len(cuffs)`` above.  One
-    ``cosh(l/2)`` column is taken per cuff, then each form is one pass over
-    the block with its core's expressions in its core's order, so every
-    length is the core's bit for bit.  A ``cosh`` that overflows, a
-    division by zero or a length outside ``(0, inf)`` gives ``None``, and
-    the caller takes the points one at a time through the cores, which name
-    the failing lengths."""
-    cosh, sqrt, log1p, asinh = math.cosh, math.sqrt, math.log1p, math.asinh
+    ``cosh(l/2)`` column is taken per cuff (:func:`_cosh_halves`), then each
+    form is one pass over the block with its core's expressions in its
+    core's order, so every length, and every point that fails, is the
+    core's.  A division by zero (a boundary term of 0) fails every point of
+    its form."""
+    sqrt, log1p, asinh = math.sqrt, math.log1p, math.asinh
     ch, arcs = terms
-    try:
-        columns = [[cosh(v / 2) for v in column] for column in cuffs]
-        columns += [[c] * count for c in ch]
-        out = []
-        for (between, _, j, k), (p, q) in zip(forms, arcs):
+    columns = [_cosh_halves(column) for column in cuffs]
+    columns += [[c] * count for c in ch]
+    out, bad = [], count
+    for (between, _, j, k), (p, q) in zip(forms, arcs):
+        try:
             if between:
                 lengths = [log1p(w + sqrt(w) * sqrt(w + 2.0))
                            for ca in columns[k] for w in [(p + ca) / q]]
             else:
                 lengths = [2.0 * asinh(sqrt(ca * ca + 2.0 * ca * cd * p + cd * cd) / q)
                            for ca, cd in zip(columns[j], columns[k])]
-            # A NaN or inf makes the sum fail; a 0 makes the minimum fail.
-            if not (0.0 < min(lengths) and sum(lengths) < math.inf):
-                return None
-            out.append(lengths)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    return out
+        except ZeroDivisionError:
+            lengths = [math.inf] * count
+        # A NaN or inf makes the sum fail; a 0 makes the minimum fail.
+        if not (0.0 < min(lengths) and sum(lengths) < math.inf):
+            bad = next((i for i in range(bad) if not 0.0 < lengths[i] < math.inf), bad)
+        out.append(lengths)
+    return out, (None if bad == count else bad)
 
 
 def orthogeodesic_between(li: float, lj: float, la: float) -> float:

@@ -587,9 +587,30 @@ def summary_of(report):
             "all_passed": True}
 
 
+def cuff_1500(x):
+    """``x`` with cuff 5, which bounds four arcs' neighbourhoods on (1, 6),
+    at 1500, where its ``cosh(l/2)`` overflows."""
+    return FNPoint(g=1, n=6, lengths=x.lengths[:5] + (1500.0,), twists=x.twists,
+                   boundary=x.boundary)
+
+
+# Ways a pair of the verify-arcs-g1n6 config fails, with the message of its
+# error (None: that of the reference's).
+FAILURES = {
+    "cuff-1500": (lambda x1, x2: (cuff_1500(x1), x2), None),
+    "cuff-1500-x2": (lambda x1, x2: (x1, cuff_1500(x2)), None),
+    "fit": (lambda x1, x2: (x1, sample_point(ExperimentConfig(
+        g=0, n=4, boundary=(0.5, 1.0, 1.5, 2.0), seed=2), 0)),
+        "point on (0,4) does not fit the marking of (1,6)"),
+    "boundary": (lambda x1, x2: (FNPoint(g=1, n=6, lengths=x1.lengths,
+                                         twists=x1.twists, boundary=(1.0,) * 6), x2),
+                 "arc check needs equal boundary lengths"),
+}
+
+
 class TestVerifyArcsBlocks:
-    """Pairs are evaluated 32 at a time, and a block with a failure is taken
-    again pair by pair: either way the reports and errors are the
+    """Pairs are evaluated 32 at a time, and a block with a failure ends at
+    its first failing pair: either way the reports and errors are the
     reference's, on either side of every block edge."""
 
     @staticmethod
@@ -613,35 +634,50 @@ class TestVerifyArcsBlocks:
             want = [summary_of(r) for r in want]
         assert list(verify_arcs(iter(pairs), m, summary_only=summary_only)) == want
 
-    @pytest.mark.parametrize("bad,message", [
-        # Cuff 5 bounds four arcs' neighbourhoods; cosh(1500/2) overflows.
-        (lambda x1, x2: (FNPoint(g=1, n=6, lengths=x1.lengths[:5] + (1500.0,),
-                                 twists=x1.twists, boundary=x1.boundary), x2),
-         None),
-        (lambda x1, x2: (x1, sample_point(ExperimentConfig(
-            g=0, n=4, boundary=(0.5, 1.0, 1.5, 2.0), seed=2), 0)),
-         "point on (0,4) does not fit the marking of (1,6)"),
-        (lambda x1, x2: (FNPoint(g=1, n=6, lengths=x1.lengths, twists=x1.twists,
-                                 boundary=(1.0,) * 6), x2),
-         "arc check needs equal boundary lengths"),
-    ], ids=["cuff-1500", "fit", "boundary"])
-    def test_failure_in_mid_block(self, bad, message):
+    @pytest.mark.parametrize("failures", [
+        {17: "cuff-1500"}, {17: "fit"}, {17: "boundary"},
+        {0: "cuff-1500"}, {31: "cuff-1500"}, {32: "cuff-1500"}, {39: "cuff-1500"},
+        {17: "cuff-1500-x2"},
+        {5: "cuff-1500", 20: "fit"}, {5: "fit", 20: "cuff-1500"},
+    ], ids=["cuff-1500", "fit", "boundary", "cuff-1500-at-0", "cuff-1500-at-31",
+            "cuff-1500-at-32", "cuff-1500-at-39", "cuff-1500-x2",
+            "cuff-1500-then-fit", "fit-then-cuff-1500"])
+    def test_failure_in_mid_block(self, failures):
         pairs, m = self.pairs(40), G1N6.marking()
-        pairs[17] = bad(*pairs[17])
+        for at, name in failures.items():
+            pairs[at] = FAILURES[name][0](*pairs[at])
+        first = min(failures)
+        constants = gap_constants(G1N6.boundary)
         got, err = stream_outcome(verify_arcs(iter(pairs), m))
-        assert got == list(verify_arcs_reference(pairs[:17], m))
+        assert got == list(verify_arcs_reference(pairs[:first], m, constants))
+        message = FAILURES[failures[first]][1]
         if message is None:
-            want, ref = stream_outcome(verify_arcs_reference(pairs, m))
-            assert len(want) == 17
+            want, ref = stream_outcome(
+                verify_arcs_reference(pairs[:first + 1], m, constants))
+            assert len(want) == first
             message = str(ref).split("\nwitness: ")[0]
-        x1, x2 = pairs[17]
+        x1, x2 = pairs[first]
         witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
         assert err.witness == witness
         assert str(err) == message + "\nwitness: " + json.dumps(witness)
+        assert str(err.__cause__) == message
+
+    def test_point_flagged_but_accepted_by_the_cores_stops_the_run(self, monkeypatch):
+        # Point 10 (pair 5) flagged where the cores give every length: the
+        # pairs before it are yielded, and none after it.
+        block = pants_trig._block
+        monkeypatch.setattr(pants_trig, "_block", lambda *a: (block(*a)[0], 10))
+        pairs, m = self.pairs(40), G1N6.marking()
+        reports = verify_arcs(iter(pairs), m)
+        assert [next(reports) for _ in range(5)] == list(
+            verify_arcs_reference(pairs[:5], m))
+        with pytest.raises(RuntimeError, match="the block form rejected a pair "
+                                               "the cores accept\nwitness: "):
+            next(reports)
 
     def test_unread_cuff_overflow_yields_every_pair(self):
-        # No arc reads cuff 0: the block is taken again pair by pair, and
-        # every pair has its lengths.
+        # No arc reads cuff 0, so its overflow fails no point: every pair
+        # has its lengths.
         pairs, m = self.pairs(40), G1N6.marking()
         x1, x2 = pairs[17]
         pairs[17] = (FNPoint(g=1, n=6, lengths=(1500.0,) + x1.lengths[1:],
@@ -815,6 +851,34 @@ class TestArcBlockCount:
         assert profiled_count(
             tmp_path, config, ["verify-arcs", "--summary-only"],
             lambda frame, event, arg: event == "call" and frame.f_code is code) == 157
+
+
+class TestArcFailureCount:
+    """A count that does not depend on the machine: the
+    :func:`~teichspace.curves.hexagon_lengths` calls (profiler ``call``
+    events of its code) of :func:`verify_arcs` on 40 pairs of the
+    verify-arcs-g1n6 config whose pair 17 fails with a cuff of 1500
+    (:class:`TestVerifyArcsBlocks`).  Taking the failing block again pair
+    by pair took 35; now the block form names the failing point, and only
+    its pair goes through the cores to name the error: ``x1``, then ``x2``
+    when ``x1`` has every length."""
+
+    @pytest.mark.parametrize("failing,calls", [("cuff-1500", 1), ("cuff-1500-x2", 2)])
+    def test_verify_arcs_g1n6(self, failing, calls):
+        pairs, m = TestVerifyArcsBlocks.pairs(40), G1N6.marking()
+        pairs[17] = FAILURES[failing][0](*pairs[17])
+        code, count = curves.hexagon_lengths.__code__, 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code is code
+
+        sys.setprofile(profile)
+        try:
+            got, err = stream_outcome(verify_arcs(iter(pairs), m))
+        finally:
+            sys.setprofile(None)
+        assert (len(got), type(err), count) == (17, DomainError, calls)
 
 
 class TestPointCheckCount:

@@ -333,34 +333,37 @@ def hexagon_blocks(draw):
 
 
 class TestBlock:
-    """The block form gives the scalar cores' lengths bit for bit, and
-    ``None`` exactly where a core raises or a cuff's ``cosh(l/2)``
-    overflows."""
+    """The block form gives the scalar cores' lengths bit for bit at every
+    point before the first one where a core raises, and that point as its
+    ``bad``; a cuff's ``cosh(l/2)`` that overflows fails a point only
+    where a form reads it."""
 
     @given(case=hexagon_blocks())
+    # cosh(1500/2) overflows: cuff 1 is read by no form, then at point 1
+    # by the self-arc.
+    @example(case=(((True, 2, 2, 0),), 2, (1.0,), [[1.0, 2.0], [1500.0, 1.0]], 2))
+    @example(case=(((False, 2, 1, 0),), 2, (1.0,), [[1.0, 2.0], [1.0, 1500.0]], 2))
     @settings(max_examples=400, deadline=None)
     def test_equals_the_scalar_cores(self, case):
         forms, nc, boundary, cuffs, count = case
         terms = hexagon_terms(forms, nc, boundary)
-        got = pants_trig._block(forms, terms, cuffs, count)
-        try:
-            want = []
-            for (between, i, j, k), (p, q) in zip(forms, terms[1]):
-                column = []
-                for point in range(count):
-                    ell = [c[point] for c in cuffs] + list(boundary)
-                    ch = [pants_trig._cosh_half(v) for v in ell]
-                    column.append(
-                        pants_trig._between(ell[i], ell[j], ell[k], ch[k], p, q)
-                        if between else
-                        pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], p, q))
-                want.append(column)
-        except DomainError:
-            want = None
-        if any(pants_trig._cosh_half(v) == math.inf for c in cuffs for v in c):
-            assert got is None
-        else:
-            assert got == want
+        got, bad = pants_trig._block(forms, terms, cuffs, count)
+        want = []
+        for point in range(count):
+            ell = [c[point] for c in cuffs] + list(boundary)
+            ch = [pants_trig._cosh_half(v) for v in ell]
+            try:
+                want.append([
+                    pants_trig._between(ell[i], ell[j], ell[k], ch[k], p, q)
+                    if between else
+                    pants_trig._self(ell[i], ell[j], ell[k], ch[j], ch[k], p, q)
+                    for (between, i, j, k), (p, q) in zip(forms, terms[1])])
+            except DomainError:
+                break
+        assert bad == (None if len(want) == count else len(want))
+        assert len(got) == len(forms)
+        assert all(len(lengths) == count for lengths in got)
+        assert [list(point) for point in zip(*got)][:len(want)] == want
 
 
 class TestInterval:
