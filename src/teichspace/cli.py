@@ -37,7 +37,7 @@ from .harness import (
     phi_experiment,
     sample_point,
     sample_points,
-    verify_arcs,
+    verify_sampled_arcs,
 )
 from .metrics import arc_of, teich_of, thurston_of
 # Bound only because the benchmark's tracer test reads cli.thurston_lower.
@@ -160,18 +160,16 @@ def _cmd_compare(args) -> None:
 
 def _cmd_verify_arcs(args) -> None:
     cfg = _load_config(args)
-    m = cfg.marking()
     pairs = checked = passed = 0
     failures, reports = [], []
-    for r in verify_arcs(_paired_samples(cfg), m,
-                         summary_only=args.summary_only):
-        pairs += 1
-        checked += r["checked"]
-        passed += r["passed"]
-        if not r["all_passed"]:
-            failures.append(r)
+    for block_checked, block_passed, full in verify_sampled_arcs(
+            cfg, summary_only=args.summary_only):
+        pairs += len(block_checked)
+        checked += sum(block_checked)
+        passed += sum(block_passed)
+        failures += [r for r in full if not r["all_passed"]]
         if not args.summary_only:
-            reports.append(r)
+            reports += full
     payload = {
         "config": _config_echo(cfg),
         "pairs": pairs,

@@ -20,7 +20,12 @@ seed arc's curves, its own boundaries and then its neighbourhood curves,
 from the forms the marking resolved once
 (:attr:`~teichspace.coords.Marking.arc_forms`); it takes the terms of
 those forms that read only the boundary once per run, and evaluates the
-forms a block of pairs at a time.
+forms, and counts the checked and passed arcs, a block of pairs at a time,
+on columns.  The sampled pairs of the ``verify-arcs`` command
+(:func:`verify_sampled_arcs`) stay columns from the draw to the counts:
+each sampler block is drawn into one length column and one twist column
+per cuff, checked a column at a time, and a point is built only for a pair
+that is reported or names an error.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat, starmap
 
 from . import pants_trig
 from .coords import FNPoint, Marking, build_marking, json_fields
@@ -49,6 +55,7 @@ __all__ = [
     "sample_points",
     "verify_arc_construction",
     "verify_arcs",
+    "verify_sampled_arcs",
     "COMPARE_COLUMNS",
     "PHI_COLUMNS",
 ]
@@ -139,6 +146,59 @@ _M64 = 2 ** 64 - 1
 _BLOCK = 64
 # Pairs the arc check evaluates together: one sampler block of points.
 _ARC_BLOCK = _BLOCK // 2
+# Past the last index (see _sample_runs).
+_END = object()
+
+
+def _sample_runs(cfg: ExperimentConfig, indices):
+    """The draws of the points ``indices`` as columns, one run at a time.
+
+    A run is a stretch of consecutive ascending indices within one block of
+    64; per run this yields ``(count, lengths, twists)``, one column per
+    cuff of its ``count`` points' lengths and one of their twists.  The
+    stream and the draw order are those of :func:`sample_points`: the run
+    reads ``2 * ncurves * count`` draws of its block's stream straight
+    through, after skipping those of the block's points before it that were
+    not just drawn, and nothing past its last index.  An index outside
+    ``[0, 2**64)`` raises :class:`DomainError` when its run is reached."""
+    ncurves = 3 * cfg.g - 3 + cfg.n
+    step = 2 * ncurves
+    # Each random() takes two 32-bit words of MT19937 and getrandbits(64 * k)
+    # takes 2k, so the latter skips k draws.
+    skip_bits = 64 * step
+    # lo + (hi - lo) * random() is what Random.uniform(lo, hi) returns.
+    lo = math.log(cfg.length_range[0])
+    width = math.log(cfg.length_range[1]) - lo
+    twist_lo, twist_hi = cfg.twist_range
+    twist_width = twist_hi - twist_lo
+    key = (cfg.seed & _M64) << 64
+    exp = math.exp
+    block = drawn = None
+    indices = iter(indices)
+    index = next(indices, _END)
+    while index is not _END:
+        if not 0 <= index <= _M64:
+            raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
+        b, start = divmod(index, _BLOCK)
+        first, end, stop = index, index + 1, (b + 1) * _BLOCK
+        for index in indices:
+            if index != end or end == stop:
+                break
+            end += 1
+        else:
+            index = _END
+        if b != block or start < drawn:
+            rng = random.Random(key | b)
+            block, drawn = b, 0
+        if start > drawn:
+            rng.getrandbits((start - drawn) * skip_bits)
+        count = end - first
+        drawn = start + count
+        draws = list(starmap(rng.random, repeat((), count * step)))
+        yield (count,
+               [[exp(lo + width * v) for v in draws[k::step]] for k in range(ncurves)],
+               [[twist_lo + twist_width * v for v in draws[k::step]]
+                for k in range(ncurves, step)])
 
 
 def sample_points(cfg: ExperimentConfig, indices):
@@ -154,17 +214,20 @@ def sample_points(cfg: ExperimentConfig, indices):
     lengths, uniform over the logs of ``length_range`` and taken through
     ``math.exp``, then the ``ncurves`` twists, uniform over
     ``twist_range``.  A point therefore depends only on its own index, not
-    on the order or repetition of ``indices``.  A run of consecutive
-    indices seeds one generator per block and reads its stream straight
-    through; any other index seeds a fresh generator (a full MT19937
-    initialisation of its 624-word state) and skips the draws of the
-    points before it in its block, up to ``63 * 2 * ncurves``.  The
-    per-config terms are worked out once.  Python keeps ``random()`` and
-    ``getrandbits`` the same for the same integer seed in every release,
-    so the points do not depend on the interpreter or the host.  An
-    ``index`` below 0 or at or above 2**64 lies outside the sampler's
-    domain and raises :class:`DomainError` when it is reached, after the
-    points before it have been yielded.
+    on the order or repetition of ``indices``.  The points are drawn a run
+    at a time, into one column per cuff of the run's lengths and one of its
+    twists, by the one draw of :func:`_sample_runs`, which the arc check of
+    :func:`verify_sampled_arcs` reads too: a run of consecutive indices
+    within a block reads its block's stream straight through, up to its
+    last index and no further, and seeds one generator per block; any other
+    index seeds a fresh generator (a full MT19937 initialisation of its
+    624-word state) and skips the draws of the points before it in its
+    block, up to ``63 * 2 * ncurves``.  The per-config terms are worked out
+    once.  Python keeps ``random()`` and ``getrandbits`` the same for the
+    same integer seed in every release, so the points do not depend on the
+    interpreter or the host.  An ``index`` below 0 or at or above 2**64
+    lies outside the sampler's domain and raises :class:`DomainError` when
+    it is reached, after the points before it have been yielded.
 
     The surface, the counts and the boundary are the same at every point,
     so they are checked once per call, by :class:`FNPoint` at the first
@@ -174,36 +237,14 @@ def sample_points(cfg: ExperimentConfig, indices):
     and shares the first point's boundary tuple.
     """
     g, n, boundary = cfg.g, cfg.n, cfg.boundary
-    draws = range(3 * g - 3 + n)
-    # Each random() takes two 32-bit words of MT19937 and getrandbits(64 * k)
-    # takes 2k, so the latter skips k draws.
-    skip_bits = 64 * 2 * len(draws)
-    # lo + (hi - lo) * random() is what Random.uniform(lo, hi) returns.
-    lo = math.log(cfg.length_range[0])
-    width = math.log(cfg.length_range[1]) - lo
-    twist_lo, twist_hi = cfg.twist_range
-    twist_width = twist_hi - twist_lo
-    key = (cfg.seed & _M64) << 64
-    exp = math.exp
-    block = drawn = None
     point = FNPoint
-    for index in indices:
-        if not 0 <= index <= _M64:
-            raise DomainError(f"sample index must lie in [0, 2**64), got {index}")
-        b, position = divmod(index, _BLOCK)
-        if b != block or position < drawn:
-            rng = random.Random(key | b)
-            draw = rng.random
-            block, drawn = b, 0
-        if position > drawn:
-            rng.getrandbits((position - drawn) * skip_bits)
-        drawn = position + 1
-        lengths = tuple([exp(lo + width * draw()) for _ in draws])
-        twists = tuple([twist_lo + twist_width * draw() for _ in draws])
-        x = point(g, n, lengths, twists, boundary)
-        if point is FNPoint:
-            boundary, point = x.boundary, FNPoint._checked
-        yield x
+    for count, lengths, twists in _sample_runs(cfg, indices):
+        rows = zip(zip(*lengths), zip(*twists)) if lengths else repeat(((), ()), count)
+        for x_lengths, x_twists in rows:
+            x = point(g, n, x_lengths, x_twists, boundary)
+            if point is FNPoint:
+                boundary, point = x.boundary, FNPoint._checked
+            yield x
 
 
 def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
@@ -237,42 +278,170 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     alone has none, and there both points share all three cuff lengths,
     so no arc changes length.
 
-    The arcs and their neighbourhood curves depend only on the marking, so
-    the per-run plan is read off ``m.arcs`` and
-    :attr:`~teichspace.coords.Marking.arc_forms` before the first pair: per
-    arc its label, and the curves its form reads after its own boundaries
-    (index ``i`` of ``x.lengths + x.boundary`` is ``gamma<i>`` below
-    ``m.ncurves`` and a boundary above), with the indices of the essential
-    ones and the count of the boundary-parallel ones.  The gap constants
-    and the hexagon forms' boundary terms
-    (:func:`~teichspace.curves.hexagon_terms`: the arcs' own ``cosh`` and
-    ``sinh`` terms and the boundary block of the ``cosh(l/2)`` vector)
-    depend only on the boundary, so they are taken once, from the first
-    pair, before its report; every point of every pair must share that
-    boundary.
-
     The pairs are taken in blocks of 32, the 64 points of one sampler
-    block, and each pair is checked as it is taken.  Then one call of the
-    block form :func:`~teichspace.pants_trig._block` gives every arc length
-    at every point of the block, one column per arc form, taking one
-    ``cosh(l/2)`` column per cuff.  Each pair's lengths, read from the
-    columns, become its report through one helper.  Essential
-    neighbourhood curves are cuffs, so one pass per pair over the cuff
-    ratios ``x2.lengths[i] / x1.lengths[i]``, taken once, counts the
-    checked and passed arcs.  The rows (ratio, best curve ratio, bound and
-    verdict of each arc, with its curves) are computed with the same
-    expressions only for a report that is yielded in full.  The seed arcs
-    are the same at every family depth, so there is no depth.
+    block, and each pair is checked as it is taken: it must fit the
+    marking, and every point must share the first point's boundary.  The
+    block's cuff columns then go through the block core
+    :func:`_arc_blocks`, which :func:`verify_sampled_arcs` feeds too, and
+    whose docstring gives the evaluation, the counts and the order of the
+    errors.  A point that does not fit the marking raises the
+    :class:`DomainError` of :meth:`~teichspace.coords.Marking.require_fit`
+    before anything else of its pair; a pair whose points' boundaries
+    differ raises ``arc check needs equal boundary lengths``.  Each carries
+    the witness ``{"x1", "x2"}``.  An error taking the next pair is raised
+    as it is, after the pairs before it.
+    """
+    fit = (m.genus, m.nboundary) * 2
+
+    def taken(start):
+        boundary = None
+        stream = iter(pairs)
+        while True:
+            block, error = [], None
+            try:
+                for x1, x2 in islice(stream, _ARC_BLOCK):
+                    try:
+                        if (x1.g, x1.n, x2.g, x2.n) != fit:
+                            m.require_fit(x1)
+                            m.require_fit(x2)
+                        if boundary is None:
+                            start(x1.boundary)
+                            boundary = x1.boundary
+                        if x1.boundary != boundary or x2.boundary != boundary:
+                            raise DomainError("arc check needs equal boundary lengths")
+                    except DomainError as err:
+                        error = err.with_witness({"x1": x1.to_dict(),
+                                                  "x2": x2.to_dict()})
+                        break
+                    block += (x1, x2)
+            except Exception as err:
+                error = err  # raised as it is, after the pairs before it
+            cuffs = list(zip(*[x.lengths for x in block]))
+            yield cuffs, len(block), block.__getitem__, error
+            if error is not None or len(block) < _BLOCK:
+                return
+
+    yield from _pair_reports(_arc_blocks(m, summary_only, taken), summary_only)
+
+
+def verify_sampled_arcs(cfg: ExperimentConfig, summary_only: bool = False):
+    """The arc check of :func:`verify_arcs` on the experiment's pairs, point
+    ``2i`` against point ``2i + 1`` for ``i < cfg.samples``, a block of up
+    to 32 pairs at a time: per block ``(checked, passed, reports)``, the
+    checked and passed arcs of each of its pairs and the reports of the
+    pairs :func:`verify_arcs` would yield in full (every pair, or with
+    ``summary_only`` every failing pair), in order.
+
+    The points are never built as a whole: each sampler block is drawn
+    into one length column and one twist column per cuff
+    (:func:`_sample_runs`, the draw of :func:`sample_points`), each column
+    is checked as a whole, and the cuff columns go to the block core
+    :func:`_arc_blocks` as they are; an :class:`FNPoint` is built only for
+    a pair that is reported or names an error.  The surface, the counts and
+    the boundary are checked once, by :class:`FNPoint` at the first point.
+    At the first point whose cuff is not positive and finite, or whose
+    twist is not finite, the point is built by :meth:`FNPoint._checked`,
+    which raises its own :class:`DomainError`, after the pairs before its
+    pair; so every report and error is that of :func:`verify_arcs` on the
+    pairs of :func:`sample_points`.
+    """
+    g, n = cfg.g, cfg.n
+    inf = math.inf
+
+    def drawn(start):
+        boundary = None
+        for count, lengths, twists in _sample_runs(cfg, range(2 * cfg.samples)):
+            if boundary is None:
+                boundary = FNPoint(g, n, [c[0] for c in lengths],
+                                   [c[0] for c in twists], cfg.boundary).boundary
+
+            def point(j, lengths=lengths, twists=twists):
+                return FNPoint._checked(g, n, tuple([c[j] for c in lengths]),
+                                        tuple([c[j] for c in twists]), boundary)
+
+            # FNPoint._checked's tests, a column at a time, as
+            # pants_trig._block tests its lengths: a NaN or inf makes the
+            # sum fail, a nonpositive cuff the minimum.
+            bad = count
+            for column in lengths:
+                if not (0.0 < min(column) and sum(column) < inf):
+                    bad = next((i for i in range(bad) if not 0.0 < column[i] < inf), bad)
+            for column in twists:
+                if not -inf < sum(column) < inf:
+                    bad = next((i for i in range(bad) if not -inf < column[i] < inf), bad)
+            cuffs, error = lengths, None
+            if bad < count:
+                try:
+                    point(bad)
+                except DomainError as err:
+                    error = err
+                else:
+                    error = RuntimeError(f"point {bad} of a block failed the "
+                                         "column checks but not its own")
+                count = bad - bad % 2
+                cuffs = [column[:count] for column in lengths]
+            if start is not None and count:
+                # The run's checks follow its first pair's points.
+                try:
+                    start(boundary)
+                except DomainError as err:
+                    error = err.with_witness({"x1": point(0).to_dict(),
+                                              "x2": point(1).to_dict()})
+                    count = 0
+                start = None
+            yield cuffs, count, point, error
+            if error is not None:
+                return
+
+    return _arc_blocks(cfg.marking(), summary_only, drawn)
+
+
+def _pair_reports(blocks, summary_only: bool):
+    """The per-pair reports of the block results ``blocks`` of
+    :func:`_arc_blocks`: a passing pair's counts with ``summary_only``,
+    its full report otherwise."""
+    for checked, passed, full in blocks:
+        full = iter(full)
+        for k, p in zip(checked, passed):
+            yield ({"checked": k, "passed": p, "all_passed": True}
+                   if summary_only and k == p else next(full))
+
+
+def _arc_blocks(m: Marking, summary_only: bool, blocks):
+    """The block core of the arc check on the marking ``m``: per block of
+    pairs ``(checked, passed, reports)``, as :func:`verify_sampled_arcs`
+    gives them.
+
+    ``blocks(start)`` gives the blocks, each ``(cuffs, count, point,
+    error)``: one column per cuff of its ``count`` points (pair ``i`` is
+    points ``2i`` and ``2i + 1``), ``point(j)``, which builds point ``j``,
+    and the error that ends the run after the block's pairs, or ``None``.
+    It calls ``start(boundary)`` at its first pair: the gap constants and
+    the hexagon forms' boundary terms
+    (:func:`~teichspace.curves.hexagon_terms`) depend only on the boundary,
+    which every point must share, so they are taken there once per run,
+    after a check that the boundary is positive.  The per-arc plan (label,
+    the curves the arc's form reads after its own boundaries, which of them
+    are essential and how many are boundary-parallel) is read off the
+    marking before the first block.
+
+    One call of the block form :func:`~teichspace.pants_trig._block` gives
+    every arc length at every point of a block, one column per arc form.
+    Essential neighbourhood curves are cuffs, so the checked and passed
+    arcs are counted per arc over ratio columns, with the expressions of
+    the report: the arc's ``r = l2 / l1`` is checked where ``r > 1.0`` and
+    passes where the largest of its essential cuffs' ratios
+    ``x2.lengths[i] / x1.lengths[i]`` is ``>= c * r``.  A report, through
+    one helper, is built only for a pair that is reported in full.  The
+    seed arcs are the same at every family depth, so there is no depth.
 
     A failing pair ends the run: the pairs before it are yielded, then its
-    error is raised.  A point that does not fit the marking raises the
-    :class:`DomainError` of :meth:`~teichspace.coords.Marking.require_fit`
-    before anything else of its pair.  Otherwise a pair's DomainError is
-    that of the first failing arc of ``x1``, or of ``x2`` if every arc of
-    ``x1`` has a length, raised by :func:`~teichspace.curves.hexagon_lengths`
-    on the pair of the block form's first failing point.  Each carries the
-    witness ``{"x1", "x2"}``.  An error taking the next pair is raised as
-    it is, after the pairs before it.
+    error is raised.  At the block form's first failing point the block
+    ends at that point's pair, whose :class:`DomainError` is that of the
+    first failing arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a
+    length, raised by :func:`~teichspace.curves.hexagon_lengths`, with the
+    witness ``{"x1", "x2"}``; it comes before the block's own error, which
+    lies past it.
     """
     nc, forms = m.ncurves, m.arc_forms
     plan = []
@@ -284,35 +453,20 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
         plan.append((arc.label(), neighbours, essential,
                      len(curves) - len(essential)))
     essentials = [essential for _, _, essential, _ in plan]
-    boundary = constants = terms = None
-    fit = (m.genus, m.nboundary) * 2
+    constants = terms = None
+    truediv, add = operator.truediv, operator.add
 
-    def check(x1, x2):
-        nonlocal boundary, constants, terms
-        if (x1.g, x1.n, x2.g, x2.n) != fit:
-            m.require_fit(x1)
-            m.require_fit(x2)
-        if constants is None:
-            boundary = x1.boundary
-            if 0.0 in boundary:
-                raise DomainError("arc check needs positive boundary lengths")
-            constants = gap_constants(boundary)
-            terms = hexagon_terms(forms, nc, boundary)
-        if x1.boundary != boundary or x2.boundary != boundary:
-            raise DomainError("arc check needs equal boundary lengths")
+    def start(boundary):
+        nonlocal constants, terms
+        if 0.0 in boundary:
+            raise DomainError("arc check needs positive boundary lengths")
+        constants = gap_constants(boundary)
+        terms = hexagon_terms(forms, nc, boundary)
 
-    def report(x1, x2, lens1, lens2):
+    def report(x1, x2, lens1, lens2, checked, passed):
         c = constants.c
         # Essential neighbours are cuffs, so their ratios are read from here.
         cuffs = [b / a for a, b in zip(x1.lengths, x2.lengths)]
-        checked = passed = 0
-        for essential, l1, l2 in zip(essentials, lens1, lens2):
-            ratio = l2 / l1
-            if ratio > 1.0:
-                checked += 1
-                passed += max([cuffs[i] for i in essential]) >= c * ratio
-        if summary_only and passed == checked:
-            return {"checked": checked, "passed": passed, "all_passed": True}
         ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
         rows = []
         for (label, neighbours, essential, excluded), l1, l2 in zip(plan, lens1, lens2):
@@ -345,42 +499,47 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
             "all_passed": passed == checked,
         }
 
-    pairs = iter(pairs)
-    while True:
-        block, error, lens = [], None, []
-        try:
-            for x1, x2 in islice(pairs, _ARC_BLOCK):
-                try:
-                    check(x1, x2)
-                except DomainError as err:
-                    error = err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()})
-                    break
-                block.append((x1, x2))
-        except Exception as err:
-            error = err  # raised as it is, after the pairs before it
-        if block:
-            lengths, bad = pants_trig._block(
-                forms, terms, list(zip(*[x.lengths for pair in block for x in pair])),
-                2 * len(block))
-            lens = list(zip(*lengths))
-            if bad is not None:
-                x1, x2 = block[bad // 2]
-                del block[bad // 2:]
-                witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
-                try:
-                    hexagon_lengths(x1, forms, terms=terms)
-                    hexagon_lengths(x2, forms, terms=terms)
-                except DomainError as err:
-                    error = err.with_witness(witness)
-                else:
-                    error = RuntimeError("the block form rejected a pair the cores "
-                                         "accept\nwitness: " + json.dumps(witness))
-        for (x1, x2), lens1, lens2 in zip(block, lens[::2], lens[1::2]):
-            yield report(x1, x2, lens1, lens2)
+    for cuffs, count, point, error in blocks(start):
+        if not count:
+            if error is not None:
+                raise error
+            continue
+        lengths, bad = pants_trig._block(forms, terms, cuffs, count)
+        if bad is not None:
+            count = bad - bad % 2
+            x1, x2 = point(count), point(count + 1)
+            witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
+            try:
+                hexagon_lengths(x1, forms, terms=terms)
+                hexagon_lengths(x2, forms, terms=terms)
+            except DomainError as err:
+                error = err.with_witness(witness)
+            else:
+                error = RuntimeError("the block form rejected a pair the cores "
+                                     "accept\nwitness: " + json.dumps(witness))
+            cuffs = [column[:count] for column in cuffs]
+            lengths = [column[:count] for column in lengths]
+        c = constants.c
+        ratios = [list(map(truediv, column[1::2], column[::2])) for column in cuffs]
+        checked = passed = [0] * (count // 2)
+        for essential, column in zip(essentials, lengths):
+            if not essential:
+                continue  # the pants alone: no arc changes length
+            r = list(map(truediv, column[1::2], column[::2]))
+            best = ratios[essential[0]]
+            for i in essential[1:]:
+                # max(a, b) by max's own rule, without a call per pair.
+                best = [b if b > a else a for a, b in zip(best, ratios[i])]
+            checked = list(map(add, checked, [x > 1.0 for x in r]))
+            passed = list(map(add, passed, [x > 1.0 and b >= c * x
+                                            for x, b in zip(r, best)]))
+        yield checked, passed, [
+            report(point(2 * i), point(2 * i + 1), [column[2 * i] for column in lengths],
+                   [column[2 * i + 1] for column in lengths], k, p)
+            for i, (k, p) in enumerate(zip(checked, passed))
+            if not summary_only or k != p]
         if error is not None:
             raise error
-        if len(block) < _ARC_BLOCK:
-            return
 
 
 def verify_arc_construction(x1: FNPoint, x2: FNPoint, m: Marking,

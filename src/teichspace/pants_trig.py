@@ -80,7 +80,8 @@ shares.  A term that overflows is passed as ``inf`` (:func:`_cosh_half`,
 double range as the overflow itself would.  The public forms and
 :func:`teichspace.curves.hexagon_lengths` both call the cores, so they give
 the same lengths and the same errors; the arc check of
-:func:`teichspace.harness.verify_arcs` calls the block form.  For
+:func:`teichspace.harness.verify_arcs` and
+:func:`teichspace.harness.verify_sampled_arcs` calls the block form.  For
 boundary lengths in ``[1e-4, 40]`` they match a 50-digit mpmath evaluation of the identities
 above to 1e-14 relative, and the doubled-arc traces of the 40-digit holonomy of the
 doubled surface to 1e-12 on the ranges the tests sample.  Where an intermediate or the result

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from teichspace.harness import (
     sample_points,
     verify_arc_construction,
     verify_arcs,
+    verify_sampled_arcs,
 )
 from teichspace.metrics import arc_of, thurston_of
 from teichspace.pants_trig import (
@@ -142,6 +144,22 @@ def point_hex(x):
     return [v.hex() for v in x.lengths + x.twists + x.boundary]
 
 
+def spoiled(values):
+    """A stand-in for the ``random`` module whose generators give
+    ``values[k]`` for their draw number ``k`` (from 0) where it is given, in
+    place of the draw, and the stream's draws otherwise."""
+
+    class Spoiled(random.Random):
+        taken = 0
+
+        def random(self):
+            self.taken += 1
+            value = values.get(self.taken - 1)
+            return super().random() if value is None else value
+
+    return SimpleNamespace(Random=Spoiled)
+
+
 class TestSamplePoints:
     LAST = 2 ** 64 - 1
     ORDERS = {
@@ -206,22 +224,43 @@ class TestSamplePoints:
                                                      message):
         cfg = cfg_12()
         want = [reference_sample_point(cfg, i) for i in (0, 1)]
-
-        class Spoiled(random.Random):
-            # Draw number ``draw`` (from 0) is NaN; point 2 of the (1, 2)
-            # config reads draws 8 and 9 for its cuffs, 10 and 11 for its
-            # twists.
-            taken = 0
-
-            def random(self):
-                self.taken += 1
-                return math.nan if self.taken == draw + 1 else super().random()
-
-        monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Spoiled))
+        # Draw number ``draw`` is NaN; point 2 of the (1, 2) config reads
+        # draws 8 and 9 for its cuffs, 10 and 11 for its twists.
+        monkeypatch.setattr(harness, "random", spoiled({draw: math.nan}))
         points = sample_points(cfg, range(4))
         assert [next(points), next(points)] == want
         with pytest.raises(DomainError, match=re.escape(message) + "$"):
             next(points)
+
+
+    # The column blocks that the arc check of the sampled pairs reads are
+    # the sampler's own draw: rebuilt into points, they are the points of
+    # sample_points and of the written-out reference, bit for bit, and a
+    # run draws nothing past its last index.
+    @pytest.mark.parametrize("g,n", [(1, 6), (2, 2), (0, 4)])
+    @pytest.mark.parametrize("pairs", [1, 31, 32, 33, 63, 64, 65, 5000])
+    def test_column_blocks_rebuild_the_points(self, g, n, pairs, monkeypatch):
+        cfg = ExperimentConfig(g=g, n=n, boundary=(1.0,) * n, seed=7,
+                               length_range=(0.3, 5.0), twist_range=(-3.0, 1.0))
+        count, ncurves = 2 * pairs, 3 * g - 3 + n
+        draws = []
+
+        class Counted(random.Random):
+            def random(self):
+                draws.append(None)
+                return super().random()
+
+        monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Counted))
+        runs = list(harness._sample_runs(cfg, range(count)))
+        assert len(draws) == 2 * ncurves * count
+        assert [size for size, _, _ in runs] == [
+            min(64, count - first) for first in range(0, count, 64)]
+        rebuilt = [FNPoint(g, n, [column[j] for column in lengths],
+                           [column[j] for column in twists], cfg.boundary)
+                   for size, lengths, twists in runs for j in range(size)]
+        want = [point_hex(reference_sample_point(cfg, i)) for i in range(count)]
+        assert [point_hex(x) for x in rebuilt] == want
+        assert [point_hex(x) for x in sample_points(cfg, range(count))] == want
 
 
 class TestSamplePoint:
@@ -693,6 +732,102 @@ class TestVerifyArcsBlocks:
         assert str(err) == f"sample index must lie in [0, 2**64), got {2 ** 64}"
         assert not hasattr(err, "witness")
 
+    @staticmethod
+    def sampled_outcome(cfg, summary_only):
+        """The reports of the arc check of the sampled pairs, per pair as
+        verify_arcs yields them, and the error it stops with; the blocks
+        hold 32 pairs each."""
+        blocks = []
+
+        def taken():
+            for checked, passed, reports in verify_sampled_arcs(cfg, summary_only):
+                assert len(checked) == len(passed)
+                blocks.append(len(checked))
+                yield checked, passed, reports
+
+        outcome = stream_outcome(harness._pair_reports(taken(), summary_only))
+        assert all(size == 32 for size in blocks[:-1])
+        return outcome
+
+    @staticmethod
+    def pairs_outcome(cfg, summary_only):
+        """The outcome of verify_arcs on the pairs of sample_points."""
+        points = sample_points(cfg, range(2 * cfg.samples))
+        return stream_outcome(verify_arcs(zip(points, points), cfg.marking(),
+                                          summary_only))
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 65, 70])
+    @pytest.mark.parametrize("summary_only", [False, True])
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_sampled_pairs_equal_verify_arcs(self, count, summary_only, failing,
+                                             monkeypatch):
+        if failing:
+            monkeypatch.setattr(harness, "gap_constants",
+                                lambda b: TestVerifyArcs.FAILING)
+        cfg = dataclasses.replace(G1N6, samples=count)
+        got, err = self.sampled_outcome(cfg, summary_only)
+        assert (got, err) == self.pairs_outcome(cfg, summary_only)
+        assert len(got) == count and err is None
+        if count > 1:
+            assert any(not r["all_passed"] for r in got) == failing
+
+    # Draw 444 of the first block is cuff 0 of point 37 (x2 of pair 18),
+    # which no arc reads; draw 462 is twist 0 of point 38 (x1 of pair 19);
+    # draw 413 is cuff 5 of point 34 (x1 of pair 17), here about 1500, whose
+    # cosh(l/2) overflows.  Points 0 and 1 fail before the boundary terms.
+    U1500 = (math.log(1500.0) - math.log(0.5)) / (math.log(4.0) - math.log(0.5))
+    SPOILED = {
+        "cuff-nan-at-37": ({444: math.nan}, 18, "cuff lengths must be positive, got nan"),
+        "twist-nan-at-38": ({462: math.nan}, 19, "twists must be finite, got nan"),
+        "cuff-1500-at-34": ({413: U1500}, 17, "orthogeodesic_self(1.25, "),
+        "cuff-nan-at-0": ({3: math.nan}, 0, "cuff lengths must be positive, got nan"),
+        "twist-nan-at-1": ({23: math.nan}, 0, "twists must be finite, got nan"),
+    }
+
+    @pytest.mark.parametrize("spoil", list(SPOILED))
+    @pytest.mark.parametrize("summary_only", [False, True])
+    def test_spoiled_draw_stops_the_sampled_pairs(self, spoil, summary_only,
+                                                  monkeypatch):
+        values, first, message = self.SPOILED[spoil]
+        monkeypatch.setattr(harness, "random", spoiled(values))
+        cfg = dataclasses.replace(G1N6, samples=40)
+        got, err = self.sampled_outcome(cfg, summary_only)
+        want, ref = self.pairs_outcome(cfg, summary_only)
+        assert len(got) == first
+        assert got == want
+        assert str(err) == str(ref)
+        assert str(err).startswith(message)
+        assert getattr(err, "witness", None) == getattr(ref, "witness", None)
+        # A cuff or twist that is not finite is the point's own error, with
+        # no witness, as the sampler raises it.
+        assert hasattr(err, "witness") == spoil.startswith("cuff-1500")
+
+    # The run's checks, at its first pair: the boundary that FNPoint checks,
+    # then the positive boundary, the gap constants and the boundary terms of
+    # the arc check, with the first pair's witness.
+    @pytest.mark.parametrize("boundary,message", [
+        ((-1.0, 1.5), "boundary lengths must be nonnegative, got -1.0"),
+        ((0.0, 1.5), "arc check needs positive boundary lengths"),
+        ((1500.0, 1.0), "boundary lengths must be positive, with sinh(l/2)^2"),
+        ((1e-200, 1.0), "boundary lengths must be positive, with sinh(l/2)^2"),
+    ])
+    @pytest.mark.parametrize("spoil", [False, True])
+    def test_run_checks_of_the_sampled_pairs(self, boundary, message, spoil,
+                                             monkeypatch):
+        if spoil:
+            # Draw 4 is cuff 0 of point 1 on (1, 2): the first pair's points
+            # are checked before the arc check's own checks.
+            monkeypatch.setattr(harness, "random", spoiled({4: math.nan}))
+            if boundary[0] >= 0.0:
+                message = "cuff lengths must be positive, got nan"
+        cfg = cfg_12(boundary=boundary, samples=40)
+        for summary_only in (False, True):
+            got, err = self.sampled_outcome(cfg, summary_only)
+            want, ref = self.pairs_outcome(cfg, summary_only)
+            assert (got, str(err)) == ([], str(ref))
+            assert str(err).startswith(message)
+            assert getattr(err, "witness", None) == getattr(ref, "witness", None)
+
 
 def tie_constant(best, ratio):
     """A constant ``c`` with ``c * ratio == best`` exactly, found within four
@@ -906,6 +1041,23 @@ class TestPointCheckCount:
         config = {"g": 2, "n": 2, "boundary": [1.0, 1.5], "depth": 2,
                   "samples": 3, "seed": 7}
         assert self.checks(tmp_path, config, ["phi-experiment"]) == 1
+
+
+class TestCheckedPointCount:
+    """A count that does not depend on the machine: the
+    :meth:`FNPoint._checked` calls (profiler ``call`` events of its code) of
+    one summary-only verify-arcs CLI call on the verify-arcs-g1n6 config.
+    Building every sampled point took 10 000; the sampled pairs are now
+    checked as columns, and a point is built only for a pair that is
+    reported, so only the first point, through ``FNPoint.__init__``, is."""
+
+    def test_verify_arcs_g1n6(self, tmp_path):
+        config = {"g": 1, "n": 6, "boundary": [0.5, 0.75, 1.0, 1.25, 1.5, 1.75],
+                  "depth": 2, "samples": 5000, "seed": 7}
+        code = FNPoint._checked.__func__.__code__
+        assert profiled_count(
+            tmp_path, config, ["verify-arcs", "--summary-only"],
+            lambda frame, event, arg: event == "call" and frame.f_code is code) == 1
 
 
 class TestCompareMetrics:
