@@ -18,14 +18,16 @@ almost-isometry report are derived from their bordered points' tables
 to its two values only.  The arc check builds no table and reads each
 seed arc's curves, its own boundaries and then its neighbourhood curves,
 from the forms the marking resolved once
-(:attr:`~teichspace.coords.Marking.arc_forms`); it takes the terms of
-those forms that read only the boundary once per run, and evaluates the
-forms, and counts the checked and passed arcs, a block of pairs at a time,
-on columns.  The sampled pairs of the ``verify-arcs`` command
-(:func:`verify_sampled_arcs`) stay columns from the draw to the counts:
-each sampler block is drawn into one length column and one twist column
-per cuff, checked a column at a time, and a point is built only for a pair
-that is reported or names an error.
+(:attr:`~teichspace.coords.Marking.arc_forms`).  One run object
+(:class:`_ArcRun`) takes the terms of those forms that read only the
+boundary once per run, and evaluates the forms, and counts the checked and
+passed arcs, a block of pairs at a time, on columns; :func:`verify_arcs`
+and :func:`verify_sampled_arcs` each build one and hand it their blocks.
+The sampled pairs of the ``verify-arcs`` command (:func:`verify_sampled_arcs`)
+stay columns from the draw to the counts: each sampler block is drawn into
+one length column and one twist column per cuff, checked a column at a
+time, and a point is built only for a pair that is reported or names an
+error.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import random
 from dataclasses import dataclass
 from itertools import islice, repeat, starmap
+from operator import add, truediv
 
 from . import pants_trig
 from .coords import FNPoint, Marking, build_marking, json_fields
@@ -261,6 +263,135 @@ def sample_point(cfg: ExperimentConfig, index: int) -> FNPoint:
 # constructive arc check
 
 
+class _ArcRun:
+    """The arc check of a run of pairs on the marking ``m`` whose points all
+    have the boundary ``boundary``: :func:`verify_arcs` and
+    :func:`verify_sampled_arcs` build one at their first pair, after that
+    pair's own checks, and give it their pairs a block at a time
+    (:meth:`block`).
+
+    The gap constants and the hexagon forms' boundary terms
+    (:func:`~teichspace.curves.hexagon_terms`) depend only on the boundary,
+    so they are taken here, once per run, after a check that the boundary
+    is positive; each raises its own :class:`DomainError`.  The per-arc
+    plan (label, the curves the arc's form reads after its own boundaries,
+    which of them are essential and how many are boundary-parallel) is read
+    off the marking.  The seed arcs are the same at every family depth, so
+    there is no depth.
+    """
+
+    def __init__(self, m: Marking, boundary: tuple):
+        if 0.0 in boundary:
+            raise DomainError("arc check needs positive boundary lengths")
+        self.constants = gap_constants(boundary)
+        nc, self.forms = m.ncurves, m.arc_forms
+        self.terms = hexagon_terms(self.forms, nc, boundary)
+        self.plan = []
+        for arc, form in zip(m.arcs, self.forms):
+            curves = form[1 + len(arc.slots):]
+            neighbours = [(i, f"gamma{i}" if i < nc else f"beta{i - nc}(boundary)",
+                           i < nc) for i in curves]
+            essential = [i for i in curves if i < nc]
+            self.plan.append((arc.label(), neighbours, essential,
+                              len(curves) - len(essential)))
+
+    def block(self, cuffs, count: int, point, summary_only: bool, error):
+        """``(checked, passed, reports, error)`` of a block of ``count``
+        points, pair ``i`` being points ``2i`` and ``2i + 1``: the checked
+        and passed arcs of each pair, the reports of the pairs reported in
+        full (every pair, or with ``summary_only`` every failing pair), in
+        order, and the error that ends the run after them, or ``None``.
+
+        ``cuffs`` holds one column per cuff of the block's points,
+        ``point(j)`` builds point ``j``, and ``error`` is the error that
+        ends the run past the block's pairs, or ``None``.  One call of the
+        block form :func:`~teichspace.pants_trig._block` gives every arc
+        length at every point, one column per arc form.  At its first
+        failing point the block ends at that point's pair, whose
+        :class:`DomainError` is that of the first failing arc of ``x1``, or
+        of ``x2`` if every arc of ``x1`` has a length, raised by
+        :func:`~teichspace.curves.hexagon_lengths`, with the witness
+        ``{"x1", "x2"}``; it comes before ``error``, which lies past it.
+
+        Essential neighbourhood curves are cuffs, so each arc gets two
+        columns over the pairs: its ratio ``r = l2 / l1`` and the largest
+        of its essential cuffs' ratios ``x2.lengths[i] / x1.lengths[i]``.
+        The arc is checked where ``r > 1.0`` and passes where that largest
+        ratio is ``>= c * r``; the counts and the rows of a report both
+        read these verdicts.  A point, and a report, is built only for a
+        pair that is reported in full or names an error.
+        """
+        lengths, bad = pants_trig._block(self.forms, self.terms, cuffs, count)
+        if bad is not None:
+            count = bad - bad % 2
+            x1, x2 = point(count), point(count + 1)
+            witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
+            try:
+                hexagon_lengths(x1, self.forms, terms=self.terms)
+                hexagon_lengths(x2, self.forms, terms=self.terms)
+            except DomainError as err:
+                error = err.with_witness(witness)
+            else:
+                error = RuntimeError("the block form rejected a pair the cores "
+                                     "accept\nwitness: " + json.dumps(witness))
+            cuffs = [column[:count] for column in cuffs]
+            lengths = [column[:count] for column in lengths]
+        c = self.constants.c
+        ratios = [list(map(truediv, column[1::2], column[::2])) for column in cuffs]
+        checked = passed = [0] * (count // 2)
+        arcs = []
+        for (_, _, essential, _), column in zip(self.plan, lengths):
+            r = list(map(truediv, column[1::2], column[::2]))
+            # On the pants alone no arc has an essential cuff, and no arc
+            # changes length: r is 1.0 and its best is never read.
+            best = ratios[essential[0]] if essential else r
+            for i in essential[1:]:
+                # max(a, b) by max's own rule, without a call per pair.
+                best = [b if b > a else a for a, b in zip(best, ratios[i])]
+            ticks = [x > 1.0 for x in r]
+            passes = [t and b >= c * x for t, x, b in zip(ticks, r, best)]
+            checked = list(map(add, checked, ticks))
+            passed = list(map(add, passed, passes))
+            arcs.append((column, r, ticks, best, passes))
+        reports = [self._report(point(2 * i), point(2 * i + 1), i, arcs, k, p)
+                   for i, (k, p) in enumerate(zip(checked, passed))
+                   if not summary_only or k != p]
+        return checked, passed, reports, error
+
+    def _report(self, x1, x2, i, arcs, checked, passed) -> dict:
+        """The full report of pair ``i``, ``(x1, x2)``, of a block whose
+        per-arc columns are ``arcs`` (see :meth:`block`)."""
+        constants = self.constants
+        ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
+        rows = []
+        for (label, neighbours, _, excluded), (lengths, r, ticks, best, passes) in zip(
+                self.plan, arcs):
+            row = {"arc": label, "l1": lengths[2 * i], "l2": lengths[2 * i + 1],
+                   "ratio": r[i], "checked": ticks[i]}
+            if ticks[i]:
+                row.update({
+                    "curves": [{"curve": nb_label, "l1": ell1[j], "l2": ell2[j],
+                                "ratio": ell2[j] / ell1[j], "essential": e}
+                               for j, nb_label, e in neighbours],
+                    "excluded_boundary_parallel": excluded,
+                    "max_curve_ratio": best[i], "bound": constants.c * r[i],
+                    "passed": passes[i]})
+            rows.append(row)
+        return {
+            "x1": x1.to_dict(),
+            "x2": x2.to_dict(),
+            "constant": constants.c,
+            "constant_between": constants.c_between,
+            "constant_self": constants.c_self,
+            "gap": constants.gap,
+            "arcs": rows,
+            "checked": checked,
+            "passed": passed,
+            "vacuous": len(rows) - checked,
+            "all_passed": passed == checked,
+        }
+
+
 def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     """Check the constructive arc-to-curve comparison on every seed arc of
     each pair ``(x1, x2)``; yield one report per pair, in order.
@@ -281,47 +412,51 @@ def verify_arcs(pairs, m: Marking, summary_only: bool = False):
     The pairs are taken in blocks of 32, the 64 points of one sampler
     block, and each pair is checked as it is taken: it must fit the
     marking, and every point must share the first point's boundary.  The
-    block's cuff columns then go through the block core
-    :func:`_arc_blocks`, which :func:`verify_sampled_arcs` feeds too, and
-    whose docstring gives the evaluation, the counts and the order of the
-    errors.  A point that does not fit the marking raises the
+    run's checks (:class:`_ArcRun`) follow the first pair's fit and come
+    before its boundary check; each block's cuff columns then go to
+    :meth:`_ArcRun.block`, which :func:`verify_sampled_arcs` feeds too, and
+    whose docstring gives the evaluation, the counts and the error of a
+    failing pair.  A point that does not fit the marking raises the
     :class:`DomainError` of :meth:`~teichspace.coords.Marking.require_fit`
     before anything else of its pair; a pair whose points' boundaries
-    differ raises ``arc check needs equal boundary lengths``.  Each carries
-    the witness ``{"x1", "x2"}``.  An error taking the next pair is raised
-    as it is, after the pairs before it.
+    differ raises ``arc check needs equal boundary lengths``.  Each, and
+    each error of the run's checks, carries the witness ``{"x1", "x2"}``.
+    An error taking the next pair is raised as it is, after the pairs
+    before it.
     """
     fit = (m.genus, m.nboundary) * 2
-
-    def taken(start):
-        boundary = None
-        stream = iter(pairs)
-        while True:
-            block, error = [], None
-            try:
-                for x1, x2 in islice(stream, _ARC_BLOCK):
-                    try:
-                        if (x1.g, x1.n, x2.g, x2.n) != fit:
-                            m.require_fit(x1)
-                            m.require_fit(x2)
-                        if boundary is None:
-                            start(x1.boundary)
-                            boundary = x1.boundary
-                        if x1.boundary != boundary or x2.boundary != boundary:
-                            raise DomainError("arc check needs equal boundary lengths")
-                    except DomainError as err:
-                        error = err.with_witness({"x1": x1.to_dict(),
-                                                  "x2": x2.to_dict()})
-                        break
-                    block += (x1, x2)
-            except Exception as err:
-                error = err  # raised as it is, after the pairs before it
-            cuffs = list(zip(*[x.lengths for x in block]))
-            yield cuffs, len(block), block.__getitem__, error
-            if error is not None or len(block) < _BLOCK:
-                return
-
-    yield from _pair_reports(_arc_blocks(m, summary_only, taken), summary_only)
+    run = boundary = None
+    stream = iter(pairs)
+    while True:
+        block, error = [], None
+        try:
+            for x1, x2 in islice(stream, _ARC_BLOCK):
+                try:
+                    if (x1.g, x1.n, x2.g, x2.n) != fit:
+                        m.require_fit(x1)
+                        m.require_fit(x2)
+                    if run is None:
+                        run, boundary = _ArcRun(m, x1.boundary), x1.boundary
+                    if x1.boundary != boundary or x2.boundary != boundary:
+                        raise DomainError("arc check needs equal boundary lengths")
+                except DomainError as err:
+                    error = err.with_witness({"x1": x1.to_dict(), "x2": x2.to_dict()})
+                    break
+                block += (x1, x2)
+        except Exception as err:
+            error = err  # raised as it is, after the pairs before it
+        if block:
+            checked, passed, reports, error = run.block(
+                list(zip(*[x.lengths for x in block])), len(block),
+                block.__getitem__, summary_only, error)
+            reports = iter(reports)
+            for k, p in zip(checked, passed):
+                yield ({"checked": k, "passed": p, "all_passed": True}
+                       if summary_only and k == p else next(reports))
+        if error is not None:
+            raise error
+        if len(block) < _BLOCK:
+            return
 
 
 def verify_sampled_arcs(cfg: ExperimentConfig, summary_only: bool = False):
@@ -335,209 +470,58 @@ def verify_sampled_arcs(cfg: ExperimentConfig, summary_only: bool = False):
     The points are never built as a whole: each sampler block is drawn
     into one length column and one twist column per cuff
     (:func:`_sample_runs`, the draw of :func:`sample_points`), each column
-    is checked as a whole, and the cuff columns go to the block core
-    :func:`_arc_blocks` as they are; an :class:`FNPoint` is built only for
-    a pair that is reported or names an error.  The surface, the counts and
-    the boundary are checked once, by :class:`FNPoint` at the first point.
-    At the first point whose cuff is not positive and finite, or whose
-    twist is not finite, the point is built by :meth:`FNPoint._checked`,
-    which raises its own :class:`DomainError`, after the pairs before its
-    pair; so every report and error is that of :func:`verify_arcs` on the
-    pairs of :func:`sample_points`.
+    is checked as a whole, and the cuff columns go to
+    :meth:`_ArcRun.block` as they are; an :class:`FNPoint` is built only
+    for a pair that is reported or names an error.  The surface, the counts
+    and the boundary are checked once, by :class:`FNPoint` at the first
+    point.  At the first point whose cuff is not positive and finite, or
+    whose twist is not finite, the point is built by
+    :meth:`FNPoint._checked`, which raises its own :class:`DomainError`,
+    after the pairs before its pair.  The run's checks (:class:`_ArcRun`)
+    follow the column checks of the first pair's points, and an error of
+    theirs carries that pair's witness; so every report and error is that
+    of :func:`verify_arcs` on the pairs of :func:`sample_points`.
     """
     g, n = cfg.g, cfg.n
-    inf = math.inf
+    m = cfg.marking()
+    run = boundary = None
+    for count, lengths, twists in _sample_runs(cfg, range(2 * cfg.samples)):
+        if boundary is None:
+            boundary = FNPoint(g, n, [c[0] for c in lengths],
+                               [c[0] for c in twists], cfg.boundary).boundary
 
-    def drawn(start):
-        boundary = None
-        for count, lengths, twists in _sample_runs(cfg, range(2 * cfg.samples)):
-            if boundary is None:
-                boundary = FNPoint(g, n, [c[0] for c in lengths],
-                                   [c[0] for c in twists], cfg.boundary).boundary
+        def point(j, lengths=lengths, twists=twists):
+            return FNPoint._checked(g, n, tuple([c[j] for c in lengths]),
+                                    tuple([c[j] for c in twists]), boundary)
 
-            def point(j, lengths=lengths, twists=twists):
-                return FNPoint._checked(g, n, tuple([c[j] for c in lengths]),
-                                        tuple([c[j] for c in twists]), boundary)
-
-            # FNPoint._checked's tests, a column at a time, as
-            # pants_trig._block tests its lengths: a NaN or inf makes the
-            # sum fail, a nonpositive cuff the minimum.
-            bad = count
-            for column in lengths:
-                if not (0.0 < min(column) and sum(column) < inf):
-                    bad = next((i for i in range(bad) if not 0.0 < column[i] < inf), bad)
-            for column in twists:
-                if not -inf < sum(column) < inf:
-                    bad = next((i for i in range(bad) if not -inf < column[i] < inf), bad)
-            cuffs, error = lengths, None
-            if bad < count:
-                try:
-                    point(bad)
-                except DomainError as err:
-                    error = err
-                else:
-                    error = RuntimeError(f"point {bad} of a block failed the "
-                                         "column checks but not its own")
-                count = bad - bad % 2
-                cuffs = [column[:count] for column in lengths]
-            if start is not None and count:
-                # The run's checks follow its first pair's points.
-                try:
-                    start(boundary)
-                except DomainError as err:
-                    error = err.with_witness({"x1": point(0).to_dict(),
-                                              "x2": point(1).to_dict()})
-                    count = 0
-                start = None
-            yield cuffs, count, point, error
-            if error is not None:
-                return
-
-    return _arc_blocks(cfg.marking(), summary_only, drawn)
-
-
-def _pair_reports(blocks, summary_only: bool):
-    """The per-pair reports of the block results ``blocks`` of
-    :func:`_arc_blocks`: a passing pair's counts with ``summary_only``,
-    its full report otherwise."""
-    for checked, passed, full in blocks:
-        full = iter(full)
-        for k, p in zip(checked, passed):
-            yield ({"checked": k, "passed": p, "all_passed": True}
-                   if summary_only and k == p else next(full))
-
-
-def _arc_blocks(m: Marking, summary_only: bool, blocks):
-    """The block core of the arc check on the marking ``m``: per block of
-    pairs ``(checked, passed, reports)``, as :func:`verify_sampled_arcs`
-    gives them.
-
-    ``blocks(start)`` gives the blocks, each ``(cuffs, count, point,
-    error)``: one column per cuff of its ``count`` points (pair ``i`` is
-    points ``2i`` and ``2i + 1``), ``point(j)``, which builds point ``j``,
-    and the error that ends the run after the block's pairs, or ``None``.
-    It calls ``start(boundary)`` at its first pair: the gap constants and
-    the hexagon forms' boundary terms
-    (:func:`~teichspace.curves.hexagon_terms`) depend only on the boundary,
-    which every point must share, so they are taken there once per run,
-    after a check that the boundary is positive.  The per-arc plan (label,
-    the curves the arc's form reads after its own boundaries, which of them
-    are essential and how many are boundary-parallel) is read off the
-    marking before the first block.
-
-    One call of the block form :func:`~teichspace.pants_trig._block` gives
-    every arc length at every point of a block, one column per arc form.
-    Essential neighbourhood curves are cuffs, so the checked and passed
-    arcs are counted per arc over ratio columns, with the expressions of
-    the report: the arc's ``r = l2 / l1`` is checked where ``r > 1.0`` and
-    passes where the largest of its essential cuffs' ratios
-    ``x2.lengths[i] / x1.lengths[i]`` is ``>= c * r``.  A report, through
-    one helper, is built only for a pair that is reported in full.  The
-    seed arcs are the same at every family depth, so there is no depth.
-
-    A failing pair ends the run: the pairs before it are yielded, then its
-    error is raised.  At the block form's first failing point the block
-    ends at that point's pair, whose :class:`DomainError` is that of the
-    first failing arc of ``x1``, or of ``x2`` if every arc of ``x1`` has a
-    length, raised by :func:`~teichspace.curves.hexagon_lengths`, with the
-    witness ``{"x1", "x2"}``; it comes before the block's own error, which
-    lies past it.
-    """
-    nc, forms = m.ncurves, m.arc_forms
-    plan = []
-    for arc, form in zip(m.arcs, forms):
-        curves = form[1 + len(arc.slots):]
-        neighbours = [(i, f"gamma{i}" if i < nc else f"beta{i - nc}(boundary)",
-                       i < nc) for i in curves]
-        essential = [i for i in curves if i < nc]
-        plan.append((arc.label(), neighbours, essential,
-                     len(curves) - len(essential)))
-    essentials = [essential for _, _, essential, _ in plan]
-    constants = terms = None
-    truediv, add = operator.truediv, operator.add
-
-    def start(boundary):
-        nonlocal constants, terms
-        if 0.0 in boundary:
-            raise DomainError("arc check needs positive boundary lengths")
-        constants = gap_constants(boundary)
-        terms = hexagon_terms(forms, nc, boundary)
-
-    def report(x1, x2, lens1, lens2, checked, passed):
-        c = constants.c
-        # Essential neighbours are cuffs, so their ratios are read from here.
-        cuffs = [b / a for a, b in zip(x1.lengths, x2.lengths)]
-        ell1, ell2 = x1.lengths + x1.boundary, x2.lengths + x2.boundary
-        rows = []
-        for (label, neighbours, essential, excluded), l1, l2 in zip(plan, lens1, lens2):
-            ratio = l2 / l1
-            if ratio <= 1.0:
-                rows.append({"arc": label, "l1": l1, "l2": l2,
-                             "ratio": ratio, "checked": False})
-                continue
-            best = max([cuffs[i] for i in essential])
-            bound = c * ratio
-            rows.append({
-                "arc": label, "l1": l1, "l2": l2, "ratio": ratio,
-                "checked": True,
-                "curves": [{"curve": nb_label, "l1": ell1[i], "l2": ell2[i],
-                            "ratio": ell2[i] / ell1[i], "essential": e}
-                           for i, nb_label, e in neighbours],
-                "excluded_boundary_parallel": excluded,
-                "max_curve_ratio": best, "bound": bound, "passed": best >= bound})
-        return {
-            "x1": x1.to_dict(),
-            "x2": x2.to_dict(),
-            "constant": c,
-            "constant_between": constants.c_between,
-            "constant_self": constants.c_self,
-            "gap": constants.gap,
-            "arcs": rows,
-            "checked": checked,
-            "passed": passed,
-            "vacuous": len(rows) - checked,
-            "all_passed": passed == checked,
-        }
-
-    for cuffs, count, point, error in blocks(start):
-        if not count:
-            if error is not None:
-                raise error
-            continue
-        lengths, bad = pants_trig._block(forms, terms, cuffs, count)
-        if bad is not None:
-            count = bad - bad % 2
-            x1, x2 = point(count), point(count + 1)
-            witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
+        # FNPoint._checked's tests, a column at a time.
+        bad = count
+        for column in lengths:
+            bad = pants_trig._first_outside(column, 0.0, bad)
+        for column in twists:
+            bad = pants_trig._first_outside(column, -math.inf, bad)
+        cuffs, error = lengths, None
+        if bad < count:
             try:
-                hexagon_lengths(x1, forms, terms=terms)
-                hexagon_lengths(x2, forms, terms=terms)
+                point(bad)
             except DomainError as err:
-                error = err.with_witness(witness)
+                error = err
             else:
-                error = RuntimeError("the block form rejected a pair the cores "
-                                     "accept\nwitness: " + json.dumps(witness))
-            cuffs = [column[:count] for column in cuffs]
-            lengths = [column[:count] for column in lengths]
-        c = constants.c
-        ratios = [list(map(truediv, column[1::2], column[::2])) for column in cuffs]
-        checked = passed = [0] * (count // 2)
-        for essential, column in zip(essentials, lengths):
-            if not essential:
-                continue  # the pants alone: no arc changes length
-            r = list(map(truediv, column[1::2], column[::2]))
-            best = ratios[essential[0]]
-            for i in essential[1:]:
-                # max(a, b) by max's own rule, without a call per pair.
-                best = [b if b > a else a for a, b in zip(best, ratios[i])]
-            checked = list(map(add, checked, [x > 1.0 for x in r]))
-            passed = list(map(add, passed, [x > 1.0 and b >= c * x
-                                            for x, b in zip(r, best)]))
-        yield checked, passed, [
-            report(point(2 * i), point(2 * i + 1), [column[2 * i] for column in lengths],
-                   [column[2 * i + 1] for column in lengths], k, p)
-            for i, (k, p) in enumerate(zip(checked, passed))
-            if not summary_only or k != p]
+                error = RuntimeError(f"point {bad} of a block failed the "
+                                     "column checks but not its own")
+            count = bad - bad % 2
+            cuffs = [column[:count] for column in lengths]
+        if run is None and count:
+            try:
+                run = _ArcRun(m, boundary)
+            except DomainError as err:
+                error = err.with_witness({"x1": point(0).to_dict(),
+                                          "x2": point(1).to_dict()})
+                count = 0
+        if count:
+            checked, passed, reports, error = run.block(cuffs, count, point,
+                                                        summary_only, error)
+            yield checked, passed, reports
         if error is not None:
             raise error
 

@@ -79,9 +79,9 @@ shares.  A term that overflows is passed as ``inf`` (:func:`_cosh_half`,
 :func:`_sinh_half`, :func:`_cosh_halves`), which takes the core out of
 double range as the overflow itself would.  The public forms and
 :func:`teichspace.curves.hexagon_lengths` both call the cores, so they give
-the same lengths and the same errors; the arc check of
-:func:`teichspace.harness.verify_arcs` and
-:func:`teichspace.harness.verify_sampled_arcs` calls the block form.  For
+the same lengths and the same errors; the arc check calls the block form,
+once per block of pairs that :func:`teichspace.harness.verify_arcs` or
+:func:`teichspace.harness.verify_sampled_arcs` gives it.  For
 boundary lengths in ``[1e-4, 40]`` they match a 50-digit mpmath evaluation of the identities
 above to 1e-14 relative, and the doubled-arc traces of the 40-digit holonomy of the
 doubled surface to 1e-12 on the ranges the tests sample.  Where an intermediate or the result
@@ -176,6 +176,16 @@ def _cosh_halves(ell) -> list:
         return [_cosh_half(v) for v in ell]
 
 
+def _first_outside(column, lo: float, bad: int) -> int:
+    """The first index below ``bad`` at which ``column`` is not in ``(lo,
+    inf)``, ``bad`` if none is: a test of the whole column, then a scan
+    only if it fails.  A NaN or an infinity makes the sum fail, and a value
+    at or below a finite ``lo`` the minimum."""
+    if -math.inf < sum(column) < math.inf and (lo == -math.inf or lo < min(column)):
+        return bad
+    return next((i for i in range(bad) if not lo < column[i] < math.inf), bad)
+
+
 def _block(forms, terms, cuffs, count: int):
     """``(lengths, bad)``: the lengths :func:`_between` and :func:`_self`
     give the forms ``forms`` at a block of ``count`` points, one list per
@@ -186,14 +196,17 @@ def _block(forms, terms, cuffs, count: int):
     block, and ``terms`` the forms' boundary terms ``(ch, arcs)`` of
     :func:`teichspace.curves.hexagon_terms`; index ``i`` of a form is cuff
     ``i`` below ``len(cuffs)`` and boundary ``i - len(cuffs)`` above.  One
-    ``cosh(l/2)`` column is taken per cuff (:func:`_cosh_halves`), then each
-    form is one pass over the block with its core's expressions in its
-    core's order, so every length, and every point that fails, is the
-    core's.  A division by zero (a boundary term of 0) fails every point of
-    its form."""
+    ``cosh(l/2)`` column is taken (:func:`_cosh_halves`) per cuff that a
+    form reads, ``k`` of every form and ``j`` of a self-arc; then each form
+    is one pass over the block with its core's expressions in its core's
+    order, so every length, and every point that fails, is the core's.  A
+    division by zero (a boundary term of 0) fails every point of its
+    form."""
     sqrt, log1p, asinh = math.sqrt, math.log1p, math.asinh
     ch, arcs = terms
-    columns = [_cosh_halves(column) for column in cuffs]
+    read = {k for _, _, _, k in forms} | {j for between, _, j, _ in forms if not between}
+    columns = [_cosh_halves(column) if i in read else None
+               for i, column in enumerate(cuffs)]
     columns += [[c] * count for c in ch]
     out, bad = [], count
     for (between, _, j, k), (p, q) in zip(forms, arcs):
@@ -206,9 +219,7 @@ def _block(forms, terms, cuffs, count: int):
                            for ca, cd in zip(columns[j], columns[k])]
         except ZeroDivisionError:
             lengths = [math.inf] * count
-        # A NaN or inf makes the sum fail; a 0 makes the minimum fail.
-        if not (0.0 < min(lengths) and sum(lengths) < math.inf):
-            bad = next((i for i in range(bad) if not 0.0 < lengths[i] < math.inf), bad)
+        bad = _first_outside(lengths, 0.0, bad)
         out.append(lengths)
     return out, (None if bad == count else bad)
 

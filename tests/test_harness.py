@@ -565,6 +565,22 @@ class TestVerifyArcs:
         with pytest.raises(DomainError, match="positive boundary lengths"):
             next(reports)
 
+    @pytest.mark.parametrize("zero_first,message", [
+        (True, "arc check needs positive boundary lengths"),
+        (False, "arc check needs equal boundary lengths")])
+    def test_run_checks_follow_the_first_points_fit(self, zero_first, message):
+        # The run's checks read x1's boundary and come before the check that
+        # x2 shares it: a zero boundary at x1 fails them, one at x2 only
+        # the equal-boundary check.
+        cfg = cfg_12()
+        x, y = phi_gamma(sample_point(cfg, 0)), sample_point(cfg, 1)
+        x1, x2 = (x, y) if zero_first else (y, x)
+        with pytest.raises(DomainError) as err:
+            next(verify_arcs([(x1, x2)], cfg.marking()))
+        witness = {"x1": x1.to_dict(), "x2": x2.to_dict()}
+        assert err.value.witness == witness
+        assert str(err.value) == message + "\nwitness: " + json.dumps(witness)
+        assert str(err.value.__cause__) == message
 
     def test_pants_alone_checks_no_arc(self):
         cfg = ExperimentConfig(g=0, n=3, boundary=(0.5, 1.0, 2.0), seed=2,
@@ -739,13 +755,17 @@ class TestVerifyArcsBlocks:
         hold 32 pairs each."""
         blocks = []
 
-        def taken():
+        def flattened():
             for checked, passed, reports in verify_sampled_arcs(cfg, summary_only):
                 assert len(checked) == len(passed)
                 blocks.append(len(checked))
-                yield checked, passed, reports
+                reports = iter(reports)
+                for k, p in zip(checked, passed):
+                    yield ({"checked": k, "passed": p, "all_passed": True}
+                           if summary_only and k == p else next(reports))
+                assert next(reports, None) is None
 
-        outcome = stream_outcome(harness._pair_reports(taken(), summary_only))
+        outcome = stream_outcome(flattened())
         assert all(size == 32 for size in blocks[:-1])
         return outcome
 
@@ -827,6 +847,9 @@ class TestVerifyArcsBlocks:
             assert (got, str(err)) == ([], str(ref))
             assert str(err).startswith(message)
             assert getattr(err, "witness", None) == getattr(ref, "witness", None)
+            # Raised outside the handler that caught it: its cause, no context.
+            assert str(err.__cause__) == str(ref.__cause__)
+            assert err.__context__ is None
 
 
 def tie_constant(best, ratio):
@@ -880,6 +903,7 @@ class TestVerifyArcsPasses:
             full = next(verify_arcs([(x1, x2)], m))
             summary = next(verify_arcs([(x1, x2)], m, summary_only=True))
         rows = [r for r in full["arcs"] if r["checked"]]
+        assert all(r["passed"] == (r["max_curve_ratio"] >= r["bound"]) for r in rows)
         assert full["checked"] == len(rows)
         assert full["passed"] == sum(r["passed"] for r in rows)
         assert full["all_passed"] == (full["passed"] == full["checked"])
@@ -897,8 +921,8 @@ class TestVerifyArcsTrigCount:
     the first pair's own terms cancel; a run before both takes the hexagon
     forms' boundary terms, which are cached.  The 32 pairs between are one
     block.  Taking every hexagon term per point took 42 (26 ``cosh``, 16
-    ``sinh``); a pair takes ``cosh(l/2)`` of its two points' six cuffs
-    only: 12."""
+    ``sinh``), and ``cosh(l/2)`` of its two points' six cuffs took 12; a
+    pair takes ``cosh(l/2)`` of the five cuffs the arc forms read: 10."""
 
     def test_verify_arcs_g1n6_pairs(self, monkeypatch):
         cfg = ExperimentConfig.from_json(json.dumps(
@@ -924,7 +948,7 @@ class TestVerifyArcsTrigCount:
             monkeypatch.setattr(module, "math", counting)
         run(1)
         (cosh33, sinh33), (cosh1, sinh1) = run(33), run(1)
-        assert (cosh33 - cosh1, sinh33 - sinh1) == (12 * 32, 0)
+        assert (cosh33 - cosh1, sinh33 - sinh1) == (10 * 32, 0)
 
 
 def profiled_count(tmp_path, config, argv, counted):

@@ -366,6 +366,23 @@ class TestBlock:
         assert [list(point) for point in zip(*got)][:len(want)] == want
 
 
+class TestFirstOutside:
+    """The one range check of a column gives the first index below ``bad``
+    whose value is not in ``(lo, inf)``, as a scan of every value does,
+    whatever the whole-column test sees: NaN, either infinity, a sum that
+    overflows, a sum that cancels or a value at ``lo``."""
+
+    @given(column=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 0.0,
+                                            -1.0, 5e-324, 1.0, 1e308, -1e308]),
+                           min_size=1, max_size=8),
+           lo=st.sampled_from([0.0, -math.inf]), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_a_scan(self, column, lo, data):
+        bad = data.draw(st.integers(0, len(column)))
+        want = next((i for i in range(bad) if not lo < column[i] < math.inf), bad)
+        assert pants_trig._first_outside(column, lo, bad) == want
+
+
 class TestInterval:
     def test_orders_endpoints(self):
         with pytest.raises(DomainError):
